@@ -20,13 +20,13 @@ in place and must be serialized externally.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
 from . import tensor as T
-from .dynamics import alternating_binomial_row, binomial_invert, mixed_diff_coefficients
+from .dynamics import alternating_binomial_row, mixed_diff_coefficients
 from .tensor import Parameter, ShapeError, Tensor
 
 __all__ = [
@@ -130,9 +130,16 @@ class NetworkConfig:
 
 
 class LayerHistory:
-    """Immutable most-recent-first window of the last k activations."""
+    """Immutable most-recent-first window of the last k activations.
 
-    __slots__ = ("window",)
+    At layer l the window holds x_l, x_{l-1}, ..., x_{l-k+1}, and
+    ``forcing`` the outputs f_{l-1}(x_{l-1}), ..., f_{l-k}(x_{l-k}) of the
+    layers before it, newest first, with ``None`` where no output is known
+    (the ghost start, or a window built from activations alone). The dense
+    step reuses these outputs instead of evaluating each forcing k times.
+    """
+
+    __slots__ = ("window", "forcing")
 
     def __init__(self, entries):
         entries = tuple(entries)
@@ -142,14 +149,21 @@ class LayerHistory:
         if len(shapes) > 1:
             raise ShapeError(f"history entries have mixed shapes {sorted(shapes)}")
         self.window = entries
+        self.forcing = (None,) * len(entries)
 
     @classmethod
     def ghost(cls, x0: Tensor, k: int) -> "LayerHistory":
         """Pre-input window: the initial activation repeated k times."""
         return cls((x0,) * k)
 
-    def advanced(self, x_next: Tensor) -> "LayerHistory":
-        return LayerHistory((x_next,) + self.window[:-1])
+    def advanced(self, x_next: Tensor, force: Tensor | None = None) -> "LayerHistory":
+        """The next layer's window; ``force`` is the output that produced x_next."""
+        if x_next.shape != self.window[0].shape:
+            raise ShapeError(f"next activation {x_next.shape} does not match window {self.window[0].shape}")
+        out = LayerHistory.__new__(LayerHistory)
+        out.window = (x_next,) + self.window[:-1]
+        out.forcing = (force,) + self.forcing[:-1]
+        return out
 
     def __len__(self) -> int:
         return len(self.window)
@@ -216,12 +230,9 @@ def ck_direct_step(f: ForcingFunction, history: LayerHistory, k: int, dl: float)
     if len(history) < k:
         raise ValueError(f"order-{k} step needs {k} activations, history has {len(history)}")
     coeffs = mixed_diff_coefficients(k)
-    out = f(history[0]) * (dl**k)
-    for j in range(1, k + 1):
-        c = -coeffs[j]
-        term = history[j - 1] if c == 1 else c * history[j - 1]
-        out = out + term
-    return out
+    terms = [(dl**k, f(history[0]))]
+    terms.extend((-coeffs[j], history[j - 1]) for j in range(1, k + 1))
+    return T.linear_combination(terms)
 
 
 def ck_state_step(f: ForcingFunction, q: StateVector, k: int, dl: float) -> StateVector:
@@ -233,14 +244,10 @@ def ck_state_step(f: ForcingFunction, q: StateVector, k: int, dl: float) -> Stat
     """
     if q.order != k:
         raise ValueError(f"state vector has {q.order} parts, expected {k}")
-    force = f(q.parts[0]) * (dl**k)
-    new_parts = []
-    for n in range(k):
-        acc = q.parts[n]
-        for m in range(n + 1, k):
-            acc = acc + q.parts[m]
-        new_parts.append(acc + force)
-    return StateVector(new_parts)
+    force = (dl**k, f(q.parts[0]))
+    return StateVector(
+        [T.linear_combination([*((1, p) for p in q.parts[n:]), force]) for n in range(k)]
+    )
 
 
 def initialize_state(x0: Tensor, k: int) -> StateVector:
@@ -256,20 +263,29 @@ def dense_direct_step(fs, history: LayerHistory, dl: float):
 
     ``fs`` lists the forcing functions of the current layer and its k-1
     predecessors, newest first, with ``None`` marking pre-input layers that
-    contribute nothing (the growing-window warm-up). Returns the next
-    activation together with the advanced history.
+    contribute nothing (the growing-window warm-up). A predecessor's output
+    is taken from ``history.forcing`` when the window carries it and
+    evaluated otherwise, so stepping a network from its ghost window
+    evaluates each forcing once. Returns the next activation together with
+    the advanced history, which carries this layer's forcing output.
     """
     k = len(history)
     if len(fs) != k:
         raise ValueError(f"got {len(fs)} forcing functions for a window of {k}")
     if not dl > 0:
         raise ValueError(f"dl must be positive, got {dl}")
-    out = history[k - 1]
-    for j in reversed(range(k)):
-        if fs[j] is None:
-            continue
-        out = out + fs[j](history[j]) * dl
-    return out, history.advanced(out)
+    outs = []
+    for j, f in enumerate(fs):
+        if f is None:
+            outs.append(None)
+        elif j and history.forcing[j - 1] is not None:
+            outs.append(history.forcing[j - 1])
+        else:
+            outs.append(f(history[j]))
+    terms = [(1, history[k - 1])]
+    terms.extend((dl, outs[j]) for j in reversed(range(k)) if outs[j] is not None)
+    out = T.linear_combination(terms)
+    return out, history.advanced(out, outs[0])
 
 
 def dense_state_step(fs, q: StateVector, k: int, dl: float, forcing_matrix=None) -> StateVector:
@@ -286,18 +302,19 @@ def dense_state_step(fs, q: StateVector, k: int, dl: float, forcing_matrix=None)
         raise ValueError(f"state vector has {q.order} parts, expected {k}")
     if len(fs) != k:
         raise ValueError(f"got {len(fs)} forcing functions for order {k}")
-    lags = binomial_invert(q.parts)
+    # dynamics.binomial_invert(q.parts) with one node per lag: the same terms
+    # in the same order, so the lags are bitwise equal to it (pinned by
+    # TestFusedSteps in tests/test_architectures.py, whose reference state
+    # step calls binomial_invert)
+    lags = [T.linear_combination(zip(alternating_binomial_row(m), q.parts)) for m in range(k)]
     pushes = [None if fs[j] is None else fs[j](lags[j]) * dl for j in range(k)]
     rows = forcing_matrix.block if forcing_matrix is not None else None
     new_parts = []
     for n in range(k):
         row = rows[n] if rows is not None else alternating_binomial_row(n)
-        acc = q.parts[n]
-        for j, c in enumerate(row):
-            if pushes[j] is None or c == 0:
-                continue
-            acc = acc + (pushes[j] if c == 1 else c * pushes[j])
-        new_parts.append(acc)
+        terms = [(1, q.parts[n])]
+        terms.extend((c, pushes[j]) for j, c in enumerate(row) if pushes[j] is not None and c != 0)
+        new_parts.append(T.linear_combination(terms))
     return StateVector(new_parts)
 
 
@@ -368,6 +385,21 @@ class Trace:
     dl: float
 
 
+def _recorded(f: ForcingFunction, sink: list):
+    """``f`` that also appends a copy of each output to ``sink``.
+
+    Record mode steps the network with these, so the trace reads each
+    forcing output as the step computes it instead of evaluating it again.
+    """
+
+    def call(x: Tensor) -> Tensor:
+        out = f(x)
+        sink.append(out.data.copy())
+        return out
+
+    return call
+
+
 class Network:
     """Input embedding, a stack of dynamical blocks, and an affine readout."""
 
@@ -397,10 +429,11 @@ class Network:
         for p in self.parameters():
             p.zero_grad()
 
-    def _window_functions(self, layer: int) -> list:
-        """Forcing functions of layers layer..layer-k+1, None before layer 0."""
+    def _window_functions(self, layer: int, current) -> list:
+        """``current`` (layer's own forcing), then those of layers
+        layer-1..layer-k+1, None before layer 0."""
         k = self.config.k
-        return [self.blocks[layer - j] if layer - j >= 0 else None for j in range(k)]
+        return [current] + [self.blocks[layer - j] if layer - j >= 0 else None for j in range(1, k)]
 
     def forward(self, inputs: np.ndarray, mode: str = "direct", record: bool = False):
         """Run the network on a [batch, input_dim] (or [input_dim]) array.
@@ -415,7 +448,7 @@ class Network:
         arr = np.asarray(inputs, dtype=np.float64)
         if arr.shape[-1] != cfg.input_dim:
             raise ShapeError(f"input width {arr.shape} does not match input_dim={cfg.input_dim}")
-        x = T.affine(Tensor(arr), self.embed_weight, self.embed_bias)
+        x = T.affine(arr, self.embed_weight, self.embed_bias)
 
         trace = Trace([x.data.copy()], [], [] if mode == "state" else None, cfg.k, cfg.dl) if record else None
         if record and mode == "state":
@@ -438,15 +471,14 @@ class Network:
         x = x0
         for layer, block in enumerate(self.blocks):
             if trace is not None:
-                trace.forcing.append(block(x).data.copy())
+                block = _recorded(block, trace.forcing)
             if cfg.family == "c0":
                 x = c0_step(block, x)
-                history = history.advanced(x)
             elif cfg.family == "ck":
                 x = ck_direct_step(block, history, k, dl)
                 history = history.advanced(x)
             else:
-                x, history = dense_direct_step(self._window_functions(layer), history, dl)
+                x, history = dense_direct_step(self._window_functions(layer, block), history, dl)
             if trace is not None:
                 trace.activations.append(x.data.copy())
         return x
@@ -458,7 +490,7 @@ class Network:
             x = x0
             for block in self.blocks:
                 if trace is not None:
-                    trace.forcing.append(block(x).data.copy())
+                    block = _recorded(block, trace.forcing)
                 x = c0_step(block, x)
                 if trace is not None:
                     trace.activations.append(x.data.copy())
@@ -468,11 +500,11 @@ class Network:
         q = initialize_state(x0, k)
         for layer, block in enumerate(self.blocks):
             if trace is not None:
-                trace.forcing.append(block(q.parts[0]).data.copy())
+                block = _recorded(block, trace.forcing)
             if cfg.family == "ck":
                 q = ck_state_step(block, q, k, dl)
             else:
-                q = dense_state_step(self._window_functions(layer), q, k, dl)
+                q = dense_state_step(self._window_functions(layer, block), q, k, dl)
             if trace is not None:
                 trace.activations.append(q.parts[0].data.copy())
                 trace.states.append(q.values())
@@ -502,32 +534,67 @@ def save_checkpoint(network: Network, path) -> None:
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
+def _param_entry(entry) -> tuple[str, tuple[int, ...]]:
+    try:
+        name, shape = entry["name"], tuple(int(n) for n in entry["shape"])
+    except (TypeError, KeyError, ValueError) as exc:
+        raise ValueError(f"bad checkpoint parameter entry {entry!r}") from exc
+    if not isinstance(name, str):
+        raise ValueError(f"bad checkpoint parameter name {name!r}")
+    return name, shape
+
+
 def load_checkpoint(path) -> Network:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    The header must list every parameter of the configured network exactly
+    once, with its shape, and the payload must hold exactly those values.
+    A missing, unknown or repeated parameter, an unknown or invalid config
+    entry, and a truncated or over-long payload all raise ``ValueError``.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"not a checkpoint file: bad header ({exc})") from exc
-        if header.get("format") != _CHECKPOINT_FORMAT:
-            raise ValueError(f"not a checkpoint file: format {header.get('format')!r}")
-        network = Network(NetworkConfig(**header["config"]))
+        tag = header.get("format") if isinstance(header, dict) else None
+        if tag != _CHECKPOINT_FORMAT:
+            raise ValueError(f"not a checkpoint file: format {tag!r}")
+        if header.get("version") != _CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {header.get('version')!r}")
+        config, entries = header.get("config"), header.get("params")
+        if not isinstance(config, dict) or not isinstance(entries, list):
+            raise ValueError("checkpoint header needs a config object and a params list")
+        unknown = sorted(set(config) - {f.name for f in fields(NetworkConfig)})
+        if unknown:
+            raise ValueError(f"unknown checkpoint config keys {unknown}")
+        try:
+            network = Network(NetworkConfig(**config))
+        except TypeError as exc:  # a missing key, or a value of the wrong type
+            raise ValueError(f"bad checkpoint config: {exc}") from exc
         params = {p.name: p for p in network.parameters()}
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            payload = fh.read(8 * n)
-            if len(payload) != 8 * n:
-                raise ValueError(f"checkpoint truncated while reading {entry['name']!r}")
-            if entry["name"] not in params:
-                raise ValueError(f"checkpoint parameter {entry['name']!r} not in network")
-            param = params[entry["name"]]
+        loaded = set()
+        for entry in entries:
+            name, shape = _param_entry(entry)
+            if name in loaded:
+                raise ValueError(f"checkpoint lists parameter {name!r} twice")
+            if name not in params:
+                raise ValueError(f"checkpoint parameter {name!r} not in network")
+            param = params[name]
             if param.shape != shape:
                 raise ShapeError(
                     f"checkpoint shape {shape} does not match parameter "
-                    f"{entry['name']!r} of shape {param.shape}"
+                    f"{name!r} of shape {param.shape}"
                 )
+            payload = fh.read(8 * param.size)
+            if len(payload) != 8 * param.size:
+                raise ValueError(f"checkpoint truncated while reading {name!r}")
             param.data = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            loaded.add(name)
+        missing = [name for name in params if name not in loaded]
+        if missing:
+            raise ValueError(f"checkpoint lacks parameters {missing}")
         extra = fh.read(1)
         if extra:
             raise ValueError("checkpoint has trailing bytes after declared payloads")

@@ -23,6 +23,28 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (orders, widths, depths, counts)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def non_negative_float(text: str) -> float:
+    """argparse type: a finite float >= 0 (tolerances)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cknet",
@@ -32,60 +54,60 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the cross-form equivalence and identity checks")
-    p.add_argument("--orders", type=int, nargs="+", default=[1, 2, 3, 4])
-    p.add_argument("--widths", type=int, nargs="+", default=[1, 2, 8])
-    p.add_argument("--depths", type=int, nargs="+", default=[3, 10])
-    p.add_argument("--seeds", type=int, default=50, help="random cases per grid point")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--orders", type=positive_int, nargs="+", default=[1, 2, 3, 4])
+    p.add_argument("--widths", type=positive_int, nargs="+", default=[1, 2, 8])
+    p.add_argument("--depths", type=positive_int, nargs="+", default=[3, 10])
+    p.add_argument("--seeds", type=positive_int, default=50, help="random cases per grid point")
+    p.add_argument("--tolerance", type=non_negative_float, default=1e-9)
     p.add_argument("--inject-fault", choices=["dense-sign-flip"], help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("train-toy", help="single-node separability experiment on the 1-D toy set")
-    p.add_argument("-k", "--order", type=int, default=2)
+    p.add_argument("-k", "--order", type=positive_int, default=2)
     p.add_argument("-L", "--depth", type=int, default=16)
     p.add_argument("--dl", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0, help="base seed; runs use seed..seed+seeds-1")
-    p.add_argument("--seeds", type=int, default=5, help="number of independent runs")
+    p.add_argument("--seeds", type=positive_int, default=5, help="number of independent runs")
     p.add_argument("--epochs", type=int, default=2000)
     p.add_argument("--learning-rate", type=float, default=0.002)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_train_toy)
 
     p = sub.add_parser("depth-sweep", help="perturbation magnitude vs depth for residual networks")
-    p.add_argument("--depths", type=int, nargs="+", default=list(range(2, 21, 2)))
+    p.add_argument("--depths", type=positive_int, nargs="+", default=list(range(2, 21, 2)))
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("-d", "--width", type=int, default=64)
+    p.add_argument("-d", "--width", type=positive_int, default=64)
     p.add_argument("--dl", type=float, default=0.5)
-    p.add_argument("--repetitions", type=int, default=2)
+    p.add_argument("--repetitions", type=positive_int, default=2)
     p.add_argument("--epochs", type=int, default=8)
-    p.add_argument("--batch-size", type=int, default=128)
+    p.add_argument("--batch-size", type=positive_int, default=128)
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data-dir", default=None, help="IDX directory (or env CK_DATA_DIR); synthetic data when absent")
     p.add_argument("--out", default="out")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.set_defaults(func=cmd_depth_sweep)
 
     p = sub.add_parser("compare", help="train every architecture family/order under one configuration")
-    p.add_argument("--orders", type=int, nargs="+", default=[1, 2, 3, 4])
-    p.add_argument("--dense-orders", type=int, nargs="+", default=[2, 3, 4])
+    p.add_argument("--orders", type=positive_int, nargs="+", default=[1, 2, 3, 4])
+    p.add_argument("--dense-orders", type=positive_int, nargs="+", default=[2, 3, 4])
     p.add_argument("-L", "--depth", type=int, default=6)
-    p.add_argument("-d", "--width", type=int, default=64)
+    p.add_argument("-d", "--width", type=positive_int, default=64)
     p.add_argument("--dl", type=float, default=0.5)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--epochs", type=int, default=8)
-    p.add_argument("--batch-size", type=int, default=128)
+    p.add_argument("--batch-size", type=positive_int, default=128)
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data-dir", default=None)
     p.add_argument("--out", default="out")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("param-count", help="parameter accounting of order-k blocks vs explicit first-order")
-    p.add_argument("-k", "--order", type=int, required=True)
-    p.add_argument("-d", "--width", type=int, required=True)
-    p.add_argument("-L", "--depth", type=int, default=None)
+    p.add_argument("-k", "--order", type=positive_int, required=True)
+    p.add_argument("-d", "--width", type=positive_int, required=True)
+    p.add_argument("-L", "--depth", type=positive_int, default=None)
     p.set_defaults(func=cmd_param_count)
 
     p = sub.add_parser("fetch-mnist", help="download and cache the four standard IDX files")

@@ -6,6 +6,13 @@ closures that pull the output gradient back to each operand, so the
 computation graph is rebuilt on every forward pass and torn down by
 ``backward``. Operations never mutate their operands.
 
+Only ``Tensor`` operands are graph nodes. A Python scalar or a numpy array
+given to ``+``, ``-``, ``*``, ``affine`` or as a ``linear_combination``
+coefficient is a constant: it gets no parent edge, no pullback and no
+gradient, so the input batch, the mesh-step powers and the integer stencil
+coefficients cost nothing in ``backward``. Wrap a value in ``Tensor`` to
+differentiate with respect to it.
+
 Everything is float64; the equivalence checks elsewhere in the package rely
 on tight tolerances, so there is deliberately no dtype flexibility.
 
@@ -28,6 +35,7 @@ __all__ = [
     "leaky_relu",
     "matmul",
     "affine",
+    "linear_combination",
 ]
 
 
@@ -53,6 +61,9 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "_parents", "_spent")
+    # numpy operators defer to Tensor's reflected ones, so an array on the
+    # left of ``+``, ``-`` or ``*`` is a constant too
+    __array_ufunc__ = None
 
     def __init__(self, data, _parents=()):
         self.data = _as_array(data)
@@ -83,58 +94,50 @@ class Tensor:
 
     # -- graph construction helpers ----------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return other
-        return Tensor(other)
+    def _operand(self, other, op: str):
+        """``other``'s value, and ``other`` itself if it is a graph node.
 
-    def _binary_operand(self, other, op: str) -> "Tensor":
-        other = self._coerce(other)
-        if self.shape != other.shape and self.size != 1 and other.size != 1:
+        Non-``Tensor`` operands are constants and come back as ``None``.
+        """
+        if isinstance(other, Tensor):
+            data, node = other.data, other
+        else:
+            data, node = _as_array(other), None
+        if self.data.shape != data.shape and self.data.size != 1 and data.size != 1:
             raise ShapeError(
-                f"{op}: shapes {self.shape} and {other.shape} are neither equal "
+                f"{op}: shapes {self.shape} and {data.shape} are neither equal "
                 "nor scalar-vs-tensor"
             )
-        return other
+        return data, node
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        other = self._binary_operand(other, "add")
-        out = Tensor(
-            self.data + other.data,
-            _parents=(
-                (self, lambda g: _unbroadcast(g, self.shape)),
-                (other, lambda g: _unbroadcast(g, other.shape)),
-            ),
-        )
-        return out
+        data, other = self._operand(other, "add")
+        parents = [(self, lambda g: _unbroadcast(g, self.shape))]
+        if other is not None:
+            parents.append((other, lambda g: _unbroadcast(g, other.shape)))
+        return Tensor(self.data + data, _parents=parents)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._binary_operand(other, "sub")
-        return Tensor(
-            self.data - other.data,
-            _parents=(
-                (self, lambda g: _unbroadcast(g, self.shape)),
-                (other, lambda g: _unbroadcast(-g, other.shape)),
-            ),
-        )
+        data, other = self._operand(other, "sub")
+        parents = [(self, lambda g: _unbroadcast(g, self.shape))]
+        if other is not None:
+            parents.append((other, lambda g: _unbroadcast(-g, other.shape)))
+        return Tensor(self.data - data, _parents=parents)
 
     def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
+        data, _ = self._operand(other, "sub")
+        return Tensor(data - self.data, _parents=((self, lambda g: _unbroadcast(-g, self.shape)),))
 
     def __mul__(self, other):
-        other = self._binary_operand(other, "mul")
-        return Tensor(
-            self.data * other.data,
-            _parents=(
-                (self, lambda g: _unbroadcast(g * other.data, self.shape)),
-                (other, lambda g: _unbroadcast(g * self.data, other.shape)),
-            ),
-        )
+        data, other = self._operand(other, "mul")
+        parents = [(self, lambda g: _unbroadcast(g * data, self.shape))]
+        if other is not None:
+            parents.append((other, lambda g: _unbroadcast(g * self.data, other.shape)))
+        return Tensor(self.data * data, _parents=parents)
 
     __rmul__ = __mul__
 
@@ -273,31 +276,67 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+def _scaled(c):
+    return lambda g: c * g
+
+
+def _passed(g):
+    return g
+
+
+def _value(operand) -> np.ndarray:
+    return operand.data if isinstance(operand, Tensor) else _as_array(operand)
+
+
+def affine(x, weight, bias) -> Tensor:
     """``x @ weight.T + bias`` for x of shape [n] or [batch, n].
 
     weight is [m, n] and bias [m]; the bias is broadcast across the batch
-    (its gradient sums over the batch rows).
+    (its gradient sums over the batch rows). Any operand that is not a
+    ``Tensor`` is a constant and gets no gradient.
     """
-    if weight.data.ndim != 2:
-        raise ShapeError(f"affine weight must be 2-D, got {weight.shape}")
-    if bias.data.ndim != 1 or bias.shape[0] != weight.shape[0]:
-        raise ShapeError(
-            f"affine bias shape {bias.shape} does not match weight {weight.shape}"
-        )
-    if x.data.ndim not in (1, 2) or x.data.shape[-1] != weight.shape[1]:
-        raise ShapeError(f"affine input shape {x.shape} does not match weight {weight.shape}")
-    y = x.data @ weight.data.T + bias.data
-    if x.data.ndim == 1:
-        pulls = (
-            (x, lambda g: g @ weight.data),
-            (weight, lambda g: np.outer(g, x.data)),
-            (bias, lambda g: g),
-        )
-    else:
-        pulls = (
-            (x, lambda g: g @ weight.data),
-            (weight, lambda g: g.T @ x.data),
-            (bias, lambda g: g.sum(axis=0)),
-        )
-    return Tensor(y, _parents=pulls)
+    xd, wd, bd = _value(x), _value(weight), _value(bias)
+    if wd.ndim != 2:
+        raise ShapeError(f"affine weight must be 2-D, got {wd.shape}")
+    if bd.ndim != 1 or bd.shape[0] != wd.shape[0]:
+        raise ShapeError(f"affine bias shape {bd.shape} does not match weight {wd.shape}")
+    if xd.ndim not in (1, 2) or xd.shape[-1] != wd.shape[1]:
+        raise ShapeError(f"affine input shape {xd.shape} does not match weight {wd.shape}")
+    y = xd @ wd.T + bd
+    parents = []
+    if isinstance(x, Tensor):
+        parents.append((x, lambda g: g @ wd))
+    if isinstance(weight, Tensor):
+        if xd.ndim == 1:
+            parents.append((weight, lambda g: np.outer(g, xd)))
+        else:
+            parents.append((weight, lambda g: g.T @ xd))
+    if isinstance(bias, Tensor):
+        parents.append((bias, _passed if xd.ndim == 1 else (lambda g: g.sum(axis=0))))
+    return Tensor(y, _parents=parents)
+
+
+def linear_combination(terms) -> Tensor:
+    """``c_0*t_0 + c_1*t_1 + ...`` over (coefficient, tensor) pairs, as one node.
+
+    The terms are summed left to right, and a term whose coefficient is 1
+    is added without a multiply, so the value is bitwise that of chaining
+    ``+`` and constant ``*`` in the same order. Coefficients are constants;
+    every tensor must have the same shape. A single term with coefficient 1
+    returns its tensor unchanged.
+    """
+    terms = list(terms)
+    if not terms:
+        raise ValueError("linear_combination needs at least one term")
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    shape = terms[0][1].shape
+    value = None
+    parents = []
+    for c, t in terms:
+        if t.shape != shape:
+            raise ShapeError(f"linear_combination: shapes {shape} and {t.shape} differ")
+        term = t.data if c == 1 else c * t.data
+        value = term if value is None else value + term
+        parents.append((t, _passed if c == 1 else _scaled(c)))
+    return Tensor(value, _parents=parents)

@@ -84,7 +84,17 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 class Adam:
-    """Adam with bias correction; one shared step counter for all parameters."""
+    """Adam with bias correction; one shared step counter for all parameters.
+
+    The first and second moments live in two flat buffers, laid out in
+    parameter order. A step concatenates the gradients, checks them for
+    finiteness once, updates the whole buffer in one vectorised pass and
+    gives every updated parameter a fresh array; an array a caller still
+    holds from before the step is never written to. The
+    result is bitwise that of updating each parameter on its own. A
+    parameter whose ``grad`` is None keeps its data and moments, and a
+    non-finite gradient raises before any parameter moves.
+    """
 
     def __init__(self, params, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params: list[Parameter] = [p for p in params if p.trainable]
@@ -93,23 +103,53 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        bounds = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
+        self._spans = list(zip(bounds[:-1], bounds[1:]))
+        self.m = np.zeros(bounds[-1])
+        self.v = np.zeros(bounds[-1])
 
     def step(self) -> None:
         self.t += 1
+        live = [p for p in self.params if p.grad is not None]
+        if not live:
+            return
+        g = np.concatenate([p.grad.ravel() for p in live])
+        if not np.isfinite(g).all():
+            bad = next(p for p in live if not np.isfinite(p.grad).all())
+            raise TrainingError(f"non-finite gradient for parameter {bad.name!r}")
+        if len(live) == len(self.params):
+            idx = None
+            m, v = self.m, self.v
+        else:
+            idx = np.concatenate(
+                [np.arange(*span) for p, span in zip(self.params, self._spans) if p.grad is not None]
+            )
+            m, v = self.m[idx], self.v[idx]
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient for parameter {p.name!r}")
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            m_hat = self.m[i] / (1.0 - b1**self.t)
-            v_hat = self.v[i] / (1.0 - b2**self.t)
-            p.data = p.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        # the per-parameter formulas term for term, reusing two scratch
+        # buffers: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g, then
+        # lr*m_hat / (sqrt(v_hat) + eps) in ``g``
+        m *= b1
+        v *= b2
+        scratch = g * (1.0 - b2)
+        scratch *= g
+        v += scratch
+        g *= 1.0 - b1
+        m += g
+        np.divide(m, 1.0 - b1**self.t, out=g)
+        g *= self.learning_rate
+        np.divide(v, 1.0 - b2**self.t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += self.eps
+        g /= scratch
+        del scratch
+        if idx is not None:
+            self.m[idx], self.v[idx] = m, v
+        offset = 0
+        for p in live:
+            size = p.data.size
+            p.data = p.data - g[offset : offset + size].reshape(p.data.shape)
+            offset += size
 
     def zero_grad(self) -> None:
         for p in self.params:

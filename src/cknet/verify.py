@@ -95,9 +95,9 @@ def run_dense_direct(fs, x0: np.ndarray, k: int, dl: float):
     history = LayerHistory.ghost(x, k)
     xs = [x.data.copy()]
     forcing_values = []
-    for layer, f in enumerate(fs):
-        forcing_values.append(f(x).data.copy())
+    for layer in range(len(fs)):
         x, history = dense_direct_step(_window(fs, layer, k), history, dl)
+        forcing_values.append(history.forcing[0].data.copy())
         xs.append(x.data.copy())
     return xs, forcing_values
 

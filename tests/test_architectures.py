@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -422,6 +425,138 @@ class TestScaling:
         assert np.array_equal(large, s**k * small)
 
 
+def chained_ck_direct(f, history, k, dl):
+    """The order-k step as chained ``+`` and constant ``*`` nodes."""
+    coeffs = [(-1) ** j * math.comb(k, j) for j in range(k + 1)]
+    out = f(history[0]) * (dl**k)
+    for j in range(1, k + 1):
+        c = -coeffs[j]
+        out = out + (history[j - 1] if c == 1 else c * history[j - 1])
+    return out
+
+
+def chained_ck_state(f, parts, k, dl):
+    force = f(parts[0]) * (dl**k)
+    new_parts = []
+    for n in range(k):
+        acc = parts[n]
+        for m in range(n + 1, k):
+            acc = acc + parts[m]
+        new_parts.append(acc + force)
+    return new_parts
+
+
+def chained_dense_direct(fs, history, dl):
+    k = len(history)
+    out = history[k - 1]
+    for j in reversed(range(k)):
+        if fs[j] is not None:
+            out = out + fs[j](history[j]) * dl
+    return out
+
+
+def chained_dense_state(fs, parts, k, dl):
+    from cknet.dynamics import alternating_binomial_row, binomial_invert
+
+    lags = binomial_invert(parts)
+    pushes = [None if f is None else f(lag) * dl for f, lag in zip(fs, lags)]
+    new_parts = []
+    for n in range(k):
+        acc = parts[n]
+        for j, c in enumerate(alternating_binomial_row(n)):
+            if pushes[j] is not None:
+                acc = acc + (pushes[j] if c == 1 else c * pushes[j])
+        new_parts.append(acc)
+    return new_parts
+
+
+class TestFusedSteps:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_dense_steps_bitwise_equal_chained_formula(self, k):
+        fs = [random_forcing(3, seed=70 + i) for i in range(6)]
+        x0 = Tensor(np.random.default_rng(k).standard_normal((2, 3)))
+        history, q = LayerHistory.ghost(x0, k), initialize_state(x0, k)
+        for layer in range(len(fs)):
+            window = [fs[layer - j] if layer - j >= 0 else None for j in range(k)]
+            expected = chained_dense_direct(window, history, 0.5)
+            x, history = dense_direct_step(window, history, 0.5)
+            assert x.data.tobytes() == expected.data.tobytes()
+            expected_parts = chained_dense_state(window, q.parts, k, 0.5)
+            q = dense_state_step(window, q, k, 0.5)
+            for a, b in zip(q.parts, expected_parts):
+                assert a.data.tobytes() == b.data.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_ck_steps_bitwise_equal_chained_formula(self, k):
+        rng = np.random.default_rng(40 + k)
+        f = random_forcing(3, seed=k)
+        for dl in (1.0, 0.5, 0.2):
+            entries = [Tensor(rng.standard_normal((2, 3))) for _ in range(k)]
+            fused = ck_direct_step(f, LayerHistory(entries), k, dl)
+            assert fused.data.tobytes() == chained_ck_direct(f, entries, k, dl).data.tobytes()
+            stepped = ck_state_step(f, StateVector(entries), k, dl)
+            for a, b in zip(stepped.parts, chained_ck_state(f, entries, k, dl)):
+                assert a.data.tobytes() == b.data.tobytes()
+
+    def test_order_two_layer_is_three_nodes(self):
+        f = random_forcing(2, seed=1)
+        x = Tensor(np.ones(2))
+        out = ck_direct_step(f, LayerHistory.ghost(x, 2), 2, 0.5)
+        # the fused stencil node, the activation and the affine map: no
+        # coefficient or dl**k node in between
+        assert [p for p, _ in out._parents][1:] == [x, x]
+        act = out._parents[0][0]
+        affine_node = act._parents[0][0]
+        assert [p for p, _ in affine_node._parents] == [x, f.weight, f.bias]
+        assert len(act._parents) == 1
+
+
+class TestForcingEvaluatedOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+        original = ForcingFunction.__call__
+
+        def counting(self, x):
+            counts[id(self)] = counts.get(id(self), 0) + 1
+            return original(self, x)
+
+        monkeypatch.setattr(ForcingFunction, "__call__", counting)
+        return counts
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_dense_direct_calls_each_block_once(self, calls, k, record):
+        net = Network(NetworkConfig("dense", k=k, depth=6, width=3, input_dim=2, num_classes=2, seed=k))
+        x = np.random.default_rng(k).standard_normal((4, 2))
+        result = net.forward(x, record=record)
+        assert [calls.get(id(b), 0) for b in net.blocks] == [1] * 6
+        if record:
+            _, trace = result
+            for layer, block in enumerate(net.blocks):
+                expected = np.tanh(trace.activations[layer] @ block.weight.data.T + block.bias.data)
+                assert trace.forcing[layer].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("family,k", [("c0", 1), ("ck", 3), ("dense", 3)])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    def test_record_mode_adds_no_forcing_calls(self, calls, family, k, mode):
+        net = Network(NetworkConfig(family, k=k, depth=5, width=3, input_dim=2, num_classes=2, seed=2))
+        x = np.random.default_rng(2).standard_normal((4, 2))
+        plain = net.forward(x, mode=mode)
+        plain_calls = dict(calls)
+        calls.clear()
+        recorded, trace = net.forward(x, mode=mode, record=True)
+        assert calls == plain_calls
+        assert recorded.data.tobytes() == plain.data.tobytes()
+        assert len(trace.forcing) == 5
+
+    def test_window_built_from_activations_alone_evaluates_every_lag(self, calls):
+        fs = [random_forcing(1, seed=s) for s in range(3)]
+        history = LayerHistory([Tensor(np.array([float(v)])) for v in (1.0, 2.0, 3.0)])
+        dense_direct_step(fs, history, dl=0.5)
+        assert [calls.get(id(f), 0) for f in fs] == [1, 1, 1]
+
+
 class TestCheckpoint:
     def test_roundtrip_is_bitwise(self, tmp_path):
         net = Network(NetworkConfig("dense", k=3, depth=4, width=5, input_dim=6, num_classes=4, dl=0.5, seed=11))
@@ -447,6 +582,63 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[:-16])
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def rewrite(self, path, edit):
+        """Apply ``edit(header, payloads)`` to a saved checkpoint."""
+        raw = path.read_bytes()
+        line, body = raw.split(b"\n", 1)
+        header = json.loads(line)
+        payloads, offset = [], 0
+        for entry in header["params"]:
+            n = 8 * math.prod(entry["shape"])
+            payloads.append(body[offset : offset + n])
+            offset += n
+        edit(header, payloads)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + b"".join(payloads))
+
+    def saved(self, tmp_path):
+        net = Network(NetworkConfig("ck", k=2, depth=2, width=3, input_dim=2, num_classes=2, seed=5))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(net, path)
+        return path
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+
+        def drop_head_bias(header, payloads):
+            i = [e["name"] for e in header["params"]].index("head.bias")
+            del header["params"][i], payloads[i]
+
+        self.rewrite(path, drop_head_bias)
+        with pytest.raises(ValueError, match="head.bias"):
+            load_checkpoint(path)
+
+    def test_duplicate_parameter_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+
+        def repeat_first(header, payloads):
+            header["params"].append(header["params"][0])
+            payloads.append(payloads[0])
+
+        self.rewrite(path, repeat_first)
+        with pytest.raises(ValueError, match="twice"):
+            load_checkpoint(path)
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.rewrite(path, lambda header, _: header["config"].update(momentum=0.9))
+        with pytest.raises(ValueError, match="momentum"):
+            load_checkpoint(path)
+
+    def test_missing_or_mistyped_config_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.rewrite(path, lambda header, _: header["config"].pop("width"))
+        with pytest.raises(ValueError, match="config"):
+            load_checkpoint(path)
+        path = self.saved(tmp_path)
+        self.rewrite(path, lambda header, _: header["config"].update(k="2"))
+        with pytest.raises(ValueError):
             load_checkpoint(path)
 
     def test_non_checkpoint_rejected(self, tmp_path):

@@ -20,6 +20,55 @@ def test_module_entry_point_runs():
     assert "4 vs 36" in proc.stdout
 
 
+def test_package_runs_as_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cknet", "param-count", "-k", "2", "-d", "3"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "9 vs 36 (ratio 0.25)" in proc.stdout
+
+
+def test_bad_order_is_a_usage_error_without_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cknet", "param-count", "-k", "0", "-d", "3"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "-k/--order: must be >= 1, got 0" in proc.stderr
+
+
+INVALID_INVOCATIONS = [
+    (["param-count", "-k", "0", "-d", "3"], "-k/--order: must be >= 1, got 0"),
+    (["param-count", "-k", "2", "-d", "0"], "-d/--width: must be >= 1, got 0"),
+    (["param-count", "-k", "2", "-d", "3", "-L", "-1"], "-L/--depth: must be >= 1, got -1"),
+    (["param-count", "-k", "two", "-d", "3"], "-k/--order: expected an integer, got 'two'"),
+    (["verify", "--seeds", "0"], "--seeds: must be >= 1, got 0"),
+    (["verify", "--orders", "1", "0"], "--orders: must be >= 1, got 0"),
+    (["verify", "--widths", "-2"], "--widths: must be >= 1, got -2"),
+    (["verify", "--depths", "0"], "--depths: must be >= 1, got 0"),
+    (["verify", "--tolerance=-1e-9"], "--tolerance: must be a finite number >= 0, got -1e-9"),
+    (["verify", "--tolerance", "nan"], "--tolerance: must be a finite number >= 0, got nan"),
+    (["train-toy", "-k", "0"], "-k/--order: must be >= 1, got 0"),
+    (["compare", "--dense-orders", "0"], "--dense-orders: must be >= 1, got 0"),
+    (["depth-sweep", "--jobs", "0"], "--jobs: must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv,message", INVALID_INVOCATIONS, ids=[" ".join(a) for a, _ in INVALID_INVOCATIONS])
+def test_invalid_invocation_exits_two_with_one_line_message(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(message), err
+
+
 class TestUsage:
     def test_help_exits_zero_and_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -10,6 +10,7 @@ from cknet.tensor import (
     Tensor,
     affine,
     leaky_relu,
+    linear_combination,
     matmul,
     sigmoid,
     tanh,
@@ -223,3 +224,106 @@ def test_parameter_carries_name_and_trainable_flag():
     p = Parameter(np.zeros(3), name="w", trainable=False)
     assert p.name == "w" and not p.trainable
     assert p.shape == (3,)
+
+
+class TestConstants:
+    """Operands that are not ``Tensor`` objects are constants: no edges, no grads."""
+
+    def parents(self, t):
+        return [parent for parent, _ in t._parents]
+
+    def test_python_scalars_add_no_parent_edges(self):
+        x = Tensor(np.array([1.0, -2.0]))
+        for out in (x * 0.5, 0.5 * x, x + 1.0, 1.0 + x, x - 1.0, 1.0 - x):
+            assert self.parents(out) == [x]
+
+    def test_int_stencil_coefficient_adds_no_parent_edge(self):
+        x = Tensor(np.array([1.0, -2.0]))
+        out = -2 * x
+        assert self.parents(out) == [x]
+        assert np.array_equal(out.data, [-2.0, 4.0])
+
+    def test_numpy_array_operands_are_constants_on_either_side(self):
+        x = Tensor(np.array([1.0, -2.0]))
+        c = np.array([3.0, 4.0])
+        for out in (x * c, c * x, c + x, c - x):
+            assert isinstance(out, Tensor) and self.parents(out) == [x]
+        assert np.array_equal((c - x).data, [2.0, 6.0])
+
+    def test_affine_on_a_raw_input_batch_has_no_input_edge(self):
+        rng = np.random.default_rng(3)
+        batch = rng.standard_normal((5, 4))
+        w, b = Tensor(rng.standard_normal((2, 4))), Tensor(np.zeros(2))
+        out = affine(batch, w, b)
+        assert self.parents(out) == [w, b]
+        via_tensor = affine(Tensor(batch), w, b)
+        assert out.data.tobytes() == via_tensor.data.tobytes()
+
+    def test_network_input_batch_is_not_a_graph_node(self):
+        from cknet.architectures import Network, NetworkConfig
+
+        net = Network(NetworkConfig("ck", k=2, depth=2, width=3, input_dim=4, num_classes=2, seed=1))
+        batch = np.random.default_rng(0).standard_normal((5, 4))  # no parameter is 5x4
+        logits = net.forward(batch)
+        stack, seen = [logits], set()
+        while stack:
+            node = stack.pop()
+            for parent, _ in node._parents:
+                assert parent.data is not batch and parent.shape != batch.shape
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+
+    def test_constant_gradient_is_unchanged_for_the_tensor_operand(self):
+        x = Tensor(np.array([1.0, 2.0, 3.0]))
+        ((x * 2.0 + 1.0) * np.array([1.0, -1.0, 0.5])).sum().backward()
+        assert np.array_equal(x.grad, [2.0, -2.0, 1.0])
+
+    def test_tensor_operands_keep_their_gradients(self):
+        x, c = Tensor(np.array([1.0, 2.0])), Tensor(3.0)
+        (x * c).sum().backward()
+        assert np.array_equal(x.grad, [3.0, 3.0]) and c.grad == 3.0
+
+    def test_constant_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            Tensor([1.0, 2.0]) + np.zeros(3)
+
+
+class TestLinearCombination:
+    def chained(self, terms):
+        """The pre-fusion formula: constant ``*`` and ``+`` nodes, left to right."""
+        (c, t), out = terms[0], None
+        out = t if c == 1 else t * c
+        for c, t in terms[1:]:
+            out = out + (t if c == 1 else c * t)
+        return out
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_forward_bitwise_equals_chained_stencil(self, k):
+        from cknet.dynamics import mixed_diff_coefficients
+
+        rng = np.random.default_rng(k)
+        coeffs = mixed_diff_coefficients(k)
+        for dl in (1.0, 0.5, 0.3):
+            force = Tensor(rng.standard_normal((4, 3)))
+            history = [Tensor(rng.standard_normal((4, 3))) for _ in range(k)]
+            terms = [(dl**k, force)] + [(-coeffs[j], history[j - 1]) for j in range(1, k + 1)]
+            fused = linear_combination(terms)
+            assert fused.data.tobytes() == self.chained(terms).data.tobytes()
+            assert len(fused._parents) == k + 1
+
+    def test_gradients_are_the_coefficients(self):
+        a, b = Tensor(np.array([1.0, 2.0])), Tensor(np.array([3.0, -1.0]))
+        linear_combination([(1, a), (-3, b), (2, a)]).sum().backward()
+        assert np.array_equal(a.grad, [3.0, 3.0])
+        assert np.array_equal(b.grad, [-3.0, -3.0])
+
+    def test_single_unit_term_is_the_tensor_itself(self):
+        a = Tensor(np.array([1.0]))
+        assert linear_combination([(1, a)]) is a
+
+    def test_shape_mismatch_and_empty_rejected(self):
+        with pytest.raises(ShapeError):
+            linear_combination([(1, Tensor(np.zeros(2))), (2, Tensor(np.zeros(3)))])
+        with pytest.raises(ValueError):
+            linear_combination([])

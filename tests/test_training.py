@@ -127,6 +127,121 @@ class TestAdam:
         assert opt.t == 2
 
 
+class ReferenceAdam:
+    """Per-parameter Adam, one array at a time: the oracle for the flat update."""
+
+    def __init__(self, params, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = [p for p in params if p.trainable]
+        self.learning_rate, self.beta1, self.beta2, self.eps = learning_rate, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for i, p in enumerate(self.params):
+            g = p.grad
+            if g is None:
+                continue
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
+            m_hat = self.m[i] / (1.0 - b1**self.t)
+            v_hat = self.v[i] / (1.0 - b2**self.t)
+            p.data = p.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+class TestFlatAdam:
+    shapes = [(3, 4), (4,), (1,), (2, 2), (5,)]
+
+    def make_params(self):
+        rng = np.random.default_rng(17)
+        return [Parameter(rng.standard_normal(s), f"p{i}") for i, s in enumerate(self.shapes)]
+
+    def test_matches_per_parameter_reference_bitwise(self):
+        flat_params, ref_params = self.make_params(), self.make_params()
+        frozen = Parameter(np.ones(2), "frozen", trainable=False)
+        flat = Adam(flat_params + [frozen], learning_rate=0.05)
+        ref = ReferenceAdam(ref_params, learning_rate=0.05)
+        rng = np.random.default_rng(5)
+        for step in range(8):
+            for i, (a, b) in enumerate(zip(flat_params, ref_params)):
+                # p1 never gets a gradient; p3 skips every other step
+                if i == 1 or (i == 3 and step % 2):
+                    a.grad = b.grad = None
+                else:
+                    a.grad = b.grad = rng.standard_normal(a.shape) * 10.0 ** (i - 2)
+            flat.step()
+            ref.step()
+            for a, b in zip(flat_params, ref_params):
+                assert a.data.shape == b.data.shape
+                assert a.data.tobytes() == b.data.tobytes(), (step, a.name)
+        assert flat.t == ref.t == 8
+        assert np.array_equal(frozen.data, np.ones(2))
+
+    def test_parameter_without_gradient_keeps_its_array(self):
+        params = self.make_params()
+        untouched = params[2].data
+        opt = Adam(params, learning_rate=0.1)
+        for p in params:
+            p.grad = None if p is params[2] else np.ones_like(p.data)
+        opt.step()
+        assert params[2].data is untouched
+
+    def test_step_never_writes_into_arrays_callers_hold(self):
+        params = self.make_params()
+        opt = Adam(params, learning_rate=0.1)
+        for step in range(3):
+            held = [p.data for p in params]
+            snapshot = [h.copy() for h in held]
+            for p in params:
+                p.grad = np.ones_like(p.data)
+            opt.step()
+            for h, s in zip(held, snapshot):
+                assert np.array_equal(h, s)
+            assert all(p.data is not h for p, h in zip(params, held))
+
+    def test_replaced_parameter_data_is_picked_up(self):
+        flat_params, ref_params = self.make_params(), self.make_params()
+        flat, ref = Adam(flat_params, learning_rate=0.1), ReferenceAdam(ref_params, learning_rate=0.1)
+        for step in range(4):
+            if step == 2:
+                for a, b in zip(flat_params, ref_params):
+                    a.data = b.data = np.full(a.shape, 0.25)
+            for a, b in zip(flat_params, ref_params):
+                a.grad = b.grad = np.full(a.shape, float(step) - 1.5)
+            flat.step()
+            ref.step()
+        for a, b in zip(flat_params, ref_params):
+            assert a.data.tobytes() == b.data.tobytes()
+
+    def test_nan_gradient_names_parameter_and_moves_nothing(self):
+        params = self.make_params()
+        opt = Adam(params, learning_rate=0.1)
+        before = [p.data.copy() for p in params]
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        params[3].grad = np.array([[0.0, np.inf], [np.nan, 1.0]])
+        with pytest.raises(TrainingError, match="'p3'"):
+            opt.step()
+        for p, b in zip(params, before):
+            assert np.array_equal(p.data, b)
+
+    def test_network_training_steps_match_reference(self):
+        config = NetworkConfig("dense", k=3, depth=3, width=5, input_dim=2, num_classes=2, dl=0.5, seed=8)
+        nets = [Network(config), Network(config)]
+        opts = [Adam(nets[0].parameters(), 0.01), ReferenceAdam(nets[1].parameters(), 0.01)]
+        data = _blobs(seed=8)
+        for _ in range(6):
+            for net, opt in zip(nets, opts):
+                loss = softmax_cross_entropy(net.forward(data.inputs), data.labels)
+                net.zero_grad()
+                loss.backward()
+                opt.step()
+        for a, b in zip(nets[0].parameters(), nets[1].parameters()):
+            assert a.data.tobytes() == b.data.tobytes(), a.name
+
+
 def _blobs(n=60, seed=0):
     rng = np.random.default_rng(seed)
     a = rng.normal(loc=(-2.0, 0.0), scale=0.3, size=(n // 2, 2))
