@@ -9,7 +9,6 @@ from .architectures import (
     Network,
     NetworkConfig,
     StateVector,
-    c0_step,
     c1_step,
     ck_direct_step,
     ck_state_step,
@@ -20,19 +19,18 @@ from .architectures import (
     load_checkpoint,
     parameter_count,
     save_checkpoint,
+    unroll,
     weight_matrix_ratio,
 )
 from .data import Dataset, generate_toy_1d, load_mnist_idx, split, synthetic_digits
 from .dynamics import (
     BlockMatrix,
     alternating_binomial_sum,
-    backward_diff,
     backward_diff_power,
     binomial,
     binomial_invert,
     build_ck_matrices,
     build_dense_matrices,
-    forward_diff,
     mixed_diff_coefficients,
 )
 from .tensor import GraphError, Parameter, ShapeError, Tensor

@@ -22,11 +22,18 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from . import tensor as T
-from .dynamics import alternating_binomial_row, mixed_diff_coefficients
+from .dynamics import (
+    BlockMatrix,
+    alternating_binomial_row,
+    build_ck_matrices,
+    build_dense_matrices,
+    mixed_diff_coefficients,
+)
 from .tensor import Parameter, ShapeError, Tensor
 
 __all__ = [
@@ -35,9 +42,10 @@ __all__ = [
     "NetworkConfig",
     "LayerHistory",
     "StateVector",
+    "LayerRecord",
     "Trace",
+    "unroll",
     "Network",
-    "c0_step",
     "c1_step",
     "ck_direct_step",
     "ck_state_step",
@@ -76,10 +84,6 @@ class ForcingFunction:
         self.weight = weight
         self.bias = bias
         self.activation = activation
-
-    @property
-    def width(self) -> int:
-        return self.weight.shape[0]
 
     @classmethod
     def create(cls, d: int, activation: str, rng: np.random.Generator, name: str):
@@ -201,16 +205,8 @@ class StateVector:
     def embedding_dim(self) -> int:
         return self.order * self.width
 
-    def values(self) -> list[np.ndarray]:
-        return [p.data.copy() for p in self.parts]
-
 
 # -- single block steps --------------------------------------------------------
-
-
-def c0_step(f: ForcingFunction, x: Tensor) -> Tensor:
-    """Plain layer: next activation is just the forcing output."""
-    return f(x)
 
 
 def c1_step(f: ForcingFunction, x: Tensor, dl: float) -> Tensor:
@@ -229,8 +225,12 @@ def ck_direct_step(f: ForcingFunction, history: LayerHistory, k: int, dl: float)
     """
     if len(history) < k:
         raise ValueError(f"order-{k} step needs {k} activations, history has {len(history)}")
+    return _ck_stencil(f(history[0]), history, k, dl)
+
+
+def _ck_stencil(force: Tensor, history: LayerHistory, k: int, dl: float) -> Tensor:
     coeffs = mixed_diff_coefficients(k)
-    terms = [(dl**k, f(history[0]))]
+    terms = [(dl**k, force)]
     terms.extend((-coeffs[j], history[j - 1]) for j in range(1, k + 1))
     return T.linear_combination(terms)
 
@@ -238,16 +238,13 @@ def ck_direct_step(f: ForcingFunction, history: LayerHistory, k: int, dl: float)
 def ck_state_step(f: ForcingFunction, q: StateVector, k: int, dl: float) -> StateVector:
     """Advance the first-order form of the order-k recurrence.
 
-    Each new state is the suffix sum of the current states plus the shared
-    forcing term f(q_1) * dl^k; this is exactly the action of the
-    upper-triangular all-ones transition with identity input coupling.
+    ``q' = A·q + dl^k·B·u`` over ``build_ck_matrices``: the upper-triangular
+    all-ones transition A (each new state is the suffix sum of the current
+    ones) and the identity coupling B of the shared forcing u_j = f(q_1).
     """
     if q.order != k:
         raise ValueError(f"state vector has {q.order} parts, expected {k}")
-    force = (dl**k, f(q.parts[0]))
-    return StateVector(
-        [T.linear_combination([*((1, p) for p in q.parts[n:]), force]) for n in range(k)]
-    )
+    return _matrix_step("ck", [f], q, dl, *build_ck_matrices(k, q.width))[0]
 
 
 def initialize_state(x0: Tensor, k: int) -> StateVector:
@@ -288,34 +285,39 @@ def dense_direct_step(fs, history: LayerHistory, dl: float):
     return out, history.advanced(out, outs[0])
 
 
-def dense_state_step(fs, q: StateVector, k: int, dl: float, forcing_matrix=None) -> StateVector:
+def dense_state_step(fs, q: StateVector, k: int, dl: float) -> StateVector:
     """Advance the first-order form of the additive dense recurrence.
 
-    The lag window is reconstructed from the states by binomial inversion,
-    each available forcing function is evaluated on its own lag, and the
-    state update adds the alternating-binomial combination of those forcing
-    outputs (identity transition). ``forcing_matrix`` overrides the
-    alternating-binomial coefficient grid; it exists for matrix-form
-    cross-checks and fault injection in the verification battery.
+    ``q' = A·q + B·u`` over ``build_dense_matrices``: identity transition A
+    and the alternating-binomial forcing matrix B. B is its own inverse, so
+    ``B·q`` is the lag window x_l..x_{l-k+1}, term for term that of
+    ``binomial_invert``; u_j = f_j(lag_j)·dl, and a ``None`` forcing (a
+    pre-input layer) contributes nothing.
     """
     if q.order != k:
         raise ValueError(f"state vector has {q.order} parts, expected {k}")
     if len(fs) != k:
         raise ValueError(f"got {len(fs)} forcing functions for order {k}")
-    # dynamics.binomial_invert(q.parts) with one node per lag: the same terms
-    # in the same order, so the lags are bitwise equal to it (pinned by
-    # TestFusedSteps in tests/test_architectures.py, whose reference state
-    # step calls binomial_invert)
-    lags = [T.linear_combination(zip(alternating_binomial_row(m), q.parts)) for m in range(k)]
-    pushes = [None if fs[j] is None else fs[j](lags[j]) * dl for j in range(k)]
-    rows = forcing_matrix.block if forcing_matrix is not None else None
-    new_parts = []
-    for n in range(k):
-        row = rows[n] if rows is not None else alternating_binomial_row(n)
-        terms = [(1, q.parts[n])]
-        terms.extend((c, pushes[j]) for j, c in enumerate(row) if pushes[j] is not None and c != 0)
-        new_parts.append(T.linear_combination(terms))
-    return StateVector(new_parts)
+    return _matrix_step("dense", fs, q, dl, *build_dense_matrices(k, q.width))[0]
+
+
+def _matrix_step(family: str, fs, q: StateVector, dl: float, transition, coupling):
+    """``q' = A·q + s·B·u``, one node per part, and the layer's forcing output.
+
+    ck: u_j = f(q_1) for every j, s = dl^k; c0 is the same with A = [[0]],
+    B = [[1]] and s = 1, so q' is f(q_1) itself. dense: u_j = f_j(lag_j)·dl
+    on the lags ``B·q``, s = 1.
+    """
+    if family == "dense":
+        lags = coupling.apply(q.parts)
+        force = fs[0](lags[0])
+        inputs = [force * dl] + [None if f is None else f(lag) * dl for f, lag in zip(fs[1:], lags[1:])]
+        scale = 1
+    else:
+        force = fs[0](q.parts[0])
+        inputs = [force] * q.order
+        scale = dl**q.order if family == "ck" else 1
+    return StateVector(transition.apply(q.parts, coupling, inputs, scale)), force
 
 
 def dense_difference_identity_check(trajectory, forcing_values, n: int, dl: float, tol: float = 1e-10) -> bool:
@@ -374,6 +376,67 @@ def weight_matrix_ratio(k: int, d: int = 1) -> Fraction:
 # -- whole networks --------------------------------------------------------------
 
 
+class LayerRecord(NamedTuple):
+    """One layer of an unrolled network.
+
+    ``x`` is the activation x_l, ``force`` the forcing output
+    f_{l-1}(x_{l-1}) that produced it (``None`` at the input), and ``state``
+    the state parts q_l in state mode (``None`` in direct mode).
+    """
+
+    x: Tensor
+    force: Tensor | None
+    state: list[Tensor] | None
+
+
+def _c0_matrices(k: int, d: int) -> tuple[BlockMatrix, BlockMatrix]:
+    """No skips, no memory: A = [[0]], B = [[1]], the next state is f(x)."""
+    return BlockMatrix(1, d, ((0,),)), BlockMatrix(1, d, ((1,),))
+
+
+_MATRICES = {"c0": _c0_matrices, "ck": build_ck_matrices, "dense": build_dense_matrices}
+
+
+def unroll(forcings, x0: Tensor, family: str, k: int, dl: float, mode: str, matrices=None):
+    """Step ``x0`` through the layers ``forcings``; yield a ``LayerRecord`` per layer.
+
+    The first record is the input x_0, then one per forcing function. In
+    state mode every layer is ``q' = A·q + s·B·u`` over the family's
+    (transition, coupling) pair, or over ``matrices`` when given (the
+    verification battery passes a corrupted pair to check that it is
+    caught). In direct mode ck runs its stencil on the lag window, dense its
+    multi-lag sum, and c0, which has no memory, its matrix step. A layer
+    evaluates its own forcing once; direct dense reuses the outputs of the
+    layers before it, the dense state form evaluates them on their lags.
+    """
+    if mode not in ("direct", "state"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if family not in _MATRICES:
+        raise ValueError(f"unknown family {family!r}")
+    direct, state = mode == "direct" and family != "c0", mode == "state"
+    if direct:
+        history = LayerHistory.ghost(x0, k)
+    else:
+        q = initialize_state(x0, k)
+        transition, coupling = matrices or _MATRICES[family](k, q.width)
+    yield LayerRecord(x0, None, q.parts if state else None)
+    for layer, f in enumerate(forcings):
+        window = [f]  # the layer's own forcing, then for dense those of the k-1 before it
+        if family == "dense":
+            window += [forcings[layer - j] if layer >= j else None for j in range(1, k)]
+        if not direct:
+            q, force = _matrix_step(family, window, q, dl, transition, coupling)
+            x = q.parts[0]
+        elif family == "ck":
+            force = f(history[0])
+            x = _ck_stencil(force, history, k, dl)
+            history = history.advanced(x)
+        else:
+            x, history = dense_direct_step(window, history, dl)
+            force = history.forcing[0]
+        yield LayerRecord(x, force, q.parts if state else None)
+
+
 @dataclass
 class Trace:
     """Recorded forward pass: per-layer values as plain arrays."""
@@ -384,20 +447,14 @@ class Trace:
     k: int
     dl: float
 
-
-def _recorded(f: ForcingFunction, sink: list):
-    """``f`` that also appends a copy of each output to ``sink``.
-
-    Record mode steps the network with these, so the trace reads each
-    forcing output as the step computes it instead of evaluating it again.
-    """
-
-    def call(x: Tensor) -> Tensor:
-        out = f(x)
-        sink.append(out.data.copy())
-        return out
-
-    return call
+    @classmethod
+    def from_layers(cls, layers, k: int, dl: float) -> "Trace":
+        """Copies of the values in the ``LayerRecord``s of one ``unroll``."""
+        layers = list(layers)
+        states = None if layers[0].state is None else [[p.data.copy() for p in r.state] for r in layers]
+        return cls(
+            [r.x.data.copy() for r in layers], [r.force.data.copy() for r in layers[1:]], states, k, dl
+        )
 
 
 class Network:
@@ -429,12 +486,6 @@ class Network:
         for p in self.parameters():
             p.zero_grad()
 
-    def _window_functions(self, layer: int, current) -> list:
-        """``current`` (layer's own forcing), then those of layers
-        layer-1..layer-k+1, None before layer 0."""
-        k = self.config.k
-        return [current] + [self.blocks[layer - j] if layer - j >= 0 else None for j in range(1, k)]
-
     def forward(self, inputs: np.ndarray, mode: str = "direct", record: bool = False):
         """Run the network on a [batch, input_dim] (or [input_dim]) array.
 
@@ -442,79 +493,23 @@ class Network:
         is set. ``mode`` selects the direct multi-lag recurrence or the
         equivalent first-order state-space evaluation.
         """
-        if mode not in ("direct", "state"):
-            raise ValueError(f"unknown mode {mode!r}")
         cfg = self.config
         arr = np.asarray(inputs, dtype=np.float64)
         if arr.shape[-1] != cfg.input_dim:
             raise ShapeError(f"input width {arr.shape} does not match input_dim={cfg.input_dim}")
         x = T.affine(arr, self.embed_weight, self.embed_bias)
-
-        trace = Trace([x.data.copy()], [], [] if mode == "state" else None, cfg.k, cfg.dl) if record else None
-        if record and mode == "state":
-            trace.states.append(initialize_state(x, cfg.k).values())
-
-        if mode == "direct":
-            x = self._run_direct(x, trace)
-        else:
-            x = self._run_state(x, trace)
-
-        logits = T.affine(x, self.head_weight, self.head_bias)
+        layers = list(unroll(self.blocks, x, cfg.family, cfg.k, cfg.dl, mode))
+        logits = T.affine(layers[-1].x, self.head_weight, self.head_bias)
         if record:
-            return logits, trace
+            return logits, Trace.from_layers(layers, cfg.k, cfg.dl)
         return logits
-
-    def _run_direct(self, x0: Tensor, trace: Trace | None) -> Tensor:
-        cfg = self.config
-        k, dl = cfg.k, cfg.dl
-        history = LayerHistory.ghost(x0, k)
-        x = x0
-        for layer, block in enumerate(self.blocks):
-            if trace is not None:
-                block = _recorded(block, trace.forcing)
-            if cfg.family == "c0":
-                x = c0_step(block, x)
-            elif cfg.family == "ck":
-                x = ck_direct_step(block, history, k, dl)
-                history = history.advanced(x)
-            else:
-                x, history = dense_direct_step(self._window_functions(layer, block), history, dl)
-            if trace is not None:
-                trace.activations.append(x.data.copy())
-        return x
-
-    def _run_state(self, x0: Tensor, trace: Trace | None) -> Tensor:
-        cfg = self.config
-        if cfg.family == "c0":
-            # no skips, no memory: the state stack is just the activation
-            x = x0
-            for block in self.blocks:
-                if trace is not None:
-                    block = _recorded(block, trace.forcing)
-                x = c0_step(block, x)
-                if trace is not None:
-                    trace.activations.append(x.data.copy())
-                    trace.states.append([x.data.copy()])
-            return x
-        k, dl = cfg.k, cfg.dl
-        q = initialize_state(x0, k)
-        for layer, block in enumerate(self.blocks):
-            if trace is not None:
-                block = _recorded(block, trace.forcing)
-            if cfg.family == "ck":
-                q = ck_state_step(block, q, k, dl)
-            else:
-                q = dense_state_step(self._window_functions(layer, block), q, k, dl)
-            if trace is not None:
-                trace.activations.append(q.parts[0].data.copy())
-                trace.states.append(q.values())
-        return q.parts[0]
 
 
 # -- checkpoint io -----------------------------------------------------------------
 
 _CHECKPOINT_FORMAT = "cknet-checkpoint"
 _CHECKPOINT_VERSION = 1
+_MAX_HEADER_BYTES = 1 << 20  # ~10k layers of parameter entries
 
 
 def save_checkpoint(network: Network, path) -> None:
@@ -550,10 +545,13 @@ def load_checkpoint(path) -> Network:
     The header must list every parameter of the configured network exactly
     once, with its shape, and the payload must hold exactly those values.
     A missing, unknown or repeated parameter, an unknown or invalid config
-    entry, and a truncated or over-long payload all raise ``ValueError``.
+    entry, a header line longer than 1 MiB, and a truncated or over-long
+    payload all raise ``ValueError``.
     """
     with open(path, "rb") as fh:
-        header_line = fh.readline()
+        header_line = fh.readline(_MAX_HEADER_BYTES + 1)
+        if not header_line.endswith(b"\n"):
+            raise ValueError(f"not a checkpoint file: no header line within {_MAX_HEADER_BYTES} bytes")
         try:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification/experiment failure, 2 usage error
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -23,26 +24,33 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (orders, widths, depths, counts)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _argument_type(kind, what: str, rule: str, ok):
+    """argparse type: a ``kind`` value for which ``ok`` holds, else a usage
+    error saying that it must be ``rule``."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    return parse
 
 
-def non_negative_float(text: str) -> float:
-    """argparse type: a finite float >= 0 (tolerances)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not 0.0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
-    return value
+def int_at_least(low: int):
+    return _argument_type(int, "an integer", f">= {low}", lambda value: value >= low)
+
+
+def finite_float(rule: str, ok):
+    return _argument_type(float, "a number", f"a finite number {rule}", lambda v: ok(v) and v < math.inf)
+
+
+positive_int = int_at_least(1)  # orders, widths, depths, counts
+non_negative_float = finite_float(">= 0", lambda value: value >= 0)  # tolerances
+positive_float = finite_float("> 0", lambda value: value > 0)  # mesh steps
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,27 +73,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-toy", help="single-node separability experiment on the 1-D toy set")
     p.add_argument("-k", "--order", type=positive_int, default=2)
     p.add_argument("-L", "--depth", type=int, default=16)
-    p.add_argument("--dl", type=float, default=0.2)
+    p.add_argument("--dl", type=positive_float, default=0.2)
     p.add_argument("--seed", type=int, default=0, help="base seed; runs use seed..seed+seeds-1")
     p.add_argument("--seeds", type=positive_int, default=5, help="number of independent runs")
-    p.add_argument("--epochs", type=int, default=2000)
+    p.add_argument("--epochs", type=int_at_least(0), default=2000)
     p.add_argument("--learning-rate", type=float, default=0.002)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_train_toy)
 
     p = sub.add_parser("depth-sweep", help="perturbation magnitude vs depth for residual networks")
     p.add_argument("--depths", type=positive_int, nargs="+", default=list(range(2, 21, 2)))
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=int_at_least(10), default=10000, help="at least one per digit class")
     p.add_argument("-d", "--width", type=positive_int, default=64)
-    p.add_argument("--dl", type=float, default=0.5)
+    p.add_argument("--dl", type=positive_float, default=0.5)
     p.add_argument("--repetitions", type=positive_int, default=2)
-    p.add_argument("--epochs", type=int, default=8)
+    p.add_argument("--epochs", type=int_at_least(0), default=8)
     p.add_argument("--batch-size", type=positive_int, default=128)
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data-dir", default=None, help="IDX directory (or env CK_DATA_DIR); synthetic data when absent")
     p.add_argument("--out", default="out")
-    p.add_argument("--jobs", type=positive_int, default=1)
     p.set_defaults(func=cmd_depth_sweep)
 
     p = sub.add_parser("compare", help="train every architecture family/order under one configuration")
@@ -93,15 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dense-orders", type=positive_int, nargs="+", default=[2, 3, 4])
     p.add_argument("-L", "--depth", type=int, default=6)
     p.add_argument("-d", "--width", type=positive_int, default=64)
-    p.add_argument("--dl", type=float, default=0.5)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--epochs", type=int, default=8)
+    p.add_argument("--dl", type=positive_float, default=0.5)
+    p.add_argument("--samples", type=int_at_least(10), default=10000, help="at least one per digit class")
+    p.add_argument("--epochs", type=int_at_least(0), default=8)
     p.add_argument("--batch-size", type=positive_int, default=128)
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data-dir", default=None)
     p.add_argument("--out", default="out")
-    p.add_argument("--jobs", type=positive_int, default=1)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("param-count", help="parameter accounting of order-k blocks vs explicit first-order")
@@ -194,7 +200,6 @@ def cmd_depth_sweep(args) -> int:
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
         seed=args.seed,
-        jobs=args.jobs,
     )
     for depth, rho in result.points:
         print(f"  L={depth:>3}  mean rho={rho:.5f}  1/rho={1.0 / rho:.3f}")
@@ -226,7 +231,6 @@ def cmd_compare(args) -> int:
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
         seed=args.seed,
-        jobs=args.jobs,
     )
     print(f"{'arch':<8} {'k':>2} {'train_acc':>10} {'test_error':>11}")
     for row in rows:

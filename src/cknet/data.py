@@ -77,12 +77,6 @@ class Dataset:
     def input_dim(self) -> int:
         return self.inputs.shape[1]
 
-    def take(self, n: int) -> "Dataset":
-        """First n samples (use after a seeded shuffle/split for subsets)."""
-        if not 0 < n <= len(self):
-            raise ValueError(f"cannot take {n} of {len(self)} samples")
-        return Dataset(self.inputs[:n], self.labels[:n], self.num_classes)
-
 
 # -- 1-D toy problem -----------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Exact finite-difference algebra over layer sequences.
 
-Binomial coefficients, forward/backward difference operators, the
+Binomial coefficients, the backward difference operator, the
 self-inverse alternating-binomial change of basis between a window of
 recent layer values and its backward differences, and the integer block
 matrices that define the equivalent first-order systems of the higher-order
@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
-from .tensor import ShapeError
+from .tensor import ShapeError, linear_combination
 
 __all__ = [
     "MAX_BINOMIAL_N",
@@ -25,8 +26,6 @@ __all__ = [
     "alternating_binomial_row",
     "alternating_binomial_sum",
     "mixed_diff_coefficients",
-    "forward_diff",
-    "backward_diff",
     "backward_diff_power",
     "binomial_invert",
     "BlockMatrix",
@@ -75,22 +74,6 @@ def _check_same_shape(entries, what: str) -> None:
     shapes = {tuple(e.shape) for e in entries}
     if len(shapes) > 1:
         raise ShapeError(f"{what}: entries have mixed shapes {sorted(shapes)}")
-
-
-def forward_diff(seq, l: int):
-    """x[l+1] - x[l]."""
-    if not 0 <= l < len(seq) - 1:
-        raise IndexError(f"forward_diff at l={l} needs l+1 < {len(seq)}")
-    _check_same_shape((seq[l], seq[l + 1]), "forward_diff")
-    return seq[l + 1] - seq[l]
-
-
-def backward_diff(seq, l: int):
-    """x[l] - x[l-1]."""
-    if not 1 <= l < len(seq):
-        raise IndexError(f"backward_diff at l={l} needs l-1 >= 0 and l < {len(seq)}")
-    _check_same_shape((seq[l - 1], seq[l]), "backward_diff")
-    return seq[l] - seq[l - 1]
 
 
 def backward_diff_power(seq, l: int, n: int):
@@ -149,7 +132,7 @@ class BlockMatrix:
     The grid of integers *is* the object of interest; ``expand`` to a dense
     (k*d, k*d) float array exists for cross-checking against the structured
     form, and ``apply`` performs the block-structured action on a list of k
-    width-d parts without ever materializing the dense matrix.
+    width-d tensors without ever materializing the dense matrix.
     """
 
     k: int
@@ -166,22 +149,29 @@ class BlockMatrix:
         """Dense (k*d, k*d) float64 realization."""
         return np.kron(np.array(self.block, dtype=np.float64), np.eye(self.d))
 
-    def apply(self, parts):
-        """Block matrix-vector product on k parts of width d each."""
+    def apply(self, parts, input_matrix=None, inputs=(), scale=1):
+        """Rows of ``self·parts + scale·input_matrix·inputs`` on width-d tensors.
+
+        Each row is one ``linear_combination`` node over the parts, then the
+        inputs, summed left to right. A zero coefficient or a ``None`` input
+        adds no term, so a row with a single unit term is that tensor itself.
+        """
         if len(parts) != self.k:
             raise ShapeError(f"expected {self.k} parts, got {len(parts)}")
+        if input_matrix is not None and not len(inputs) == input_matrix.k == self.k:
+            raise ShapeError(f"expected a {self.k}-block input matrix and {self.k} inputs")
+        input_rows = input_matrix._nonzero if input_matrix is not None else ((),) * self.k
         out = []
-        for row in self.block:
-            acc = None
-            for c, part in zip(row, parts):
-                if c == 0:
-                    continue
-                term = part if c == 1 else c * part
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = 0 * parts[0]
-            out.append(acc)
+        for row, input_row in zip(self._nonzero, input_rows):
+            terms = [(c, parts[j]) for j, c in row]
+            terms += [(scale * c, inputs[j]) for j, c in input_row if inputs[j] is not None]
+            out.append(linear_combination(terms or [(0, parts[0])]))
         return out
+
+    @cached_property
+    def _nonzero(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """(column, coefficient) of each row's nonzero entries."""
+        return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in self.block)
 
     def determinant(self) -> int:
         """Exact integer determinant of the k-by-k coefficient grid.
@@ -210,6 +200,7 @@ class BlockMatrix:
         return sign * a[n - 1][n - 1]
 
 
+@cache  # frozen, so one instance per (k, d) serves every unroll and state step
 def build_ck_matrices(k: int, d: int) -> tuple[BlockMatrix, BlockMatrix]:
     """State matrices of the k-th order smooth recurrence.
 
@@ -222,6 +213,7 @@ def build_ck_matrices(k: int, d: int) -> tuple[BlockMatrix, BlockMatrix]:
     return BlockMatrix(k, d, transition), BlockMatrix(k, d, identity)
 
 
+@cache  # as above
 def build_dense_matrices(k: int, d: int) -> tuple[BlockMatrix, BlockMatrix]:
     """State matrices of the k-th order additive dense recurrence.
 

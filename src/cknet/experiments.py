@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -286,7 +285,6 @@ def run_depth_sweep(
     learning_rate: float = 1e-3,
     seed: int = 0,
     probe_size: int = 1024,
-    jobs: int = 1,
 ) -> SweepResult:
     """Train residual networks per depth and fit the 1/L mesh-size law.
 
@@ -300,24 +298,15 @@ def run_depth_sweep(
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     probe = dataset.inputs[: min(probe_size, len(dataset))]
 
-    def run_point(task: tuple[int, int]) -> tuple[int, int, float]:
-        depth, rep = task
-        point_seed = int(np.random.SeedSequence([seed, depth, rep]).generate_state(1)[0])
-        network = _train_residual(
-            dataset, depth, width, dl, epochs, batch_size, learning_rate, point_seed
-        )
-        return depth, rep, mean_perturbation(measure_perturbation(network, probe))
-
-    tasks = [(depth, rep) for depth in depths for rep in range(repetitions)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_point, tasks))
-    else:
-        outcomes = [run_point(t) for t in tasks]
-    points = [
-        (depth, float(np.mean([rho for d, _, rho in outcomes if d == depth])))
-        for depth in depths
-    ]
+    rhos = {depth: [] for depth in depths}
+    for depth in depths:
+        for rep in range(repetitions):
+            point_seed = int(np.random.SeedSequence([seed, depth, rep]).generate_state(1)[0])
+            network = _train_residual(
+                dataset, depth, width, dl, epochs, batch_size, learning_rate, point_seed
+            )
+            rhos[depth].append(mean_perturbation(measure_perturbation(network, probe)))
+    points = [(depth, float(np.mean(rhos[depth]))) for depth in depths]
     return SweepResult(points, fit_computational_distance(points), seed)
 
 
@@ -344,15 +333,14 @@ def compare_orders(
     batch_size: int = 128,
     learning_rate: float = 1e-3,
     seed: int = 0,
-    jobs: int = 1,
 ) -> list[CompareRow]:
     """Train every requested architecture under one shared configuration."""
     entries = [("ck", int(k)) for k in ck_orders] + [("dense", int(k)) for k in dense_orders]
     if not entries:
         raise ValueError("nothing to compare")
 
-    def run_entry(entry):
-        family, k = entry
+    rows = []
+    for family, k in entries:
         network = Network(
             NetworkConfig(
                 family=family,
@@ -368,13 +356,7 @@ def compare_orders(
         )
         metrics = train(network, dataset, TrainConfig(epochs, batch_size, learning_rate, seed=seed))
         _, heldout_acc = evaluate(network, heldout.inputs, heldout.labels)
-        return CompareRow(family, k, metrics[-1].train_acc, 1.0 - heldout_acc)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_entry, entries))
-    else:
-        rows = [run_entry(e) for e in entries]
+        rows.append(CompareRow(family, k, metrics[-1].train_acc, 1.0 - heldout_acc))
     return sorted(rows, key=lambda r: (r.arch, r.k))
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "tanh",
     "sigmoid",
     "leaky_relu",
-    "matmul",
     "affine",
     "linear_combination",
 ]
@@ -259,21 +258,6 @@ def leaky_relu(x: Tensor, slope: float = 0.1) -> Tensor:
 
 
 # -- linear maps --------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a 2-D [m, n] by a 2-D [n, p] tensor."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul requires 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree for {a.shape} and {b.shape}")
-    return Tensor(
-        a.data @ b.data,
-        _parents=(
-            (a, lambda g: g @ b.data.T),
-            (b, lambda g: a.data.T @ g),
-        ),
-    )
 
 
 def _scaled(c):

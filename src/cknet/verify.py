@@ -14,14 +14,10 @@ import numpy as np
 
 from .architectures import (
     ForcingFunction,
-    LayerHistory,
+    Trace,
     c1_step,
-    ck_direct_step,
-    ck_state_step,
     dense_difference_identity_check,
-    dense_direct_step,
-    dense_state_step,
-    initialize_state,
+    unroll,
 )
 from .dynamics import (
     BlockMatrix,
@@ -62,68 +58,25 @@ def _random_forcing(d: int, activation: str, rng: np.random.Generator, name: str
     return ForcingFunction(weight, bias, activation)
 
 
-def _window(fs, layer: int, k: int):
-    return [fs[layer - j] if layer - j >= 0 else None for j in range(k)]
-
-
-def run_ck_direct(fs, x0: np.ndarray, k: int, dl: float):
-    """Activations x_0..x_L of the direct order-k recurrence (ghost start)."""
-    x = Tensor(x0)
-    history = LayerHistory.ghost(x, k)
-    xs = [x.data.copy()]
-    for f in fs:
-        x = ck_direct_step(f, history, k, dl)
-        history = history.advanced(x)
-        xs.append(x.data.copy())
-    return xs
-
-
-def run_ck_state(fs, x0: np.ndarray, k: int, dl: float):
-    """Activations and state stacks of the first-order form, layer 0..L."""
-    q = initialize_state(Tensor(x0), k)
-    states = [q.values()]
-    for f in fs:
-        q = ck_state_step(f, q, k, dl)
-        states.append(q.values())
-    xs = [s[0] for s in states]
-    return xs, states
-
-
-def run_dense_direct(fs, x0: np.ndarray, k: int, dl: float):
-    """Activations and per-layer forcing outputs of the dense recurrence."""
-    x = Tensor(x0)
-    history = LayerHistory.ghost(x, k)
-    xs = [x.data.copy()]
-    forcing_values = []
-    for layer in range(len(fs)):
-        x, history = dense_direct_step(_window(fs, layer, k), history, dl)
-        forcing_values.append(history.forcing[0].data.copy())
-        xs.append(x.data.copy())
-    return xs, forcing_values
-
-
-def run_dense_state(fs, x0: np.ndarray, k: int, dl: float, forcing_matrix: BlockMatrix | None = None):
-    q = initialize_state(Tensor(x0), k)
-    states = [q.values()]
-    for layer in range(len(fs)):
-        q = dense_state_step(_window(fs, layer, k), q, k, dl, forcing_matrix=forcing_matrix)
-        states.append(q.values())
-    xs = [s[0] for s in states]
-    return xs, states
+def _trace(fs, x0: np.ndarray, family: str, k: int, dl: float, mode: str, matrices=None) -> Trace:
+    return Trace.from_layers(unroll(fs, Tensor(x0), family, k, dl, mode, matrices), k, dl)
 
 
 def sign_flipped_dense_forcing(k: int, d: int) -> BlockMatrix:
     """Dense forcing matrix with one corrupted sign; fault-injection hook.
 
-    The corrupted entry sits in the leading row: later rows only drive the
-    higher difference states, which the activation trajectory never reads
-    back, so only a leading-row fault is visible to the trajectory-level
-    equivalence check.
+    The corrupted entry is the leading one, which both reconstructs the
+    current activation and couples its forcing into it, so the activation
+    trajectory itself departs from the direct form.
     """
     _, forcing = build_dense_matrices(k, d)
     grid = [list(row) for row in forcing.block]
     grid[0][0] = -grid[0][0]
     return BlockMatrix(k, d, tuple(tuple(row) for row in grid))
+
+
+def _max_gap(xs, ys) -> float:
+    return max(float(np.max(np.abs(a - b))) for a, b in zip(xs, ys))
 
 
 def _extraction_deviation(xs, states, k: int) -> float:
@@ -153,7 +106,8 @@ def run_battery(
 
     ``dense_forcing_matrix`` is a fault-injection hook: when given a
     callable (k, d) -> BlockMatrix, the dense state evaluation uses that
-    matrix instead of the correct one, which a healthy battery must flag.
+    forcing matrix instead of the correct one, which a healthy battery must
+    flag.
     """
     if not orders or not widths or not depths or seeds < 1:
         raise ValueError("verification grid must be non-empty")
@@ -181,27 +135,21 @@ def run_battery(
                     ]
                     x0 = rng.standard_normal(d)
 
-                    xs_direct = run_ck_direct(fs, x0, k, dl)
-                    xs_state, states = run_ck_state(fs, x0, k, dl)
-                    dev = max(
-                        float(np.max(np.abs(a - b)))
-                        for a, b in zip(xs_direct, xs_state)
-                    )
-                    ck_equiv.absorb(dev, case)
-                    ck_extract.absorb(_extraction_deviation(xs_direct, states, k), case)
+                    xs_direct = _trace(fs, x0, "ck", k, dl, "direct").activations
+                    ck_state = _trace(fs, x0, "ck", k, dl, "state")
+                    xs_state = ck_state.activations
+                    ck_equiv.absorb(_max_gap(xs_direct, xs_state), case)
+                    ck_extract.absorb(_extraction_deviation(xs_direct, ck_state.states, k), case)
 
-                    injected = (
-                        dense_forcing_matrix(k, d) if dense_forcing_matrix else None
-                    )
-                    xs_dd, forcing_values = run_dense_direct(fs, x0, k, dl)
-                    xs_ds, dstates = run_dense_state(
-                        fs, x0, k, dl, forcing_matrix=injected
-                    )
-                    dev = max(
-                        float(np.max(np.abs(a - b))) for a, b in zip(xs_dd, xs_ds)
-                    )
-                    dense_equiv.absorb(dev, case)
-                    dense_extract.absorb(_extraction_deviation(xs_dd, dstates, k), case)
+                    matrices = None
+                    if dense_forcing_matrix:
+                        matrices = (build_dense_matrices(k, d)[0], dense_forcing_matrix(k, d))
+                    dense_direct = _trace(fs, x0, "dense", k, dl, "direct")
+                    dense_state = _trace(fs, x0, "dense", k, dl, "state", matrices)
+                    xs_dd, forcing_values = dense_direct.activations, dense_direct.forcing
+                    xs_ds = dense_state.activations
+                    dense_equiv.absorb(_max_gap(xs_dd, xs_ds), case)
+                    dense_extract.absorb(_extraction_deviation(xs_dd, dense_state.states, k), case)
 
                     # an order-n identity needs at least one admissible layer
                     for n in range(min(k, len(xs_dd) - 1)):
@@ -211,16 +159,14 @@ def run_battery(
                         identity.absorb(0.0 if ok else np.inf, f"{case} order n={n}")
 
                     if k == 1:
-                        x = Tensor(x0)
-                        xs_c1 = [x.data.copy()]
-                        for f in fs:
-                            x = c1_step(f, x, dl)
-                            xs_c1.append(x.data.copy())
+                        # every residual step x + f(x)·dl from the same x_0,
+                        # so the whole residual trajectory, bitwise
                         same = all(
-                            a.tobytes() == b.tobytes() == c.tobytes() == e.tobytes()
-                            for a, b, c, e in zip(xs_c1, xs_direct, xs_dd, xs_ds)
+                            c1_step(f, Tensor(a), dl).data.tobytes() == b.tobytes()
+                            for f, a, b in zip(fs, xs_direct, xs_direct[1:])
                         ) and all(
-                            a.tobytes() == b.tobytes() for a, b in zip(xs_c1, xs_state)
+                            a.tobytes() == b.tobytes() == c.tobytes() == e.tobytes()
+                            for a, b, c, e in zip(xs_direct, xs_state, xs_dd, xs_ds)
                         )
                         collapse.absorb(0.0 if same else np.inf, case)
 

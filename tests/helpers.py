@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from cknet.architectures import Trace, unroll
+from cknet.tensor import Tensor
+
 
 def central_difference(fn, arrays, step=1e-6):
     """Central finite-difference gradients of scalar fn w.r.t. each array.
@@ -37,3 +40,10 @@ def pascal_triangle_row(n: int) -> list[int]:
 
 def gradient_close(analytic, numeric, rtol=1e-5, atol=1e-8) -> bool:
     return np.allclose(analytic, numeric, rtol=rtol, atol=atol)
+
+
+def unrolled(fs, x0, family, k, dl, mode):
+    """Activations, forcing outputs and (state mode) state parts, as arrays,
+    of ``unroll`` over the forcing functions ``fs`` from the array ``x0``."""
+    trace = Trace.from_layers(unroll(fs, Tensor(x0), family, k, dl, mode), k, dl)
+    return trace.activations, trace.forcing, trace.states

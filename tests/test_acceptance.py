@@ -39,14 +39,8 @@ from cknet.experiments import (
 )
 from cknet.tensor import Tensor
 from cknet.training import softmax_cross_entropy
-from cknet.verify import (
-    _random_forcing,
-    run_ck_direct,
-    run_ck_state,
-    run_dense_direct,
-    run_dense_state,
-)
-from helpers import central_difference
+from cknet.verify import _random_forcing
+from helpers import central_difference, unrolled
 
 GRID_ORDERS = (1, 2, 3, 4)
 GRID_WIDTHS = (1, 2, 8)
@@ -88,8 +82,8 @@ def test_criterion_1_smooth_family_state_space_equivalence():
     started = time.perf_counter()
     worst_x = worst_state = 0.0
     for k, d, depth, i, fs, x0 in _grid_cases():
-        xs_direct = run_ck_direct(fs, x0, k, 1.0)
-        xs_state, states = run_ck_state(fs, x0, k, 1.0)
+        xs_direct = unrolled(fs, x0, "ck", k, 1.0, "direct")[0]
+        xs_state, _, states = unrolled(fs, x0, "ck", k, 1.0, "state")
         worst_x = max(
             worst_x, max(float(np.max(np.abs(a - b))) for a, b in zip(xs_direct, xs_state))
         )
@@ -114,15 +108,15 @@ def test_criterion_2_dense_family_equivalence_and_collapse():
     worst_x = worst_state = 0.0
     collapse_ok = True
     for k, d, depth, i, fs, x0 in _grid_cases():
-        xs_direct, forcing_values = run_dense_direct(fs, x0, k, 1.0)
-        xs_state, states = run_dense_state(fs, x0, k, 1.0)
+        xs_direct, forcing_values, _ = unrolled(fs, x0, "dense", k, 1.0, "direct")
+        xs_state, _, states = unrolled(fs, x0, "dense", k, 1.0, "state")
         worst_x = max(
             worst_x, max(float(np.max(np.abs(a - b))) for a, b in zip(xs_direct, xs_state))
         )
         worst_state = max(worst_state, _extraction_gap(xs_direct, states, k))
         _dense_runs.append((k, xs_direct, forcing_values))
         if k == 1:
-            xs_ck = run_ck_direct(fs, x0, 1, 1.0)
+            xs_ck = unrolled(fs, x0, "ck", 1, 1.0, "direct")[0]
             x = Tensor(x0)
             xs_c1 = [x.data]
             for f in fs:

@@ -10,7 +10,6 @@ from cknet.architectures import (
     Network,
     NetworkConfig,
     StateVector,
-    c0_step,
     c1_step,
     ck_direct_step,
     ck_state_step,
@@ -21,13 +20,13 @@ from cknet.architectures import (
     load_checkpoint,
     parameter_count,
     save_checkpoint,
+    unroll,
     weight_matrix_ratio,
 )
 from cknet.dynamics import backward_diff_power, build_ck_matrices
-from cknet.tensor import Parameter, ShapeError, Tensor
+from cknet.tensor import Parameter, ShapeError, Tensor, affine
 from cknet.training import softmax_cross_entropy
-from cknet.verify import run_ck_direct, run_ck_state, run_dense_direct, run_dense_state
-from helpers import central_difference, gradient_close
+from helpers import central_difference, gradient_close, unrolled
 
 
 def make_forcing(d, weight, bias, activation="tanh"):
@@ -54,6 +53,11 @@ def random_forcing(d, seed, activation="tanh"):
         Parameter(rng.uniform(-0.5, 0.5, size=d), f"b{seed}"),
         activation,
     )
+
+
+def c0_step(f, x):
+    """One plain (c0) layer, as ``unroll`` steps it."""
+    return list(unroll([f], x, "c0", 1, 1.0, "direct"))[-1].x
 
 
 class TestSingleSteps:
@@ -227,8 +231,8 @@ class TestDenseSteps:
         k, d, depth = 3, 4, 9
         fs = [random_forcing(d, seed=100 + i) for i in range(depth)]
         x0 = np.random.default_rng(31).standard_normal(d)
-        xs_direct, _ = run_dense_direct(fs, x0, k, dl=0.5)
-        xs_state, states = run_dense_state(fs, x0, k, dl=0.5)
+        xs_direct, _, _ = unrolled(fs, x0, "dense", k, 0.5, "direct")
+        xs_state, _, states = unrolled(fs, x0, "dense", k, 0.5, "state")
         for a, b in zip(xs_direct, xs_state):
             assert np.allclose(a, b, rtol=0, atol=1e-9)
         extended = [xs_direct[0]] * (k - 1) + xs_direct
@@ -242,14 +246,14 @@ class TestDenseDifferenceIdentity:
     def test_order_zero_is_residual_identity(self):
         fs = [random_forcing(2, seed=40 + i) for i in range(5)]
         x0 = np.array([0.3, -0.6])
-        xs, forcing = run_dense_direct(fs, x0, 1, dl=0.8)
+        xs, forcing, _ = unrolled(fs, x0, "dense", 1, 0.8, "direct")
         assert dense_difference_identity_check(xs, forcing, 0, dl=0.8)
 
     def test_holds_for_random_dense_networks(self):
         for seed in range(5):
             fs = [random_forcing(3, seed=60 + seed * 10 + i) for i in range(8)]
             x0 = np.random.default_rng(seed).standard_normal(3)
-            xs, forcing = run_dense_direct(fs, x0, 2, dl=0.5)
+            xs, forcing, _ = unrolled(fs, x0, "dense", 2, 0.5, "direct")
             assert dense_difference_identity_check(xs, forcing, 1, dl=0.5)
 
     def test_discriminates_smooth_from_dense_families(self):
@@ -259,7 +263,7 @@ class TestDenseDifferenceIdentity:
         for seed in range(10):
             fs = [random_forcing(3, seed=90 + seed * 10 + i) for i in range(8)]
             x0 = np.random.default_rng(200 + seed).standard_normal(3)
-            xs = run_ck_direct(fs, x0, 2, dl=0.5)
+            xs = unrolled(fs, x0, "ck", 2, 0.5, "direct")[0]
             forcing = [
                 np.tanh(f.weight.data @ x + f.bias.data) for f, x in zip(fs, xs[:-1])
             ]
@@ -383,8 +387,8 @@ class TestEquivalenceGrid:
         for seed in range(3):
             fs = [random_forcing(d, seed=1000 + seed * 50 + i) for i in range(6)]
             x0 = np.random.default_rng(seed).standard_normal(d)
-            xs_direct = run_ck_direct(fs, x0, k, dl=1.0)
-            xs_state, states = run_ck_state(fs, x0, k, dl=1.0)
+            xs_direct = unrolled(fs, x0, "ck", k, 1.0, "direct")[0]
+            xs_state, _, states = unrolled(fs, x0, "ck", k, 1.0, "state")
             for a, b in zip(xs_direct, xs_state):
                 assert np.max(np.abs(a - b)) <= 1e-9
             extended = [xs_direct[0]] * (k - 1) + xs_direct
@@ -398,10 +402,10 @@ class TestEquivalenceGrid:
         fs = [random_forcing(4, seed=2000 + i) for i in range(7)]
         x0 = np.random.default_rng(77).standard_normal(4)
         dl = 0.75
-        xs_ck = run_ck_direct(fs, x0, 1, dl)
-        xs_ck_state, _ = run_ck_state(fs, x0, 1, dl)
-        xs_dd, _ = run_dense_direct(fs, x0, 1, dl)
-        xs_ds, _ = run_dense_state(fs, x0, 1, dl)
+        xs_ck = unrolled(fs, x0, "ck", 1, dl, "direct")[0]
+        xs_ck_state, _, _ = unrolled(fs, x0, "ck", 1, dl, "state")
+        xs_dd, _, _ = unrolled(fs, x0, "dense", 1, dl, "direct")
+        xs_ds, _, _ = unrolled(fs, x0, "dense", 1, dl, "state")
         x = Tensor(x0)
         xs_c1 = [x.data]
         for f in fs:
@@ -509,6 +513,58 @@ class TestFusedSteps:
         affine_node = act._parents[0][0]
         assert [p for p, _ in affine_node._parents] == [x, f.weight, f.bias]
         assert len(act._parents) == 1
+
+
+def reference_forward(net, inputs, mode):
+    """Logits and trace arrays of ``net`` from the chained reference steps."""
+    cfg = net.config
+    k, dl = cfg.k, cfg.dl
+    x = affine(inputs, net.embed_weight, net.embed_bias)
+    history = [x] * k
+    parts = [x] + [Tensor(np.zeros_like(x.data)) for _ in range(k - 1)]
+    activations, forcing, states = [x.data], [], [[p.data for p in parts]]
+    for layer, f in enumerate(net.blocks):
+        window = [f] + [net.blocks[layer - j] if layer >= j else None for j in range(1, k)]
+        forcing.append(f(parts[0] if mode == "state" else history[0]).data)
+        if cfg.family == "c0":
+            parts = [f(parts[0])]
+        elif mode == "direct" and cfg.family == "ck":
+            parts = [chained_ck_direct(f, history, k, dl)]
+        elif mode == "direct":
+            parts = [chained_dense_direct(window, history, dl)]
+        elif cfg.family == "ck":
+            parts = chained_ck_state(f, parts, k, dl)
+        else:
+            parts = chained_dense_state(window, parts, k, dl)
+        history = [parts[0]] + history[:-1]
+        activations.append(parts[0].data)
+        states.append([p.data for p in parts])
+    logits = affine(parts[0], net.head_weight, net.head_bias)
+    return logits.data, activations, forcing, states if mode == "state" else None
+
+
+class TestWholeNetworkBitwise:
+    @pytest.mark.parametrize(
+        "family,k", [("c0", 1)] + [("ck", k) for k in (1, 2, 3, 4)] + [("dense", k) for k in (2, 3, 4)]
+    )
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    def test_forward_and_trace_equal_chained_reference(self, family, k, mode):
+        net = Network(NetworkConfig(family, k, depth=6, width=3, input_dim=2, num_classes=3, dl=0.5, seed=k))
+        x = np.random.default_rng(k).standard_normal((4, 2))
+        logits, trace = net.forward(x, mode=mode, record=True)
+        ref_logits, activations, forcing, states = reference_forward(net, x, mode)
+
+        def same(a, b):
+            return len(a) == len(b) and all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
+
+        assert logits.data.tobytes() == ref_logits.tobytes()
+        assert same(trace.activations, activations)
+        assert same(trace.forcing, forcing)
+        if mode == "direct":
+            assert trace.states is None
+        else:
+            assert len(trace.states) == len(states)
+            assert all(same(a, b) for a, b in zip(trace.states, states))
 
 
 class TestForcingEvaluatedOnce:
@@ -639,6 +695,12 @@ class TestCheckpoint:
         path = self.saved(tmp_path)
         self.rewrite(path, lambda header, _: header["config"].update(k="2"))
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_header_line_is_bounded(self, tmp_path):
+        path = tmp_path / "endless.bin"
+        path.write_bytes(b"{" + b" " * (1 << 20) + b"}\n")
+        with pytest.raises(ValueError, match="no header line"):
             load_checkpoint(path)
 
     def test_non_checkpoint_rejected(self, tmp_path):

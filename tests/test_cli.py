@@ -54,7 +54,13 @@ INVALID_INVOCATIONS = [
     (["verify", "--tolerance", "nan"], "--tolerance: must be a finite number >= 0, got nan"),
     (["train-toy", "-k", "0"], "-k/--order: must be >= 1, got 0"),
     (["compare", "--dense-orders", "0"], "--dense-orders: must be >= 1, got 0"),
-    (["depth-sweep", "--jobs", "0"], "--jobs: must be >= 1, got 0"),
+    (["compare", "--samples", "5"], "--samples: must be >= 10, got 5"),
+    (["depth-sweep", "--samples", "5"], "--samples: must be >= 10, got 5"),
+    (["train-toy", "--epochs", "-1"], "--epochs: must be >= 0, got -1"),
+    (["depth-sweep", "--epochs", "-1"], "--epochs: must be >= 0, got -1"),
+    (["train-toy", "--dl", "0"], "--dl: must be a finite number > 0, got 0"),
+    (["train-toy", "--dl", "nan"], "--dl: must be a finite number > 0, got nan"),
+    (["compare", "--dl=-1"], "--dl: must be a finite number > 0, got -1"),
 ]
 
 
@@ -83,7 +89,7 @@ class TestUsage:
             run_cli(["depth-sweep", "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for flag in ("--depths", "--width", "--seed", "--data-dir", "--out", "--jobs"):
+        for flag in ("--depths", "--width", "--seed", "--data-dir", "--out"):
             assert flag in out
 
     def test_invalid_flag_exits_two(self, capsys):

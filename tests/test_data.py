@@ -205,9 +205,3 @@ class TestDatasetInvariants:
     def test_labels_must_be_in_range(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 3)), np.array([0, 5]), num_classes=3)
-
-    def test_take_prefix(self):
-        ds = synthetic_digits(12, seed=7)
-        sub = ds.take(5)
-        assert len(sub) == 5
-        assert np.array_equal(sub.inputs, ds.inputs[:5])

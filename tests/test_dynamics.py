@@ -7,16 +7,14 @@ from cknet.dynamics import (
     MAX_BINOMIAL_N,
     BlockMatrix,
     alternating_binomial_sum,
-    backward_diff,
     backward_diff_power,
     binomial,
     binomial_invert,
     build_ck_matrices,
     build_dense_matrices,
-    forward_diff,
     mixed_diff_coefficients,
 )
-from cknet.tensor import ShapeError
+from cknet.tensor import ShapeError, Tensor
 from helpers import pascal_triangle_row
 
 
@@ -55,6 +53,12 @@ class TestBinomial:
         assert binomial(n, r) == binomial(n - 1, r - 1) + binomial(n - 1, r)
 
 
+def forward_diff(seq, l):
+    """x[l+1] - x[l] through the order-1 mixed stencil sum_j c[j] x[l+1-j]."""
+    c = mixed_diff_coefficients(1)
+    return c[0] * seq[l + 1] + c[1] * seq[l]
+
+
 class TestDifferenceOperators:
     def test_forward_diff_constant_sequence(self):
         seq = [np.full(3, 2.5)] * 4
@@ -68,14 +72,14 @@ class TestDifferenceOperators:
         rng = np.random.default_rng(3)
         seq = [rng.standard_normal(4) for _ in range(6)]
         for l in range(5):
-            assert np.array_equal(forward_diff(seq, l), backward_diff(seq, l + 1))
+            assert np.array_equal(forward_diff(seq, l), backward_diff_power(seq, l + 1, 2))
 
     def test_bounds_errors(self):
         seq = [np.zeros(2)] * 3
         with pytest.raises(IndexError):
-            forward_diff(seq, 2)
+            backward_diff_power(seq, 3, 1)
         with pytest.raises(IndexError):
-            backward_diff(seq, 0)
+            backward_diff_power(seq, 0, 2)
 
     def test_backward_power_order_one_is_identity(self):
         seq = [np.array([1.0]), np.array([5.0])]
@@ -227,9 +231,23 @@ class TestBlockMatrices:
         for k, d in [(1, 3), (3, 2), (5, 4)]:
             matrix = build_ck_matrices(k, d)[0]
             parts = [rng.standard_normal(d) for _ in range(k)]
-            via_apply = np.concatenate(matrix.apply(parts))
+            via_apply = np.concatenate([t.data for t in matrix.apply([Tensor(p) for p in parts])])
             via_dense = matrix.expand() @ np.concatenate(parts)
             assert np.allclose(via_apply, via_dense, rtol=0, atol=1e-12)
+
+    def test_apply_with_input_matrix_matches_expanded_form(self):
+        rng = np.random.default_rng(6)
+        k, d, scale = 3, 2, 0.25
+        transition, forcing = build_dense_matrices(k, d)
+        parts = [Tensor(rng.standard_normal(d)) for _ in range(k)]
+        inputs = [Tensor(rng.standard_normal(d)) for _ in range(k - 1)] + [None]
+        out = transition.apply(parts, forcing, inputs, scale)
+        stacked = np.concatenate([p.data for p in parts])
+        pushed = np.concatenate([u.data for u in inputs[:-1]] + [np.zeros(d)])
+        expected = transition.expand() @ stacked + scale * (forcing.expand() @ pushed)
+        assert np.allclose(np.concatenate([t.data for t in out]), expected, rtol=0, atol=1e-12)
+        # a row with one unit term is that part itself, not a new node
+        assert forcing.apply(parts)[0] is parts[0]
 
     def test_determinant_matches_numpy_oracle(self):
         rng = np.random.default_rng(8)

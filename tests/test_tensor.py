@@ -11,7 +11,6 @@ from cknet.tensor import (
     affine,
     leaky_relu,
     linear_combination,
-    matmul,
     sigmoid,
     tanh,
 )
@@ -19,35 +18,37 @@ from helpers import central_difference, gradient_close
 
 
 class TestMatmul:
+    """The matrix product, which ``affine`` computes with a zero bias."""
+
     def test_identity(self):
-        v = Tensor([[1.0], [2.0], [3.0]])
-        out = matmul(Tensor(np.eye(3)), v)
+        v = Tensor([1.0, 2.0, 3.0])
+        out = affine(v, Tensor(np.eye(3)), Tensor(np.zeros(3)))
         assert np.array_equal(out.data, v.data)
 
     def test_hand_checked_2x2(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = Tensor([[1.0], [1.0]])
-        assert np.array_equal(matmul(a, b).data, [[3.0], [7.0]])
+        b = Tensor([1.0, 1.0])
+        assert np.array_equal(affine(b, a, Tensor(np.zeros(2))).data, [3.0, 7.0])
 
     def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
+            affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
 
     def test_requires_2d(self):
         with pytest.raises(ShapeError):
-            matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 1))))
+            affine(Tensor(np.zeros(3)), Tensor(np.zeros(3)), Tensor(np.zeros(1)))
 
     def test_gradient_of_sum_matches_finite_differences(self):
         rng = np.random.default_rng(42)
         a_data = rng.standard_normal((4, 5))
-        b_data = rng.standard_normal((5, 2))
+        w_data = rng.standard_normal((2, 5))
 
-        a, b = Tensor(a_data), Tensor(b_data)
-        matmul(a, b).sum().backward()
-        # closed form: d(sum(ab))/da = ones(4,2) @ b^T
-        assert np.allclose(a.grad, np.ones((4, 2)) @ b_data.T, rtol=1e-12)
+        a, w = Tensor(a_data), Tensor(w_data)
+        affine(a, w, Tensor(np.zeros(2))).sum().backward()
+        # closed form: d(sum(a w^T))/da = ones(4,2) @ w
+        assert np.allclose(a.grad, np.ones((4, 2)) @ w_data, rtol=1e-12)
 
-        fd = central_difference(lambda: (a_data @ b_data).sum(), [a_data])[0]
+        fd = central_difference(lambda: (a_data @ w_data.T).sum(), [a_data])[0]
         assert gradient_close(a.grad, fd, rtol=1e-6)
 
 
@@ -84,7 +85,7 @@ class TestBackward:
     def test_quadratic_form_gradient(self):
         w_data = np.array([[1.0, -2.0, 0.5]])
         w = Tensor(w_data)
-        half_dot = matmul(w, Tensor(w_data.T)) * 0.5
+        half_dot = affine(w, Tensor(w_data), Tensor(np.zeros(1))) * 0.5
         half_dot.backward()
         # grad of w.w/2 w.r.t. w is w; the transposed copy holds the rest
         assert np.allclose(w.grad, 0.5 * w_data)
@@ -146,7 +147,7 @@ class TestPurity:
         a = Tensor(rng.standard_normal((3, 3)))
         b = Tensor(rng.standard_normal((3, 3)))
         before_a, before_b = a.data.copy(), b.data.copy()
-        out = matmul(a + b, b) * 0.5 - a
+        out = affine(a + b, b, Tensor(np.zeros(3))) * 0.5 - a
         tanh(out).sum().backward()
         assert np.array_equal(a.data, before_a)
         assert np.array_equal(b.data, before_b)
@@ -156,7 +157,7 @@ class TestPurity:
         x = Tensor(rng.uniform(-10, 10, size=(4, 4)))
         for op in (tanh, sigmoid, lambda t: leaky_relu(t, 0.1)):
             assert np.all(np.isfinite(op(x).data))
-        assert np.all(np.isfinite(matmul(x, x).data))
+        assert np.all(np.isfinite(affine(x, x, Tensor(np.zeros(4))).data))
 
 
 def _random_op_case(op_name, rng):
