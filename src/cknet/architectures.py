@@ -34,7 +34,7 @@ from .dynamics import (
     build_dense_matrices,
     mixed_diff_coefficients,
 )
-from .tensor import Parameter, ShapeError, Tensor
+from .tensor import ACTIVATIONS, Parameter, ShapeError, Tensor
 
 __all__ = [
     "ACTIVATIONS",
@@ -58,12 +58,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
 ]
-
-ACTIVATIONS = {
-    "tanh": T.tanh,
-    "sigmoid": T.sigmoid,
-    "leaky_relu": lambda x: T.leaky_relu(x, slope=0.1),
-}
 
 
 def _init_weight(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -92,7 +86,8 @@ class ForcingFunction:
         return cls(weight, bias, activation)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ACTIVATIONS[self.activation](T.affine(x, self.weight, self.bias))
+        """One graph node: the fused ``affine`` with this map's activation."""
+        return T.affine(x, self.weight, self.bias, self.activation)
 
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
@@ -327,7 +322,8 @@ def dense_difference_identity_check(trajectory, forcing_values, n: int, dl: floa
     activations must equal the n-fold backward difference of the forcing
     outputs scaled by dl, within ``tol``. ``trajectory`` holds arrays
     x_0..x_L, ``forcing_values`` the raw forcing outputs f_l(x_l) for
-    l = 0..L-1.
+    l = 0..L-1 (lists of arrays, or the stacked arrays of a ``Trace``).
+    Both stencils run once over all admissible layers, on shifted slices.
     """
     if n < 0:
         raise ValueError(f"difference order must be >= 0, got {n}")
@@ -338,14 +334,11 @@ def dense_difference_identity_check(trajectory, forcing_values, n: int, dl: floa
         )
     if len(forcing_values) != len(trajectory) - 1:
         raise ShapeError("need one forcing value per transition")
-    lhs_coeffs = mixed_diff_coefficients(n + 1)
-    rhs_coeffs = alternating_binomial_row(n)
-    worst = 0.0
-    for l in range(n, last + 1):
-        lhs = sum(c * trajectory[l + 1 - j] for j, c in enumerate(lhs_coeffs))
-        rhs = sum(c * forcing_values[l - j] for j, c in enumerate(rhs_coeffs)) * dl
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst <= tol
+    xs, fs = np.asarray(trajectory), np.asarray(forcing_values)
+    # term j of layer l = n..last reads x_{l+1-j} and f_{l-j}
+    lhs = sum(c * xs[n + 1 - j : last + 2 - j] for j, c in enumerate(mixed_diff_coefficients(n + 1)))
+    rhs = sum(c * fs[n - j : last + 1 - j] for j, c in enumerate(alternating_binomial_row(n))) * dl
+    return float(np.max(np.abs(lhs - rhs))) <= tol
 
 
 # -- parameter accounting --------------------------------------------------------
@@ -439,21 +432,33 @@ def unroll(forcings, x0: Tensor, family: str, k: int, dl: float, mode: str, matr
 
 @dataclass
 class Trace:
-    """Recorded forward pass: per-layer values as plain arrays."""
+    """Recorded forward pass: the trajectory as stacked arrays.
 
-    activations: list[np.ndarray]  # x_0..x_L
-    forcing: list[np.ndarray]  # f_l(x_l) for l = 0..L-1
-    states: list[list[np.ndarray]] | None  # state mode only: q parts per layer
+    With x the shape of one activation (``[width]`` or ``[batch, width]``),
+    ``activations`` is ``(L+1, *x)``, ``forcing`` ``(L, *x)`` (empty at depth
+    0) and, in state mode, ``states`` is ``(L+1, k, *x)``.
+    """
+
+    activations: np.ndarray  # x_0..x_L
+    forcing: np.ndarray  # f_l(x_l) for l = 0..L-1
+    states: np.ndarray | None  # state mode only: q_1..q_k per layer
     k: int
     dl: float
 
     @classmethod
     def from_layers(cls, layers, k: int, dl: float) -> "Trace":
-        """Copies of the values in the ``LayerRecord``s of one ``unroll``."""
+        """The values in the ``LayerRecord``s of one ``unroll``, one array per
+        field. ``np.array`` copies a list of equal-shape arrays into one
+        stacked array (like ``np.stack``, at a third of its overhead on the
+        battery's width-1..8 arrays), so the trace keeps no graph array alive."""
         layers = list(layers)
-        states = None if layers[0].state is None else [[p.data.copy() for p in r.state] for r in layers]
+        forces = [r.force.data for r in layers[1:]]
         return cls(
-            [r.x.data.copy() for r in layers], [r.force.data.copy() for r in layers[1:]], states, k, dl
+            np.array([r.x.data for r in layers]),
+            np.array(forces) if forces else np.empty((0, *layers[0].x.shape)),
+            None if layers[0].state is None else np.array([[p.data for p in r.state] for r in layers]),
+            k,
+            dl,
         )
 
 

@@ -50,7 +50,7 @@ def finite_float(rule: str, ok):
 
 positive_int = int_at_least(1)  # orders, widths, depths, counts
 non_negative_float = finite_float(">= 0", lambda value: value >= 0)  # tolerances
-positive_float = finite_float("> 0", lambda value: value > 0)  # mesh steps
+positive_float = finite_float("> 0", lambda value: value > 0)  # mesh steps, learning rates
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="base seed; runs use seed..seed+seeds-1")
     p.add_argument("--seeds", type=positive_int, default=5, help="number of independent runs")
     p.add_argument("--epochs", type=int_at_least(0), default=2000)
-    p.add_argument("--learning-rate", type=float, default=0.002)
+    p.add_argument("--learning-rate", type=positive_float, default=0.002)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_train_toy)
 
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repetitions", type=positive_int, default=2)
     p.add_argument("--epochs", type=int_at_least(0), default=8)
     p.add_argument("--batch-size", type=positive_int, default=128)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
+    p.add_argument("--learning-rate", type=positive_float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data-dir", default=None, help="IDX directory (or env CK_DATA_DIR); synthetic data when absent")
     p.add_argument("--out", default="out")
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int_at_least(10), default=10000, help="at least one per digit class")
     p.add_argument("--epochs", type=int_at_least(0), default=8)
     p.add_argument("--batch-size", type=positive_int, default=128)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
+    p.add_argument("--learning-rate", type=positive_float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data-dir", default=None)
     p.add_argument("--out", default="out")

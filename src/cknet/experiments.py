@@ -195,11 +195,8 @@ def _toy_network(k: int, depth: int, dl: float, seed: int) -> Network:
 
 def _phase_dump(network: Network, dataset: Dataset) -> TrajectoryDump:
     _, trace = network.forward(dataset.inputs, mode="state", record=True)
-    q1 = np.stack([parts[0][:, 0] for parts in trace.states])
-    if network.config.k >= 2:
-        q2 = np.stack([parts[1][:, 0] for parts in trace.states])
-    else:
-        q2 = np.zeros_like(q1)
+    q1 = trace.states[:, 0, :, 0]
+    q2 = trace.states[:, 1, :, 0] if network.config.k >= 2 else np.zeros_like(q1)
     return TrajectoryDump(q1, q2, dataset.labels.copy())
 
 

@@ -6,6 +6,12 @@ closures that pull the output gradient back to each operand, so the
 computation graph is rebuilt on every forward pass and torn down by
 ``backward``. Operations never mutate their operands.
 
+A forcing map act(W x + b) is one node: ``affine`` takes the activation's
+name and applies it inside the same node, and its pullback forms
+g·act'(z) once for the x, weight and bias edges. The activation formulas
+(value and derivative) live once, in ``ACTIVATIONS``; the ``tanh``,
+``sigmoid`` and ``leaky_relu`` ops read the same table.
+
 Only ``Tensor`` operands are graph nodes. A Python scalar or a numpy array
 given to ``+``, ``-``, ``*``, ``affine`` or as a ``linear_combination``
 coefficient is a constant: it gets no parent edge, no pullback and no
@@ -35,6 +41,7 @@ __all__ = [
     "leaky_relu",
     "affine",
     "linear_combination",
+    "ACTIVATIONS",
 ]
 
 
@@ -239,22 +246,45 @@ def _reverse_topological(root: Tensor) -> list[Tensor]:
 
 
 # -- nonlinearities ----------------------------------------------------------
+# Each entry maps a pre-activation z to its value y and the chain factor
+# g -> g·act'(z). The public ops and the fused ``affine(..., activation=)``
+# node both read this table, so no derivative is written twice.
+
+
+def _tanh(z: np.ndarray):
+    y = np.tanh(z)
+    return y, lambda g: g * (1.0 - y * y)
+
+
+def _sigmoid(z: np.ndarray):
+    # tanh form stays finite for any input magnitude
+    y = 0.5 * (1.0 + np.tanh(0.5 * z))
+    return y, lambda g: g * y * (1.0 - y)
+
+
+def _leaky_relu(z: np.ndarray, slope: float = 0.1):
+    # the scale follows the sign of z, not of the output
+    scale = np.where(z >= 0.0, 1.0, slope)
+    return z * scale, lambda g: g * scale
+
+
+ACTIVATIONS = {"tanh": _tanh, "sigmoid": _sigmoid, "leaky_relu": _leaky_relu}
+
+
+def _activated(x: Tensor, y: np.ndarray, chain) -> Tensor:
+    return Tensor(y, _parents=((x, chain),))
 
 
 def tanh(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-    return Tensor(y, _parents=((x, lambda g: g * (1.0 - y * y)),))
+    return _activated(x, *_tanh(x.data))
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # tanh form stays finite for any input magnitude
-    y = 0.5 * (1.0 + np.tanh(0.5 * x.data))
-    return Tensor(y, _parents=((x, lambda g: g * y * (1.0 - y)),))
+    return _activated(x, *_sigmoid(x.data))
 
 
 def leaky_relu(x: Tensor, slope: float = 0.1) -> Tensor:
-    scale = np.where(x.data >= 0.0, 1.0, slope)
-    return Tensor(x.data * scale, _parents=((x, lambda g: g * scale),))
+    return _activated(x, *_leaky_relu(x.data, slope))
 
 
 # -- linear maps --------------------------------------------------------------
@@ -272,12 +302,29 @@ def _value(operand) -> np.ndarray:
     return operand.data if isinstance(operand, Tensor) else _as_array(operand)
 
 
-def affine(x, weight, bias) -> Tensor:
-    """``x @ weight.T + bias`` for x of shape [n] or [batch, n].
+def _shared(chain):
+    """``chain`` as a pullback evaluated once per gradient, for the edges that
+    share it (the engine hands every edge of a node the same ``grad``)."""
+    memo = [None, None]
+
+    def pull(g):
+        if memo[0] is not g:
+            memo[0], memo[1] = g, chain(g)
+        return memo[1]
+
+    return pull
+
+
+def affine(x, weight, bias, activation: str | None = None) -> Tensor:
+    """``act(x @ weight.T + bias)`` for x of shape [n] or [batch, n], as one node.
 
     weight is [m, n] and bias [m]; the bias is broadcast across the batch
-    (its gradient sums over the batch rows). Any operand that is not a
-    ``Tensor`` is a constant and gets no gradient.
+    (its gradient sums over the batch rows). ``activation`` names an entry
+    of ``ACTIVATIONS``, or is ``None`` for the bare affine map. The pullback
+    forms g·act'(z) once and feeds the x, weight and bias contributions from
+    it, so values and gradients are bitwise those of ``affine`` followed by
+    the activation op. Any operand that is not a ``Tensor`` is a constant
+    and gets no gradient.
     """
     xd, wd, bd = _value(x), _value(weight), _value(bias)
     if wd.ndim != 2:
@@ -286,17 +333,23 @@ def affine(x, weight, bias) -> Tensor:
         raise ShapeError(f"affine bias shape {bd.shape} does not match weight {wd.shape}")
     if xd.ndim not in (1, 2) or xd.shape[-1] != wd.shape[1]:
         raise ShapeError(f"affine input shape {xd.shape} does not match weight {wd.shape}")
+    if activation is not None and activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
     y = xd @ wd.T + bd
+    local = _passed
+    if activation is not None:
+        y, chain = ACTIVATIONS[activation](y)
+        local = _shared(chain)
     parents = []
     if isinstance(x, Tensor):
-        parents.append((x, lambda g: g @ wd))
+        parents.append((x, lambda g: local(g) @ wd))
     if isinstance(weight, Tensor):
         if xd.ndim == 1:
-            parents.append((weight, lambda g: np.outer(g, xd)))
+            parents.append((weight, lambda g: np.outer(local(g), xd)))
         else:
-            parents.append((weight, lambda g: g.T @ xd))
+            parents.append((weight, lambda g: local(g).T @ xd))
     if isinstance(bias, Tensor):
-        parents.append((bias, _passed if xd.ndim == 1 else (lambda g: g.sum(axis=0))))
+        parents.append((bias, local if xd.ndim == 1 else (lambda g: local(g).sum(axis=0))))
     return Tensor(y, _parents=parents)
 
 

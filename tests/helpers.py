@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from cknet.architectures import Trace, unroll
+from cknet.dynamics import alternating_binomial_row, backward_diff_power, mixed_diff_coefficients
 from cknet.tensor import Tensor
 
 
@@ -43,7 +44,37 @@ def gradient_close(analytic, numeric, rtol=1e-5, atol=1e-8) -> bool:
 
 
 def unrolled(fs, x0, family, k, dl, mode):
-    """Activations, forcing outputs and (state mode) state parts, as arrays,
-    of ``unroll`` over the forcing functions ``fs`` from the array ``x0``."""
+    """Activations, forcing outputs and (state mode) state parts, as lists
+    of arrays, of ``unroll`` over the forcing functions ``fs`` from the
+    array ``x0``."""
     trace = Trace.from_layers(unroll(fs, Tensor(x0), family, k, dl, mode), k, dl)
-    return trace.activations, trace.forcing, trace.states
+    states = None if trace.states is None else [list(parts) for parts in trace.states]
+    return list(trace.activations), list(trace.forcing), states
+
+
+# Per-layer loop references for the whole-trajectory checks in ``cknet``.
+
+
+def extraction_gap(xs, states, k):
+    """Max gap between recorded states and differences of the trajectory,
+    one ``backward_diff_power`` per layer and order."""
+    extended = [xs[0]] * (k - 1) + list(xs)
+    gap = 0.0
+    for l, parts in enumerate(states):
+        for n in range(1, k + 1):
+            expected = backward_diff_power(extended, l + k - 1, n)
+            gap = max(gap, float(np.max(np.abs(parts[n - 1] - expected))))
+    return gap
+
+
+def identity_gap(trajectory, forcing_values, n, dl):
+    """Worst deviation of the order-n dense difference identity, layer by
+    layer; ``dense_difference_identity_check`` passes iff this is <= tol."""
+    lhs_coeffs = mixed_diff_coefficients(n + 1)
+    rhs_coeffs = alternating_binomial_row(n)
+    worst = 0.0
+    for l in range(n, len(trajectory) - 1):
+        lhs = sum(c * trajectory[l + 1 - j] for j, c in enumerate(lhs_coeffs))
+        rhs = sum(c * forcing_values[l - j] for j, c in enumerate(rhs_coeffs)) * dl
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst

@@ -40,7 +40,7 @@ from cknet.experiments import (
 from cknet.tensor import Tensor
 from cknet.training import softmax_cross_entropy
 from cknet.verify import _random_forcing
-from helpers import central_difference, unrolled
+from helpers import central_difference, extraction_gap, unrolled
 
 GRID_ORDERS = (1, 2, 3, 4)
 GRID_WIDTHS = (1, 2, 8)
@@ -68,16 +68,6 @@ def _grid_cases():
                     yield k, d, depth, i, fs, x0
 
 
-def _extraction_gap(xs, states, k):
-    extended = [xs[0]] * (k - 1) + list(xs)
-    gap = 0.0
-    for l, parts in enumerate(states):
-        for n in range(1, k + 1):
-            expected = backward_diff_power(extended, l + k - 1, n)
-            gap = max(gap, float(np.max(np.abs(parts[n - 1] - expected))))
-    return gap
-
-
 def test_criterion_1_smooth_family_state_space_equivalence():
     started = time.perf_counter()
     worst_x = worst_state = 0.0
@@ -87,7 +77,7 @@ def test_criterion_1_smooth_family_state_space_equivalence():
         worst_x = max(
             worst_x, max(float(np.max(np.abs(a - b))) for a, b in zip(xs_direct, xs_state))
         )
-        worst_state = max(worst_state, _extraction_gap(xs_direct, states, k))
+        worst_state = max(worst_state, extraction_gap(xs_direct, states, k))
     elapsed = time.perf_counter() - started
     ok = worst_x <= TOL_EQUIV and worst_state <= TOL_EQUIV and elapsed < 30.0
     report(
@@ -113,7 +103,7 @@ def test_criterion_2_dense_family_equivalence_and_collapse():
         worst_x = max(
             worst_x, max(float(np.max(np.abs(a - b))) for a, b in zip(xs_direct, xs_state))
         )
-        worst_state = max(worst_state, _extraction_gap(xs_direct, states, k))
+        worst_state = max(worst_state, extraction_gap(xs_direct, states, k))
         _dense_runs.append((k, xs_direct, forcing_values))
         if k == 1:
             xs_ck = unrolled(fs, x0, "ck", 1, 1.0, "direct")[0]

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cknet.architectures import (
     ForcingFunction,
@@ -10,6 +12,7 @@ from cknet.architectures import (
     Network,
     NetworkConfig,
     StateVector,
+    Trace,
     c1_step,
     ck_direct_step,
     ck_state_step,
@@ -26,7 +29,7 @@ from cknet.architectures import (
 from cknet.dynamics import backward_diff_power, build_ck_matrices
 from cknet.tensor import Parameter, ShapeError, Tensor, affine
 from cknet.training import softmax_cross_entropy
-from helpers import central_difference, gradient_close, unrolled
+from helpers import central_difference, gradient_close, identity_gap, unrolled
 
 
 def make_forcing(d, weight, bias, activation="tanh"):
@@ -276,6 +279,20 @@ class TestDenseDifferenceIdentity:
         with pytest.raises(IndexError):
             dense_difference_identity_check([np.zeros(1)] * 2, [np.zeros(1)], 3, 1.0)
 
+    @pytest.mark.parametrize("family", ["dense", "ck"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(3,), (4, 3)])
+    def test_verdict_matches_per_layer_loop_at_the_tolerance(self, family, k, shape):
+        fs = [random_forcing(3, seed=300 + 10 * k + i, activation="sigmoid") for i in range(7)]
+        x0 = np.random.default_rng(k).standard_normal(shape)
+        xs, forcing, _ = unrolled(fs, x0, family, k, 0.5, "direct")
+        for n in range(k):
+            worst = identity_gap(xs, forcing, n, 0.5)
+            below = np.nextafter(worst, -np.inf)
+            for trajectory, values in ((xs, forcing), (np.stack(xs), np.stack(forcing))):
+                assert dense_difference_identity_check(trajectory, values, n, 0.5, tol=worst)
+                assert not dense_difference_identity_check(trajectory, values, n, 0.5, tol=below)
+
 
 class TestParameterAccounting:
     def test_order_two_width_three(self):
@@ -502,17 +519,15 @@ class TestFusedSteps:
             for a, b in zip(stepped.parts, chained_ck_state(f, entries, k, dl)):
                 assert a.data.tobytes() == b.data.tobytes()
 
-    def test_order_two_layer_is_three_nodes(self):
+    def test_order_two_layer_is_two_nodes(self):
         f = random_forcing(2, seed=1)
         x = Tensor(np.ones(2))
         out = ck_direct_step(f, LayerHistory.ghost(x, 2), 2, 0.5)
-        # the fused stencil node, the activation and the affine map: no
-        # coefficient or dl**k node in between
+        # the fused stencil node and the fused forcing node act(Wx+b): no
+        # coefficient, dl**k or separate activation node in between
         assert [p for p, _ in out._parents][1:] == [x, x]
-        act = out._parents[0][0]
-        affine_node = act._parents[0][0]
-        assert [p for p, _ in affine_node._parents] == [x, f.weight, f.bias]
-        assert len(act._parents) == 1
+        forcing_node = out._parents[0][0]
+        assert [p for p, _ in forcing_node._parents] == [x, f.weight, f.bias]
 
 
 def reference_forward(net, inputs, mode):
@@ -565,6 +580,49 @@ class TestWholeNetworkBitwise:
         else:
             assert len(trace.states) == len(states)
             assert all(same(a, b) for a, b in zip(trace.states, states))
+
+
+class TestRecordedTrace:
+    @pytest.mark.parametrize("family,k", [("c0", 1), ("ck", 3), ("dense", 3)])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    def test_record_at_depth_zero(self, family, k, mode):
+        net = Network(NetworkConfig(family, k, depth=0, width=3, input_dim=2, num_classes=2, seed=1))
+        x = np.random.default_rng(1).standard_normal((4, 2))
+        logits, trace = net.forward(x, mode=mode, record=True)
+        assert logits.data.tobytes() == net.forward(x, mode=mode).data.tobytes()
+        x0 = affine(x, net.embed_weight, net.embed_bias).data
+        assert len(trace.activations) == 1 and trace.activations[0].tobytes() == x0.tobytes()
+        assert len(trace.forcing) == 0
+        if mode == "direct":
+            assert trace.states is None
+        else:
+            assert len(trace.states) == 1 and len(trace.states[0]) == k
+            assert trace.states[0][0].tobytes() == x0.tobytes()
+            assert all(not np.any(part) for part in trace.states[0][1:])
+
+    @pytest.mark.parametrize("depth", [0, 5])
+    @pytest.mark.parametrize("batch", [(), (4,)])
+    def test_fields_are_stacked_arrays(self, depth, batch):
+        k, width = 3, 2
+        net = Network(NetworkConfig("dense", k, depth=depth, width=width, input_dim=2, num_classes=2, seed=2))
+        x = np.random.default_rng(2).standard_normal((*batch, 2))
+        _, direct = net.forward(x, mode="direct", record=True)
+        _, state = net.forward(x, mode="state", record=True)
+        for trace in (direct, state):
+            assert trace.activations.shape == (depth + 1, *batch, width)
+            assert trace.forcing.shape == (depth, *batch, width)
+            assert trace.activations.dtype == trace.forcing.dtype == np.float64
+        assert direct.states is None
+        assert state.states.shape == (depth + 1, k, *batch, width)
+
+    def test_trace_keeps_no_graph_array(self):
+        fs = [random_forcing(3, seed=70 + i) for i in range(4)]
+        layers = list(unroll(fs, Tensor(np.ones(3)), "ck", 2, 0.5, "state"))
+        trace = Trace.from_layers(layers, 2, 0.5)
+        graph = [r.x.data for r in layers] + [r.force.data for r in layers[1:]]
+        graph += [p.data for r in layers for p in r.state]
+        for field in (trace.activations, trace.forcing, trace.states):
+            assert not any(np.shares_memory(field, a) for a in graph)
 
 
 class TestForcingEvaluatedOnce:
@@ -640,9 +698,9 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
 
-    def rewrite(self, path, edit):
-        """Apply ``edit(header, payloads)`` to a saved checkpoint."""
-        raw = path.read_bytes()
+    @staticmethod
+    def edited(raw, edit):
+        """Checkpoint bytes ``raw`` after ``edit(header, payloads)``."""
         line, body = raw.split(b"\n", 1)
         header = json.loads(line)
         payloads, offset = [], 0
@@ -651,7 +709,11 @@ class TestCheckpoint:
             payloads.append(body[offset : offset + n])
             offset += n
         edit(header, payloads)
-        path.write_bytes(json.dumps(header).encode() + b"\n" + b"".join(payloads))
+        return json.dumps(header).encode() + b"\n" + b"".join(payloads)
+
+    def rewrite(self, path, edit):
+        """Apply ``edit(header, payloads)`` to a saved checkpoint."""
+        path.write_bytes(self.edited(path.read_bytes(), edit))
 
     def saved(self, tmp_path):
         net = Network(NetworkConfig("ck", k=2, depth=2, width=3, input_dim=2, num_classes=2, seed=5))
@@ -706,6 +768,49 @@ class TestCheckpoint:
     def test_non_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"\x00\x01\x02 not a checkpoint\n12345")
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        """A checkpoint file's path, its bytes and its parameter names."""
+        path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+        net = Network(NetworkConfig("ck", k=2, depth=2, width=3, input_dim=2, num_classes=2, seed=5))
+        save_checkpoint(net, path)
+        return path, path.read_bytes(), [p.name for p in net.parameters()]
+
+    @settings(max_examples=50, deadline=None)
+    @given(fraction=st.floats(0, 1, exclude_max=True))
+    def test_fuzz_truncation_at_any_offset_rejected(self, checkpoint, fraction):
+        path, raw, _ = checkpoint
+        path.write_bytes(raw[: int(fraction * len(raw))])
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        edit=st.sampled_from(["duplicate", "drop", "rename"]),
+        index=st.integers(0, 7),
+        new_name=st.one_of(st.sampled_from(["block0.weight", "head.bias", "embed.bias"]), st.text(max_size=12)),
+        with_payload=st.booleans(),
+    )
+    def test_fuzz_header_parameter_entries_rejected(self, checkpoint, edit, index, new_name, with_payload):
+        path, raw, names = checkpoint
+        assume(edit != "rename" or new_name != names[index])
+
+        def mutate(header, payloads):
+            entries = header["params"]
+            if edit == "duplicate":
+                entries.append(dict(entries[index]))
+                payloads.append(payloads[index] if with_payload else b"")
+            elif edit == "drop":
+                del entries[index]
+                if with_payload:
+                    del payloads[index]
+            else:
+                entries[index]["name"] = new_name
+
+        path.write_bytes(self.edited(raw, mutate))
         with pytest.raises(ValueError):
             load_checkpoint(path)
 

@@ -61,6 +61,10 @@ INVALID_INVOCATIONS = [
     (["train-toy", "--dl", "0"], "--dl: must be a finite number > 0, got 0"),
     (["train-toy", "--dl", "nan"], "--dl: must be a finite number > 0, got nan"),
     (["compare", "--dl=-1"], "--dl: must be a finite number > 0, got -1"),
+    (["train-toy", "--learning-rate=-5"], "--learning-rate: must be a finite number > 0, got -5"),
+    (["train-toy", "--learning-rate", "nan"], "--learning-rate: must be a finite number > 0, got nan"),
+    (["depth-sweep", "--learning-rate", "0"], "--learning-rate: must be a finite number > 0, got 0"),
+    (["compare", "--learning-rate", "inf"], "--learning-rate: must be a finite number > 0, got inf"),
 ]
 
 

@@ -328,3 +328,64 @@ class TestLinearCombination:
             linear_combination([(1, Tensor(np.zeros(2))), (2, Tensor(np.zeros(3)))])
         with pytest.raises(ValueError):
             linear_combination([])
+
+
+class TestFusedAffine:
+    """``affine(x, W, b, activation)``: act(Wx+b) as one node."""
+
+    OPS = {"tanh": tanh, "sigmoid": sigmoid, "leaky_relu": leaky_relu}
+    NUMPY = {
+        "tanh": np.tanh,
+        "sigmoid": lambda z: 1 / (1 + np.exp(-z)),
+        "leaky_relu": lambda z: np.where(z >= 0, z, 0.1 * z),
+    }
+
+    @staticmethod
+    def case(shape, seed):
+        # a case whose pre-activations stay off the leaky_relu kink
+        while True:
+            rng = np.random.default_rng(seed)
+            x, w, b = rng.standard_normal(shape), rng.standard_normal((3, shape[-1])), rng.standard_normal(3)
+            weights = rng.standard_normal((*shape[:-1], 3))
+            if np.min(np.abs(x @ w.T + b)) > 1e-2:
+                return x, w, b, weights
+            seed += 1000
+
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "leaky_relu"])
+    @pytest.mark.parametrize("shape", [(4,), (5, 4)])
+    @pytest.mark.parametrize("x_is_constant", [False, True])
+    def test_gradients_match_finite_differences(self, activation, shape, x_is_constant):
+        x, w, b, weights = self.case(shape, seed=3)
+        xt, wt, bt = (x if x_is_constant else Tensor(x)), Tensor(w), Tensor(b)
+        (affine(xt, wt, bt, activation) * weights).sum().backward()
+        act = self.NUMPY[activation]
+        arrays = [w, b] if x_is_constant else [x, w, b]
+        numeric = central_difference(lambda: float((act(x @ w.T + b) * weights).sum()), arrays)
+        analytic = [wt.grad, bt.grad] if x_is_constant else [xt.grad, wt.grad, bt.grad]
+        for got, fd in zip(analytic, numeric):
+            assert gradient_close(got, fd)
+
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "leaky_relu"])
+    @pytest.mark.parametrize("shape", [(4,), (5, 4)])
+    @pytest.mark.parametrize("x_is_constant", [False, True])
+    def test_bitwise_equal_to_affine_then_activation(self, activation, shape, x_is_constant):
+        x, w, b, weights = self.case(shape, seed=5)
+
+        def run(fused):
+            xt, wt, bt = (x if x_is_constant else Tensor(x)), Tensor(w), Tensor(b)
+            out = affine(xt, wt, bt, activation) if fused else self.OPS[activation](affine(xt, wt, bt))
+            (out * weights).sum().backward()
+            grads = [wt.grad, bt.grad] + ([] if x_is_constant else [xt.grad])
+            return [out.data.tobytes()] + [g.tobytes() for g in grads]
+
+        assert run(fused=True) == run(fused=False)
+
+    def test_is_one_node_over_x_weight_and_bias(self):
+        x, w, b = Tensor(np.ones(2)), Tensor(np.eye(2)), Tensor(np.zeros(2))
+        out = affine(x, w, b, "sigmoid")
+        assert [p for p, _ in out._parents] == [x, w, b]
+        assert np.array_equal(out.data, sigmoid(affine(x, w, b)).data)
+
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(ValueError, match="unknown activation"):
+            affine(Tensor(np.ones(2)), Tensor(np.eye(2)), Tensor(np.zeros(2)), "relu6")

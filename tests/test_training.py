@@ -304,6 +304,11 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2)
 
+    @pytest.mark.parametrize("learning_rate", [0.0, -5.0, math.nan, math.inf])
+    def test_learning_rate_must_be_finite_and_positive(self, learning_rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(epochs=1, learning_rate=learning_rate)
+
 
 class TestMetricsCsv:
     def test_schema_and_optional_validation_columns(self):
