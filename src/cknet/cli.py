@@ -16,7 +16,7 @@ from . import experiments
 from .architectures import parameter_count, weight_matrix_ratio
 from .data import Dataset, fetch_mnist, load_mnist_dir, synthetic_digits
 from .training import TrainingError
-from .verify import run_battery, sign_flipped_dense_forcing
+from .verify import WorkerError, run_battery, sign_flipped_dense_forcing
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-toy", help="single-node separability experiment on the 1-D toy set")
     p.add_argument("-k", "--order", type=positive_int, default=2)
-    p.add_argument("-L", "--depth", type=int, default=16)
+    p.add_argument("-L", "--depth", type=int_at_least(0), default=16)
     p.add_argument("--dl", type=positive_float, default=0.2)
     p.add_argument("--seed", type=int, default=0, help="base seed; runs use seed..seed+seeds-1")
     p.add_argument("--seeds", type=positive_int, default=5, help="number of independent runs")
@@ -98,11 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="train every architecture family/order under one configuration")
     p.add_argument("--orders", type=positive_int, nargs="+", default=[1, 2, 3, 4])
     p.add_argument("--dense-orders", type=positive_int, nargs="+", default=[2, 3, 4])
-    p.add_argument("-L", "--depth", type=int, default=6)
+    p.add_argument("-L", "--depth", type=int_at_least(0), default=6)
     p.add_argument("-d", "--width", type=positive_int, default=64)
     p.add_argument("--dl", type=positive_float, default=0.5)
     p.add_argument("--samples", type=int_at_least(10), default=10000, help="at least one per digit class")
-    p.add_argument("--epochs", type=int_at_least(0), default=8)
+    p.add_argument("--epochs", type=positive_int, default=8)
     p.add_argument("--batch-size", type=positive_int, default=128)
     p.add_argument("--learning-rate", type=positive_float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
@@ -274,7 +274,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, TrainingError) as exc:
+    except (ValueError, TrainingError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -335,6 +335,8 @@ def compare_orders(
     entries = [("ck", int(k)) for k in ck_orders] + [("dense", int(k)) for k in dense_orders]
     if not entries:
         raise ValueError("nothing to compare")
+    if epochs < 1:
+        raise ValueError(f"compare needs at least one epoch, got {epochs}")
 
     rows = []
     for family, k in entries:

@@ -58,6 +58,9 @@ INVALID_INVOCATIONS = [
     (["depth-sweep", "--samples", "5"], "--samples: must be >= 10, got 5"),
     (["train-toy", "--epochs", "-1"], "--epochs: must be >= 0, got -1"),
     (["depth-sweep", "--epochs", "-1"], "--epochs: must be >= 0, got -1"),
+    (["compare", "--epochs", "0"], "--epochs: must be >= 1, got 0"),
+    (["train-toy", "-L", "-1"], "-L/--depth: must be >= 0, got -1"),
+    (["compare", "-L", "-1"], "-L/--depth: must be >= 0, got -1"),
     (["train-toy", "--dl", "0"], "--dl: must be a finite number > 0, got 0"),
     (["train-toy", "--dl", "nan"], "--dl: must be a finite number > 0, got nan"),
     (["compare", "--dl=-1"], "--dl: must be a finite number > 0, got -1"),

@@ -186,6 +186,11 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare_orders([], [], ds, ds)
 
+    def test_zero_epochs_rejected(self):
+        ds = synthetic_digits(100, seed=6)
+        with pytest.raises(ValueError, match="at least one epoch, got 0"):
+            compare_orders([1], [], ds, ds, depth=1, width=4, epochs=0)
+
 
 class TestSvg:
     def test_two_point_line_plot_has_one_polyline_two_pairs(self):
