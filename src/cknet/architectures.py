@@ -20,6 +20,7 @@ in place and must be serialized externally.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
@@ -40,6 +41,7 @@ __all__ = [
     "ACTIVATIONS",
     "ForcingFunction",
     "NetworkConfig",
+    "check_mesh_step",
     "LayerHistory",
     "StateVector",
     "LayerRecord",
@@ -53,6 +55,7 @@ __all__ = [
     "dense_direct_step",
     "dense_state_step",
     "dense_difference_identity_check",
+    "dense_difference_identity_residual",
     "parameter_count",
     "weight_matrix_ratio",
     "save_checkpoint",
@@ -66,12 +69,14 @@ def _init_weight(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndar
 
 
 class ForcingFunction:
-    """Learnable per-layer map act(W x + b) with a square weight matrix."""
+    """Learnable per-layer map act(W x + b) with a square weight matrix, or
+    E of them stacked on a leading member axis (see ``affine``), so that one
+    ``unroll`` steps E networks of the same shape at once."""
 
     def __init__(self, weight: Parameter, bias: Parameter, activation: str):
-        if weight.data.ndim != 2 or weight.shape[0] != weight.shape[1]:
-            raise ShapeError(f"forcing weight must be square, got {weight.shape}")
-        if bias.shape != (weight.shape[0],):
+        if weight.data.ndim not in (2, 3) or weight.shape[-2] != weight.shape[-1]:
+            raise ShapeError(f"forcing weight must be square, or a stack of square, got {weight.shape}")
+        if bias.shape != weight.shape[:-1]:
             raise ShapeError(f"forcing bias shape {bias.shape} does not match {weight.shape}")
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
@@ -91,6 +96,16 @@ class ForcingFunction:
 
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
+
+
+def check_mesh_step(dl: float, k: int) -> None:
+    """``ValueError`` unless dl**k, the forcing scale of an order-k block, is finite."""
+    try:
+        finite = math.isfinite(dl**k)
+    except OverflowError:  # a float power past the float range raises instead of giving inf
+        finite = False
+    if not finite:
+        raise ValueError(f"dl**k overflows for dl={dl} and k={k}")
 
 
 @dataclass(frozen=True)
@@ -124,6 +139,7 @@ class NetworkConfig:
             raise ValueError("width and input_dim must be >= 1, num_classes >= 2")
         if not self.dl > 0:
             raise ValueError(f"dl must be positive, got {self.dl}")
+        check_mesh_step(self.dl, self.k)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -320,10 +336,18 @@ def dense_difference_identity_check(trajectory, forcing_values, n: int, dl: floa
 
     For every admissible layer l, the (n+1)-order mixed difference of the
     activations must equal the n-fold backward difference of the forcing
-    outputs scaled by dl, within ``tol``. ``trajectory`` holds arrays
-    x_0..x_L, ``forcing_values`` the raw forcing outputs f_l(x_l) for
-    l = 0..L-1 (lists of arrays, or the stacked arrays of a ``Trace``).
-    Both stencils run once over all admissible layers, on shifted slices.
+    outputs scaled by dl, within ``tol``.
+    """
+    return float(np.max(dense_difference_identity_residual(trajectory, forcing_values, n, dl))) <= tol
+
+
+def dense_difference_identity_residual(trajectory, forcing_values, n: int, dl: float) -> np.ndarray:
+    """|lhs - rhs| of the order-n dense difference identity, layers l = n..L-1 on axis 0.
+
+    ``trajectory`` holds arrays x_0..x_L, ``forcing_values`` the raw
+    forcing outputs f_l(x_l) for l = 0..L-1 (lists of arrays, or the
+    stacked arrays of a ``Trace``). Both stencils run once over all
+    admissible layers, on shifted slices.
     """
     if n < 0:
         raise ValueError(f"difference order must be >= 0, got {n}")
@@ -338,7 +362,7 @@ def dense_difference_identity_check(trajectory, forcing_values, n: int, dl: floa
     # term j of layer l = n..last reads x_{l+1-j} and f_{l-j}
     lhs = sum(c * xs[n + 1 - j : last + 2 - j] for j, c in enumerate(mixed_diff_coefficients(n + 1)))
     rhs = sum(c * fs[n - j : last + 1 - j] for j, c in enumerate(alternating_binomial_row(n))) * dl
-    return float(np.max(np.abs(lhs - rhs))) <= tol
+    return np.abs(lhs - rhs)
 
 
 # -- parameter accounting --------------------------------------------------------

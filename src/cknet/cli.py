@@ -13,10 +13,11 @@ import sys
 import numpy as np
 
 from . import experiments
-from .architectures import parameter_count, weight_matrix_ratio
+from .architectures import check_mesh_step, parameter_count, weight_matrix_ratio
 from .data import Dataset, fetch_mnist, load_mnist_dir, synthetic_digits
+from .dynamics import MAX_BINOMIAL_N
 from .training import TrainingError
-from .verify import WorkerError, run_battery, sign_flipped_dense_forcing
+from .verify import run_battery, sign_flipped_dense_forcing
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -24,28 +25,30 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _argument_type(kind, what: str, rule: str, ok):
-    """argparse type: a ``kind`` value for which ``ok`` holds, else a usage
-    error saying that it must be ``rule``."""
+def _argument_type(kind, what: str, *rules):
+    """argparse type: a ``kind`` value for which every ``ok`` of the
+    (``rule``, ``ok``) pairs holds, else a usage error saying that it must
+    be the first ``rule`` it breaks."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        for rule, ok in rules:
+            if not ok(value):
+                raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
         return value
 
     return parse
 
 
-def int_at_least(low: int):
-    return _argument_type(int, "an integer", f">= {low}", lambda value: value >= low)
+def int_at_least(low: int, high: float = math.inf):
+    return _argument_type(int, "an integer", (f">= {low}", lambda v: v >= low), (f"<= {high}", lambda v: v <= high))
 
 
 def finite_float(rule: str, ok):
-    return _argument_type(float, "a number", f"a finite number {rule}", lambda v: ok(v) and v < math.inf)
+    return _argument_type(float, "a number", (f"a finite number {rule}", lambda v: ok(v) and v < math.inf))
 
 
 positive_int = int_at_least(1)  # orders, widths, depths, counts
@@ -62,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the cross-form equivalence and identity checks")
-    p.add_argument("--orders", type=positive_int, nargs="+", default=[1, 2, 3, 4])
+    p.add_argument("--orders", type=int_at_least(1, MAX_BINOMIAL_N), nargs="+", default=[1, 2, 3, 4])
     p.add_argument("--widths", type=positive_int, nargs="+", default=[1, 2, 8])
     p.add_argument("--depths", type=positive_int, nargs="+", default=[3, 10])
     p.add_argument("--seeds", type=positive_int, default=50, help="random cases per grid point")
@@ -263,9 +266,21 @@ def cmd_fetch_mnist(args) -> int:
     return EXIT_OK
 
 
+def _reject_overflowing_dl(parser: argparse.ArgumentParser, args) -> None:
+    """A usage error for a ``--dl`` whose power for the highest order the
+    command builds (order 1 for depth-sweep) is not a finite float."""
+    if hasattr(args, "dl"):
+        k = max([getattr(args, "order", 1), *getattr(args, "orders", ()), *getattr(args, "dense_orders", ())])
+        try:
+            check_mesh_step(args.dl, k)
+        except ValueError as exc:
+            parser.error(f"argument --dl: {exc}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _reject_overflowing_dl(parser, args)
     try:
         return args.func(args)
     except FileNotFoundError as exc:
@@ -274,7 +289,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, TrainingError, WorkerError) as exc:
+    except (ValueError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -10,7 +10,9 @@ A forcing map act(W x + b) is one node: ``affine`` takes the activation's
 name and applies it inside the same node, and its pullback forms
 g·act'(z) once for the x, weight and bias edges. The activation formulas
 (value and derivative) live once, in ``ACTIVATIONS``; the ``tanh``,
-``sigmoid`` and ``leaky_relu`` ops read the same table.
+``sigmoid`` and ``leaky_relu`` ops read the same table. ``affine`` also
+takes E maps stacked on a leading member axis, so E independent networks
+of one shape step as a single ensemble.
 
 Only ``Tensor`` operands are graph nodes. A Python scalar or a numpy array
 given to ``+``, ``-``, ``*``, ``affine`` or as a ``linear_combination``
@@ -325,10 +327,17 @@ def affine(x, weight, bias, activation: str | None = None) -> Tensor:
     it, so values and gradients are bitwise those of ``affine`` followed by
     the activation op. Any operand that is not a ``Tensor`` is a constant
     and gets no gradient.
+
+    A stack of E maps has a leading member axis: weight [E, m, n], bias
+    [E, m] and x [E, n] or [E, batch, n]. Member e is
+    ``x[e] @ weight[e].T + bias[e]``, and each pullback stays within its
+    member.
     """
     xd, wd, bd = _value(x), _value(weight), _value(bias)
+    if wd.ndim == 3:
+        return _stacked_affine(x, weight, bias, xd, wd, bd, activation)
     if wd.ndim != 2:
-        raise ShapeError(f"affine weight must be 2-D, got {wd.shape}")
+        raise ShapeError(f"affine weight must be 2-D, or 3-D when stacked, got {wd.shape}")
     if bd.ndim != 1 or bd.shape[0] != wd.shape[0]:
         raise ShapeError(f"affine bias shape {bd.shape} does not match weight {wd.shape}")
     if xd.ndim not in (1, 2) or xd.shape[-1] != wd.shape[1]:
@@ -350,6 +359,34 @@ def affine(x, weight, bias, activation: str | None = None) -> Tensor:
             parents.append((weight, lambda g: local(g).T @ xd))
     if isinstance(bias, Tensor):
         parents.append((bias, local if xd.ndim == 1 else (lambda g: local(g).sum(axis=0))))
+    return Tensor(y, _parents=parents)
+
+
+def _stacked_affine(x, weight, bias, xd, wd, bd, activation) -> Tensor:
+    """``affine`` over E maps stacked on axis 0, as one ``np.matmul`` over
+    [E, rows, width]: an unbatched member is a batch of one row."""
+    members, m, n = wd.shape
+    if bd.shape != (members, m) or xd.ndim not in (2, 3) or (xd.shape[0], xd.shape[-1]) != (members, n):
+        raise ShapeError(f"affine input {xd.shape} or bias {bd.shape} does not match stacked weight {wd.shape}")
+    if activation is not None and activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
+    rows = xd.reshape(members, -1, n)
+    y = (np.matmul(rows, np.swapaxes(wd, 1, 2)) + bd[:, None, :]).reshape(*xd.shape[:-1], m)
+    local = _passed
+    if activation is not None:
+        y, chain = ACTIVATIONS[activation](y)
+        local = _shared(chain)
+
+    def grad_rows(g):
+        return local(g).reshape(members, -1, m)
+
+    parents = []
+    if isinstance(x, Tensor):
+        parents.append((x, lambda g: np.matmul(grad_rows(g), wd).reshape(xd.shape)))
+    if isinstance(weight, Tensor):
+        parents.append((weight, lambda g: np.matmul(np.swapaxes(grad_rows(g), 1, 2), rows)))
+    if isinstance(bias, Tensor):
+        parents.append((bias, lambda g: grad_rows(g).sum(axis=1)))
     return Tensor(y, _parents=parents)
 
 

@@ -3,9 +3,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from cknet.architectures import Trace, unroll
-from cknet.dynamics import alternating_binomial_row, backward_diff_power, mixed_diff_coefficients
-from cknet.tensor import Tensor
+from cknet import verify
+from cknet.architectures import ForcingFunction, Trace, c1_step, dense_difference_identity_check, unroll
+from cknet.dynamics import (
+    alternating_binomial_row,
+    alternating_binomial_sum,
+    backward_diff_power,
+    binomial_invert,
+    build_ck_matrices,
+    build_dense_matrices,
+    mixed_diff_coefficients,
+)
+from cknet.tensor import Parameter, Tensor
 
 
 def central_difference(fn, arrays, step=1e-6):
@@ -78,3 +87,105 @@ def identity_gap(trajectory, forcing_values, n, dl):
         rhs = sum(c * forcing_values[l - j] for j, c in enumerate(rhs_coeffs)) * dl
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
+
+
+# The verification battery case by case: the reference for ``run_battery``,
+# which checks the cases of a grid point as stacked ensembles.
+
+
+def random_forcing(d, activation, rng, name):
+    """A battery case's forcing map: Glorot-uniform weight, then a bias in [-0.5, 0.5)."""
+    bound = np.sqrt(6.0 / (2 * d))
+    weight = Parameter(rng.uniform(-bound, bound, size=(d, d)), name=f"{name}.weight")
+    bias = Parameter(rng.uniform(-0.5, 0.5, size=d), name=f"{name}.bias")
+    return ForcingFunction(weight, bias, activation)
+
+
+def case_extraction_deviation(xs, states, k):
+    """One case's max gap between its recorded states and the differences of
+    its trajectory, one ``backward_diff_power`` per order; NaN propagates."""
+    padded = np.concatenate([np.repeat(xs[:1], k - 1, axis=0), xs])
+    lagged = [padded[i : i + len(xs)] for i in range(k)]
+    gaps = [np.max(np.abs(states[:, n - 1] - backward_diff_power(lagged, k - 1, n))) for n in range(1, k + 1)]
+    return float(np.max(gaps))
+
+
+def check_case(key, dense_forcing_matrix):
+    """The (check, deviation, detail) outcomes of one grid case, rebuilt from its key."""
+    k, d, depth, i = key
+    rng = verify._case_rng(0xC0FFEE, *key)
+    activation = verify._ACTIVATION_CYCLE[i % len(verify._ACTIVATION_CYCLE)]
+    dl = verify._DL_CYCLE[i % len(verify._DL_CYCLE)]
+    case = f"k={k} d={d} L={depth} dl={dl} act={activation} seed#{i}"
+    fs = [random_forcing(d, activation, rng, f"f{layer}") for layer in range(depth)]
+    x0 = rng.standard_normal(d)
+
+    def trace(family, mode, matrices=None):
+        return Trace.from_layers(unroll(fs, Tensor(x0), family, k, dl, mode, matrices), k, dl)
+
+    def gap(xs, ys):
+        return float(np.max(np.abs(xs - ys)))
+
+    xs_direct = trace("ck", "direct").activations
+    ck_state = trace("ck", "state")
+    xs_state = ck_state.activations
+    outcomes = [
+        ("ck equivalence", gap(xs_direct, xs_state), case),
+        ("ck state extraction", case_extraction_deviation(xs_direct, ck_state.states, k), case),
+    ]
+    matrices = None
+    if dense_forcing_matrix:
+        matrices = (build_dense_matrices(k, d)[0], dense_forcing_matrix(k, d))
+    dense_direct = trace("dense", "direct")
+    dense_state = trace("dense", "state", matrices)
+    xs_dd, forcing_values = dense_direct.activations, dense_direct.forcing
+    xs_ds = dense_state.activations
+    outcomes += [
+        ("dense equivalence", gap(xs_dd, xs_ds), case),
+        ("dense state extraction", case_extraction_deviation(xs_dd, dense_state.states, k), case),
+    ]
+    for n in range(min(k, len(xs_dd) - 1)):
+        ok = dense_difference_identity_check(xs_dd, forcing_values, n, dl, tol=verify._IDENTITY_TOLERANCE)
+        outcomes.append(("dense difference identity", 0.0 if ok else np.inf, f"{case} order n={n}"))
+    if k == 1:
+        same = all(
+            c1_step(f, Tensor(a), dl).data.tobytes() == b.tobytes()
+            for f, a, b in zip(fs, xs_direct, xs_direct[1:])
+        ) and (xs_direct.tobytes() == xs_state.tobytes() == xs_dd.tobytes() == xs_ds.tobytes())
+        outcomes.append(("k=1 collapse", 0.0 if same else np.inf, case))
+    return outcomes
+
+
+def absorb_exact_checks(checks):
+    """The binomial-inversion roundtrip trial by trial, and the exact integer identities."""
+    roundtrip = checks["binomial inversion roundtrip"]
+    rng = np.random.default_rng(np.random.SeedSequence([0xC0FFEE, 99]))
+    for n in range(1, 9):
+        for trial in range(25):
+            states = [rng.standard_normal(4) for _ in range(n)]
+            seq = list(reversed(binomial_invert(states)))
+            dev = max(
+                float(np.max(np.abs(backward_diff_power(seq, n - 1, m) - states[m - 1])))
+                for m in range(1, n + 1)
+            )
+            roundtrip.absorb(dev, f"n={n} trial={trial} (float)")
+        int_states = [rng.integers(-50, 50, size=4) for _ in range(n)]
+        seq = list(reversed(binomial_invert(int_states)))
+        exact = all(np.array_equal(backward_diff_power(seq, n - 1, m), int_states[m - 1]) for m in range(1, n + 1))
+        roundtrip.absorb(0.0 if exact else np.inf, f"n={n} (integer, exactness lost)")
+    for n in range(1, 65):
+        checks["alternating binomial sums"].absorb(abs(alternating_binomial_sum(n)), f"n={n}")
+    for k in range(1, 9):
+        for matrix in (*build_ck_matrices(k, 3), *build_dense_matrices(k, 3)):
+            det = matrix.determinant()
+            checks["unimodular block matrices"].absorb(0.0 if det in (1, -1) else abs(det), f"k={k} det={det}")
+
+
+def reference_battery(orders, widths, depths, seeds, tolerance=1e-9, dense_forcing_matrix=None):
+    """``run_battery``'s results, checking every case on its own in grid order."""
+    checks = verify._new_checks(tolerance)
+    for key in [(k, d, depth, i) for k in orders for d in widths for depth in depths for i in range(seeds)]:
+        for name, deviation, detail in check_case(key, dense_forcing_matrix):
+            checks[name].absorb(deviation, detail)
+    absorb_exact_checks(checks)
+    return list(checks.values())

@@ -39,8 +39,7 @@ from cknet.experiments import (
 )
 from cknet.tensor import Tensor
 from cknet.training import softmax_cross_entropy
-from cknet.verify import _random_forcing
-from helpers import central_difference, extraction_gap, unrolled
+from helpers import central_difference, extraction_gap, random_forcing, unrolled
 
 GRID_ORDERS = (1, 2, 3, 4)
 GRID_WIDTHS = (1, 2, 8)
@@ -63,7 +62,7 @@ def _grid_cases():
                 for i in range(GRID_SEEDS):
                     rng = np.random.default_rng(np.random.SeedSequence([7, k, d, depth, i]))
                     activation = ("tanh", "sigmoid", "leaky_relu")[i % 3]
-                    fs = [_random_forcing(d, activation, rng, f"f{j}") for j in range(depth)]
+                    fs = [random_forcing(d, activation, rng, f"f{j}") for j in range(depth)]
                     x0 = rng.standard_normal(d)
                     yield k, d, depth, i, fs, x0
 

@@ -815,6 +815,20 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+class TestStackedForcing:
+    def test_maps_each_member_of_a_stack(self):
+        f = ForcingFunction(Parameter(np.zeros((4, 3, 3)), "w"), Parameter(np.zeros((4, 3)), "b"), "tanh")
+        assert f(Tensor(np.ones((4, 3)))).shape == (4, 3)
+        assert f(Tensor(np.ones((4, 5, 3)))).shape == (4, 5, 3)
+
+    @pytest.mark.parametrize(
+        "w_shape,b_shape", [((4, 3, 2), (4, 2)), ((4, 3, 3), (3,)), ((4, 3, 3), (5, 3)), ((3, 3), (4, 3))]
+    )
+    def test_rejects_a_stack_that_does_not_match(self, w_shape, b_shape):
+        with pytest.raises(ShapeError):
+            ForcingFunction(Parameter(np.zeros(w_shape), "w"), Parameter(np.zeros(b_shape), "b"), "tanh")
+
+
 class TestConfigValidation:
     def test_bad_family(self):
         with pytest.raises(ValueError):
@@ -827,6 +841,12 @@ class TestConfigValidation:
     def test_bad_dl(self):
         with pytest.raises(ValueError):
             NetworkConfig("ck", 1, 1, 1, 1, 2, dl=0.0)
+
+    @pytest.mark.parametrize("family,k,dl", [("ck", 2, 1e308), ("dense", 3, 1e103), ("ck", 1, np.inf)])
+    def test_dl_whose_kth_power_is_not_finite(self, family, k, dl):
+        with pytest.raises(ValueError, match=r"dl\*\*k overflows"):
+            NetworkConfig(family, k, 1, 1, 1, 2, dl=dl)
+        assert NetworkConfig(family, k, 1, 1, 1, 2, dl=1e102).dl == 1e102
 
     def test_bad_activation(self):
         with pytest.raises(ValueError):

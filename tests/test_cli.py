@@ -48,6 +48,7 @@ INVALID_INVOCATIONS = [
     (["param-count", "-k", "two", "-d", "3"], "-k/--order: expected an integer, got 'two'"),
     (["verify", "--seeds", "0"], "--seeds: must be >= 1, got 0"),
     (["verify", "--orders", "1", "0"], "--orders: must be >= 1, got 0"),
+    (["verify", "--orders", "65"], "--orders: must be <= 64, got 65"),
     (["verify", "--widths", "-2"], "--widths: must be >= 1, got -2"),
     (["verify", "--depths", "0"], "--depths: must be >= 1, got 0"),
     (["verify", "--tolerance=-1e-9"], "--tolerance: must be a finite number >= 0, got -1e-9"),
@@ -64,6 +65,9 @@ INVALID_INVOCATIONS = [
     (["train-toy", "--dl", "0"], "--dl: must be a finite number > 0, got 0"),
     (["train-toy", "--dl", "nan"], "--dl: must be a finite number > 0, got nan"),
     (["compare", "--dl=-1"], "--dl: must be a finite number > 0, got -1"),
+    (["train-toy", "-k", "2", "--dl", "1e308"], "--dl: dl**k overflows for dl=1e+308 and k=2"),
+    (["compare", "--orders", "2", "--dense-orders", "2", "--dl", "1e308"], "--dl: dl**k overflows for dl=1e+308 and k=2"),
+    (["compare", "--orders", "1", "--dl", "1e103"], "--dl: dl**k overflows for dl=1e+103 and k=4"),
     (["train-toy", "--learning-rate=-5"], "--learning-rate: must be a finite number > 0, got -5"),
     (["train-toy", "--learning-rate", "nan"], "--learning-rate: must be a finite number > 0, got nan"),
     (["depth-sweep", "--learning-rate", "0"], "--learning-rate: must be a finite number > 0, got 0"),

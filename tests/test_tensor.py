@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cknet.tensor import (
+    ACTIVATIONS,
     GraphError,
     Parameter,
     ShapeError,
@@ -389,3 +390,60 @@ class TestFusedAffine:
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError, match="unknown activation"):
             affine(Tensor(np.ones(2)), Tensor(np.eye(2)), Tensor(np.zeros(2)), "relu6")
+
+
+class TestStackedAffine:
+    """``affine`` over E maps stacked on a leading member axis."""
+
+    MEMBERS = 5
+
+    @staticmethod
+    def operands(d, batch, members, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((members, d) if batch is None else (members, batch, d))
+        return x, rng.standard_normal((members, d, d)), rng.standard_normal((members, d))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("batch", [None, 32])
+    @pytest.mark.parametrize("activation", [None, "tanh", "sigmoid", "leaky_relu"])
+    def test_each_member_is_bitwise_its_own_affine(self, d, batch, activation):
+        # results of the stacked battery rest on this; a BLAS that breaks it fails here
+        x, w, b = self.operands(d, batch, self.MEMBERS, seed=d)
+        y = affine(Tensor(x), Tensor(w), Tensor(b), activation).data
+        assert y.shape == x.shape
+        for e in range(self.MEMBERS):
+            member = x[e] @ w[e].T + b[e]
+            if activation is not None:
+                member = ACTIVATIONS[activation](member)[0]
+            assert y[e].tobytes() == member.tobytes()
+
+    @pytest.mark.parametrize("activation", [None, "tanh", "sigmoid", "leaky_relu"])
+    @pytest.mark.parametrize("batch", [None, 4])
+    def test_gradients_match_finite_differences(self, activation, batch):
+        x, w, b = self.operands(3, batch, 2, seed=11)
+        weights = np.random.default_rng(12).standard_normal(x.shape)
+        xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
+        (affine(xt, wt, bt, activation) * weights).sum().backward()
+        act = (lambda z: z) if activation is None else (lambda z: ACTIVATIONS[activation](z)[0])
+
+        def loss():
+            rows = x.reshape(2, -1, 3)
+            return float((act(np.matmul(rows, np.swapaxes(w, 1, 2)) + b[:, None, :]).reshape(x.shape) * weights).sum())
+
+        for got, fd in zip((xt.grad, wt.grad, bt.grad), central_difference(loss, [x, w, b])):
+            assert got.shape == fd.shape and gradient_close(got, fd)
+
+    BAD = {
+        "members differ": ((3, 2), (2, 2, 2), (2, 2)),
+        "bias members differ": ((2, 2), (2, 2, 2), (3, 2)),
+        "bias width differs": ((2, 2), (2, 2, 2), (2, 3)),
+        "bias not stacked": ((2, 2), (2, 2, 2), (2,)),
+        "input width differs": ((2, 3), (2, 2, 2), (2, 2)),
+        "input unstacked": ((2,), (2, 2, 2), (2, 2)),
+        "input 4-D": ((2, 1, 1, 2), (2, 2, 2), (2, 2)),
+    }
+
+    @pytest.mark.parametrize("x_shape,w_shape,b_shape", BAD.values(), ids=BAD.keys())
+    def test_mismatched_shapes_rejected(self, x_shape, w_shape, b_shape):
+        with pytest.raises(ShapeError):
+            affine(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))

@@ -1,37 +1,64 @@
-"""The battery's whole-trajectory checks against their per-layer loops,
-its NaN handling, and its cases split across forked workers."""
-import multiprocessing
-import os
-import signal
-import subprocess
-import sys
-from contextlib import contextmanager
-from pathlib import Path
-
+"""The battery's stacked ensembles against each member run on its own, its
+whole-trajectory checks against their per-layer loops, its NaN handling,
+and its results against the case-by-case reference."""
 import numpy as np
 import pytest
 
-from cknet import cli
+from cknet import verify
+from cknet.architectures import ForcingFunction
 from cknet.dynamics import BlockMatrix, build_dense_matrices
+from cknet.tensor import Tensor
 from cknet.verify import (
     CheckResult,
-    WorkerError,
     _extraction_deviation,
     _max_gap,
-    _random_forcing,
     run_battery,
     sign_flipped_dense_forcing,
 )
 from cknet.verify import _trace as trace
-from helpers import extraction_gap
+from helpers import extraction_gap, random_forcing, reference_battery
+
+MEMBERS = 3
 
 
 def case(k, d, batch, seed):
     rng = np.random.default_rng(np.random.SeedSequence([k, d, seed]))
     activation = ("tanh", "sigmoid", "leaky_relu")[seed % 3]
-    fs = [_random_forcing(d, activation, rng, f"f{layer}") for layer in range(7)]
+    fs = [random_forcing(d, activation, rng, f"f{layer}") for layer in range(7)]
     x0 = rng.standard_normal((batch, d) if batch else d)
     return fs, x0
+
+
+def ensemble(k, d, batch, seed):
+    """``MEMBERS`` cases with one activation, each on its own and stacked on
+    a leading member axis."""
+    cases = [case(k, d, batch, seed + 3 * e) for e in range(MEMBERS)]
+    stacked = [
+        ForcingFunction(
+            Tensor(np.stack([fs[layer].weight.data for fs, _ in cases])),
+            Tensor(np.stack([fs[layer].bias.data for fs, _ in cases])),
+            cases[0][0][layer].activation,
+        )
+        for layer in range(7)
+    ]
+    return cases, stacked, np.stack([x0 for _, x0 in cases])
+
+
+FORMS = [("c0", 1), *(("ck", k) for k in (1, 2, 3, 4)), *(("dense", k) for k in (1, 2, 3, 4))]
+
+
+@pytest.mark.parametrize("family,k", FORMS, ids=[f"{f}{k}" for f, k in FORMS])
+@pytest.mark.parametrize("mode", ["direct", "state"])
+@pytest.mark.parametrize("batch", [0, 4])
+def test_stacked_unroll_is_bitwise_each_member(family, k, mode, batch):
+    cases, fs, x0 = ensemble(k, 3, batch, seed=k)
+    stacked = trace(fs, x0, family, k, 0.5, mode)
+    for e, (member_fs, member_x0) in enumerate(cases):
+        alone = trace(member_fs, member_x0, family, k, 0.5, mode)
+        assert stacked.activations[:, e].tobytes() == alone.activations.tobytes()
+        assert stacked.forcing[:, e].tobytes() == alone.forcing.tobytes()
+        if mode == "state":
+            assert stacked.states[:, :, e].tobytes() == alone.states.tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -39,24 +66,31 @@ def case(k, d, batch, seed):
 @pytest.mark.parametrize("batch", [0, 4])
 @pytest.mark.parametrize("faulty", [False, True])
 def test_extraction_deviation_is_bitwise_the_loop(k, d, batch, faulty):
-    fs, x0 = case(k, d, batch, seed=k + d)
+    cases, fs, x0 = ensemble(k, d, batch, seed=k + d)
     matrices = (build_dense_matrices(k, d)[0], sign_flipped_dense_forcing(k, d)) if faulty else None
     for family, dl in (("ck", 0.5), ("dense", 1.0)):
+        dense_matrices = matrices if family == "dense" else None
         xs = trace(fs, x0, family, k, dl, "direct").activations
-        states = trace(fs, x0, family, k, dl, "state", matrices if family == "dense" else None).states
+        states = trace(fs, x0, family, k, dl, "state", dense_matrices).states
         vectorised = _extraction_deviation(xs, states, k)
-        loop = extraction_gap(list(xs), [list(parts) for parts in states], k)
-        assert vectorised.hex() == loop.hex()
-        if faulty and family == "dense":
-            assert loop > 1e-6  # the corrupted matrix is visible to both
+        assert vectorised.shape == (MEMBERS,)
+        for e, (member_fs, member_x0) in enumerate(cases):
+            xs_e = trace(member_fs, member_x0, family, k, dl, "direct").activations
+            states_e = trace(member_fs, member_x0, family, k, dl, "state", dense_matrices).states
+            loop = extraction_gap(list(xs_e), [list(parts) for parts in states_e], k)
+            assert vectorised[e].hex() == loop.hex()
+            if faulty and family == "dense":
+                assert loop > 1e-6  # the corrupted matrix is visible to both
 
 
-def test_max_gap_is_the_largest_layer_gap():
-    fs, x0 = case(3, 3, 4, seed=1)
+def test_max_gap_is_each_members_largest_layer_gap():
+    _, fs, x0 = ensemble(3, 3, 4, seed=1)
     xs = trace(fs, x0, "ck", 3, 0.5, "direct").activations
     ys = trace(fs, x0, "dense", 3, 0.5, "direct").activations
-    loop = max(float(np.max(np.abs(a - b))) for a, b in zip(xs, ys))
-    assert _max_gap(xs, ys).hex() == loop.hex() and loop > 0
+    gaps = _max_gap(xs, ys)
+    for e in range(MEMBERS):
+        loop = max(float(np.max(np.abs(a - b))) for a, b in zip(xs[:, e], ys[:, e]))
+        assert gaps[e].hex() == loop.hex() and loop > 0
 
 
 class TestNaNDeviation:
@@ -82,138 +116,86 @@ class TestNaNDeviation:
         assert (check.max_deviation, check.passed, check.detail) == (np.inf, False, "e")
 
 
-# -- the battery over forked workers ----------------------------------------------
+# -- the stacked battery against the case-by-case reference ------------------------
 
-GRID = dict(orders=(1, 2, 3, 4), widths=(1, 2), depths=(3, 10), seeds=3)
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Give the battery ``n`` CPUs in its affinity mask, whatever the machine has."""
-
-    def set_cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-    return set_cpus
+# 13 seeds: ensembles of 3 and of 2 members at every grid point
+GRID = dict(orders=(1, 2, 3, 4), widths=(1, 2, 8), depths=(3, 10), seeds=13)
 
 
 def fields(results):
     return [(r.name, r.tolerance, r.max_deviation.hex(), r.passed, r.detail) for r in results]
 
 
-def battery_on(cpus, n, **kwargs):
-    cpus(n)
-    results = run_battery(**{**GRID, **kwargs})
-    assert multiprocessing.active_children() == []
-    return fields(results)
-
-
-def nan_dense_forcing(k, d):
+def with_nan(k, d, row, column):
     grid = [list(row) for row in build_dense_matrices(k, d)[1].block]
-    grid[0][0] = float("nan")
+    grid[row][column] = float("nan")
     return BlockMatrix(k, d, tuple(tuple(row) for row in grid))
 
 
 def nan_at_width_two(k, d):
-    return nan_dense_forcing(k, d) if d == 2 else build_dense_matrices(k, d)[1]
+    return with_nan(k, d, 0, 0) if d == 2 else build_dense_matrices(k, d)[1]
+
+
+def nan_in_second_state(k, d):
+    """NaN in q_2 only: no later q_1 reads it, so the activations stay finite."""
+    return with_nan(k, d, 1, 1) if k > 1 else build_dense_matrices(k, d)[1]
 
 
 CASES = {
     "healthy": (None, {}, set()),
     "sign-flip": (sign_flipped_dense_forcing, {}, {"dense equivalence", "dense state extraction", "k=1 collapse"}),
-    # the first NaN is case 3 (k=1 d=2 seed#0), a worker's with 2 CPUs, while
-    # the caller's slice holds later NaN cases: the merge must keep case order
-    "nan-at-width-2": (nan_at_width_two, {"depths": (3,)}, {"dense equivalence", "dense state extraction", "k=1 collapse"}),
+    # the first NaN is k=1 d=2 seed#0, and NaN cases follow in later ensembles
+    "nan-at-width-2": (
+        nan_at_width_two, {"depths": (3,)}, {"dense equivalence", "dense state extraction", "k=1 collapse"}
+    ),
+    "nan-in-second-state": (nan_in_second_state, {"widths": (2,)}, {"dense state extraction"}),
 }
 
 
 @pytest.mark.parametrize("hook,grid,failing", CASES.values(), ids=CASES.keys())
-def test_results_do_not_depend_on_the_worker_count(cpus, hook, grid, failing):
-    serial = battery_on(cpus, 1, dense_forcing_matrix=hook, **grid)
-    assert battery_on(cpus, 2, dense_forcing_matrix=hook, **grid) == serial
-    assert battery_on(cpus, 3, dense_forcing_matrix=hook, **grid) == serial
-    assert {name for name, _, _, passed, _ in serial if not passed} == failing
+def test_stacked_battery_equals_the_per_case_reference(hook, grid, failing):
+    stacked = fields(run_battery(**{**GRID, **grid}, dense_forcing_matrix=hook))
+    assert stacked == fields(reference_battery(**{**GRID, **grid}, dense_forcing_matrix=hook))
+    assert {name for name, _, _, passed, _ in stacked if not passed} == failing
 
 
-def test_a_lambda_hook_reaches_the_workers(cpus):
-    named = battery_on(cpus, 2, dense_forcing_matrix=sign_flipped_dense_forcing)
-    assert battery_on(cpus, 2, dense_forcing_matrix=lambda k, d: sign_flipped_dense_forcing(k, d)) == named
+class NaNStart:
+    """A case generator whose x_0 is NaN; the forcing draws are the real ones."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def uniform(self, *args, **kwargs):
+        return self.rng.uniform(*args, **kwargs)
+
+    def standard_normal(self, size):
+        return np.full(size, np.nan)
 
 
-def test_nan_from_a_worker_survives_the_merge(cpus):
-    caller = os.getpid()
+def test_the_first_failing_case_in_grid_order_is_the_detail(monkeypatch):
+    # seed#1 opens the second ensemble; seed#6, later in grid order, sits in
+    # the first one, which runs first
+    real = verify._case_rng
 
-    def nan_in_workers(k, d):
-        return build_dense_matrices(k, d)[1] if os.getpid() == caller else nan_dense_forcing(k, d)
+    def poisoned(base_seed, *key):
+        rng = real(base_seed, *key)
+        return NaNStart(rng) if key[3] in (1, 6) else rng
 
-    grid = dict(orders=(2,), widths=(2,), depths=(3,), seeds=4)
-    assert all(passed for *_, passed, _ in battery_on(cpus, 1, dense_forcing_matrix=nan_in_workers, **grid))
-    # round-robin: the caller checks seeds #0 and #2, the worker #1 and #3
-    merged = {r[0]: r for r in battery_on(cpus, 2, dense_forcing_matrix=nan_in_workers, **grid)}
-    _, _, deviation, passed, detail = merged["dense equivalence"]
-    assert deviation == "nan" and not passed and detail.endswith("seed#1")
-    assert merged["ck equivalence"][3]
-
-
-def test_verify_prints_the_same_bytes_for_any_worker_count(cpus, capsys):
-    argv = ["verify", "--orders", "1", "3", "--widths", "1", "2", "--depths", "3", "--seeds", "3"]
-    outputs = []
-    for n in (1, 2):
-        cpus(n)
-        for extra in ([], ["--inject-fault", "dense-sign-flip"]):
-            cli.main(argv + extra)
-            outputs.append(capsys.readouterr().out)
-    assert outputs[:2] == outputs[2:] and outputs[0] != outputs[1]
+    monkeypatch.setattr(verify, "_case_rng", poisoned)
+    grid = dict(orders=(2,), widths=(2,), depths=(3,), seeds=8)
+    stacked = fields(run_battery(**grid))
+    assert stacked == fields(reference_battery(**grid))
+    checks = {name: (deviation, passed, detail) for name, _, deviation, passed, detail in stacked}
+    assert checks["ck equivalence"] == ("nan", False, "k=2 d=2 L=3 dl=0.5 act=sigmoid seed#1")
 
 
-def exit_in_workers(k, d):
-    if multiprocessing.parent_process() is not None:
-        os._exit(7)
-    return build_dense_matrices(k, d)[1]
+def test_an_order_above_the_binomial_cap_is_refused_before_any_case_runs():
+    calls = []
 
+    def hook(k, d):
+        calls.append((k, d))
+        return build_dense_matrices(k, d)[1]
 
-@contextmanager
-def deadline(seconds):
-    """Raise TimeoutError in this thread if the block runs longer than ``seconds``."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def test_a_worker_that_dies_raises_a_clear_error(cpus):
-    cpus(2)
-    with deadline(60), pytest.raises(WorkerError, match="worker process ended before returning its cases"):
-        run_battery(**GRID, dense_forcing_matrix=exit_in_workers)
-    assert multiprocessing.active_children() == []
-
-
-def test_verify_reports_a_dead_worker_in_one_line():
-    script = (
-        "import os, sys\n"
-        "from cknet import cli\n"
-        "from test_verify import exit_in_workers\n"
-        "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "cli.sign_flipped_dense_forcing = exit_in_workers\n"
-        "sys.exit(cli.main(['verify', '--seeds', '2', '--inject-fault', 'dense-sign-flip']))\n"
-    )
-    tests = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [proc.stderr.strip()]
-    assert proc.stderr.startswith("error: a verify worker process ended before returning its cases")
+    with pytest.raises(ValueError, match=r"orders must be in \[1, 64\], got \[1, 65\]"):
+        run_battery(orders=(1, 65), widths=(1,), depths=(3,), seeds=1, dense_forcing_matrix=hook)
+    assert calls == []
