@@ -5,17 +5,10 @@ experiments that probe them."""
 
 from .architectures import (
     ForcingFunction,
-    LayerHistory,
     Network,
     NetworkConfig,
-    StateVector,
     c1_step,
-    ck_direct_step,
-    ck_state_step,
     dense_difference_identity_check,
-    dense_direct_step,
-    dense_state_step,
-    initialize_state,
     load_checkpoint,
     parameter_count,
     save_checkpoint,

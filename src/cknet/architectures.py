@@ -29,6 +29,7 @@ import numpy as np
 
 from . import tensor as T
 from .dynamics import (
+    MAX_BINOMIAL_N,
     BlockMatrix,
     alternating_binomial_row,
     build_ck_matrices,
@@ -42,18 +43,11 @@ __all__ = [
     "ForcingFunction",
     "NetworkConfig",
     "check_mesh_step",
-    "LayerHistory",
-    "StateVector",
     "LayerRecord",
     "Trace",
     "unroll",
     "Network",
     "c1_step",
-    "ck_direct_step",
-    "ck_state_step",
-    "initialize_state",
-    "dense_direct_step",
-    "dense_state_step",
     "dense_difference_identity_check",
     "dense_difference_identity_residual",
     "parameter_count",
@@ -71,10 +65,14 @@ def _init_weight(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndar
 class ForcingFunction:
     """Learnable per-layer map act(W x + b) with a square weight matrix, or
     E of them stacked on a leading member axis (see ``affine``), so that one
-    ``unroll`` steps E networks of the same shape at once."""
+    ``unroll`` steps E networks of the same shape at once.
 
-    def __init__(self, weight: Parameter, bias: Parameter, activation: str):
-        if weight.data.ndim not in (2, 3) or weight.shape[-2] != weight.shape[-1]:
+    The weight and bias are ``Parameter``s to train, or numpy arrays for a
+    forward-only map: on array inputs it then returns arrays (see
+    ``affine``), and an ``unroll`` over such maps builds no graph."""
+
+    def __init__(self, weight, bias, activation: str):
+        if len(weight.shape) not in (2, 3) or weight.shape[-2] != weight.shape[-1]:
             raise ShapeError(f"forcing weight must be square, or a stack of square, got {weight.shape}")
         if bias.shape != weight.shape[:-1]:
             raise ShapeError(f"forcing bias shape {bias.shape} does not match {weight.shape}")
@@ -90,8 +88,9 @@ class ForcingFunction:
         bias = Parameter(np.zeros(d), name=f"{name}.bias")
         return cls(weight, bias, activation)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        """One graph node: the fused ``affine`` with this map's activation."""
+    def __call__(self, x):
+        """One graph node, the fused ``affine`` with this map's activation, or
+        its array value when nothing in it is a ``Tensor``."""
         return T.affine(x, self.weight, self.bias, self.activation)
 
     def parameters(self) -> list[Parameter]:
@@ -139,196 +138,21 @@ class NetworkConfig:
             raise ValueError("width and input_dim must be >= 1, num_classes >= 2")
         if not self.dl > 0:
             raise ValueError(f"dl must be positive, got {self.dl}")
+        if self.k > MAX_BINOMIAL_N:
+            raise ValueError(f"order k must be <= {MAX_BINOMIAL_N}, got {self.k}")
         check_mesh_step(self.dl, self.k)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
-class LayerHistory:
-    """Immutable most-recent-first window of the last k activations.
-
-    At layer l the window holds x_l, x_{l-1}, ..., x_{l-k+1}, and
-    ``forcing`` the outputs f_{l-1}(x_{l-1}), ..., f_{l-k}(x_{l-k}) of the
-    layers before it, newest first, with ``None`` where no output is known
-    (the ghost start, or a window built from activations alone). The dense
-    step reuses these outputs instead of evaluating each forcing k times.
-    """
-
-    __slots__ = ("window", "forcing")
-
-    def __init__(self, entries):
-        entries = tuple(entries)
-        if not entries:
-            raise ValueError("LayerHistory cannot be empty")
-        shapes = {e.shape for e in entries}
-        if len(shapes) > 1:
-            raise ShapeError(f"history entries have mixed shapes {sorted(shapes)}")
-        self.window = entries
-        self.forcing = (None,) * len(entries)
-
-    @classmethod
-    def ghost(cls, x0: Tensor, k: int) -> "LayerHistory":
-        """Pre-input window: the initial activation repeated k times."""
-        return cls((x0,) * k)
-
-    def advanced(self, x_next: Tensor, force: Tensor | None = None) -> "LayerHistory":
-        """The next layer's window; ``force`` is the output that produced x_next."""
-        if x_next.shape != self.window[0].shape:
-            raise ShapeError(f"next activation {x_next.shape} does not match window {self.window[0].shape}")
-        out = LayerHistory.__new__(LayerHistory)
-        out.window = (x_next,) + self.window[:-1]
-        out.forcing = (force,) + self.forcing[:-1]
-        return out
-
-    def __len__(self) -> int:
-        return len(self.window)
-
-    def __getitem__(self, i: int) -> Tensor:
-        return self.window[i]
-
-
-@dataclass
-class StateVector:
-    """Stacked difference states q_1..q_k of the equivalent first-order system.
-
-    q_1 is the activation itself and q_n the (n-1)-fold backward difference,
-    so for width-d activations the state lives in k*d dimensions.
-    """
-
-    parts: list[Tensor]
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("StateVector needs at least one part")
-        shapes = {p.shape for p in self.parts}
-        if len(shapes) > 1:
-            raise ShapeError(f"state parts have mixed shapes {sorted(shapes)}")
-
-    @property
-    def order(self) -> int:
-        return len(self.parts)
-
-    @property
-    def width(self) -> int:
-        return self.parts[0].shape[-1]
-
-    @property
-    def embedding_dim(self) -> int:
-        return self.order * self.width
-
-
 # -- single block steps --------------------------------------------------------
 
 
-def c1_step(f: ForcingFunction, x: Tensor, dl: float) -> Tensor:
+def c1_step(f: ForcingFunction, x, dl: float):
     """Residual layer: identity plus a forcing perturbation of size dl."""
     if not dl > 0:
         raise ValueError(f"dl must be positive, got {dl}")
     return x + f(x) * dl
-
-
-def ck_direct_step(f: ForcingFunction, history: LayerHistory, k: int, dl: float) -> Tensor:
-    """Advance the order-k recurrence one layer from its lag window.
-
-    Solves the mixed difference stencil for the leading term:
-    x_next = f(x) * dl^k minus the remaining stencil terms over the k
-    previous activations.
-    """
-    if len(history) < k:
-        raise ValueError(f"order-{k} step needs {k} activations, history has {len(history)}")
-    return _ck_stencil(f(history[0]), history, k, dl)
-
-
-def _ck_stencil(force: Tensor, history: LayerHistory, k: int, dl: float) -> Tensor:
-    coeffs = mixed_diff_coefficients(k)
-    terms = [(dl**k, force)]
-    terms.extend((-coeffs[j], history[j - 1]) for j in range(1, k + 1))
-    return T.linear_combination(terms)
-
-
-def ck_state_step(f: ForcingFunction, q: StateVector, k: int, dl: float) -> StateVector:
-    """Advance the first-order form of the order-k recurrence.
-
-    ``q' = A·q + dl^k·B·u`` over ``build_ck_matrices``: the upper-triangular
-    all-ones transition A (each new state is the suffix sum of the current
-    ones) and the identity coupling B of the shared forcing u_j = f(q_1).
-    """
-    if q.order != k:
-        raise ValueError(f"state vector has {q.order} parts, expected {k}")
-    return _matrix_step("ck", [f], q, dl, *build_ck_matrices(k, q.width))[0]
-
-
-def initialize_state(x0: Tensor, k: int) -> StateVector:
-    """Position set to the input, all higher difference states zero."""
-    if k < 1:
-        raise ValueError(f"order k must be >= 1, got {k}")
-    zeros = [Tensor(np.zeros_like(x0.data)) for _ in range(k - 1)]
-    return StateVector([x0, *zeros])
-
-
-def dense_direct_step(fs, history: LayerHistory, dl: float):
-    """Advance the additive dense recurrence one layer.
-
-    ``fs`` lists the forcing functions of the current layer and its k-1
-    predecessors, newest first, with ``None`` marking pre-input layers that
-    contribute nothing (the growing-window warm-up). A predecessor's output
-    is taken from ``history.forcing`` when the window carries it and
-    evaluated otherwise, so stepping a network from its ghost window
-    evaluates each forcing once. Returns the next activation together with
-    the advanced history, which carries this layer's forcing output.
-    """
-    k = len(history)
-    if len(fs) != k:
-        raise ValueError(f"got {len(fs)} forcing functions for a window of {k}")
-    if not dl > 0:
-        raise ValueError(f"dl must be positive, got {dl}")
-    outs = []
-    for j, f in enumerate(fs):
-        if f is None:
-            outs.append(None)
-        elif j and history.forcing[j - 1] is not None:
-            outs.append(history.forcing[j - 1])
-        else:
-            outs.append(f(history[j]))
-    terms = [(1, history[k - 1])]
-    terms.extend((dl, outs[j]) for j in reversed(range(k)) if outs[j] is not None)
-    out = T.linear_combination(terms)
-    return out, history.advanced(out, outs[0])
-
-
-def dense_state_step(fs, q: StateVector, k: int, dl: float) -> StateVector:
-    """Advance the first-order form of the additive dense recurrence.
-
-    ``q' = A·q + B·u`` over ``build_dense_matrices``: identity transition A
-    and the alternating-binomial forcing matrix B. B is its own inverse, so
-    ``B·q`` is the lag window x_l..x_{l-k+1}, term for term that of
-    ``binomial_invert``; u_j = f_j(lag_j)·dl, and a ``None`` forcing (a
-    pre-input layer) contributes nothing.
-    """
-    if q.order != k:
-        raise ValueError(f"state vector has {q.order} parts, expected {k}")
-    if len(fs) != k:
-        raise ValueError(f"got {len(fs)} forcing functions for order {k}")
-    return _matrix_step("dense", fs, q, dl, *build_dense_matrices(k, q.width))[0]
-
-
-def _matrix_step(family: str, fs, q: StateVector, dl: float, transition, coupling):
-    """``q' = A·q + s·B·u``, one node per part, and the layer's forcing output.
-
-    ck: u_j = f(q_1) for every j, s = dl^k; c0 is the same with A = [[0]],
-    B = [[1]] and s = 1, so q' is f(q_1) itself. dense: u_j = f_j(lag_j)·dl
-    on the lags ``B·q``, s = 1.
-    """
-    if family == "dense":
-        lags = coupling.apply(q.parts)
-        force = fs[0](lags[0])
-        inputs = [force * dl] + [None if f is None else f(lag) * dl for f, lag in zip(fs[1:], lags[1:])]
-        scale = 1
-    else:
-        force = fs[0](q.parts[0])
-        inputs = [force] * q.order
-        scale = dl**q.order if family == "ck" else 1
-    return StateVector(transition.apply(q.parts, coupling, inputs, scale)), force
 
 
 def dense_difference_identity_check(trajectory, forcing_values, n: int, dl: float, tol: float = 1e-10) -> bool:
@@ -398,12 +222,17 @@ class LayerRecord(NamedTuple):
 
     ``x`` is the activation x_l, ``force`` the forcing output
     f_{l-1}(x_{l-1}) that produced it (``None`` at the input), and ``state``
-    the state parts q_l in state mode (``None`` in direct mode).
+    the tuple of state parts q_l in state mode (``None`` in direct mode).
+    Each value is a ``Tensor``, or an array when the unroll built no graph.
     """
 
-    x: Tensor
-    force: Tensor | None
-    state: list[Tensor] | None
+    x: Tensor | np.ndarray
+    force: Tensor | np.ndarray | None
+    state: tuple | None
+
+
+def _value(v) -> np.ndarray:
+    return v.data if isinstance(v, Tensor) else v
 
 
 def _c0_matrices(k: int, d: int) -> tuple[BlockMatrix, BlockMatrix]:
@@ -414,7 +243,7 @@ def _c0_matrices(k: int, d: int) -> tuple[BlockMatrix, BlockMatrix]:
 _MATRICES = {"c0": _c0_matrices, "ck": build_ck_matrices, "dense": build_dense_matrices}
 
 
-def unroll(forcings, x0: Tensor, family: str, k: int, dl: float, mode: str, matrices=None):
+def unroll(forcings, x0, family: str, k: int, dl: float, mode: str, matrices=None):
     """Step ``x0`` through the layers ``forcings``; yield a ``LayerRecord`` per layer.
 
     The first record is the input x_0, then one per forcing function. In
@@ -425,33 +254,46 @@ def unroll(forcings, x0: Tensor, family: str, k: int, dl: float, mode: str, matr
     multi-lag sum, and c0, which has no memory, its matrix step. A layer
     evaluates its own forcing once; direct dense reuses the outputs of the
     layers before it, the dense state form evaluates them on their lags.
+
+    ``x0`` and the forcing maps' weights may be ``Tensor``s or numpy arrays;
+    with arrays only, every value is an array and no graph is built, bitwise
+    the values of the graph path. The lag window and the state parts are
+    tuples: ``lags`` holds x_l, ..., x_{l-k+1} (the ghost start repeats x_0)
+    and ``forced`` f_{l-1}(x_{l-1}), ..., f_{l-k}(x_{l-k}), ``None`` before
+    the input; ``q`` holds q_1..q_k, q_1 = x_0 and the rest zero at the input.
     """
     if mode not in ("direct", "state"):
         raise ValueError(f"unknown mode {mode!r}")
     if family not in _MATRICES:
         raise ValueError(f"unknown family {family!r}")
     direct, state = mode == "direct" and family != "c0", mode == "state"
+    scale = dl**k if family == "ck" else 1
     if direct:
-        history = LayerHistory.ghost(x0, k)
+        lags, forced = (x0,) * k, (None,) * k
+        stencil = [-c for c in mixed_diff_coefficients(k)[1:]]
     else:
-        q = initialize_state(x0, k)
-        transition, coupling = matrices or _MATRICES[family](k, q.width)
-    yield LayerRecord(x0, None, q.parts if state else None)
+        q = (x0,) + (np.zeros(x0.shape),) * (k - 1)
+        transition, coupling = matrices or _MATRICES[family](k, x0.shape[-1])
+    yield LayerRecord(x0, None, q if state else None)
     for layer, f in enumerate(forcings):
-        window = [f]  # the layer's own forcing, then for dense those of the k-1 before it
-        if family == "dense":
-            window += [forcings[layer - j] if layer >= j else None for j in range(1, k)]
-        if not direct:
-            q, force = _matrix_step(family, window, q, dl, transition, coupling)
-            x = q.parts[0]
-        elif family == "ck":
-            force = f(history[0])
-            x = _ck_stencil(force, history, k, dl)
-            history = history.advanced(x)
-        else:
-            x, history = dense_direct_step(window, history, dl)
-            force = history.forcing[0]
-        yield LayerRecord(x, force, q.parts if state else None)
+        if direct:
+            force = f(lags[0])
+            if family == "ck":
+                x = T.linear_combination([(scale, force), *zip(stencil, lags)])
+            else:  # x_{l+1} = x_{l-k+1} + dl·(f_{l-k+1} + ... + f_l), oldest output first
+                forced = (force,) + forced[:-1]
+                x = T.linear_combination([(1, lags[-1]), *((dl, u) for u in reversed(forced) if u is not None)])
+            lags = (x,) + lags[:-1]
+        elif family == "dense":  # u_j = f_{l-j}(lag_j)·dl on the lags B·q, a pre-input layer adds nothing
+            window = [forcings[layer - j] if layer >= j else None for j in range(k)]
+            lagged = coupling.apply(q)
+            force = f(lagged[0])
+            inputs = [force * dl] + [None if g is None else g(lag) * dl for g, lag in zip(window[1:], lagged[1:])]
+            q = tuple(transition.apply(q, coupling, inputs))
+        else:  # ck and c0: u_j = f(q_1) for every j
+            force = f(q[0])
+            q = tuple(transition.apply(q, coupling, (force,) * k, scale))
+        yield LayerRecord(lags[0] if direct else q[0], force, q if state else None)
 
 
 @dataclass
@@ -472,15 +314,16 @@ class Trace:
     @classmethod
     def from_layers(cls, layers, k: int, dl: float) -> "Trace":
         """The values in the ``LayerRecord``s of one ``unroll``, one array per
-        field. ``np.array`` copies a list of equal-shape arrays into one
-        stacked array (like ``np.stack``, at a third of its overhead on the
-        battery's width-1..8 arrays), so the trace keeps no graph array alive."""
+        field; a record may hold ``Tensor``s or arrays. ``np.array`` copies a
+        list of equal-shape arrays into one stacked array (like ``np.stack``,
+        at a third of its overhead on the battery's width-1..8 arrays), so the
+        trace keeps no array of the unroll alive."""
         layers = list(layers)
-        forces = [r.force.data for r in layers[1:]]
+        forces = [_value(r.force) for r in layers[1:]]
         return cls(
-            np.array([r.x.data for r in layers]),
+            np.array([_value(r.x) for r in layers]),
             np.array(forces) if forces else np.empty((0, *layers[0].x.shape)),
-            None if layers[0].state is None else np.array([[p.data for p in r.state] for r in layers]),
+            None if layers[0].state is None else np.array([[_value(p) for p in r.state] for r in layers]),
             k,
             dl,
         )

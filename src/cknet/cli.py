@@ -51,7 +51,8 @@ def finite_float(rule: str, ok):
     return _argument_type(float, "a number", (f"a finite number {rule}", lambda v: ok(v) and v < math.inf))
 
 
-positive_int = int_at_least(1)  # orders, widths, depths, counts
+positive_int = int_at_least(1)  # widths, depths, counts
+order = int_at_least(1, MAX_BINOMIAL_N)  # recurrence orders: their binomials are capped
 non_negative_float = finite_float(">= 0", lambda value: value >= 0)  # tolerances
 positive_float = finite_float("> 0", lambda value: value > 0)  # mesh steps, learning rates
 
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the cross-form equivalence and identity checks")
-    p.add_argument("--orders", type=int_at_least(1, MAX_BINOMIAL_N), nargs="+", default=[1, 2, 3, 4])
+    p.add_argument("--orders", type=order, nargs="+", default=[1, 2, 3, 4])
     p.add_argument("--widths", type=positive_int, nargs="+", default=[1, 2, 8])
     p.add_argument("--depths", type=positive_int, nargs="+", default=[3, 10])
     p.add_argument("--seeds", type=positive_int, default=50, help="random cases per grid point")
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("train-toy", help="single-node separability experiment on the 1-D toy set")
-    p.add_argument("-k", "--order", type=positive_int, default=2)
+    p.add_argument("-k", "--order", type=order, default=2)
     p.add_argument("-L", "--depth", type=int_at_least(0), default=16)
     p.add_argument("--dl", type=positive_float, default=0.2)
     p.add_argument("--seed", type=int, default=0, help="base seed; runs use seed..seed+seeds-1")
@@ -99,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_depth_sweep)
 
     p = sub.add_parser("compare", help="train every architecture family/order under one configuration")
-    p.add_argument("--orders", type=positive_int, nargs="+", default=[1, 2, 3, 4])
-    p.add_argument("--dense-orders", type=positive_int, nargs="+", default=[2, 3, 4])
+    p.add_argument("--orders", type=order, nargs="+", default=[1, 2, 3, 4])
+    p.add_argument("--dense-orders", type=order, nargs="+", default=[2, 3, 4])
     p.add_argument("-L", "--depth", type=int_at_least(0), default=6)
     p.add_argument("-d", "--width", type=positive_int, default=64)
     p.add_argument("--dl", type=positive_float, default=0.5)

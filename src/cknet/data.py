@@ -280,12 +280,18 @@ def synthetic_digits(
 
     labels = np.tile(np.arange(num_classes), n // num_classes + 1)[:n]
     labels = labels[rng.permutation(n)]
-    inputs = np.empty((n, side * side))
     shifts = rng.integers(-max_shift, max_shift + 1, size=(n, 2))
-    pixel_noise = rng.standard_normal((n, side, side)) * noise
-    for i in range(n):
-        image = np.roll(prototypes[labels[i]], tuple(shifts[i]), axis=(0, 1))
-        inputs[i] = np.clip(image + pixel_noise[i], 0.0, 1.0).reshape(-1)
+    # every shifted copy of every prototype once, [class, row shift, column
+    # shift], then one gather; the copies go before the noise is drawn, so
+    # at most two n-by-pixels arrays are alive at once
+    offsets = range(-max_shift, max_shift + 1)
+    shifted = np.array([[[np.roll(p, (dy, dx), axis=(0, 1)) for dx in offsets] for dy in offsets] for p in prototypes])
+    inputs = shifted[labels, shifts[:, 0] + max_shift, shifts[:, 1] + max_shift].reshape(n, side * side)
+    del shifted
+    pixel_noise = rng.standard_normal((n, side * side))
+    pixel_noise *= noise
+    inputs += pixel_noise
+    np.clip(inputs, 0.0, 1.0, out=inputs)
     return Dataset(inputs, labels.astype(np.int64), num_classes=num_classes)
 
 

@@ -55,7 +55,7 @@ class PerturbationRecord:
 
     layer: int
     ratio: float
-    skipped: int  # samples excluded for a zero-norm activation
+    skipped: int  # samples excluded for a zero-norm activation or a non-finite norm
 
     def __post_init__(self):
         if self.ratio < 0:
@@ -63,24 +63,36 @@ class PerturbationRecord:
 
 
 def measure_perturbation(network: Network, inputs: np.ndarray) -> list[PerturbationRecord]:
-    """Layer-wise residual perturbation ratios of an order-1 network."""
+    """Layer-wise residual perturbation ratios of an order-1 network.
+
+    A sample whose activation has zero norm, or whose activation or
+    perturbation f(x)·dl has a non-finite norm (a NaN, or a forward pass
+    that overflowed), is skipped at that layer and counted. A layer where
+    every sample is skipped raises ``ValueError`` naming it.
+    """
     if network.config.k != 1:
         raise ValueError(
             f"perturbation ratios are defined for residual (k=1) networks, got k={network.config.k}"
         )
-    _, trace = network.forward(inputs, mode="direct", record=True)
     dl = network.config.dl
     records = []
-    for layer in range(len(trace.forcing)):
-        x = np.atleast_2d(trace.activations[layer])
-        f = np.atleast_2d(trace.forcing[layer])
-        x_norm = np.linalg.norm(x, axis=1)
-        f_norm = np.linalg.norm(f * dl, axis=1)
-        keep = x_norm > 0.0
-        if not np.any(keep):
-            raise ValueError(f"all activations at layer {layer} have zero norm")
-        ratio = float((f_norm[keep] / x_norm[keep]).mean())
-        records.append(PerturbationRecord(layer, ratio, int((~keep).sum())))
+    # an overflow is reported once, by layer, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, trace = network.forward(inputs, mode="direct", record=True)
+        for layer in range(len(trace.forcing)):
+            x = np.atleast_2d(trace.activations[layer])
+            f = np.atleast_2d(trace.forcing[layer])
+            x_norm = np.linalg.norm(x, axis=1)
+            f_norm = np.linalg.norm(f * dl, axis=1)
+            finite = np.isfinite(x_norm) & np.isfinite(f_norm)
+            keep = finite & (x_norm > 0.0)
+            if not np.any(keep):
+                raise ValueError(
+                    f"all activations at layer {layer} have zero norm" if np.all(finite)
+                    else f"activations or forcing at layer {layer} have non-finite norms (dl={dl})"
+                )
+            ratio = float((f_norm[keep] / x_norm[keep]).mean())
+            records.append(PerturbationRecord(layer, ratio, int((~keep).sum())))
     return records
 
 

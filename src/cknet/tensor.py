@@ -16,10 +16,13 @@ of one shape step as a single ensemble.
 
 Only ``Tensor`` operands are graph nodes. A Python scalar or a numpy array
 given to ``+``, ``-``, ``*``, ``affine`` or as a ``linear_combination``
-coefficient is a constant: it gets no parent edge, no pullback and no
-gradient, so the input batch, the mesh-step powers and the integer stencil
-coefficients cost nothing in ``backward``. Wrap a value in ``Tensor`` to
-differentiate with respect to it.
+coefficient or term is a constant: it gets no parent edge, no pullback and
+no gradient, so the input batch, the mesh-step powers and the integer
+stencil coefficients cost nothing in ``backward``. ``affine`` and
+``linear_combination`` fold constants: with no ``Tensor`` operand they
+return the plain ``np.ndarray`` value, bitwise the ``.data`` the graph path
+gives, so a forward pass over arrays builds no graph at all. Wrap a value
+in ``Tensor`` to differentiate with respect to it.
 
 Everything is float64; the equivalence checks elsewhere in the package rely
 on tight tolerances, so there is deliberately no dtype flexibility.
@@ -304,6 +307,10 @@ def _value(operand) -> np.ndarray:
     return operand.data if isinstance(operand, Tensor) else _as_array(operand)
 
 
+def _any_node(*operands) -> bool:
+    return any(isinstance(operand, Tensor) for operand in operands)
+
+
 def _shared(chain):
     """``chain`` as a pullback evaluated once per gradient, for the edges that
     share it (the engine hands every edge of a node the same ``grad``)."""
@@ -317,7 +324,7 @@ def _shared(chain):
     return pull
 
 
-def affine(x, weight, bias, activation: str | None = None) -> Tensor:
+def affine(x, weight, bias, activation: str | None = None):
     """``act(x @ weight.T + bias)`` for x of shape [n] or [batch, n], as one node.
 
     weight is [m, n] and bias [m]; the bias is broadcast across the batch
@@ -326,7 +333,8 @@ def affine(x, weight, bias, activation: str | None = None) -> Tensor:
     forms g·act'(z) once and feeds the x, weight and bias contributions from
     it, so values and gradients are bitwise those of ``affine`` followed by
     the activation op. Any operand that is not a ``Tensor`` is a constant
-    and gets no gradient.
+    and gets no gradient; with no ``Tensor`` operand the value comes back as
+    an ``np.ndarray``, with no node.
 
     A stack of E maps has a leading member axis: weight [E, m, n], bias
     [E, m] and x [E, n] or [E, batch, n]. Member e is
@@ -349,6 +357,8 @@ def affine(x, weight, bias, activation: str | None = None) -> Tensor:
     if activation is not None:
         y, chain = ACTIVATIONS[activation](y)
         local = _shared(chain)
+    if not _any_node(x, weight, bias):
+        return y
     parents = []
     if isinstance(x, Tensor):
         parents.append((x, lambda g: local(g) @ wd))
@@ -362,7 +372,7 @@ def affine(x, weight, bias, activation: str | None = None) -> Tensor:
     return Tensor(y, _parents=parents)
 
 
-def _stacked_affine(x, weight, bias, xd, wd, bd, activation) -> Tensor:
+def _stacked_affine(x, weight, bias, xd, wd, bd, activation):
     """``affine`` over E maps stacked on axis 0, as one ``np.matmul`` over
     [E, rows, width]: an unbatched member is a batch of one row."""
     members, m, n = wd.shape
@@ -376,6 +386,8 @@ def _stacked_affine(x, weight, bias, xd, wd, bd, activation) -> Tensor:
     if activation is not None:
         y, chain = ACTIVATIONS[activation](y)
         local = _shared(chain)
+    if not _any_node(x, weight, bias):
+        return y
 
     def grad_rows(g):
         return local(g).reshape(members, -1, m)
@@ -390,14 +402,16 @@ def _stacked_affine(x, weight, bias, xd, wd, bd, activation) -> Tensor:
     return Tensor(y, _parents=parents)
 
 
-def linear_combination(terms) -> Tensor:
-    """``c_0*t_0 + c_1*t_1 + ...`` over (coefficient, tensor) pairs, as one node.
+def linear_combination(terms):
+    """``c_0*t_0 + c_1*t_1 + ...`` over (coefficient, term) pairs, as one node.
 
     The terms are summed left to right, and a term whose coefficient is 1
     is added without a multiply, so the value is bitwise that of chaining
     ``+`` and constant ``*`` in the same order. Coefficients are constants;
-    every tensor must have the same shape. A single term with coefficient 1
-    returns its tensor unchanged.
+    every term must have the same shape. A term is a ``Tensor`` or a numpy
+    array; only the ``Tensor`` terms get an edge, and with none the value
+    comes back as an ``np.ndarray``. A single term with coefficient 1
+    returns its term unchanged.
     """
     terms = list(terms)
     if not terms:
@@ -410,7 +424,9 @@ def linear_combination(terms) -> Tensor:
     for c, t in terms:
         if t.shape != shape:
             raise ShapeError(f"linear_combination: shapes {shape} and {t.shape} differ")
-        term = t.data if c == 1 else c * t.data
+        data = _value(t)
+        term = data if c == 1 else c * data
         value = term if value is None else value + term
-        parents.append((t, _passed if c == 1 else _scaled(c)))
-    return Tensor(value, _parents=parents)
+        if isinstance(t, Tensor):
+            parents.append((t, _passed if c == 1 else _scaled(c)))
+    return Tensor(value, _parents=parents) if parents else value

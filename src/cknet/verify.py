@@ -36,7 +36,6 @@ from .dynamics import (
     build_ck_matrices,
     build_dense_matrices,
 )
-from .tensor import Tensor
 
 __all__ = ["CheckResult", "run_battery", "sign_flipped_dense_forcing"]
 
@@ -87,7 +86,7 @@ def _new_checks(tolerance: float) -> dict[str, CheckResult]:
 
 
 def _trace(fs, x0: np.ndarray, family: str, k: int, dl: float, mode: str, matrices=None) -> Trace:
-    return Trace.from_layers(unroll(fs, Tensor(x0), family, k, dl, mode, matrices), k, dl)
+    return Trace.from_layers(unroll(fs, x0, family, k, dl, mode, matrices), k, dl)
 
 
 def sign_flipped_dense_forcing(k: int, d: int) -> BlockMatrix:
@@ -140,18 +139,22 @@ def _check_group(k: int, d: int, depth: int, seeds, dense_forcing_matrix) -> lis
     for i in ``seeds``, which share an activation and dl, from one ensemble."""
     activation = _ACTIVATION_CYCLE[seeds[0] % len(_ACTIVATION_CYCLE)]
     dl = _DL_CYCLE[seeds[0] % len(_DL_CYCLE)]
-    # member e draws from its case's generator in the per-case order:
-    # every layer's weight, then its bias, then x_0
+    # member e draws from its case's generator in the per-case order: every
+    # layer's weight in [-bound, bound), then its bias in [-0.5, 0.5), then
+    # x_0. ``uniform(low, high)`` is ``low + (high - low)·u`` for the next
+    # unit draw u, so one unit draw for all layers, scaled slice by slice,
+    # is bitwise the per-layer draws.
     bound = np.sqrt(6.0 / (2 * d))
     weights, biases = np.empty((depth, len(seeds), d, d)), np.empty((depth, len(seeds), d))
     x0 = np.empty((len(seeds), d))
     for e, i in enumerate(seeds):
         rng = _case_rng(0xC0FFEE, k, d, depth, i)
-        for layer in range(depth):
-            weights[layer, e] = rng.uniform(-bound, bound, size=(d, d))
-            biases[layer, e] = rng.uniform(-0.5, 0.5, size=d)
+        u = rng.uniform(size=(depth, d * d + d))
+        weights[:, e] = (-bound + (bound - -bound) * u[:, : d * d]).reshape(depth, d, d)
+        biases[:, e] = -0.5 + (0.5 - -0.5) * u[:, d * d :]
         x0[e] = rng.standard_normal(d)
-    fs = [ForcingFunction(Tensor(w), Tensor(b), activation) for w, b in zip(weights, biases)]
+    # arrays, not Tensors: every check is forward-only, so no graph is built
+    fs = [ForcingFunction(w, b, activation) for w, b in zip(weights, biases)]
 
     matrices = None
     if dense_forcing_matrix:
@@ -173,7 +176,7 @@ def _check_group(k: int, d: int, depth: int, seeds, dense_forcing_matrix) -> lis
     if k == 1:
         # every residual step x + f(x)·dl from the same x_0, so the whole
         # residual trajectory, and every form's trajectory, bitwise
-        residual = np.array([xs[0], *(c1_step(f, Tensor(x), dl).data for f, x in zip(fs, xs))])
+        residual = np.array([xs[0], *(c1_step(f, x, dl) for f, x in zip(fs, xs))])
         trajectories = (residual, ck_state.activations, dense.activations, dense_state.activations)
         differ = np.any([_member_max(ys.view(np.int64) != xs.view(np.int64)) for ys in trajectories], axis=0)
         rows.append(("k=1 collapse", np.where(differ, np.inf, 0.0), ""))

@@ -14,7 +14,7 @@ from cknet.dynamics import (
     build_dense_matrices,
     mixed_diff_coefficients,
 )
-from cknet.tensor import Parameter, Tensor
+from cknet.tensor import Parameter, Tensor, linear_combination
 
 
 def central_difference(fn, arrays, step=1e-6):
@@ -59,6 +59,124 @@ def unrolled(fs, x0, family, k, dl, mode):
     trace = Trace.from_layers(unroll(fs, Tensor(x0), family, k, dl, mode), k, dl)
     states = None if trace.states is None else [list(parts) for parts in trace.states]
     return list(trace.activations), list(trace.forcing), states
+
+
+# Single-layer steps from an arbitrary lag window or state: references for
+# ``unroll``, which carries the window and the state as tuples.
+
+
+class LayerHistory:
+    """Immutable most-recent-first window of the last k activations.
+
+    At layer l the window holds x_l, x_{l-1}, ..., x_{l-k+1}, and
+    ``forcing`` the outputs f_{l-1}(x_{l-1}), ..., f_{l-k}(x_{l-k}) of the
+    layers before it, newest first, with ``None`` where no output is known
+    (the ghost start, or a window built from activations alone).
+    """
+
+    def __init__(self, entries):
+        self.window = tuple(entries)
+        self.forcing = (None,) * len(self.window)
+
+    @classmethod
+    def ghost(cls, x0, k):
+        """Pre-input window: the initial activation repeated k times."""
+        return cls((x0,) * k)
+
+    def advanced(self, x_next, force=None):
+        """The next layer's window; ``force`` is the output that produced x_next."""
+        out = LayerHistory((x_next,) + self.window[:-1])
+        out.forcing = (force,) + self.forcing[:-1]
+        return out
+
+    def __len__(self):
+        return len(self.window)
+
+    def __getitem__(self, i):
+        return self.window[i]
+
+
+class StateVector:
+    """Stacked difference states q_1..q_k of the equivalent first-order system."""
+
+    def __init__(self, parts):
+        self.parts = list(parts)
+
+    @property
+    def order(self):
+        return len(self.parts)
+
+    @property
+    def width(self):
+        return self.parts[0].shape[-1]
+
+    @property
+    def embedding_dim(self):
+        return self.order * self.width
+
+
+def initialize_state(x0, k):
+    """Position set to the input, all higher difference states zero."""
+    return StateVector([x0, *(Tensor(np.zeros_like(x0.data)) for _ in range(k - 1))])
+
+
+def ck_direct_step(f, history, k, dl):
+    """x_next = f(x)·dl^k minus the remaining stencil terms over the k
+    previous activations, as one ``linear_combination``."""
+    if len(history) < k:
+        raise ValueError(f"order-{k} step needs {k} activations, history has {len(history)}")
+    coeffs = mixed_diff_coefficients(k)
+    terms = [(dl**k, f(history[0]))]
+    terms.extend((-coeffs[j], history[j - 1]) for j in range(1, k + 1))
+    return linear_combination(terms)
+
+
+def ck_state_step(f, q, k, dl):
+    """``q' = A·q + dl^k·B·u`` over ``build_ck_matrices``, u_j = f(q_1)."""
+    if q.order != k:
+        raise ValueError(f"state vector has {q.order} parts, expected {k}")
+    transition, coupling = build_ck_matrices(k, q.width)
+    force = f(q.parts[0])
+    return StateVector(transition.apply(q.parts, coupling, [force] * k, dl**k))
+
+
+def dense_direct_step(fs, history, dl):
+    """The additive dense recurrence one layer on; returns the next activation
+    and the advanced history, which carries this layer's forcing output.
+
+    ``fs`` lists the forcing functions of the current layer and its k-1
+    predecessors, newest first, ``None`` for pre-input layers. A
+    predecessor's output comes from ``history.forcing`` when the window
+    carries it and is evaluated otherwise.
+    """
+    k = len(history)
+    if len(fs) != k:
+        raise ValueError(f"got {len(fs)} forcing functions for a window of {k}")
+    outs = []
+    for j, f in enumerate(fs):
+        if f is None:
+            outs.append(None)
+        elif j and history.forcing[j - 1] is not None:
+            outs.append(history.forcing[j - 1])
+        else:
+            outs.append(f(history[j]))
+    terms = [(1, history[k - 1])]
+    terms.extend((dl, outs[j]) for j in reversed(range(k)) if outs[j] is not None)
+    out = linear_combination(terms)
+    return out, history.advanced(out, outs[0])
+
+
+def dense_state_step(fs, q, k, dl):
+    """``q' = A·q + B·u`` over ``build_dense_matrices``, u_j = f_j(lag_j)·dl on
+    the lags ``B·q``; a ``None`` forcing (a pre-input layer) adds nothing."""
+    if q.order != k:
+        raise ValueError(f"state vector has {q.order} parts, expected {k}")
+    if len(fs) != k:
+        raise ValueError(f"got {len(fs)} forcing functions for order {k}")
+    transition, coupling = build_dense_matrices(k, q.width)
+    lags = coupling.apply(q.parts)
+    inputs = [None if f is None else f(lag) * dl for f, lag in zip(fs, lags)]
+    return StateVector(transition.apply(q.parts, coupling, inputs))
 
 
 # Per-layer loop references for the whole-trajectory checks in ``cknet``.

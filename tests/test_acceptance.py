@@ -14,9 +14,10 @@ import pytest
 from cknet.architectures import (
     Network,
     NetworkConfig,
+    Trace,
     c1_step,
     dense_difference_identity_check,
-    initialize_state,
+    unroll,
     weight_matrix_ratio,
 )
 from cknet.data import (
@@ -183,7 +184,7 @@ def test_criterion_5_parameter_ratio_and_embedding_dimension():
         for d in (1, 2, 8, 64)
     )
     embed_ok = all(
-        initialize_state(Tensor(np.zeros(d)), k).embedding_dim == k * d
+        Trace.from_layers(unroll([], np.zeros(d), "ck", k, 1.0, "state"), k, 1.0).states[0].size == k * d
         for k in range(1, 9)
         for d in (1, 2, 8)
     )

@@ -8,18 +8,11 @@ from hypothesis import strategies as st
 
 from cknet.architectures import (
     ForcingFunction,
-    LayerHistory,
     Network,
     NetworkConfig,
-    StateVector,
     Trace,
     c1_step,
-    ck_direct_step,
-    ck_state_step,
     dense_difference_identity_check,
-    dense_direct_step,
-    dense_state_step,
-    initialize_state,
     load_checkpoint,
     parameter_count,
     save_checkpoint,
@@ -29,7 +22,19 @@ from cknet.architectures import (
 from cknet.dynamics import backward_diff_power, build_ck_matrices
 from cknet.tensor import Parameter, ShapeError, Tensor, affine
 from cknet.training import softmax_cross_entropy
-from helpers import central_difference, gradient_close, identity_gap, unrolled
+from helpers import (
+    LayerHistory,
+    StateVector,
+    central_difference,
+    ck_direct_step,
+    ck_state_step,
+    dense_direct_step,
+    dense_state_step,
+    gradient_close,
+    identity_gap,
+    initialize_state,
+    unrolled,
+)
 
 
 def make_forcing(d, weight, bias, activation="tanh"):
@@ -58,9 +63,14 @@ def random_forcing(d, seed, activation="tanh"):
     )
 
 
+def one_layer(f, x, family, k, dl, mode="direct"):
+    """The layer after the input ``x`` (ghost start), as ``unroll`` steps it."""
+    return list(unroll([f], x, family, k, dl, mode))[-1].x
+
+
 def c0_step(f, x):
     """One plain (c0) layer, as ``unroll`` steps it."""
-    return list(unroll([f], x, "c0", 1, 1.0, "direct"))[-1].x
+    return one_layer(f, x, "c0", 1, 1.0)
 
 
 class TestSingleSteps:
@@ -95,7 +105,7 @@ class TestSingleSteps:
         f = random_forcing(2, seed=3)
         x = Tensor(np.array([0.7, -0.2]))
         via_c1 = c1_step(f, x, dl=0.3)
-        via_ck = ck_direct_step(f, LayerHistory.ghost(x, 1), 1, dl=0.3)
+        via_ck = one_layer(f, x, "ck", 1, dl=0.3)
         assert via_c1.data.tobytes() == via_ck.data.tobytes()
 
     def test_ck_direct_free_motion_extrapolates(self):
@@ -174,7 +184,7 @@ class TestDenseSteps:
         f = random_forcing(3, seed=5)
         x = Tensor(np.array([0.2, -0.8, 1.1]))
         via_c1 = c1_step(f, x, dl=0.7)
-        via_dense, _ = dense_direct_step([f], LayerHistory.ghost(x, 1), dl=0.7)
+        via_dense = one_layer(f, x, "dense", 1, dl=0.7)
         assert via_c1.data.tobytes() == via_dense.data.tobytes()
 
     def test_zero_forcing_is_pure_lag_copy(self):
@@ -192,9 +202,8 @@ class TestDenseSteps:
     def test_state_order_one_matches_residual(self):
         f = random_forcing(2, seed=6)
         x = Tensor(np.array([0.4, 0.9]))
-        q = initialize_state(x, 1)
-        stepped = dense_state_step([f], q, 1, dl=0.25)
-        assert stepped.parts[0].data.tobytes() == c1_step(f, x, 0.25).data.tobytes()
+        stepped = one_layer(f, x, "dense", 1, dl=0.25, mode="state")
+        assert stepped.data.tobytes() == c1_step(f, x, 0.25).data.tobytes()
 
     def test_state_order_two_velocity_gets_forcing_difference(self):
         f0, f1 = random_forcing(2, seed=7), random_forcing(2, seed=8)
@@ -439,10 +448,10 @@ class TestScaling:
         # zero history isolates the forcing term; powers of two keep float
         # multiplication exact, so the s^k scaling law holds bitwise
         f = random_forcing(3, seed=99)
-        history = LayerHistory.ghost(Tensor(np.zeros(3)), k)
+        x = Tensor(np.zeros(3))
         dl, s = 0.25, 2.0
-        small = ck_direct_step(f, history, k, dl).data
-        large = ck_direct_step(f, history, k, s * dl).data
+        small = one_layer(f, x, "ck", k, dl).data
+        large = one_layer(f, x, "ck", k, s * dl).data
         assert np.array_equal(large, s**k * small)
 
 
@@ -522,7 +531,7 @@ class TestFusedSteps:
     def test_order_two_layer_is_two_nodes(self):
         f = random_forcing(2, seed=1)
         x = Tensor(np.ones(2))
-        out = ck_direct_step(f, LayerHistory.ghost(x, 2), 2, 0.5)
+        out = one_layer(f, x, "ck", 2, 0.5)
         # the fused stencil node and the fused forcing node act(Wx+b): no
         # coefficient, dl**k or separate activation node in between
         assert [p for p, _ in out._parents][1:] == [x, x]
@@ -623,6 +632,65 @@ class TestRecordedTrace:
         graph += [p.data for r in layers for p in r.state]
         for field in (trace.activations, trace.forcing, trace.states):
             assert not any(np.shares_memory(field, a) for a in graph)
+
+
+FORMS = [("c0", 1), *(("ck", k) for k in (1, 2, 3, 4)), *(("dense", k) for k in (1, 2, 3, 4))]
+
+
+class TestGraphFreeUnroll:
+    """``unroll`` over arrays builds no graph and gives the graph path's values."""
+
+    @staticmethod
+    def forcings(depth, lead, seed):
+        rng = np.random.default_rng(seed)
+        return [
+            ForcingFunction(rng.uniform(-1, 1, size=(*lead, 3, 3)), rng.uniform(-0.5, 0.5, size=(*lead, 3)), act)
+            for act in ("tanh", "sigmoid", "leaky_relu", "tanh", "sigmoid")[:depth]
+        ]
+
+    @pytest.mark.parametrize("family,k", FORMS, ids=[f"{f}{k}" for f, k in FORMS])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    @pytest.mark.parametrize("lead,x_shape", [((), (3,)), ((), (4, 3)), ((2,), (2, 3)), ((2,), (2, 4, 3))],
+                             ids=["vector", "batch", "stacked", "stacked-batch"])
+    @pytest.mark.parametrize("depth", [0, 5])
+    def test_arrays_give_the_tensor_values_bitwise(self, family, k, mode, lead, x_shape, depth):
+        fs = self.forcings(depth, lead, seed=k)
+        x0 = np.random.default_rng(depth).standard_normal(x_shape)
+        layers = list(unroll(fs, x0, family, k, 0.5, mode))
+        values = [r.x for r in layers] + [r.force for r in layers[1:]]
+        values += [p for r in layers for p in r.state or ()]
+        assert all(type(v) is np.ndarray for v in values)
+        graph_fs = [ForcingFunction(Tensor(f.weight), Tensor(f.bias), f.activation) for f in fs]
+        folded = Trace.from_layers(layers, k, 0.5)
+        graph = Trace.from_layers(unroll(graph_fs, Tensor(x0), family, k, 0.5, mode), k, 0.5)
+        assert folded.activations.tobytes() == graph.activations.tobytes()
+        assert folded.forcing.shape == graph.forcing.shape
+        assert folded.forcing.tobytes() == graph.forcing.tobytes()
+        if mode == "state":
+            assert folded.states.shape == (depth + 1, k, *x_shape)
+            assert folded.states.tobytes() == graph.states.tobytes()
+        else:
+            assert folded.states is graph.states is None
+
+    @pytest.mark.parametrize("family,k", [("ck", 3), ("dense", 3)])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    def test_step_references_give_the_unroll_values_bitwise(self, family, k, mode):
+        fs = [random_forcing(3, seed=50 + i) for i in range(6)]
+        x0 = Tensor(np.random.default_rng(k).standard_normal((2, 3)))
+        xs = [r.x.data for r in unroll(fs, x0, family, k, 0.5, mode)]
+        history, q, expected = LayerHistory.ghost(x0, k), initialize_state(x0, k), [x0.data]
+        for layer, f in enumerate(fs):
+            window = [fs[layer - j] if layer >= j else None for j in range(k)]
+            if mode == "state":
+                q = ck_state_step(f, q, k, 0.5) if family == "ck" else dense_state_step(window, q, k, 0.5)
+                expected.append(q.parts[0].data)
+            elif family == "ck":
+                history = history.advanced(ck_direct_step(f, history, k, 0.5))
+                expected.append(history[0].data)
+            else:
+                history = dense_direct_step(window, history, 0.5)[1]
+                expected.append(history[0].data)
+        assert [x.tobytes() for x in xs] == [x.tobytes() for x in expected]
 
 
 class TestForcingEvaluatedOnce:
@@ -837,6 +905,12 @@ class TestConfigValidation:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             NetworkConfig("ck", 0, 1, 1, 1, 2)
+
+    @pytest.mark.parametrize("family", ["ck", "dense"])
+    def test_order_above_the_binomial_cap(self, family):
+        with pytest.raises(ValueError, match="order k must be <= 64, got 65"):
+            NetworkConfig(family, 65, 1, 1, 1, 2)
+        assert NetworkConfig(family, 64, 1, 1, 1, 2).k == 64
 
     def test_bad_dl(self):
         with pytest.raises(ValueError):

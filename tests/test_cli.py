@@ -54,6 +54,9 @@ INVALID_INVOCATIONS = [
     (["verify", "--tolerance=-1e-9"], "--tolerance: must be a finite number >= 0, got -1e-9"),
     (["verify", "--tolerance", "nan"], "--tolerance: must be a finite number >= 0, got nan"),
     (["train-toy", "-k", "0"], "-k/--order: must be >= 1, got 0"),
+    (["train-toy", "-k", "65"], "-k/--order: must be <= 64, got 65"),
+    (["compare", "--orders", "1", "65"], "--orders: must be <= 64, got 65"),
+    (["compare", "--dense-orders", "65"], "--dense-orders: must be <= 64, got 65"),
     (["compare", "--dense-orders", "0"], "--dense-orders: must be >= 1, got 0"),
     (["compare", "--samples", "5"], "--samples: must be >= 10, got 5"),
     (["depth-sweep", "--samples", "5"], "--samples: must be >= 10, got 5"),
@@ -202,6 +205,16 @@ class TestDepthSweepCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert "fetch-mnist" in err
+
+    def test_overflowing_forward_pass_is_one_error_line_without_warnings(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cknet", "depth-sweep", "--dl", "1e308", "--depths", "2", "4", "6",
+             "--samples", "20", "--epochs", "0", "--repetitions", "1", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: activations or forcing at layer 0 have non-finite norms (dl=1e+308)\n"
 
     def test_tiny_synthetic_sweep_writes_artifacts(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("CK_DATA_DIR", raising=False)

@@ -183,7 +183,47 @@ class TestSplit:
             split(ds, 1.5, seed=0)
 
 
+def per_sample_synthetic_digits(n, seed=0, side=28, num_classes=10, noise=0.25, max_shift=2):
+    """``synthetic_digits`` one sample at a time: the reference for its gather."""
+    rng = np.random.default_rng(seed)
+    ys, xs = np.meshgrid(np.linspace(0, 1, side), np.linspace(0, 1, side), indexing="ij")
+    prototypes = []
+    for _ in range(num_classes):
+        field = np.zeros((side, side))
+        for _ in range(4):
+            fx, fy = rng.uniform(0.5, 3.0, size=2)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            amplitude = rng.uniform(0.5, 1.0)
+            field += amplitude * np.cos(2.0 * np.pi * (fx * xs + fy * ys) + phase)
+        field = (field - field.mean()) / field.std()
+        prototypes.append(0.5 + 0.22 * field)
+    labels = np.tile(np.arange(num_classes), n // num_classes + 1)[:n]
+    labels = labels[rng.permutation(n)]
+    inputs = np.empty((n, side * side))
+    shifts = rng.integers(-max_shift, max_shift + 1, size=(n, 2))
+    pixel_noise = rng.standard_normal((n, side, side)) * noise
+    for i in range(n):
+        image = np.roll(prototypes[labels[i]], tuple(shifts[i]), axis=(0, 1))
+        inputs[i] = np.clip(image + pixel_noise[i], 0.0, 1.0).reshape(-1)
+    return inputs, labels
+
+
 class TestSyntheticDigits:
+    @pytest.mark.parametrize("n", [10, 300, 2000, 10000])
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_bitwise_the_per_sample_reference(self, n, seed):
+        ds = synthetic_digits(n, seed=seed)
+        inputs, labels = per_sample_synthetic_digits(n, seed=seed)
+        assert ds.inputs.tobytes() == inputs.tobytes()
+        assert np.array_equal(ds.labels, labels)
+
+    @pytest.mark.parametrize("side,num_classes,max_shift", [(10, 3, 0), (12, 4, 3)])
+    def test_other_shapes_are_bitwise_the_per_sample_reference(self, side, num_classes, max_shift):
+        ds = synthetic_digits(50, seed=2, side=side, num_classes=num_classes, noise=0.5, max_shift=max_shift)
+        inputs, labels = per_sample_synthetic_digits(50, 2, side, num_classes, 0.5, max_shift)
+        assert ds.inputs.tobytes() == inputs.tobytes()
+        assert np.array_equal(ds.labels, labels)
+
     def test_shapes_and_range_match_mnist_conventions(self):
         ds = synthetic_digits(50, seed=4)
         assert ds.inputs.shape == (50, 784)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,13 +55,26 @@ class TestMeasurePerturbation:
         with pytest.raises(ValueError, match="k=2"):
             measure_perturbation(net, np.ones((2, 2)))
 
-    def test_zero_norm_samples_are_skipped_and_counted(self):
+    @pytest.mark.parametrize("depth,dl,nan_layer", [(3, 1e308, None), (3, 1.0, 0), (3, 1.0, 2)])
+    def test_non_finite_norms_name_their_layer_without_warnings(self, depth, dl, nan_layer, monkeypatch):
+        net = _residual_net(depth=depth, width=3, dl=dl, seed=4)
+        if nan_layer is not None:  # NaN forcing from this layer on
+            net.blocks[nan_layer].bias.data = np.full(3, np.nan)
+        batch = np.random.default_rng(0).standard_normal((4, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"at layer {nan_layer or 0} have non-finite norms"):
+                measure_perturbation(net, batch)
+
+    @pytest.mark.parametrize("skipped_sample", [[0.0, 0.0], [np.nan, 1.0]], ids=["zero", "nan"])
+    def test_unmeasurable_samples_are_skipped_and_counted(self, skipped_sample):
         net = _residual_net(depth=1)
         net.embed_weight.data = np.eye(2)
         net.embed_bias.data = np.zeros(2)
-        batch = np.array([[3.0, 4.0], [0.0, 0.0]])
+        batch = np.array([[3.0, 4.0], skipped_sample])
         records = measure_perturbation(net, batch)
         assert records[0].skipped == 1
+        assert records[0].ratio == measure_perturbation(net, batch[:1])[0].ratio
 
     def test_batch_order_invariance(self):
         net = _residual_net(depth=3, width=4, input_dim=4, seed=7)

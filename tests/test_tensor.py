@@ -331,6 +331,87 @@ class TestLinearCombination:
             linear_combination([])
 
 
+class TestConstantFolding:
+    """With no ``Tensor`` operand, ``affine`` and ``linear_combination`` return
+    the plain array value; mixed operands get edges for their Tensors only."""
+
+    def parents(self, t):
+        return [parent for parent, _ in t._parents]
+
+    @pytest.mark.parametrize("activation", [None, "tanh", "sigmoid", "leaky_relu"])
+    @pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+        ((4,), (3, 4), (3,)),
+        ((5, 4), (3, 4), (3,)),
+        ((2, 3), (2, 3, 3), (2, 3)),
+        ((2, 5, 3), (2, 3, 3), (2, 3)),
+    ], ids=["vector", "batch", "stacked", "stacked-batch"])
+    def test_constant_affine_is_the_graph_value(self, activation, x_shape, w_shape, b_shape):
+        rng = np.random.default_rng(len(x_shape) + len(w_shape))
+        x, w, b = rng.standard_normal(x_shape), rng.standard_normal(w_shape), rng.standard_normal(b_shape)
+        folded = affine(x, w, b, activation)
+        assert type(folded) is np.ndarray
+        assert folded.tobytes() == affine(Tensor(x), Tensor(w), Tensor(b), activation).data.tobytes()
+
+    def test_constant_linear_combination_is_the_graph_value(self):
+        rng = np.random.default_rng(1)
+        arrays = [rng.standard_normal((4, 3)) for _ in range(4)]
+        for coeffs in ([0.125, -4, 6, -4], [1, -1, 1, 1], [0, 1, 2.5, -3]):
+            folded = linear_combination(zip(coeffs, arrays))
+            graph = linear_combination(zip(coeffs, map(Tensor, arrays)))
+            assert type(folded) is np.ndarray and folded.tobytes() == graph.data.tobytes()
+        assert linear_combination([(1, arrays[0])]) is arrays[0]
+        with pytest.raises(ShapeError):
+            linear_combination([(1, np.zeros(2)), (2, np.zeros(3))])
+
+    def test_constant_block_matrix_apply_is_the_graph_value(self):
+        from cknet.dynamics import build_ck_matrices, build_dense_matrices
+
+        rng = np.random.default_rng(2)
+        for k in (1, 2, 3, 4):
+            for transition, coupling in (build_ck_matrices(k, 3), build_dense_matrices(k, 3)):
+                parts = [rng.standard_normal((2, 3)) for _ in range(k)]
+                inputs = [rng.standard_normal((2, 3)) for _ in range(k - 1)] + [None]
+                folded = transition.apply(parts, coupling, inputs, 0.25)
+                graph = transition.apply(
+                    [Tensor(p) for p in parts], coupling, [None if u is None else Tensor(u) for u in inputs], 0.25
+                )
+                for a, t in zip(folded, graph):
+                    assert type(a) is np.ndarray and a.tobytes() == t.data.tobytes()
+
+    def test_mixed_linear_combination_has_edges_for_its_tensors_only(self):
+        a, c = Tensor(np.array([1.0, 2.0])), np.array([3.0, -1.0])
+        mixed = linear_combination([(1, a), (-3, c), (2, a)])
+        assert self.parents(mixed) == [a, a]
+        graph = linear_combination([(1, a), (-3, Tensor(c)), (2, a)])
+        assert mixed.data.tobytes() == graph.data.tobytes()
+        mixed.sum().backward()
+        a_grad, a.grad = a.grad, None
+        graph.sum().backward()
+        assert a_grad.tobytes() == a.grad.tobytes()
+
+    @pytest.mark.parametrize("tensors", ["x", "w", "b", "xw", "wb", "xb"])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_mixed_affine_has_edges_for_its_tensors_only(self, tensors, stacked):
+        rng = np.random.default_rng(len(tensors))
+        lead = (2,) if stacked else ()
+        arrays = {"x": rng.standard_normal((*lead, 4, 3)), "w": rng.standard_normal((*lead, 3, 3)),
+                  "b": rng.standard_normal((*lead, 3))}
+        weights = rng.standard_normal((*lead, 4, 3))
+
+        def run(wrap):
+            operands = {name: Tensor(a) if name in wrap else a for name, a in arrays.items()}
+            out = affine(operands["x"], operands["w"], operands["b"], "tanh")
+            assert self.parents(out) == [operands[name] for name in "xwb" if name in wrap]
+            (out * weights).sum().backward()
+            return out, {name: operands[name] for name in wrap}
+
+        mixed, graded = run(tensors)
+        full, every = run("xwb")
+        assert mixed.data.tobytes() == full.data.tobytes()
+        for name, t in graded.items():
+            assert t.grad.tobytes() == every[name].grad.tobytes()
+
+
 class TestFusedAffine:
     """``affine(x, W, b, activation)``: act(Wx+b) as one node."""
 

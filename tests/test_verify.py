@@ -189,6 +189,22 @@ def test_the_first_failing_case_in_grid_order_is_the_detail(monkeypatch):
     assert checks["ck equivalence"] == ("nan", False, "k=2 d=2 L=3 dl=0.5 act=sigmoid seed#1")
 
 
+@pytest.mark.parametrize("hook", [None, sign_flipped_dense_forcing], ids=["healthy", "sign-flip"])
+def test_the_battery_builds_no_graph(monkeypatch, hook):
+    made = []
+    construct = Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(type(self))
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    run_battery(orders=(1, 2, 3), widths=(1, 2), depths=(3,), seeds=7, dense_forcing_matrix=hook)
+    assert made == []
+    trace(*case(2, 2, 0, seed=0), "ck", 2, 0.5, "direct")  # the counter sees the graph path
+    assert made
+
+
 def test_an_order_above_the_binomial_cap_is_refused_before_any_case_runs():
     calls = []
 
