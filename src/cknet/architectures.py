@@ -363,18 +363,39 @@ class Network:
 
         Returns the logits tensor, or ``(logits, Trace)`` when ``record``
         is set. ``mode`` selects the direct multi-lag recurrence or the
-        equivalent first-order state-space evaluation.
+        equivalent first-order state-space evaluation. This is the graph
+        path that training differentiates; ``infer`` gives the same values
+        without a graph.
         """
+        embed, head = (self.embed_weight, self.embed_bias), (self.head_weight, self.head_bias)
+        return self._run(inputs, mode, record, embed, self.blocks, head)
+
+    def infer(self, inputs: np.ndarray, mode: str = "direct", record: bool = False):
+        """``forward`` on the parameters' current arrays, building no graph.
+
+        Returns the logits as an ``np.ndarray``, or ``(logits, Trace)`` when
+        ``record`` is set; both bitwise those of ``forward``. For evaluation,
+        probes and dumps, where nothing is differentiated.
+        """
+        embed, head = (self.embed_weight.data, self.embed_bias.data), (self.head_weight.data, self.head_bias.data)
+        blocks = [ForcingFunction(b.weight.data, b.bias.data, b.activation) for b in self.blocks]
+        return self._run(inputs, mode, record, embed, blocks, head)
+
+    def _run(self, inputs, mode: str, record: bool, embed, forcings, head):
+        """The one body of ``forward`` and ``infer``: embed, unroll, read out.
+        Without ``record`` only the last layer is kept, so a graph-free
+        unroll frees each layer's arrays once the next is built."""
         cfg = self.config
         arr = np.asarray(inputs, dtype=np.float64)
         if arr.shape[-1] != cfg.input_dim:
             raise ShapeError(f"input width {arr.shape} does not match input_dim={cfg.input_dim}")
-        x = T.affine(arr, self.embed_weight, self.embed_bias)
-        layers = list(unroll(self.blocks, x, cfg.family, cfg.k, cfg.dl, mode))
-        logits = T.affine(layers[-1].x, self.head_weight, self.head_bias)
+        layers = unroll(forcings, T.affine(arr, *embed), cfg.family, cfg.k, cfg.dl, mode)
         if record:
-            return logits, Trace.from_layers(layers, cfg.k, cfg.dl)
-        return logits
+            layers = list(layers)
+            return T.affine(layers[-1].x, *head), Trace.from_layers(layers, cfg.k, cfg.dl)
+        for last in layers:
+            pass
+        return T.affine(last.x, *head)
 
 
 # -- checkpoint io -----------------------------------------------------------------

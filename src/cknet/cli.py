@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification/experiment failure, 2 usage error
-(argparse's default), 3 I/O error.
+(argparse's default), 3 I/O error (a missing or corrupt data file among them).
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from . import experiments
 from .architectures import check_mesh_step, parameter_count, weight_matrix_ratio
-from .data import Dataset, fetch_mnist, load_mnist_dir, synthetic_digits
+from .data import Dataset, IdxFormatError, fetch_mnist, load_mnist_dir, synthetic_digits
 from .dynamics import MAX_BINOMIAL_N
 from .training import TrainingError
 from .verify import run_battery, sign_flipped_dense_forcing
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     _reject_overflowing_dl(parser, args)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IdxFormatError) as exc:  # a missing or corrupt data file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:

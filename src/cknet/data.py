@@ -1,6 +1,6 @@
 """Dataset generation and ingestion.
 
-The 1-D three-segment toy problem, IDX-format reading/writing (MNIST's
+The 1-D three-segment toy problem, IDX-format reading (MNIST's
 on-disk format), a deterministic synthetic digit surrogate for offline
 runs, and split/fetch helpers. Loading is single-threaded; datasets are
 immutable after construction and safe to share.
@@ -22,8 +22,6 @@ __all__ = [
     "best_threshold_accuracy",
     "load_idx_images",
     "load_idx_labels",
-    "save_idx_images",
-    "save_idx_labels",
     "load_mnist_idx",
     "load_mnist_dir",
     "fetch_mnist",
@@ -170,27 +168,6 @@ def load_idx_labels(path) -> np.ndarray:
         if fh.read(1):
             raise IdxFormatError(f"{path}: trailing bytes after label payload")
     return np.frombuffer(payload, dtype=np.uint8)
-
-
-def save_idx_images(path, images: np.ndarray) -> None:
-    """Write [N, rows, cols] uint8 pixels as IDX3 (gzip by .gz suffix)."""
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    if images.ndim != 3:
-        raise ValueError(f"images must be [N, rows, cols], got {images.shape}")
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IMAGE_MAGIC, *images.shape))
-        fh.write(images.tobytes())
-
-
-def save_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got {labels.shape}")
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "wb") as fh:
-        fh.write(struct.pack(">II", LABEL_MAGIC, len(labels)))
-        fh.write(labels.tobytes())
 
 
 def load_mnist_idx(images_path, labels_path) -> Dataset:

@@ -78,7 +78,7 @@ def measure_perturbation(network: Network, inputs: np.ndarray) -> list[Perturbat
     records = []
     # an overflow is reported once, by layer, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        _, trace = network.forward(inputs, mode="direct", record=True)
+        _, trace = network.infer(inputs, mode="direct", record=True)
         for layer in range(len(trace.forcing)):
             x = np.atleast_2d(trace.activations[layer])
             f = np.atleast_2d(trace.forcing[layer])
@@ -206,7 +206,7 @@ def _toy_network(k: int, depth: int, dl: float, seed: int) -> Network:
 
 
 def _phase_dump(network: Network, dataset: Dataset) -> TrajectoryDump:
-    _, trace = network.forward(dataset.inputs, mode="state", record=True)
+    _, trace = network.infer(dataset.inputs, mode="state", record=True)
     q1 = trace.states[:, 0, :, 0]
     q2 = trace.states[:, 1, :, 0] if network.config.k >= 2 else np.zeros_like(q1)
     return TrajectoryDump(q1, q2, dataset.labels.copy())

@@ -55,15 +55,11 @@ class EpochMetrics:
     val_acc: float | None = None
 
 
-def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean negative log softmax probability of the true labels.
-
-    ``logits`` is [batch, classes]; ``labels`` an int array of length batch.
-    Stabilized by row-max subtraction before exponentiation.
-    """
-    z = logits.data
+def _log_softmax_loss(z: np.ndarray, labels) -> tuple[np.float64, np.ndarray]:
+    """Mean negative log softmax probability of the true labels of [batch,
+    classes] logits ``z``, and the log probabilities it was read from."""
     if z.ndim != 2:
-        raise ValueError(f"logits must be [batch, classes], got shape {logits.shape}")
+        raise ValueError(f"logits must be [batch, classes], got shape {z.shape}")
     labels = np.asarray(labels)
     if labels.shape != (z.shape[0],):
         raise ValueError(f"labels shape {labels.shape} does not match batch {z.shape[0]}")
@@ -72,10 +68,20 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
             f"labels must lie in [0, {z.shape[1]}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    batch = z.shape[0]
     shifted = z - z.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    value = -log_probs[np.arange(batch), labels].mean()
+    return -log_probs[np.arange(z.shape[0]), labels].mean(), log_probs
+
+
+def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean negative log softmax probability of the true labels.
+
+    ``logits`` is [batch, classes]; ``labels`` an int array of length batch.
+    Stabilized by row-max subtraction before exponentiation.
+    """
+    value, log_probs = _log_softmax_loss(logits.data, labels)
+    labels = np.asarray(labels)
+    batch = len(labels)
 
     def pull(g):
         soft = np.exp(log_probs)
@@ -159,11 +165,11 @@ class Adam:
 
 
 def evaluate(network, inputs: np.ndarray, labels: np.ndarray, mode: str = "direct"):
-    """Loss and accuracy of a frozen network on one batch."""
-    logits = network.forward(inputs, mode=mode)
-    loss = softmax_cross_entropy(logits, labels).item()
-    predictions = logits.data.argmax(axis=1)
-    return loss, float((predictions == labels).mean())
+    """Loss and accuracy of a frozen network on one batch, through the
+    graph-free ``Network.infer``: bitwise the values ``forward`` gives."""
+    logits = network.infer(inputs, mode=mode)
+    loss, _ = _log_softmax_loss(logits, labels)
+    return float(loss), float((logits.argmax(axis=1) == labels).mean())
 
 
 def train(network, dataset, config: TrainConfig, val=None, mode: str = "direct"):
@@ -171,6 +177,9 @@ def train(network, dataset, config: TrainConfig, val=None, mode: str = "direct")
 
     Deterministic for a fixed (network seed, config seed, dataset): batch
     order, parameter updates, and metrics are all reproducible bitwise.
+    A diverging run raises ``TrainingError`` (a non-finite or huge loss, or
+    a non-finite gradient) and lets no numpy floating-point warning from the
+    overflow that led to it through.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -186,16 +195,17 @@ def train(network, dataset, config: TrainConfig, val=None, mode: str = "direct")
             idx = order[start : start + config.batch_size]
             batch_x = dataset.inputs[idx]
             batch_y = dataset.labels[idx]
-            logits = network.forward(batch_x, mode=mode)
-            loss = softmax_cross_entropy(logits, batch_y)
-            loss_value = loss.item()
-            if not np.isfinite(loss_value) or loss_value > LOSS_DIVERGENCE_LIMIT:
-                raise TrainingError(
-                    f"loss diverged at epoch {epoch} (loss={loss_value!r})"
-                )
-            network.zero_grad()
-            loss.backward()
-            optimizer.step()
+            with np.errstate(all="ignore"):  # divergence is reported as one TrainingError
+                logits = network.forward(batch_x, mode=mode)
+                loss = softmax_cross_entropy(logits, batch_y)
+                loss_value = loss.item()
+                if not np.isfinite(loss_value) or loss_value > LOSS_DIVERGENCE_LIMIT:
+                    raise TrainingError(
+                        f"loss diverged at epoch {epoch} (loss={loss_value!r})"
+                    )
+                network.zero_grad()
+                loss.backward()
+                optimizer.step()
             total_loss += loss_value * len(idx)
             total_correct += int((logits.data.argmax(axis=1) == batch_y).sum())
         row = EpochMetrics(epoch, total_loss / n, total_correct / n)

@@ -1,10 +1,14 @@
 """Shared numerical oracles for the test suite."""
 from __future__ import annotations
 
+import gzip
+import struct
+
 import numpy as np
 
 from cknet import verify
 from cknet.architectures import ForcingFunction, Trace, c1_step, dense_difference_identity_check, unroll
+from cknet.data import IMAGE_MAGIC, LABEL_MAGIC
 from cknet.dynamics import (
     alternating_binomial_row,
     alternating_binomial_sum,
@@ -50,6 +54,41 @@ def pascal_triangle_row(n: int) -> list[int]:
 
 def gradient_close(analytic, numeric, rtol=1e-5, atol=1e-8) -> bool:
     return np.allclose(analytic, numeric, rtol=rtol, atol=atol)
+
+
+def count_tensors(monkeypatch) -> list:
+    """A list that gets the type of every ``Tensor`` constructed from now on."""
+    made = []
+    construct = Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(type(self))
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    return made
+
+
+def save_idx_images(path, images: np.ndarray) -> None:
+    """Write [N, rows, cols] uint8 pixels as IDX3 (gzip by .gz suffix)."""
+    images = np.ascontiguousarray(images, dtype=np.uint8)
+    if images.ndim != 3:
+        raise ValueError(f"images must be [N, rows, cols], got {images.shape}")
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "wb") as fh:
+        fh.write(struct.pack(">IIII", IMAGE_MAGIC, *images.shape))
+        fh.write(images.tobytes())
+
+
+def save_idx_labels(path, labels: np.ndarray) -> None:
+    """Write [N] uint8 labels as IDX1 (gzip by .gz suffix)."""
+    labels = np.ascontiguousarray(labels, dtype=np.uint8)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be 1-D, got {labels.shape}")
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "wb") as fh:
+        fh.write(struct.pack(">II", LABEL_MAGIC, len(labels)))
+        fh.write(labels.tobytes())
 
 
 def unrolled(fs, x0, family, k, dl, mode):

@@ -1,11 +1,13 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cknet import architectures
 from cknet.architectures import (
     ForcingFunction,
     Network,
@@ -28,6 +30,7 @@ from helpers import (
     central_difference,
     ck_direct_step,
     ck_state_step,
+    count_tensors,
     dense_direct_step,
     dense_state_step,
     gradient_close,
@@ -691,6 +694,112 @@ class TestGraphFreeUnroll:
                 history = dense_direct_step(window, history, 0.5)[1]
                 expected.append(history[0].data)
         assert [x.tobytes() for x in xs] == [x.tobytes() for x in expected]
+
+
+ACTIVATIONS = ["tanh", "sigmoid", "leaky_relu"]
+
+
+class TestInfer:
+    """``Network.infer`` is ``forward`` on the parameters' arrays, with no graph."""
+
+    @staticmethod
+    def network(family, k, activation="tanh", depth=5, seed=0):
+        return Network(NetworkConfig(family, k, depth=depth, width=3, input_dim=2, num_classes=3, dl=0.5,
+                                     activation=activation, seed=seed))
+
+    @pytest.mark.parametrize("family,k", FORMS, ids=[f"{f}{k}" for f, k in FORMS])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    @pytest.mark.parametrize("depth", [0, 5])
+    @pytest.mark.parametrize("x_shape", [(2,), (4, 2)], ids=["vector", "batch"])
+    def test_logits_and_trace_are_forward_bitwise(self, family, k, activation, mode, depth, x_shape):
+        net = self.network(family, k, activation, depth, seed=k)
+        x = np.random.default_rng(depth).standard_normal(x_shape)
+        logits = net.infer(x, mode=mode)
+        assert type(logits) is np.ndarray
+        assert logits.tobytes() == net.forward(x, mode=mode).data.tobytes()
+        (inferred, trace), (graph, expected) = net.infer(x, mode, record=True), net.forward(x, mode, record=True)
+        assert type(inferred) is np.ndarray and inferred.tobytes() == graph.data.tobytes()
+        for field in ("activations", "forcing", "states"):
+            got, want = getattr(trace, field), getattr(expected, field)
+            if want is None:
+                assert got is None
+            else:
+                assert type(got) is np.ndarray and got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert (trace.k, trace.dl) == (expected.k, expected.dl)
+
+    @pytest.mark.parametrize("family,k", FORMS, ids=[f"{f}{k}" for f, k in FORMS])
+    def test_constructs_no_tensor(self, monkeypatch, family, k):
+        net = self.network(family, k)
+        x = np.random.default_rng(0).standard_normal((4, 2))
+        made = count_tensors(monkeypatch)
+        for mode in ("direct", "state"):
+            net.infer(x, mode)
+            net.infer(x, mode, record=True)
+        assert made == []
+        net.forward(x)  # the counter sees the graph path
+        assert made
+
+    @pytest.mark.parametrize("family,k", [("c0", 1), ("ck", 1), ("ck", 3), ("dense", 3)])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    def test_without_record_earlier_layers_are_freed(self, monkeypatch, family, k, mode):
+        net = self.network(family, k, depth=10)
+        alive, refs = [], []
+        original = architectures.unroll
+
+        def watched(*args):
+            for layer in original(*args):
+                refs.append(weakref.ref(layer.x))
+                alive.append(sum(r() is not None for r in refs[1:]))  # x_0 is unroll's own argument
+                yield layer
+
+        monkeypatch.setattr(architectures, "unroll", watched)
+        net.infer(np.ones((4, 2)), mode)
+        assert len(alive) == 11 and max(alive) <= k + 1  # the lag window, and the record before
+        refs.clear()
+        net.infer(np.ones((4, 2)), mode, record=True)
+        assert alive[-1] == 10  # a recorded run keeps every layer for its trace
+
+    def test_input_width_checked(self):
+        net = Network(NetworkConfig("ck", k=1, depth=1, width=2, input_dim=3, num_classes=2))
+        with pytest.raises(ShapeError, match="input_dim=3"):
+            net.infer(np.zeros((2, 4)))
+        with pytest.raises(ShapeError, match="input_dim=3"):
+            net.infer(np.zeros(2), record=True)
+
+    def test_unknown_mode_rejected(self):
+        net = Network(NetworkConfig("ck", k=1, depth=1, width=2, input_dim=2, num_classes=2))
+        with pytest.raises(ValueError, match="mode"):
+            net.infer(np.zeros((1, 2)), mode="magic")
+
+    def test_reads_the_current_parameters(self):
+        net = self.network("ck", 2)
+        x = np.random.default_rng(1).standard_normal((4, 2))
+        before = net.infer(x)
+        net.blocks[0].weight.data = net.blocks[0].weight.data * 2.0
+        after = net.infer(x)
+        assert after.tobytes() != before.tobytes()
+        assert after.tobytes() == net.forward(x).data.tobytes()
+
+
+class TestDenseIsResidual:
+    """Under the ghost start the additive dense family is the residual network:
+    y_l = x_{l+1} - x_l - dl·f_l has period k and starts at zero."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("mode", ["state", "direct"])
+    def test_dense_logits_are_ck1_logits_bitwise(self, k, activation, mode):
+        def build(family, order):
+            return Network(NetworkConfig(family, order, depth=8, width=6, input_dim=4, num_classes=3, dl=0.5,
+                                         activation=activation, seed=11))
+
+        dense, residual = build("dense", k), build("ck", 1)
+        x = np.random.default_rng(k).standard_normal((5, 4))
+        expected = residual.forward(x, mode=mode).data.tobytes()
+        assert dense.forward(x, mode=mode).data.tobytes() == expected
+        assert dense.infer(x, mode=mode).tobytes() == expected
+        assert residual.infer(x, mode=mode).tobytes() == expected
 
 
 class TestForcingEvaluatedOnce:

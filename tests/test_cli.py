@@ -1,9 +1,11 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cknet import cli
+from helpers import save_idx_images, save_idx_labels
 
 
 def run_cli(args):
@@ -215,6 +217,38 @@ class TestDepthSweepCommand:
         )
         assert proc.returncode == 1
         assert proc.stderr == "error: activations or forcing at layer 0 have non-finite norms (dl=1e+308)\n"
+
+    def test_overflowing_training_step_is_one_error_line_without_warnings(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cknet", "depth-sweep", "--dl", "1e308", "--depths", "2", "4", "6",
+             "--samples", "20", "--epochs", "1", "--repetitions", "1", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: loss diverged at epoch 0 (loss=nan)\n"
+
+    @pytest.mark.parametrize("command", ["depth-sweep", "compare"])
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            ("images", "magic number 0x67617262, expected image magic 0x00000803"),
+            ("labels", "truncated while reading 3 labels (wanted 3 bytes, got 1)"),
+        ],
+    )
+    def test_corrupt_data_file_is_io_error(self, tmp_path, capsys, command, corrupt, message):
+        images, labels = tmp_path / "train-images-idx3-ubyte", tmp_path / "train-labels-idx1-ubyte"
+        save_idx_images(images, np.zeros((3, 2, 2), dtype=np.uint8))
+        save_idx_labels(labels, np.zeros(3, dtype=np.uint8))
+        if corrupt == "images":
+            images.write_bytes(b"garbage")
+        else:
+            labels.write_bytes(labels.read_bytes()[:-2])
+        code = run_cli([command, "--data-dir", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("error: ") and err.rstrip().endswith(message), err
 
     def test_tiny_synthetic_sweep_writes_artifacts(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("CK_DATA_DIR", raising=False)

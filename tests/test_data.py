@@ -14,11 +14,10 @@ from cknet.data import (
     load_idx_labels,
     load_mnist_dir,
     load_mnist_idx,
-    save_idx_images,
-    save_idx_labels,
     split,
     synthetic_digits,
 )
+from helpers import save_idx_images, save_idx_labels
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801

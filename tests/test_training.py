@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from cknet.training import (
     EpochMetrics,
     TrainConfig,
     TrainingError,
+    evaluate,
     metrics_to_csv,
     softmax_cross_entropy,
     train,
 )
+from helpers import count_tensors
 
 
 class TestSoftmaxCrossEntropy:
@@ -308,6 +311,68 @@ class TestTrainLoop:
     def test_learning_rate_must_be_finite_and_positive(self, learning_rate):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(epochs=1, learning_rate=learning_rate)
+
+
+class TestQuietDivergence:
+    """A diverging run raises ``TrainingError`` and no numpy warning gets out."""
+
+    def test_overflowing_forward_pass_is_a_diverged_loss(self):
+        net = Network(NetworkConfig("ck", k=1, depth=4, width=8, input_dim=2, num_classes=2, dl=1e308, seed=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match="loss diverged at epoch 0"):
+                train(net, _blobs(), TrainConfig(epochs=1, batch_size=60))
+
+    def test_overflowing_gradient_is_a_non_finite_gradient(self):
+        # a zero embedding keeps the loss finite; its gradient, input times
+        # the pulled-back head, overflows
+        net = Network(NetworkConfig("ck", k=1, depth=0, width=1, input_dim=1, num_classes=2, seed=0))
+        net.embed_weight.data = np.zeros((1, 1))
+        net.head_weight.data = np.array([[10.0], [-10.0]])
+        data = Dataset(np.full((2, 1), 1.7e308), np.zeros(2, dtype=np.int64), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match="non-finite gradient for parameter 'embed.weight'"):
+                train(net, data, TrainConfig(epochs=1, batch_size=2))
+
+
+FORMS = [("c0", 1), *(("ck", k) for k in (1, 2, 3, 4)), *(("dense", k) for k in (1, 2, 3, 4))]
+
+
+class TestEvaluate:
+    """``evaluate`` runs graph-free and gives the graph path's loss and accuracy."""
+
+    @pytest.mark.parametrize("family,k", FORMS, ids=[f"{f}{k}" for f, k in FORMS])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    def test_equals_the_forward_path_bitwise(self, family, k, mode):
+        net = Network(NetworkConfig(family, k, depth=5, width=4, input_dim=2, num_classes=2, dl=0.5, seed=k))
+        data = _blobs(seed=k)
+        logits = net.forward(data.inputs, mode=mode)
+        expected_loss = softmax_cross_entropy(logits, data.labels).item()
+        expected_acc = float((logits.data.argmax(axis=1) == data.labels).mean())
+        loss, acc = evaluate(net, data.inputs, data.labels, mode=mode)
+        assert (loss.hex(), acc.hex()) == (expected_loss.hex(), expected_acc.hex())
+
+    def test_constructs_no_tensor(self, monkeypatch):
+        net = Network(NetworkConfig("dense", 3, depth=4, width=4, input_dim=2, num_classes=2, seed=1))
+        data = _blobs()
+        made = count_tensors(monkeypatch)
+        for mode in ("direct", "state"):
+            evaluate(net, data.inputs, data.labels, mode=mode)
+        assert made == []
+
+    def test_validation_metrics_are_evaluate_on_the_trained_network(self):
+        net = _linear_model(seed=6)
+        val = _blobs(seed=7)
+        metrics = train(net, _blobs(seed=6), TrainConfig(epochs=1, batch_size=16, seed=6), val=val)
+        assert (metrics[-1].val_loss, metrics[-1].val_acc) == evaluate(net, val.inputs, val.labels)
+
+    def test_bad_labels_rejected(self):
+        net = _linear_model()
+        with pytest.raises(ValueError, match="labels must lie in"):
+            evaluate(net, _blobs().inputs, np.full(60, 2))
+        with pytest.raises(ValueError, match="logits must be"):
+            evaluate(net, np.zeros(2), np.zeros(1, dtype=np.int64))
 
 
 class TestMetricsCsv:
