@@ -275,6 +275,7 @@ def unroll(forcings, x0, family: str, k: int, dl: float, mode: str, matrices=Non
         q = (x0,) + (np.zeros(x0.shape),) * (k - 1)
         transition, coupling = matrices or _MATRICES[family](k, x0.shape[-1])
     yield LayerRecord(x0, None, q if state else None)
+    del x0  # the lag window or state holds it as long as a layer needs it
     for layer, f in enumerate(forcings):
         if direct:
             force = f(lags[0])
@@ -367,32 +368,46 @@ class Network:
         path that training differentiates; ``infer`` gives the same values
         without a graph.
         """
-        embed, head = (self.embed_weight, self.embed_bias), (self.head_weight, self.head_bias)
-        return self._run(inputs, mode, record, embed, self.blocks, head)
+        layers = self._unroll(inputs, mode, (self.embed_weight, self.embed_bias), self.blocks)
+        return self._read_out(layers, (self.head_weight, self.head_bias), record)
 
     def infer(self, inputs: np.ndarray, mode: str = "direct", record: bool = False):
         """``forward`` on the parameters' current arrays, building no graph.
 
         Returns the logits as an ``np.ndarray``, or ``(logits, Trace)`` when
         ``record`` is set; both bitwise those of ``forward``. For evaluation,
-        probes and dumps, where nothing is differentiated.
+        where nothing is differentiated. It reads out the records of
+        ``layers``.
         """
-        embed, head = (self.embed_weight.data, self.embed_bias.data), (self.head_weight.data, self.head_bias.data)
-        blocks = [ForcingFunction(b.weight.data, b.bias.data, b.activation) for b in self.blocks]
-        return self._run(inputs, mode, record, embed, blocks, head)
+        return self._read_out(self.layers(inputs, mode), (self.head_weight.data, self.head_bias.data), record)
 
-    def _run(self, inputs, mode: str, record: bool, embed, forcings, head):
-        """The one body of ``forward`` and ``infer``: embed, unroll, read out.
-        Without ``record`` only the last layer is kept, so a graph-free
-        unroll frees each layer's arrays once the next is built."""
+    def layers(self, inputs: np.ndarray, mode: str = "direct"):
+        """The ``unroll`` of ``infer``: its ``LayerRecord``s x_0..x_L, as arrays.
+
+        The records stream: a consumer that keeps only what it needs of each
+        (the perturbation probe keeps one activation, the phase dump two
+        state columns) never holds the trajectory. The input width is
+        checked and x_0 embedded when this is called.
+        """
+        embed = (self.embed_weight.data, self.embed_bias.data)
+        blocks = [ForcingFunction(b.weight.data, b.bias.data, b.activation) for b in self.blocks]
+        return self._unroll(inputs, mode, embed, blocks)
+
+    def _unroll(self, inputs, mode: str, embed, forcings):
+        """The one embed-and-unroll body of ``forward`` and ``layers``."""
         cfg = self.config
         arr = np.asarray(inputs, dtype=np.float64)
         if arr.shape[-1] != cfg.input_dim:
             raise ShapeError(f"input width {arr.shape} does not match input_dim={cfg.input_dim}")
-        layers = unroll(forcings, T.affine(arr, *embed), cfg.family, cfg.k, cfg.dl, mode)
+        return unroll(forcings, T.affine(arr, *embed), cfg.family, cfg.k, cfg.dl, mode)
+
+    def _read_out(self, layers, head, record: bool):
+        """The logits of the last of ``layers``, and their ``Trace`` when
+        ``record`` is set. Without ``record`` only the last layer is kept, so
+        a graph-free unroll frees each layer's arrays once the next is built."""
         if record:
             layers = list(layers)
-            return T.affine(layers[-1].x, *head), Trace.from_layers(layers, cfg.k, cfg.dl)
+            return T.affine(layers[-1].x, *head), Trace.from_layers(layers, self.config.k, self.config.dl)
         for last in layers:
             pass
         return T.affine(last.x, *head)

@@ -169,10 +169,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
-    seeds = [args.seed + i for i in range(args.seeds)]
     result = experiments.run_toy_experiment(
         args.order,
-        seeds=seeds,
+        seeds=range(args.seed, args.seed + args.seeds),
         depth=args.depth,
         dl=args.dl,
         epochs=args.epochs,

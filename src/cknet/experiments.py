@@ -69,6 +69,10 @@ def measure_perturbation(network: Network, inputs: np.ndarray) -> list[Perturbat
     perturbation f(x)·dl has a non-finite norm (a NaN, or a forward pass
     that overflowed), is skipped at that layer and counted. A layer where
     every sample is skipped raises ``ValueError`` naming it.
+
+    Each layer is reduced to its norms as ``Network.layers`` streams it:
+    x_l is kept until the next record brings f_l(x_l), and no other layer
+    of the trajectory is held.
     """
     if network.config.k != 1:
         raise ValueError(
@@ -78,12 +82,12 @@ def measure_perturbation(network: Network, inputs: np.ndarray) -> list[Perturbat
     records = []
     # an overflow is reported once, by layer, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        _, trace = network.infer(inputs, mode="direct", record=True)
-        for layer in range(len(trace.forcing)):
-            x = np.atleast_2d(trace.activations[layer])
-            f = np.atleast_2d(trace.forcing[layer])
-            x_norm = np.linalg.norm(x, axis=1)
-            f_norm = np.linalg.norm(f * dl, axis=1)
+        layers = network.layers(inputs, mode="direct")
+        x = next(layers).x
+        for layer, (x_next, f, _) in enumerate(layers):
+            x_norm = np.linalg.norm(np.atleast_2d(x), axis=1)
+            f_norm = np.linalg.norm(np.atleast_2d(f) * dl, axis=1)
+            x = x_next
             finite = np.isfinite(x_norm) & np.isfinite(f_norm)
             keep = finite & (x_norm > 0.0)
             if not np.any(keep):
@@ -206,10 +210,14 @@ def _toy_network(k: int, depth: int, dl: float, seed: int) -> Network:
 
 
 def _phase_dump(network: Network, dataset: Dataset) -> TrajectoryDump:
-    _, trace = network.infer(dataset.inputs, mode="state", record=True)
-    q1 = trace.states[:, 0, :, 0]
-    q2 = trace.states[:, 1, :, 0] if network.config.k >= 2 else np.zeros_like(q1)
-    return TrajectoryDump(q1, q2, dataset.labels.copy())
+    """q1 and q2 of every layer, read off the streamed state records."""
+    q1, q2 = [], []
+    for record in network.layers(dataset.inputs, mode="state"):
+        q1.append(record.state[0][:, 0])
+        if network.config.k >= 2:
+            q2.append(record.state[1][:, 0])
+    q1 = np.array(q1)
+    return TrajectoryDump(q1, np.array(q2) if q2 else np.zeros_like(q1), dataset.labels.copy())
 
 
 def run_toy_experiment(

@@ -24,6 +24,13 @@ return the plain ``np.ndarray`` value, bitwise the ``.data`` the graph path
 gives, so a forward pass over arrays builds no graph at all. Wrap a value
 in ``Tensor`` to differentiate with respect to it.
 
+An op computes its value in its own output buffer: ``affine`` adds the
+bias and applies the activation in place on its matmul output, and
+``linear_combination`` sums into an array it allocated itself. Only
+buffers an op allocated are ever written, so operands, and every
+``Tensor.data``, are never mutated, and each value is bitwise that of the
+out-of-place expression with the same operand order.
+
 Everything is float64; the equivalence checks elsewhere in the package rely
 on tight tolerances, so there is deliberately no dtype flexibility.
 
@@ -253,24 +260,30 @@ def _reverse_topological(root: Tensor) -> list[Tensor]:
 # -- nonlinearities ----------------------------------------------------------
 # Each entry maps a pre-activation z to its value y and the chain factor
 # g -> g·act'(z). The public ops and the fused ``affine(..., activation=)``
-# node both read this table, so no derivative is written twice.
+# node both read this table, so no derivative is written twice. ``out`` is
+# where y goes: ``affine`` passes its own buffer z; the public ops pass
+# none and get a fresh array (numpy's ``out=...``, which keeps a 0-d value
+# an array the later steps can write), so they never write their operand.
 
 
-def _tanh(z: np.ndarray):
-    y = np.tanh(z)
+def _tanh(z: np.ndarray, out=...):
+    y = np.tanh(z, out=out)
     return y, lambda g: g * (1.0 - y * y)
 
 
-def _sigmoid(z: np.ndarray):
-    # tanh form stays finite for any input magnitude
-    y = 0.5 * (1.0 + np.tanh(0.5 * z))
+def _sigmoid(z: np.ndarray, out=...):
+    # 0.5·(1 + tanh(0.5·z)), which stays finite for any input magnitude
+    y = np.multiply(0.5, z, out=out)
+    np.tanh(y, y)  # the rest in place
+    np.add(1.0, y, y)
+    np.multiply(0.5, y, y)
     return y, lambda g: g * y * (1.0 - y)
 
 
-def _leaky_relu(z: np.ndarray, slope: float = 0.1):
+def _leaky_relu(z: np.ndarray, slope: float = 0.1, out=...):
     # the scale follows the sign of z, not of the output
     scale = np.where(z >= 0.0, 1.0, slope)
-    return z * scale, lambda g: g * scale
+    return np.multiply(z, scale, out=out), lambda g: g * scale
 
 
 ACTIVATIONS = {"tanh": _tanh, "sigmoid": _sigmoid, "leaky_relu": _leaky_relu}
@@ -307,8 +320,8 @@ def _value(operand) -> np.ndarray:
     return operand.data if isinstance(operand, Tensor) else _as_array(operand)
 
 
-def _any_node(*operands) -> bool:
-    return any(isinstance(operand, Tensor) for operand in operands)
+def _any_node(x, weight, bias) -> bool:
+    return isinstance(x, Tensor) or isinstance(weight, Tensor) or isinstance(bias, Tensor)
 
 
 def _shared(chain):
@@ -322,6 +335,14 @@ def _shared(chain):
         return memo[1]
 
     return pull
+
+
+def _biased(y: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``y + bias``, written into ``y``, a matmul output the caller allocated.
+    numpy adds into a one-element first operand by its reduction loop, which
+    may keep the other operand's NaN payload, so that one sum is formed out
+    of place."""
+    return np.add(y, bias, out=y) if y.size > 1 else y + bias
 
 
 def affine(x, weight, bias, activation: str | None = None):
@@ -352,10 +373,10 @@ def affine(x, weight, bias, activation: str | None = None):
         raise ShapeError(f"affine input shape {xd.shape} does not match weight {wd.shape}")
     if activation is not None and activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
-    y = xd @ wd.T + bd
+    y = _biased(xd @ wd.T, bd)
     local = _passed
     if activation is not None:
-        y, chain = ACTIVATIONS[activation](y)
+        y, chain = ACTIVATIONS[activation](y, out=y)
         local = _shared(chain)
     if not _any_node(x, weight, bias):
         return y
@@ -381,10 +402,10 @@ def _stacked_affine(x, weight, bias, xd, wd, bd, activation):
     if activation is not None and activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     rows = xd.reshape(members, -1, n)
-    y = (np.matmul(rows, np.swapaxes(wd, 1, 2)) + bd[:, None, :]).reshape(*xd.shape[:-1], m)
+    y = _biased(np.matmul(rows, np.swapaxes(wd, 1, 2)), bd[:, None, :]).reshape(*xd.shape[:-1], m)
     local = _passed
     if activation is not None:
-        y, chain = ACTIVATIONS[activation](y)
+        y, chain = ACTIVATIONS[activation](y, out=y)
         local = _shared(chain)
     if not _any_node(x, weight, bias):
         return y
@@ -407,11 +428,13 @@ def linear_combination(terms):
 
     The terms are summed left to right, and a term whose coefficient is 1
     is added without a multiply, so the value is bitwise that of chaining
-    ``+`` and constant ``*`` in the same order. Coefficients are constants;
-    every term must have the same shape. A term is a ``Tensor`` or a numpy
-    array; only the ``Tensor`` terms get an edge, and with none the value
-    comes back as an ``np.ndarray``. A single term with coefficient 1
-    returns its term unchanged.
+    ``+`` and constant ``*`` in the same order. The sum goes into an array
+    allocated here (a scaled term, or the first sum of two unscaled ones),
+    never into an operand. Coefficients are constants; every term must have the
+    same shape. A term is a ``Tensor`` or a numpy array; only the ``Tensor``
+    terms get an edge, and with none the value comes back as an
+    ``np.ndarray``. A single term with coefficient 1 returns its term
+    unchanged.
     """
     terms = list(terms)
     if not terms:
@@ -419,14 +442,26 @@ def linear_combination(terms):
     if len(terms) == 1 and terms[0][0] == 1:
         return terms[0][1]
     shape = terms[0][1].shape
-    value = None
+    value, owned = None, False  # owned: value is an array allocated here, free to write
     parents = []
     for c, t in terms:
         if t.shape != shape:
             raise ShapeError(f"linear_combination: shapes {shape} and {t.shape} differ")
-        data = _value(t)
-        term = data if c == 1 else c * data
-        value = term if value is None else value + term
         if isinstance(t, Tensor):
+            data = t.data
             parents.append((t, _passed if c == 1 else _scaled(c)))
+        else:
+            data = _as_array(t)
+        term = data if c == 1 else c * data
+        if value is None:
+            # one-element sums stay out of place: numpy gives a 0-d result as
+            # a scalar, and see ``_biased`` for adding into a one-element array
+            inplace = data.size > 1
+            value, owned = term, inplace and c != 1
+        elif owned:
+            np.add(value, term, value)  # into value
+        elif inplace and c != 1:
+            value, owned = np.add(value, term, term), True  # into the fresh product
+        else:
+            value, owned = value + term, inplace
     return Tensor(value, _parents=parents) if parents else value

@@ -100,6 +100,36 @@ def unrolled(fs, x0, family, k, dl, mode):
     return list(trace.activations), list(trace.forcing), states
 
 
+def reference_perturbation(network, inputs):
+    """``experiments.measure_perturbation`` from the whole recorded ``Trace``:
+    the reference for the probe, which streams ``Network.layers`` instead."""
+    from cknet.experiments import PerturbationRecord
+
+    if network.config.k != 1:
+        raise ValueError(
+            f"perturbation ratios are defined for residual (k=1) networks, got k={network.config.k}"
+        )
+    dl = network.config.dl
+    records = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, trace = network.infer(inputs, mode="direct", record=True)
+        for layer in range(len(trace.forcing)):
+            x = np.atleast_2d(trace.activations[layer])
+            f = np.atleast_2d(trace.forcing[layer])
+            x_norm = np.linalg.norm(x, axis=1)
+            f_norm = np.linalg.norm(f * dl, axis=1)
+            finite = np.isfinite(x_norm) & np.isfinite(f_norm)
+            keep = finite & (x_norm > 0.0)
+            if not np.any(keep):
+                raise ValueError(
+                    f"all activations at layer {layer} have zero norm" if np.all(finite)
+                    else f"activations or forcing at layer {layer} have non-finite norms (dl={dl})"
+                )
+            ratio = float((f_norm[keep] / x_norm[keep]).mean())
+            records.append(PerturbationRecord(layer, ratio, int((~keep).sum())))
+    return records
+
+
 # Single-layer steps from an arbitrary lag window or state: references for
 # ``unroll``, which carries the window and the state as tuples.
 

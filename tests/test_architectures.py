@@ -748,17 +748,20 @@ class TestInfer:
         original = architectures.unroll
 
         def watched(*args):
-            for layer in original(*args):
+            layers = original(*args)
+            del args  # x_0 is then unroll's own, to drop once the lag window or state does
+            for layer in layers:
                 refs.append(weakref.ref(layer.x))
-                alive.append(sum(r() is not None for r in refs[1:]))  # x_0 is unroll's own argument
+                alive.append(sum(r() is not None for r in refs))
                 yield layer
 
         monkeypatch.setattr(architectures, "unroll", watched)
         net.infer(np.ones((4, 2)), mode)
         assert len(alive) == 11 and max(alive) <= k + 1  # the lag window, and the record before
+        assert refs[0]() is None
         refs.clear()
         net.infer(np.ones((4, 2)), mode, record=True)
-        assert alive[-1] == 10  # a recorded run keeps every layer for its trace
+        assert alive[-1] == 11  # a recorded run keeps every layer for its trace
 
     def test_input_width_checked(self):
         net = Network(NetworkConfig("ck", k=1, depth=1, width=2, input_dim=3, num_classes=2))
@@ -780,6 +783,42 @@ class TestInfer:
         after = net.infer(x)
         assert after.tobytes() != before.tobytes()
         assert after.tobytes() == net.forward(x).data.tobytes()
+
+
+class TestLayers:
+    """``Network.layers`` streams the records ``infer`` reads out: graph-free,
+    and bitwise the rows of the recorded ``Trace``."""
+
+    @pytest.mark.parametrize("family,k", FORMS, ids=[f"{f}{k}" for f, k in FORMS])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    @pytest.mark.parametrize("x_shape", [(2,), (4, 2)], ids=["vector", "batch"])
+    def test_records_are_the_trace_rows_bitwise(self, family, k, mode, x_shape):
+        net = TestInfer.network(family, k, "sigmoid", depth=6, seed=k)
+        x = np.random.default_rng(k).standard_normal(x_shape)
+        records = list(net.layers(x, mode))
+        _, trace = net.infer(x, mode, record=True)
+        assert len(records) == len(trace.activations) == 7 and records[0].force is None
+        for layer, (x_l, force, state) in enumerate(records):
+            assert type(x_l) is np.ndarray and x_l.tobytes() == trace.activations[layer].tobytes()
+            if layer:
+                assert type(force) is np.ndarray and force.tobytes() == trace.forcing[layer - 1].tobytes()
+            if mode == "direct":
+                assert state is None
+            else:
+                assert len(state) == k
+                assert all(p.tobytes() == row.tobytes() for p, row in zip(state, trace.states[layer]))
+
+    def test_constructs_no_tensor(self, monkeypatch):
+        net = TestInfer.network("dense", 3)
+        made = count_tensors(monkeypatch)
+        for mode in ("direct", "state"):
+            list(net.layers(np.ones((4, 2)), mode))
+        assert made == []
+
+    def test_input_width_checked_on_call(self):
+        net = TestInfer.network("ck", 2)
+        with pytest.raises(ShapeError, match="input_dim=2"):
+            net.layers(np.zeros((2, 3)))
 
 
 class TestDenseIsResidual:

@@ -1,10 +1,11 @@
+import itertools
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from cknet import cli
+from cknet import cli, experiments
 from helpers import save_idx_images, save_idx_labels
 
 
@@ -182,6 +183,22 @@ class TestToyCommand:
         header = (tmp_path / "toy.csv").read_text().split("\n")[:2]
         assert header[0] == "# seed=0"
         assert header[1] == "seed,k,accuracy"
+
+    def test_seeds_are_drawn_lazily(self, monkeypatch, tmp_path, capsys):
+        taken = []
+        real = experiments.run_toy_experiment
+
+        def two_seeds(k, seeds, **kwargs):
+            assert sys.getsizeof(seeds) < 1024  # a lazy range, not a list of every seed
+            taken[:] = itertools.islice(seeds, 2)
+            return real(k, seeds=taken, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_toy_experiment", two_seeds)
+        args = ["train-toy", "-k", "1", "-L", "2", "--epochs", "1", "--seed", "7", "--out", str(tmp_path)]
+        assert run_cli(args + ["--seeds", "1000"]) == 0 and taken == [7, 8]
+        # the count that once grew a list until the process was killed
+        assert run_cli(args + ["--seeds", "99999999999999999999"]) == 0 and taken == [7, 8]
+        assert "best: seed" in capsys.readouterr().out
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["train-toy", "-k", "2", "--seeds", "1", "--epochs", "3"]

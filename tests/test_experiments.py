@@ -1,9 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from cknet.architectures import Network, NetworkConfig
+from cknet.architectures import LayerRecord, Network, NetworkConfig, unroll
 from cknet.data import best_threshold_accuracy, generate_toy_1d, synthetic_digits
 from cknet.experiments import (
     PerturbationRecord,
@@ -20,7 +21,8 @@ from cknet.experiments import (
     write_trajectory_csv,
 )
 from cknet.svgplot import Series, plot
-from helpers import count_tensors
+from cknet.tensor import Tensor, affine
+from helpers import count_tensors, reference_perturbation
 
 
 def _residual_net(depth=3, width=2, dl=1.0, seed=0, input_dim=2):
@@ -35,20 +37,34 @@ def graph_infer(network, inputs, mode="direct", record=False):
     return (out[0].data, out[1]) if record else out.data
 
 
+def graph_layers(network, inputs, mode="direct"):
+    """``Network.layers`` computed on the graph path: ``unroll`` over the
+    ``Parameter``s, each record's values read off its tensors (the zero
+    state parts at the input are arrays already)."""
+    cfg = network.config
+    value = lambda v: v.data if isinstance(v, Tensor) else v
+    x0 = affine(np.asarray(inputs, dtype=np.float64), network.embed_weight, network.embed_bias)
+    for x, force, state in unroll(network.blocks, x0, cfg.family, cfg.k, cfg.dl, mode):
+        yield LayerRecord(x.data, None if force is None else force.data,
+                          None if state is None else tuple(map(value, state)))
+
+
+def hexed(records):
+    return [(r.layer, r.ratio.hex(), r.skipped) for r in records]
+
+
 class TestGraphFreeProbes:
-    """Perturbation probes, toy runs and comparisons run on ``Network.infer``,
-    with the values the graph path gives."""
+    """Perturbation probes, toy runs and comparisons run on ``Network.infer``
+    and ``Network.layers``, with the values the graph path gives."""
 
     def test_perturbation_records_equal_the_graph_path(self, monkeypatch):
         net = _residual_net(depth=6, width=5, input_dim=3, dl=0.5, seed=3)
         batch = np.random.default_rng(3).standard_normal((32, 3))
         batch[4] = 0.0
         records = measure_perturbation(net, batch)
-        monkeypatch.setattr(Network, "infer", graph_infer)
+        monkeypatch.setattr(Network, "layers", graph_layers)
         expected = measure_perturbation(net, batch)
-        assert [(r.layer, r.ratio.hex(), r.skipped) for r in records] == [
-            (r.layer, r.ratio.hex(), r.skipped) for r in expected
-        ]
+        assert hexed(records) == hexed(expected)
 
     def test_perturbation_probe_constructs_no_tensor(self, monkeypatch):
         net = _residual_net(depth=4, width=3, seed=5)
@@ -59,7 +75,8 @@ class TestGraphFreeProbes:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_toy_run_and_phase_dump_equal_the_graph_path(self, monkeypatch, k):
         result = run_toy_experiment(k, seeds=(0, 1), depth=5, epochs=3)
-        monkeypatch.setattr(Network, "infer", graph_infer)
+        monkeypatch.setattr(Network, "infer", graph_infer)  # the evaluation
+        monkeypatch.setattr(Network, "layers", graph_layers)  # the phase dump
         expected = run_toy_experiment(k, seeds=(0, 1), depth=5, epochs=3)
         assert result.accuracies == expected.accuracies
         assert (result.best_seed, result.best_accuracy) == (expected.best_seed, expected.best_accuracy)
@@ -76,6 +93,63 @@ class TestGraphFreeProbes:
         rows = run()
         monkeypatch.setattr(Network, "infer", graph_infer)
         assert rows == run()
+
+
+class TestStreamedProbe:
+    """The probe reduces ``Network.layers`` record by record, with the values
+    of the reference that reduces the whole recorded ``Trace``."""
+
+    @pytest.mark.parametrize("batch_shape", [(32, 3), (3,)], ids=["batch", "vector"])
+    @pytest.mark.parametrize("dl", [0.5, 1.0, 0.01])
+    def test_records_equal_the_trace_reference(self, batch_shape, dl):
+        net = _residual_net(depth=7, width=5, input_dim=3, dl=dl, seed=11)
+        batch = np.random.default_rng(11).standard_normal(batch_shape)
+        assert hexed(measure_perturbation(net, batch)) == hexed(reference_perturbation(net, batch))
+
+    def test_zero_and_nan_samples_match_the_reference(self):
+        net = _residual_net(depth=5, width=4, input_dim=3, dl=0.5, seed=12)
+        net.embed_bias.data = np.zeros(4)
+        batch = np.random.default_rng(12).standard_normal((16, 3))
+        batch[2] = 0.0  # x_0 of this sample has zero norm
+        batch[5, 1] = np.nan
+        records = measure_perturbation(net, batch)
+        assert records[0].skipped == 2 and all(r.skipped >= 1 for r in records)
+        assert hexed(records) == hexed(reference_perturbation(net, batch))
+
+    @pytest.mark.parametrize("dl,nan_layer", [(1e308, None), (1.0, 0), (1.0, 3)])
+    def test_errors_match_the_reference(self, dl, nan_layer):
+        net = _residual_net(depth=5, width=3, dl=dl, seed=13)
+        if nan_layer is not None:
+            net.blocks[nan_layer].bias.data = np.full(3, np.nan)
+        batch = np.random.default_rng(13).standard_normal((4, 2))
+        with pytest.raises(ValueError) as expected:
+            reference_perturbation(net, batch)
+        with pytest.raises(ValueError) as streamed:
+            measure_perturbation(net, batch)
+        assert str(streamed.value) == str(expected.value)
+
+    def test_all_zero_layer_error_matches_the_reference(self):
+        net = _residual_net(depth=3, width=2, seed=14)
+        batch = np.zeros((4, 2))
+        net.embed_bias.data = np.zeros(2)
+        with pytest.raises(ValueError, match="at layer 0 have zero norm") as streamed:
+            measure_perturbation(net, batch)
+        with pytest.raises(ValueError) as expected:
+            reference_perturbation(net, batch)
+        assert str(streamed.value) == str(expected.value)
+
+    def test_peak_memory_stays_within_a_few_layers(self):
+        # depth 20, width 64, 1024 rows: one layer is 512 KiB, the trajectory 10.5 MiB
+        net = _residual_net(depth=20, width=64, input_dim=16, dl=0.5, seed=15)
+        batch = np.random.default_rng(15).standard_normal((1024, 16))
+        layer_bytes = 1024 * 64 * 8
+        tracemalloc.start()
+        try:
+            measure_perturbation(net, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * layer_bytes, f"probe peak {peak / 2**20:.2f} MiB"
 
 
 class TestMeasurePerturbation:

@@ -528,3 +528,114 @@ class TestStackedAffine:
     def test_mismatched_shapes_rejected(self, x_shape, w_shape, b_shape):
         with pytest.raises(ShapeError):
             affine(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))
+
+
+def _float(bits: int) -> float:
+    return np.frombuffer(np.uint64(bits).tobytes(), dtype=np.float64)[0]
+
+
+# NaNs of both signs and two payloads, infinities, signed zeros, extremes
+SPECIALS = np.array([_float(0x7FF8000000000000), _float(0xFFF8000000000000), _float(0x7FF8000000001234),
+                     _float(0xFFF0000000000001), np.inf, -np.inf, 0.0, -0.0, 1e308, 5e-324])
+
+
+class TestOwnBuffers:
+    """Ops compute in their own output buffers, never in an operand, and give
+    the out-of-place expression's bits, NaN payloads included."""
+
+    @staticmethod
+    def values(rng, shape, special=0.4):
+        a = np.asarray(rng.standard_normal(shape) * 3.0)
+        mask = rng.random(shape) < special
+        a[mask] = rng.choice(SPECIALS, size=int(mask.sum()))
+        return a
+
+    @staticmethod
+    def out_of_place(z, activation):
+        if activation == "tanh":
+            return np.tanh(z)
+        if activation == "sigmoid":
+            return 0.5 * (1.0 + np.tanh(0.5 * z))
+        if activation == "leaky_relu":
+            return z * np.where(z >= 0.0, 1.0, 0.1)
+        return z
+
+    @staticmethod
+    def checked(operands, as_tensor, op):
+        """``op`` on the operands (as ``Tensor``s or arrays), asserting that
+        none of their bytes changed; returns the value as an array."""
+        before = [a.tobytes() for a in operands]
+        args = [Tensor(a) if t else a for a, t in zip(operands, as_tensor)]
+        out = op(*args)
+        assert [(a.data if t else a).tobytes() for a, t in zip(args, as_tensor)] == before
+        return np.asarray(out.data if isinstance(out, Tensor) else out)
+
+    @pytest.mark.parametrize("activation", [None, "tanh", "sigmoid", "leaky_relu"])
+    @pytest.mark.parametrize("x_shape,m", [((4,), 3), ((5, 4), 3), ((1,), 1), ((1, 2), 1), ((3, 1), 1)],
+                             ids=["vector", "batch", "one", "one-row", "one-column"])
+    @pytest.mark.parametrize("as_tensor", [(False,) * 3, (True,) * 3, (False, True, False)],
+                             ids=["arrays", "tensors", "mixed"])
+    def test_affine(self, activation, x_shape, m, as_tensor):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            x, w, b = self.values(rng, x_shape), self.values(rng, (m, x_shape[-1])), self.values(rng, (m,))
+            with np.errstate(all="ignore"):
+                got = self.checked((x, w, b), as_tensor, lambda *a: affine(*a, activation))
+                want = self.out_of_place(x @ w.T + b, activation)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
+
+    @pytest.mark.parametrize("activation", [None, "tanh", "sigmoid", "leaky_relu"])
+    @pytest.mark.parametrize("members,batch,d", [(3, None, 4), (2, 5, 3), (1, None, 1), (1, 1, 1), (2, 1, 1)])
+    @pytest.mark.parametrize("as_tensor", [(False,) * 3, (True,) * 3], ids=["arrays", "tensors"])
+    def test_stacked_affine(self, activation, members, batch, d, as_tensor):
+        x_shape = (members, d) if batch is None else (members, batch, d)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            x, w, b = self.values(rng, x_shape), self.values(rng, (members, d, d)), self.values(rng, (members, d))
+            with np.errstate(all="ignore"):
+                got = self.checked((x, w, b), as_tensor, lambda *a: affine(*a, activation))
+                z = np.matmul(x.reshape(members, -1, d), np.swapaxes(w, 1, 2)) + b[:, None, :]
+                want = self.out_of_place(z.reshape(x_shape), activation)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
+
+    def test_one_element_bias_add_keeps_the_matmul_nan(self):
+        # numpy's in-place add of one element takes its reduction loop, which
+        # keeps the bias's NaN here; the value must keep the matmul's
+        x, w, b = np.array([1.0]), np.array([[SPECIALS[1]]]), np.array([SPECIALS[0]])
+        with np.errstate(invalid="ignore"):
+            assert affine(x, w, b).tobytes() == (x @ w.T + b).tobytes()
+
+    COEFFICIENTS = {
+        "unit first": [1, 0.5, -2, 1],
+        "scaled first": [0.5, 1, 1, 3],
+        "single scaled": [-3],
+        "two units": [1, 1],
+        "mixed": [2, -1, 1, 0, 1, 0.25],
+        "zero": [0],
+    }
+
+    @pytest.mark.parametrize("coefficients", COEFFICIENTS.values(), ids=COEFFICIENTS.keys())
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (6,), (3, 4)])
+    @pytest.mark.parametrize("tensors", [False, True])
+    def test_linear_combination(self, coefficients, shape, tensors):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            terms = [self.values(rng, shape) for _ in coefficients]
+            as_tensor = [tensors and i % 2 == 0 for i in range(len(terms))]
+            with np.errstate(all="ignore"):
+                got = self.checked(terms, as_tensor, lambda *t: linear_combination(list(zip(coefficients, t))))
+                c, t = coefficients[0], terms[0]
+                want = t if c == 1 else c * t
+                for c, t in zip(coefficients[1:], terms[1:]):
+                    want = want + (t if c == 1 else c * t)
+            assert got.shape == shape and got.tobytes() == np.asarray(want).tobytes(), seed
+
+    @pytest.mark.parametrize("op,activation", [(tanh, "tanh"), (sigmoid, "sigmoid"), (leaky_relu, "leaky_relu")])
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (2, 3)])
+    def test_activation_ops(self, op, activation, shape):
+        for seed in range(40):
+            x = self.values(np.random.default_rng(seed), shape)
+            with np.errstate(all="ignore"):
+                got = self.checked((x,), (True,), op)
+                want = self.out_of_place(x, activation)
+            assert got.shape == shape and got.tobytes() == np.asarray(want).tobytes(), seed
