@@ -299,7 +299,7 @@ def unroll(forcings, x0, family: str, k: int, dl: float, mode: str, matrices=Non
 
 @dataclass
 class Trace:
-    """Recorded forward pass: the trajectory as stacked arrays.
+    """A run's trajectory as stacked arrays, ``Trace.from_layers(net.layers(x, mode))``.
 
     With x the shape of one activation (``[width]`` or ``[batch, width]``),
     ``activations`` is ``(L+1, *x)``, ``forcing`` ``(L, *x)`` (empty at depth
@@ -309,11 +309,9 @@ class Trace:
     activations: np.ndarray  # x_0..x_L
     forcing: np.ndarray  # f_l(x_l) for l = 0..L-1
     states: np.ndarray | None  # state mode only: q_1..q_k per layer
-    k: int
-    dl: float
 
     @classmethod
-    def from_layers(cls, layers, k: int, dl: float) -> "Trace":
+    def from_layers(cls, layers) -> "Trace":
         """The values in the ``LayerRecord``s of one ``unroll``, one array per
         field; a record may hold ``Tensor``s or arrays. ``np.array`` copies a
         list of equal-shape arrays into one stacked array (like ``np.stack``,
@@ -325,8 +323,6 @@ class Trace:
             np.array([_value(r.x) for r in layers]),
             np.array(forces) if forces else np.empty((0, *layers[0].x.shape)),
             None if layers[0].state is None else np.array([[_value(p) for p in r.state] for r in layers]),
-            k,
-            dl,
         )
 
 
@@ -359,27 +355,25 @@ class Network:
         for p in self.parameters():
             p.zero_grad()
 
-    def forward(self, inputs: np.ndarray, mode: str = "direct", record: bool = False):
+    def forward(self, inputs: np.ndarray, mode: str = "direct") -> Tensor:
         """Run the network on a [batch, input_dim] (or [input_dim]) array.
 
-        Returns the logits tensor, or ``(logits, Trace)`` when ``record``
-        is set. ``mode`` selects the direct multi-lag recurrence or the
-        equivalent first-order state-space evaluation. This is the graph
-        path that training differentiates; ``infer`` gives the same values
-        without a graph.
+        Returns the logits tensor. ``mode`` selects the direct multi-lag
+        recurrence or the equivalent first-order state-space evaluation.
+        This is the graph path that training differentiates; ``infer``
+        gives the same values without a graph.
         """
         layers = self._unroll(inputs, mode, (self.embed_weight, self.embed_bias), self.blocks)
-        return self._read_out(layers, (self.head_weight, self.head_bias), record)
+        return self._read_out(layers, (self.head_weight, self.head_bias))
 
-    def infer(self, inputs: np.ndarray, mode: str = "direct", record: bool = False):
+    def infer(self, inputs: np.ndarray, mode: str = "direct") -> np.ndarray:
         """``forward`` on the parameters' current arrays, building no graph.
 
-        Returns the logits as an ``np.ndarray``, or ``(logits, Trace)`` when
-        ``record`` is set; both bitwise those of ``forward``. For evaluation,
-        where nothing is differentiated. It reads out the records of
-        ``layers``.
+        Returns the logits as an ``np.ndarray``, bitwise those of
+        ``forward``. For evaluation, where nothing is differentiated. It
+        reads out the records of ``layers``.
         """
-        return self._read_out(self.layers(inputs, mode), (self.head_weight.data, self.head_bias.data), record)
+        return self._read_out(self.layers(inputs, mode), (self.head_weight.data, self.head_bias.data))
 
     def layers(self, inputs: np.ndarray, mode: str = "direct"):
         """The ``unroll`` of ``infer``: its ``LayerRecord``s x_0..x_L, as arrays.
@@ -401,13 +395,9 @@ class Network:
             raise ShapeError(f"input width {arr.shape} does not match input_dim={cfg.input_dim}")
         return unroll(forcings, T.affine(arr, *embed), cfg.family, cfg.k, cfg.dl, mode)
 
-    def _read_out(self, layers, head, record: bool):
-        """The logits of the last of ``layers``, and their ``Trace`` when
-        ``record`` is set. Without ``record`` only the last layer is kept, so
-        a graph-free unroll frees each layer's arrays once the next is built."""
-        if record:
-            layers = list(layers)
-            return T.affine(layers[-1].x, *head), Trace.from_layers(layers, self.config.k, self.config.dl)
+    def _read_out(self, layers, head):
+        """The logits of the last of ``layers``. Only the last layer is kept,
+        so a graph-free unroll frees each layer's arrays once the next is built."""
         for last in layers:
             pass
         return T.affine(last.x, *head)

@@ -21,7 +21,6 @@ from .verify import run_battery, sign_flipped_dense_forcing
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
-EXIT_USAGE = 2
 EXIT_IO = 3
 
 
@@ -188,9 +187,6 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_depth_sweep(args) -> int:
-    if len(set(args.depths)) < 3:
-        print("depth-sweep needs at least 3 distinct depths", file=sys.stderr)
-        return EXIT_USAGE
     dataset, source = _load_subset(args)
     print(f"seed={args.seed} data={source}")
     result = experiments.run_depth_sweep(
@@ -257,30 +253,32 @@ def cmd_param_count(args) -> int:
 
 
 def cmd_fetch_mnist(args) -> int:
-    data_dir = _resolve_data_dir(args)
-    if not data_dir:
-        print("fetch-mnist requires --data-dir or CK_DATA_DIR", file=sys.stderr)
-        return EXIT_USAGE
-    for name, path in fetch_mnist(data_dir).items():
+    for name, path in fetch_mnist(_resolve_data_dir(args)).items():
         print(f"{name} -> {path}")
     return EXIT_OK
 
 
-def _reject_overflowing_dl(parser: argparse.ArgumentParser, args) -> None:
-    """A usage error for a ``--dl`` whose power for the highest order the
-    command builds (order 1 for depth-sweep) is not a finite float."""
+def _reject_unusable(parser: argparse.ArgumentParser, args) -> None:
+    """A usage error for what no single argument shows: a ``--dl`` whose
+    power for the highest order the command builds (order 1 for
+    depth-sweep) is not a finite float, fewer than 3 distinct sweep depths,
+    or fetch-mnist without a data directory."""
     if hasattr(args, "dl"):
         k = max([getattr(args, "order", 1), *getattr(args, "orders", ()), *getattr(args, "dense_orders", ())])
         try:
             check_mesh_step(args.dl, k)
         except ValueError as exc:
             parser.error(f"argument --dl: {exc}")
+    if args.command == "depth-sweep" and len(set(args.depths)) < 3:
+        parser.error(f"argument --depths: need at least 3 distinct depths, got {sorted(set(args.depths))}")
+    if args.command == "fetch-mnist" and not _resolve_data_dir(args):
+        parser.error("fetch-mnist requires --data-dir or CK_DATA_DIR")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _reject_overflowing_dl(parser, args)
+    _reject_unusable(parser, args)
     try:
         return args.func(args)
     except (FileNotFoundError, IdxFormatError) as exc:  # a missing or corrupt data file

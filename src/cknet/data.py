@@ -8,6 +8,7 @@ immutable after construction and safe to share.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import urllib.request
 from dataclasses import dataclass
@@ -140,34 +141,29 @@ def _read_exact(fh, n: int, what: str, path) -> bytes:
     return data
 
 
+def _load_idx(path, magic: int, kind: str, rank: int) -> np.ndarray:
+    """The uint8 payload of an IDX file of ``rank`` dimensions whose magic
+    number must be ``magic``; ``kind`` names its items in error messages."""
+    with _open_for_read(path) as fh:
+        found, = struct.unpack(">I", _read_exact(fh, 4, "magic number", path))
+        if found != magic:
+            raise IdxFormatError(f"{path}: magic number 0x{found:08x}, expected {kind} magic 0x{magic:08x}")
+        what = "count" if rank == 1 else "dimensions"
+        shape = struct.unpack(f">{rank}I", _read_exact(fh, 4 * rank, what, path))
+        payload = _read_exact(fh, math.prod(shape), f"{shape[0]} {kind}s", path)
+        if fh.read(1):
+            raise IdxFormatError(f"{path}: trailing bytes after {kind} payload")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
+
+
 def load_idx_images(path) -> np.ndarray:
     """Raw [N, rows, cols] uint8 pixels from an IDX3 image file."""
-    with _open_for_read(path) as fh:
-        magic, = struct.unpack(">I", _read_exact(fh, 4, "magic number", path))
-        if magic != IMAGE_MAGIC:
-            raise IdxFormatError(
-                f"{path}: magic number 0x{magic:08x}, expected image magic 0x{IMAGE_MAGIC:08x}"
-            )
-        count, rows, cols = struct.unpack(">III", _read_exact(fh, 12, "dimensions", path))
-        payload = _read_exact(fh, count * rows * cols, f"{count} images", path)
-        if fh.read(1):
-            raise IdxFormatError(f"{path}: trailing bytes after image payload")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
+    return _load_idx(path, IMAGE_MAGIC, "image", 3)
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Raw [N] uint8 labels from an IDX1 label file."""
-    with _open_for_read(path) as fh:
-        magic, = struct.unpack(">I", _read_exact(fh, 4, "magic number", path))
-        if magic != LABEL_MAGIC:
-            raise IdxFormatError(
-                f"{path}: magic number 0x{magic:08x}, expected label magic 0x{LABEL_MAGIC:08x}"
-            )
-        count, = struct.unpack(">I", _read_exact(fh, 4, "count", path))
-        payload = _read_exact(fh, count, f"{count} labels", path)
-        if fh.read(1):
-            raise IdxFormatError(f"{path}: trailing bytes after label payload")
-    return np.frombuffer(payload, dtype=np.uint8)
+    return _load_idx(path, LABEL_MAGIC, "label", 1)
 
 
 def load_mnist_idx(images_path, labels_path) -> Dataset:

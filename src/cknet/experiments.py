@@ -227,12 +227,12 @@ def run_toy_experiment(
     dl: float = 0.2,
     epochs: int = 2000,
     learning_rate: float = 0.002,
-    n_per_segment: int = 40,
 ) -> ToyResult:
     """Train single-node order-k networks on the three-segment line.
 
-    One run per seed (fresh data, init, and batching per seed); the
-    phase-space dump comes from the best-accuracy run.
+    One run per seed (fresh data of 40 points a segment, init, and
+    batching per seed); the phase-space dump comes from the best-accuracy
+    run, and no seed at all raises ``ValueError``.
 
     The default mesh size and learning rate keep the order-1 dynamics in
     the perturbation regime: with a large step a single-node residual map
@@ -243,7 +243,7 @@ def run_toy_experiment(
     accuracies: dict[int, float] = {}
     best = None
     for seed in seeds:
-        dataset = generate_toy_1d(n_per_segment, seed=seed)
+        dataset = generate_toy_1d(40, seed=seed)
         network = _toy_network(k, depth, dl, seed)
         config = TrainConfig(
             epochs=epochs,
@@ -256,6 +256,8 @@ def run_toy_experiment(
         accuracies[seed] = acc
         if best is None or acc > best[1]:
             best = (seed, acc, network, dataset, metrics)
+    if best is None:
+        raise ValueError("the toy experiment needs at least one seed")
     best_seed, best_acc, best_net, best_data, best_metrics = best
     return ToyResult(
         k, accuracies, best_seed, best_acc, _phase_dump(best_net, best_data), best_metrics

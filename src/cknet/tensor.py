@@ -205,14 +205,13 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named, trainable leaf tensor."""
+    """A named leaf tensor, one of the arrays training updates."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, data, name: str, trainable: bool = True):
+    def __init__(self, data, name: str):
         super().__init__(data)
         self.name = name
-        self.trainable = trainable
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape})"

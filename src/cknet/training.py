@@ -105,7 +105,7 @@ class Adam:
     """
 
     def __init__(self, params, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params: list[Parameter] = [p for p in params if p.trainable]
+        self.params: list[Parameter] = list(params)
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
@@ -159,10 +159,6 @@ class Adam:
             p.data = p.data - g[offset : offset + size].reshape(p.data.shape)
             offset += size
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
 
 def evaluate(network, inputs: np.ndarray, labels: np.ndarray, mode: str = "direct"):
     """Loss and accuracy of a frozen network on one batch, through the
@@ -172,7 +168,7 @@ def evaluate(network, inputs: np.ndarray, labels: np.ndarray, mode: str = "direc
     return float(loss), float((logits.argmax(axis=1) == labels).mean())
 
 
-def train(network, dataset, config: TrainConfig, val=None, mode: str = "direct"):
+def train(network, dataset, config: TrainConfig, val=None):
     """Train in place; returns per-epoch metrics.
 
     Deterministic for a fixed (network seed, config seed, dataset): batch
@@ -196,7 +192,7 @@ def train(network, dataset, config: TrainConfig, val=None, mode: str = "direct")
             batch_x = dataset.inputs[idx]
             batch_y = dataset.labels[idx]
             with np.errstate(all="ignore"):  # divergence is reported as one TrainingError
-                logits = network.forward(batch_x, mode=mode)
+                logits = network.forward(batch_x)
                 loss = softmax_cross_entropy(logits, batch_y)
                 loss_value = loss.item()
                 if not np.isfinite(loss_value) or loss_value > LOSS_DIVERGENCE_LIMIT:
@@ -210,7 +206,7 @@ def train(network, dataset, config: TrainConfig, val=None, mode: str = "direct")
             total_correct += int((logits.data.argmax(axis=1) == batch_y).sum())
         row = EpochMetrics(epoch, total_loss / n, total_correct / n)
         if val is not None:
-            val_loss, val_acc = evaluate(network, val.inputs, val.labels, mode=mode)
+            val_loss, val_acc = evaluate(network, val.inputs, val.labels)
             row = EpochMetrics(row.epoch, row.train_loss, row.train_acc, val_loss, val_acc)
         metrics.append(row)
     return metrics

@@ -85,10 +85,6 @@ def _new_checks(tolerance: float) -> dict[str, CheckResult]:
     }
 
 
-def _trace(fs, x0: np.ndarray, family: str, k: int, dl: float, mode: str, matrices=None) -> Trace:
-    return Trace.from_layers(unroll(fs, x0, family, k, dl, mode, matrices), k, dl)
-
-
 def sign_flipped_dense_forcing(k: int, d: int) -> BlockMatrix:
     """Dense forcing matrix with one corrupted sign; fault-injection hook.
 
@@ -159,10 +155,10 @@ def _check_group(k: int, d: int, depth: int, seeds, dense_forcing_matrix) -> lis
     matrices = None
     if dense_forcing_matrix:
         matrices = (build_dense_matrices(k, d)[0], dense_forcing_matrix(k, d))
-    xs = _trace(fs, x0, "ck", k, dl, "direct").activations
-    ck_state = _trace(fs, x0, "ck", k, dl, "state")
-    dense = _trace(fs, x0, "dense", k, dl, "direct")
-    dense_state = _trace(fs, x0, "dense", k, dl, "state", matrices)
+    xs = Trace.from_layers(unroll(fs, x0, "ck", k, dl, "direct")).activations
+    ck_state = Trace.from_layers(unroll(fs, x0, "ck", k, dl, "state"))
+    dense = Trace.from_layers(unroll(fs, x0, "dense", k, dl, "direct"))
+    dense_state = Trace.from_layers(unroll(fs, x0, "dense", k, dl, "state", matrices))
     rows = [  # (check, deviation of each member, detail suffix)
         ("ck equivalence", _max_gap(xs, ck_state.activations), ""),
         ("ck state extraction", _extraction_deviation(xs, ck_state.states, k), ""),

@@ -7,7 +7,14 @@ import struct
 import numpy as np
 
 from cknet import verify
-from cknet.architectures import ForcingFunction, Trace, c1_step, dense_difference_identity_check, unroll
+from cknet.architectures import (
+    ForcingFunction,
+    LayerRecord,
+    Trace,
+    c1_step,
+    dense_difference_identity_check,
+    unroll,
+)
 from cknet.data import IMAGE_MAGIC, LABEL_MAGIC
 from cknet.dynamics import (
     alternating_binomial_row,
@@ -18,7 +25,7 @@ from cknet.dynamics import (
     build_dense_matrices,
     mixed_diff_coefficients,
 )
-from cknet.tensor import Parameter, Tensor, linear_combination
+from cknet.tensor import Parameter, Tensor, affine, linear_combination
 
 
 def central_difference(fn, arrays, step=1e-6):
@@ -95,9 +102,21 @@ def unrolled(fs, x0, family, k, dl, mode):
     """Activations, forcing outputs and (state mode) state parts, as lists
     of arrays, of ``unroll`` over the forcing functions ``fs`` from the
     array ``x0``."""
-    trace = Trace.from_layers(unroll(fs, Tensor(x0), family, k, dl, mode), k, dl)
+    trace = Trace.from_layers(unroll(fs, Tensor(x0), family, k, dl, mode))
     states = None if trace.states is None else [list(parts) for parts in trace.states]
     return list(trace.activations), list(trace.forcing), states
+
+
+def graph_layers(network, inputs, mode="direct"):
+    """``Network.layers`` computed on the graph path: ``unroll`` over the
+    ``Parameter``s, each record's values read off its tensors (the zero
+    state parts at the input are arrays already)."""
+    cfg = network.config
+    value = lambda v: v.data if isinstance(v, Tensor) else v
+    x0 = affine(np.asarray(inputs, dtype=np.float64), network.embed_weight, network.embed_bias)
+    for x, force, state in unroll(network.blocks, x0, cfg.family, cfg.k, cfg.dl, mode):
+        yield LayerRecord(x.data, None if force is None else force.data,
+                          None if state is None else tuple(map(value, state)))
 
 
 def reference_perturbation(network, inputs):
@@ -112,7 +131,7 @@ def reference_perturbation(network, inputs):
     dl = network.config.dl
     records = []
     with np.errstate(over="ignore", invalid="ignore"):
-        _, trace = network.infer(inputs, mode="direct", record=True)
+        trace = Trace.from_layers(network.layers(inputs, mode="direct"))
         for layer in range(len(trace.forcing)):
             x = np.atleast_2d(trace.activations[layer])
             f = np.atleast_2d(trace.forcing[layer])
@@ -308,7 +327,7 @@ def check_case(key, dense_forcing_matrix):
     x0 = rng.standard_normal(d)
 
     def trace(family, mode, matrices=None):
-        return Trace.from_layers(unroll(fs, Tensor(x0), family, k, dl, mode, matrices), k, dl)
+        return Trace.from_layers(unroll(fs, Tensor(x0), family, k, dl, mode, matrices))
 
     def gap(xs, ys):
         return float(np.max(np.abs(xs - ys)))

@@ -184,7 +184,7 @@ def test_criterion_5_parameter_ratio_and_embedding_dimension():
         for d in (1, 2, 8, 64)
     )
     embed_ok = all(
-        Trace.from_layers(unroll([], np.zeros(d), "ck", k, 1.0, "state"), k, 1.0).states[0].size == k * d
+        Trace.from_layers(unroll([], np.zeros(d), "ck", k, 1.0, "state")).states[0].size == k * d
         for k in range(1, 9)
         for d in (1, 2, 8)
     )

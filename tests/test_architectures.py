@@ -34,6 +34,7 @@ from helpers import (
     dense_direct_step,
     dense_state_step,
     gradient_close,
+    graph_layers,
     identity_gap,
     initialize_state,
     unrolled,
@@ -386,7 +387,7 @@ class TestNetworkForward:
     def test_trace_records_full_trajectory(self):
         net = Network(NetworkConfig("ck", k=2, depth=5, width=3, input_dim=2, num_classes=2, seed=3))
         x = np.random.default_rng(7).standard_normal((4, 2))
-        _, trace = net.forward(x, mode="state", record=True)
+        trace = Trace.from_layers(net.layers(x, mode="state"))
         assert len(trace.activations) == 6
         assert len(trace.forcing) == 5
         assert len(trace.states) == 6
@@ -578,7 +579,7 @@ class TestWholeNetworkBitwise:
     def test_forward_and_trace_equal_chained_reference(self, family, k, mode):
         net = Network(NetworkConfig(family, k, depth=6, width=3, input_dim=2, num_classes=3, dl=0.5, seed=k))
         x = np.random.default_rng(k).standard_normal((4, 2))
-        logits, trace = net.forward(x, mode=mode, record=True)
+        logits, trace = net.forward(x, mode=mode), Trace.from_layers(graph_layers(net, x, mode))
         ref_logits, activations, forcing, states = reference_forward(net, x, mode)
 
         def same(a, b):
@@ -600,8 +601,7 @@ class TestRecordedTrace:
     def test_record_at_depth_zero(self, family, k, mode):
         net = Network(NetworkConfig(family, k, depth=0, width=3, input_dim=2, num_classes=2, seed=1))
         x = np.random.default_rng(1).standard_normal((4, 2))
-        logits, trace = net.forward(x, mode=mode, record=True)
-        assert logits.data.tobytes() == net.forward(x, mode=mode).data.tobytes()
+        trace = Trace.from_layers(net.layers(x, mode))
         x0 = affine(x, net.embed_weight, net.embed_bias).data
         assert len(trace.activations) == 1 and trace.activations[0].tobytes() == x0.tobytes()
         assert len(trace.forcing) == 0
@@ -618,8 +618,7 @@ class TestRecordedTrace:
         k, width = 3, 2
         net = Network(NetworkConfig("dense", k, depth=depth, width=width, input_dim=2, num_classes=2, seed=2))
         x = np.random.default_rng(2).standard_normal((*batch, 2))
-        _, direct = net.forward(x, mode="direct", record=True)
-        _, state = net.forward(x, mode="state", record=True)
+        direct, state = (Trace.from_layers(net.layers(x, mode)) for mode in ("direct", "state"))
         for trace in (direct, state):
             assert trace.activations.shape == (depth + 1, *batch, width)
             assert trace.forcing.shape == (depth, *batch, width)
@@ -630,7 +629,7 @@ class TestRecordedTrace:
     def test_trace_keeps_no_graph_array(self):
         fs = [random_forcing(3, seed=70 + i) for i in range(4)]
         layers = list(unroll(fs, Tensor(np.ones(3)), "ck", 2, 0.5, "state"))
-        trace = Trace.from_layers(layers, 2, 0.5)
+        trace = Trace.from_layers(layers)
         graph = [r.x.data for r in layers] + [r.force.data for r in layers[1:]]
         graph += [p.data for r in layers for p in r.state]
         for field in (trace.activations, trace.forcing, trace.states):
@@ -664,8 +663,8 @@ class TestGraphFreeUnroll:
         values += [p for r in layers for p in r.state or ()]
         assert all(type(v) is np.ndarray for v in values)
         graph_fs = [ForcingFunction(Tensor(f.weight), Tensor(f.bias), f.activation) for f in fs]
-        folded = Trace.from_layers(layers, k, 0.5)
-        graph = Trace.from_layers(unroll(graph_fs, Tensor(x0), family, k, 0.5, mode), k, 0.5)
+        folded = Trace.from_layers(layers)
+        graph = Trace.from_layers(unroll(graph_fs, Tensor(x0), family, k, 0.5, mode))
         assert folded.activations.tobytes() == graph.activations.tobytes()
         assert folded.forcing.shape == graph.forcing.shape
         assert folded.forcing.tobytes() == graph.forcing.tobytes()
@@ -718,15 +717,13 @@ class TestInfer:
         logits = net.infer(x, mode=mode)
         assert type(logits) is np.ndarray
         assert logits.tobytes() == net.forward(x, mode=mode).data.tobytes()
-        (inferred, trace), (graph, expected) = net.infer(x, mode, record=True), net.forward(x, mode, record=True)
-        assert type(inferred) is np.ndarray and inferred.tobytes() == graph.data.tobytes()
+        trace, expected = Trace.from_layers(net.layers(x, mode)), Trace.from_layers(graph_layers(net, x, mode))
         for field in ("activations", "forcing", "states"):
             got, want = getattr(trace, field), getattr(expected, field)
             if want is None:
                 assert got is None
             else:
                 assert type(got) is np.ndarray and got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert (trace.k, trace.dl) == (expected.k, expected.dl)
 
     @pytest.mark.parametrize("family,k", FORMS, ids=[f"{f}{k}" for f, k in FORMS])
     def test_constructs_no_tensor(self, monkeypatch, family, k):
@@ -735,14 +732,14 @@ class TestInfer:
         made = count_tensors(monkeypatch)
         for mode in ("direct", "state"):
             net.infer(x, mode)
-            net.infer(x, mode, record=True)
+            Trace.from_layers(net.layers(x, mode))
         assert made == []
         net.forward(x)  # the counter sees the graph path
         assert made
 
     @pytest.mark.parametrize("family,k", [("c0", 1), ("ck", 1), ("ck", 3), ("dense", 3)])
     @pytest.mark.parametrize("mode", ["direct", "state"])
-    def test_without_record_earlier_layers_are_freed(self, monkeypatch, family, k, mode):
+    def test_earlier_layers_are_freed(self, monkeypatch, family, k, mode):
         net = self.network(family, k, depth=10)
         alive, refs = [], []
         original = architectures.unroll
@@ -759,16 +756,13 @@ class TestInfer:
         net.infer(np.ones((4, 2)), mode)
         assert len(alive) == 11 and max(alive) <= k + 1  # the lag window, and the record before
         assert refs[0]() is None
-        refs.clear()
-        net.infer(np.ones((4, 2)), mode, record=True)
-        assert alive[-1] == 11  # a recorded run keeps every layer for its trace
 
     def test_input_width_checked(self):
         net = Network(NetworkConfig("ck", k=1, depth=1, width=2, input_dim=3, num_classes=2))
         with pytest.raises(ShapeError, match="input_dim=3"):
             net.infer(np.zeros((2, 4)))
         with pytest.raises(ShapeError, match="input_dim=3"):
-            net.infer(np.zeros(2), record=True)
+            net.forward(np.zeros(2))
 
     def test_unknown_mode_rejected(self):
         net = Network(NetworkConfig("ck", k=1, depth=1, width=2, input_dim=2, num_classes=2))
@@ -796,7 +790,7 @@ class TestLayers:
         net = TestInfer.network(family, k, "sigmoid", depth=6, seed=k)
         x = np.random.default_rng(k).standard_normal(x_shape)
         records = list(net.layers(x, mode))
-        _, trace = net.infer(x, mode, record=True)
+        trace = Trace.from_layers(graph_layers(net, x, mode))
         assert len(records) == len(trace.activations) == 7 and records[0].force is None
         for layer, (x_l, force, state) in enumerate(records):
             assert type(x_l) is np.ndarray and x_l.tobytes() == trace.activations[layer].tobytes()
@@ -859,10 +853,12 @@ class TestForcingEvaluatedOnce:
     def test_dense_direct_calls_each_block_once(self, calls, k, record):
         net = Network(NetworkConfig("dense", k=k, depth=6, width=3, input_dim=2, num_classes=2, seed=k))
         x = np.random.default_rng(k).standard_normal((4, 2))
-        result = net.forward(x, record=record)
+        if record:
+            trace = Trace.from_layers(graph_layers(net, x))
+        else:
+            net.forward(x)
         assert [calls.get(id(b), 0) for b in net.blocks] == [1] * 6
         if record:
-            _, trace = result
             for layer, block in enumerate(net.blocks):
                 expected = np.tanh(trace.activations[layer] @ block.weight.data.T + block.bias.data)
                 assert trace.forcing[layer].tobytes() == expected.tobytes()
@@ -872,12 +868,11 @@ class TestForcingEvaluatedOnce:
     def test_record_mode_adds_no_forcing_calls(self, calls, family, k, mode):
         net = Network(NetworkConfig(family, k=k, depth=5, width=3, input_dim=2, num_classes=2, seed=2))
         x = np.random.default_rng(2).standard_normal((4, 2))
-        plain = net.forward(x, mode=mode)
+        net.forward(x, mode=mode)
         plain_calls = dict(calls)
         calls.clear()
-        recorded, trace = net.forward(x, mode=mode, record=True)
+        trace = Trace.from_layers(graph_layers(net, x, mode))
         assert calls == plain_calls
-        assert recorded.data.tobytes() == plain.data.tobytes()
         assert len(trace.forcing) == 5
 
     def test_window_built_from_activations_alone_evaluates_every_lag(self, calls):

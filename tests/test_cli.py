@@ -1,11 +1,12 @@
 import itertools
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cknet import cli, experiments
+from cknet import cli, data, experiments
 from helpers import save_idx_images, save_idx_labels
 
 
@@ -78,11 +79,15 @@ INVALID_INVOCATIONS = [
     (["train-toy", "--learning-rate", "nan"], "--learning-rate: must be a finite number > 0, got nan"),
     (["depth-sweep", "--learning-rate", "0"], "--learning-rate: must be a finite number > 0, got 0"),
     (["compare", "--learning-rate", "inf"], "--learning-rate: must be a finite number > 0, got inf"),
+    (["depth-sweep", "--depths", "4"], "--depths: need at least 3 distinct depths, got [4]"),
+    (["depth-sweep", "--depths", "6", "2", "6", "2"], "--depths: need at least 3 distinct depths, got [2, 6]"),
+    (["fetch-mnist"], "fetch-mnist requires --data-dir or CK_DATA_DIR"),
 ]
 
 
 @pytest.mark.parametrize("argv,message", INVALID_INVOCATIONS, ids=[" ".join(a) for a, _ in INVALID_INVOCATIONS])
-def test_invalid_invocation_exits_two_with_one_line_message(argv, message, capsys):
+def test_invalid_invocation_exits_two_with_one_line_message(argv, message, monkeypatch, capsys):
+    monkeypatch.delenv("CK_DATA_DIR", raising=False)
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
     assert exc.value.code == 2
@@ -209,9 +214,6 @@ class TestToyCommand:
 
 
 class TestDepthSweepCommand:
-    def test_single_depth_is_usage_error(self, capsys):
-        assert run_cli(["depth-sweep", "--depths", "4"]) == 2
-
     def test_missing_data_dir_is_io_error(self, tmp_path, capsys):
         code = run_cli(
             [
@@ -318,6 +320,20 @@ class TestCompareCommand:
 
 
 class TestFetchMnist:
-    def test_requires_data_dir(self, monkeypatch, capsys):
-        monkeypatch.delenv("CK_DATA_DIR", raising=False)
-        assert run_cli(["fetch-mnist"]) == 2
+    def test_download_of_the_wrong_size_is_one_io_error_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(data.urllib.request, "urlretrieve", lambda url, target: Path(target).write_bytes(b"x"))
+        assert run_cli(["fetch-mnist", "--data-dir", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "I/O error: downloaded train-images-idx3-ubyte.gz has 1 bytes, expected 9912422\n"
+
+    def test_data_dir_from_the_environment(self, tmp_path, monkeypatch, capsys):
+        fetched = []
+        monkeypatch.setattr(data.urllib.request, "urlretrieve", lambda url, target: fetched.append(url))
+        for name, size in data.MNIST_FILES.items():
+            with open(tmp_path / name, "wb") as fh:
+                fh.truncate(size)
+        monkeypatch.setenv("CK_DATA_DIR", str(tmp_path))
+        assert run_cli(["fetch-mnist"]) == 0
+        assert fetched == []
+        assert capsys.readouterr().out.splitlines() == [f"{name} -> {tmp_path / name}" for name in data.MNIST_FILES]

@@ -5,10 +5,13 @@ import struct
 import numpy as np
 import pytest
 
+from cknet import data
 from cknet.data import (
+    MNIST_FILES,
     Dataset,
     IdxFormatError,
     best_threshold_accuracy,
+    fetch_mnist,
     generate_toy_1d,
     load_idx_images,
     load_idx_labels,
@@ -103,24 +106,6 @@ class TestIdxFormat:
         assert images.shape == (2, 2, 2)
         assert images.ravel().tolist() == list(range(8))
 
-    def test_wrong_magic_for_labels(self, tmp_path):
-        path = tmp_path / "bad-labels"
-        path.write_bytes(struct.pack(">II", IMAGE_MAGIC, 1) + bytes([3]))
-        with pytest.raises(IdxFormatError, match="magic"):
-            load_idx_labels(path)
-
-    def test_wrong_magic_for_images(self, tmp_path):
-        path = tmp_path / "bad-images"
-        path.write_bytes(struct.pack(">IIII", LABEL_MAGIC, 1, 1, 1) + bytes([3]))
-        with pytest.raises(IdxFormatError, match="magic"):
-            load_idx_images(path)
-
-    def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "short-idx3-ubyte"
-        path.write_bytes(struct.pack(">IIII", IMAGE_MAGIC, 2, 2, 2) + bytes(5))
-        with pytest.raises(IdxFormatError, match="truncated"):
-            load_idx_images(path)
-
     def test_count_mismatch_between_files(self, tmp_path):
         img_path = tmp_path / "imgs-idx3-ubyte"
         img_path.write_bytes(struct.pack(">IIII", IMAGE_MAGIC, 2, 1, 1) + bytes([1, 2]))
@@ -128,6 +113,36 @@ class TestIdxFormat:
         lbl_path.write_bytes(struct.pack(">II", LABEL_MAGIC, 3) + bytes([0, 1, 2]))
         with pytest.raises(IdxFormatError, match="count mismatch"):
             load_mnist_idx(img_path, lbl_path)
+
+    @pytest.mark.parametrize(
+        "load,raw,message",
+        [
+            (load_idx_images, b"\x00\x00", "truncated while reading magic number (wanted 4 bytes, got 2)"),
+            (load_idx_images, struct.pack(">II", LABEL_MAGIC, 1),
+             "magic number 0x00000801, expected image magic 0x00000803"),
+            (load_idx_images, struct.pack(">III", IMAGE_MAGIC, 1, 2),
+             "truncated while reading dimensions (wanted 12 bytes, got 8)"),
+            (load_idx_images, struct.pack(">IIII", IMAGE_MAGIC, 2, 2, 2) + bytes(5),
+             "truncated while reading 2 images (wanted 8 bytes, got 5)"),
+            (load_idx_images, struct.pack(">IIII", IMAGE_MAGIC, 1, 1, 2) + bytes(3),
+             "trailing bytes after image payload"),
+            (load_idx_labels, b"", "truncated while reading magic number (wanted 4 bytes, got 0)"),
+            (load_idx_labels, struct.pack(">II", IMAGE_MAGIC, 1),
+             "magic number 0x00000803, expected label magic 0x00000801"),
+            (load_idx_labels, struct.pack(">IH", LABEL_MAGIC, 1), "truncated while reading count (wanted 4 bytes, got 2)"),
+            (load_idx_labels, struct.pack(">II", LABEL_MAGIC, 3) + bytes(1),
+             "truncated while reading 3 labels (wanted 3 bytes, got 1)"),
+            (load_idx_labels, struct.pack(">II", LABEL_MAGIC, 1) + bytes(2), "trailing bytes after label payload"),
+        ],
+        ids=[f"{kind}-{fault}" for kind in ("images", "labels")
+             for fault in ("short-magic", "wrong-magic", "short-header", "short-payload", "trailing")],
+    )
+    def test_error_messages_name_the_file_and_the_fault(self, tmp_path, load, raw, message):
+        path = tmp_path / "file-idx"
+        path.write_bytes(raw)
+        with pytest.raises(IdxFormatError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_roundtrip_identical(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -150,6 +165,46 @@ def test_official_train_set_has_expected_dimensions():
     assert len(ds) == 60000
     assert ds.input_dim == 28 * 28
     assert set(np.unique(ds.labels)) == set(range(10))
+
+
+class TestFetchMnist:
+    """``fetch_mnist`` offline: ``urlretrieve`` writes a file of a given size."""
+
+    @staticmethod
+    def fake_urlretrieve(monkeypatch, size=lambda name: MNIST_FILES[name]):
+        fetched = []
+
+        def urlretrieve(url, target):
+            fetched.append(url.rsplit("/", 1)[-1])
+            with open(target, "wb") as fh:
+                fh.truncate(size(fetched[-1]))
+
+        monkeypatch.setattr(data.urllib.request, "urlretrieve", urlretrieve)
+        return fetched
+
+    def test_downloads_every_missing_file_once(self, tmp_path, monkeypatch):
+        fetched = self.fake_urlretrieve(monkeypatch)
+        paths = fetch_mnist(tmp_path / "mnist")
+        assert fetched == list(MNIST_FILES)
+        assert paths == {name: tmp_path / "mnist" / name for name in MNIST_FILES}
+        assert all(paths[name].stat().st_size == size for name, size in MNIST_FILES.items())
+
+    def test_cached_files_of_the_right_size_are_not_fetched_again(self, tmp_path, monkeypatch):
+        names = list(MNIST_FILES)
+        for name in names[:3]:
+            with open(tmp_path / name, "wb") as fh:
+                fh.truncate(MNIST_FILES[name])
+        (tmp_path / names[3]).write_bytes(b"partial")
+        fetched = self.fake_urlretrieve(monkeypatch)
+        fetch_mnist(tmp_path)
+        assert fetched == names[3:]
+        fetch_mnist(tmp_path)
+        assert fetched == names[3:]
+
+    def test_download_of_the_wrong_size_names_the_file(self, tmp_path, monkeypatch):
+        self.fake_urlretrieve(monkeypatch, size=lambda name: 7 if name.startswith("t10k-images") else MNIST_FILES[name])
+        with pytest.raises(OSError, match="downloaded t10k-images-idx3-ubyte.gz has 7 bytes, expected 1648877"):
+            fetch_mnist(tmp_path)
 
 
 class TestSplit:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cknet.architectures import LayerRecord, Network, NetworkConfig, unroll
+from cknet.architectures import Network, NetworkConfig
 from cknet.data import best_threshold_accuracy, generate_toy_1d, synthetic_digits
 from cknet.experiments import (
     PerturbationRecord,
@@ -21,8 +21,7 @@ from cknet.experiments import (
     write_trajectory_csv,
 )
 from cknet.svgplot import Series, plot
-from cknet.tensor import Tensor, affine
-from helpers import count_tensors, reference_perturbation
+from helpers import count_tensors, graph_layers, reference_perturbation
 
 
 def _residual_net(depth=3, width=2, dl=1.0, seed=0, input_dim=2):
@@ -31,22 +30,9 @@ def _residual_net(depth=3, width=2, dl=1.0, seed=0, input_dim=2):
     )
 
 
-def graph_infer(network, inputs, mode="direct", record=False):
+def graph_infer(network, inputs, mode="direct"):
     """``Network.infer`` computed on the graph path, ``forward``."""
-    out = Network.forward(network, inputs, mode, record)
-    return (out[0].data, out[1]) if record else out.data
-
-
-def graph_layers(network, inputs, mode="direct"):
-    """``Network.layers`` computed on the graph path: ``unroll`` over the
-    ``Parameter``s, each record's values read off its tensors (the zero
-    state parts at the input are arrays already)."""
-    cfg = network.config
-    value = lambda v: v.data if isinstance(v, Tensor) else v
-    x0 = affine(np.asarray(inputs, dtype=np.float64), network.embed_weight, network.embed_bias)
-    for x, force, state in unroll(network.blocks, x0, cfg.family, cfg.k, cfg.dl, mode):
-        yield LayerRecord(x.data, None if force is None else force.data,
-                          None if state is None else tuple(map(value, state)))
+    return Network.forward(network, inputs, mode).data
 
 
 def hexed(records):
@@ -281,6 +267,15 @@ class TestToyExperiment:
         result = run_toy_experiment(1, seeds=(0,), depth=5, epochs=0)
         assert result.dump.layers == 6
         assert np.all(result.dump.q2 == 0.0)  # order 1 has no velocity state
+
+    @pytest.mark.parametrize("seeds", [(), range(0), iter(())], ids=["tuple", "range", "iterator"])
+    def test_no_seed_rejected_before_any_training(self, monkeypatch, seeds):
+        def never(*args, **kwargs):
+            raise AssertionError("trained with no seed")
+
+        monkeypatch.setattr("cknet.experiments.train", never)
+        with pytest.raises(ValueError, match="at least one seed"):
+            run_toy_experiment(2, seeds=seeds)
 
     def test_empty_dump_rejected(self):
         with pytest.raises(ValueError, match="trajectory|inconsistent"):

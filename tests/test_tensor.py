@@ -222,9 +222,9 @@ def test_tanh_gradient_identity_property(values):
     assert np.allclose(x.grad, 1.0 - out.data**2)
 
 
-def test_parameter_carries_name_and_trainable_flag():
-    p = Parameter(np.zeros(3), name="w", trainable=False)
-    assert p.name == "w" and not p.trainable
+def test_parameter_carries_name():
+    p = Parameter(np.zeros(3), name="w")
+    assert p.name == "w"
     assert p.shape == (3,)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cknet import verify
-from cknet.architectures import ForcingFunction
+from cknet.architectures import ForcingFunction, Trace, unroll
 from cknet.dynamics import BlockMatrix, build_dense_matrices
 from cknet.tensor import Tensor
 from cknet.verify import (
@@ -15,10 +15,13 @@ from cknet.verify import (
     run_battery,
     sign_flipped_dense_forcing,
 )
-from cknet.verify import _trace as trace
 from helpers import extraction_gap, random_forcing, reference_battery
 
 MEMBERS = 3
+
+
+def trace(fs, x0, family, k, dl, mode, matrices=None):
+    return Trace.from_layers(unroll(fs, x0, family, k, dl, mode, matrices))
 
 
 def case(k, d, batch, seed):
