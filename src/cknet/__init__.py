@@ -8,7 +8,6 @@ from .architectures import (
     Network,
     NetworkConfig,
     c1_step,
-    dense_difference_identity_check,
     load_checkpoint,
     parameter_count,
     save_checkpoint,

@@ -48,7 +48,6 @@ __all__ = [
     "unroll",
     "Network",
     "c1_step",
-    "dense_difference_identity_check",
     "dense_difference_identity_residual",
     "parameter_count",
     "weight_matrix_ratio",
@@ -155,18 +154,12 @@ def c1_step(f: ForcingFunction, x, dl: float):
     return x + f(x) * dl
 
 
-def dense_difference_identity_check(trajectory, forcing_values, n: int, dl: float, tol: float = 1e-10) -> bool:
-    """Check the order-n difference identity of additive dense trajectories.
-
-    For every admissible layer l, the (n+1)-order mixed difference of the
-    activations must equal the n-fold backward difference of the forcing
-    outputs scaled by dl, within ``tol``.
-    """
-    return float(np.max(dense_difference_identity_residual(trajectory, forcing_values, n, dl))) <= tol
-
-
 def dense_difference_identity_residual(trajectory, forcing_values, n: int, dl: float) -> np.ndarray:
     """|lhs - rhs| of the order-n dense difference identity, layers l = n..L-1 on axis 0.
+
+    On an additive dense trajectory the (n+1)-order mixed difference of the
+    activations (lhs) equals the n-fold backward difference of the forcing
+    outputs scaled by dl (rhs) at every admissible layer l.
 
     ``trajectory`` holds arrays x_0..x_L, ``forcing_values`` the raw
     forcing outputs f_l(x_l) for l = 0..L-1 (lists of arrays, or the

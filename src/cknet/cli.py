@@ -122,6 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fetch-mnist", help="download and cache the four standard IDX files")
     p.add_argument("--data-dir", default=None)
     p.set_defaults(func=cmd_fetch_mnist)
+    for command in sub.choices.values():  # so a check after parsing prints the subcommand's usage
+        command.set_defaults(parser=command)
     return parser
 
 
@@ -258,27 +260,26 @@ def cmd_fetch_mnist(args) -> int:
     return EXIT_OK
 
 
-def _reject_unusable(parser: argparse.ArgumentParser, args) -> None:
-    """A usage error for what no single argument shows: a ``--dl`` whose
-    power for the highest order the command builds (order 1 for
-    depth-sweep) is not a finite float, fewer than 3 distinct sweep depths,
-    or fetch-mnist without a data directory."""
+def _reject_unusable(args) -> None:
+    """A usage error, through the subcommand's parser, for what no single
+    argument shows: a ``--dl`` whose power for the highest order the command
+    builds (order 1 for depth-sweep) is not a finite float, fewer than 3
+    distinct sweep depths, or fetch-mnist without a data directory."""
     if hasattr(args, "dl"):
         k = max([getattr(args, "order", 1), *getattr(args, "orders", ()), *getattr(args, "dense_orders", ())])
         try:
             check_mesh_step(args.dl, k)
         except ValueError as exc:
-            parser.error(f"argument --dl: {exc}")
+            args.parser.error(f"argument --dl: {exc}")
     if args.command == "depth-sweep" and len(set(args.depths)) < 3:
-        parser.error(f"argument --depths: need at least 3 distinct depths, got {sorted(set(args.depths))}")
+        args.parser.error(f"argument --depths: need at least 3 distinct depths, got {sorted(set(args.depths))}")
     if args.command == "fetch-mnist" and not _resolve_data_dir(args):
-        parser.error("fetch-mnist requires --data-dir or CK_DATA_DIR")
+        args.parser.error("fetch-mnist requires --data-dir or CK_DATA_DIR")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _reject_unusable(parser, args)
+    args = build_parser().parse_args(argv)
+    _reject_unusable(args)
     try:
         return args.func(args)
     except (FileNotFoundError, IdxFormatError) as exc:  # a missing or corrupt data file

@@ -11,6 +11,7 @@ import gzip
 import math
 import struct
 import urllib.request
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,9 +134,8 @@ def _open_for_read(path):
     return open(path, "rb")
 
 
-def _read_exact(fh, n: int, what: str, path) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
+def _exact(data: bytes, n: int, what: str, path) -> bytes:
+    if len(data) < n:
         raise IdxFormatError(f"{path}: truncated while reading {what} "
                              f"(wanted {n} bytes, got {len(data)})")
     return data
@@ -143,16 +143,23 @@ def _read_exact(fh, n: int, what: str, path) -> bytes:
 
 def _load_idx(path, magic: int, kind: str, rank: int) -> np.ndarray:
     """The uint8 payload of an IDX file of ``rank`` dimensions whose magic
-    number must be ``magic``; ``kind`` names its items in error messages."""
-    with _open_for_read(path) as fh:
-        found, = struct.unpack(">I", _read_exact(fh, 4, "magic number", path))
-        if found != magic:
-            raise IdxFormatError(f"{path}: magic number 0x{found:08x}, expected {kind} magic 0x{magic:08x}")
-        what = "count" if rank == 1 else "dimensions"
-        shape = struct.unpack(f">{rank}I", _read_exact(fh, 4 * rank, what, path))
-        payload = _read_exact(fh, math.prod(shape), f"{shape[0]} {kind}s", path)
-        if fh.read(1):
-            raise IdxFormatError(f"{path}: trailing bytes after {kind} payload")
+    number must be ``magic``; ``kind`` names its items in error messages.
+    Corrupt gzip data raises ``IdxFormatError`` too."""
+    try:
+        with _open_for_read(path) as fh:
+            found, = struct.unpack(">I", _exact(fh.read(4), 4, "magic number", path))
+            if found != magic:
+                raise IdxFormatError(f"{path}: magic number 0x{found:08x}, expected {kind} magic 0x{magic:08x}")
+            what = "count" if rank == 1 else "dimensions"
+            shape = struct.unpack(f">{rank}I", _exact(fh.read(4 * rank), 4 * rank, what, path))
+            # the rest of the file, so a corrupt header cannot ask for a huge buffer
+            payload = fh.read()
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise IdxFormatError(f"{path}: corrupt gzip data ({exc})") from exc
+    size = math.prod(shape)
+    _exact(payload, size, f"{shape[0]} {kind}s", path)
+    if len(payload) > size:
+        raise IdxFormatError(f"{path}: trailing bytes after {kind} payload")
     return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
 
 
@@ -201,19 +208,26 @@ def load_mnist_dir(data_dir, train: bool = True) -> Dataset:
 
 
 def fetch_mnist(data_dir) -> dict[str, Path]:
-    """Download and cache the four standard gzip files, verifying sizes."""
+    """Download and cache the four standard gzip files, verifying sizes.
+
+    Each file downloads to a ``.part`` name beside its final one and takes
+    the final name only once its size is right, so a failed or wrong-size
+    download leaves nothing under either name."""
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
     for name, expected_size in MNIST_FILES.items():
         target = data_dir / name
         if not (target.exists() and target.stat().st_size == expected_size):
-            urllib.request.urlretrieve(MNIST_MIRROR + name, target)
-            actual = target.stat().st_size
-            if actual != expected_size:
-                raise OSError(
-                    f"downloaded {name} has {actual} bytes, expected {expected_size}"
-                )
+            partial = data_dir / (name + ".part")
+            try:
+                urllib.request.urlretrieve(MNIST_MIRROR + name, partial)
+                actual = partial.stat().st_size
+                if actual != expected_size:
+                    raise OSError(f"downloaded {name} has {actual} bytes, expected {expected_size}")
+                partial.replace(target)
+            finally:
+                partial.unlink(missing_ok=True)
         paths[name] = target
     return paths
 
@@ -221,21 +235,16 @@ def fetch_mnist(data_dir) -> dict[str, Path]:
 # -- offline surrogate -----------------------------------------------------------
 
 
-def synthetic_digits(
-    n: int,
-    seed: int = 0,
-    side: int = 28,
-    num_classes: int = 10,
-    noise: float = 0.25,
-    max_shift: int = 2,
-) -> Dataset:
+def synthetic_digits(n: int, seed: int = 0) -> Dataset:
     """Deterministic MNIST-shaped surrogate for machines without the real files.
 
-    Each class is a smooth random field prototype on a side*side grid;
-    samples are randomly shifted copies with per-pixel noise, clipped to
-    [0, 1] and flattened. Same shapes and value range as the real data, so
-    it slots into every experiment unchanged.
+    Each of the 10 classes is a smooth random field prototype on a 28x28
+    grid; samples are copies shifted by up to 2 pixels either way, with
+    per-pixel noise of standard deviation 0.25, clipped to [0, 1] and
+    flattened. Same shapes and value range as the real data, so it slots
+    into every experiment unchanged.
     """
+    side, num_classes, noise, max_shift = 28, 10, 0.25, 2
     if n < num_classes:
         raise ValueError(f"need at least {num_classes} samples, got {n}")
     rng = np.random.default_rng(seed)

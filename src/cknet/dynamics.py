@@ -8,15 +8,13 @@ architectures.
 
 All coefficient arithmetic is exact (Python integers). The sequence
 operators are generic: entries may be numpy arrays or autodiff tensors,
-anything supporting ``+``, ``-`` and multiplication by an int.
+anything supporting ``+`` and multiplication by an int.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-
-import numpy as np
 
 from .tensor import ShapeError, linear_combination
 
@@ -129,10 +127,9 @@ def binomial_invert(states):
 class BlockMatrix:
     """A k-by-k grid of integer multiples of the d-by-d identity.
 
-    The grid of integers *is* the object of interest; ``expand`` to a dense
-    (k*d, k*d) float array exists for cross-checking against the structured
-    form, and ``apply`` performs the block-structured action on a list of k
-    width-d tensors without ever materializing the dense matrix.
+    The grid of integers *is* the object of interest; ``apply`` performs
+    the block-structured action on a list of k width-d tensors without ever
+    materializing the dense (k*d, k*d) matrix.
     """
 
     k: int
@@ -144,10 +141,6 @@ class BlockMatrix:
             raise ValueError(f"BlockMatrix requires k >= 1 and d >= 1, got k={self.k}, d={self.d}")
         if len(self.block) != self.k or any(len(row) != self.k for row in self.block):
             raise ShapeError(f"block grid must be {self.k}x{self.k}")
-
-    def expand(self) -> np.ndarray:
-        """Dense (k*d, k*d) float64 realization."""
-        return np.kron(np.array(self.block, dtype=np.float64), np.eye(self.d))
 
     def apply(self, parts, input_matrix=None, inputs=(), scale=1):
         """Rows of ``self·parts + scale·input_matrix·inputs`` on width-d tensors.

@@ -27,7 +27,6 @@ __all__ = [
     "measure_perturbation",
     "mean_perturbation",
     "fit_computational_distance",
-    "spearman",
     "run_toy_experiment",
     "run_depth_sweep",
     "compare_orders",
@@ -145,20 +144,6 @@ def fit_computational_distance(pairs) -> RegressionFit:
             "no finite computational distance"
         )
     return RegressionFit(slope, intercept, r_squared, 1.0 / slope)
-
-
-def spearman(xs, ys) -> float:
-    """Spearman rank correlation (Pearson correlation of the rank vectors)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.shape != ys.shape or xs.ndim != 1 or len(xs) < 2:
-        raise ValueError("spearman needs two equal-length 1-D samples")
-    rank = lambda v: np.argsort(np.argsort(v)).astype(np.float64)
-    rx, ry = rank(xs), rank(ys)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    denom = np.sqrt((rx**2).sum() * (ry**2).sum())
-    return float((rx * ry).sum() / denom)
 
 
 # -- 1-D separability ----------------------------------------------------------
@@ -303,19 +288,19 @@ def run_depth_sweep(
     batch_size: int = 128,
     learning_rate: float = 1e-3,
     seed: int = 0,
-    probe_size: int = 1024,
 ) -> SweepResult:
     """Train residual networks per depth and fit the 1/L mesh-size law.
 
     Each depth is trained ``repetitions`` times from independent derived
-    seeds; the reported ratio is the mean across runs.
+    seeds; the reported ratio is the mean across runs, each probed on the
+    first 1024 samples.
     """
     depths = sorted(set(int(L) for L in depths))
     if len(depths) < 3:
         raise ValueError(f"depth sweep needs at least 3 distinct depths, got {depths}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    probe = dataset.inputs[: min(probe_size, len(dataset))]
+    probe = dataset.inputs[:1024]
 
     rhos = {depth: [] for depth in depths}
     for depth in depths:

@@ -15,6 +15,8 @@ _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 16.0
 _MARGIN_TOP = 28.0
 _MARGIN_BOTTOM = 46.0
+_WIDTH, _HEIGHT = 640, 440
+_MARKER_RADIUS = 2.5
 
 
 def _fmt(value: float) -> str:
@@ -29,7 +31,6 @@ class Series:
     color: str = "#1f77b4"
     line: bool = True
     markers: bool = False
-    marker_radius: float = 2.5
     opacity: float = 1.0
 
 
@@ -39,18 +40,14 @@ class _Frame:
     x_max: float
     y_min: float
     y_max: float
-    width: float
-    height: float
 
     def x(self, v: float) -> float:
         span = self.x_max - self.x_min or 1.0
-        return _MARGIN_LEFT + (v - self.x_min) / span * (self.width - _MARGIN_LEFT - _MARGIN_RIGHT)
+        return _MARGIN_LEFT + (v - self.x_min) / span * (_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT)
 
     def y(self, v: float) -> float:
         span = self.y_max - self.y_min or 1.0
-        return self.height - _MARGIN_BOTTOM - (v - self.y_min) / span * (
-            self.height - _MARGIN_TOP - _MARGIN_BOTTOM
-        )
+        return _HEIGHT - _MARGIN_BOTTOM - (v - self.y_min) / span * (_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM)
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -65,11 +62,9 @@ def plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 640,
-    height: int = 440,
     comment: str = "",
 ) -> str:
-    """Render series into a standalone SVG string."""
+    """Render series into a standalone 640x440 SVG string."""
     if not series or any(len(s.points) == 0 for s in series):
         raise ValueError("plot requires at least one non-empty series")
     xs = [p[0] for s in series for p in s.points]
@@ -80,16 +75,14 @@ def plot(
         max(xs) + pad(min(xs), max(xs)),
         min(ys) - pad(min(ys), max(ys)),
         max(ys) + pad(min(ys), max(ys)),
-        float(width),
-        float(height),
     )
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     ]
     if comment:
         parts.append(f"<!-- {comment} -->")
-    parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
 
     x_axis_y = frame.y(frame.y_min)
     y_axis_x = frame.x(frame.x_min)
@@ -116,18 +109,18 @@ def plot(
 
     if title:
         parts.append(
-            f'<text x="{_fmt(width / 2)}" y="18" font-size="14" text-anchor="middle" '
+            f'<text x="{_fmt(_WIDTH / 2)}" y="18" font-size="14" text-anchor="middle" '
             f'font-family="sans-serif">{title}</text>'
         )
     if xlabel:
         parts.append(
-            f'<text x="{_fmt(width / 2)}" y="{_fmt(height - 10)}" font-size="12" '
+            f'<text x="{_fmt(_WIDTH / 2)}" y="{_fmt(_HEIGHT - 10)}" font-size="12" '
             f'text-anchor="middle" font-family="sans-serif">{xlabel}</text>'
         )
     if ylabel:
         parts.append(
-            f'<text x="14" y="{_fmt(height / 2)}" font-size="12" text-anchor="middle" '
-            f'font-family="sans-serif" transform="rotate(-90 14 {_fmt(height / 2)})">{ylabel}</text>'
+            f'<text x="14" y="{_fmt(_HEIGHT / 2)}" font-size="12" text-anchor="middle" '
+            f'font-family="sans-serif" transform="rotate(-90 14 {_fmt(_HEIGHT / 2)})">{ylabel}</text>'
         )
 
     for s in series:
@@ -141,7 +134,7 @@ def plot(
             for x, y in s.points:
                 parts.append(
                     f'<circle cx="{_fmt(frame.x(x))}" cy="{_fmt(frame.y(y))}" '
-                    f'r="{_fmt(s.marker_radius)}" fill="{s.color}" opacity="{_fmt(s.opacity)}"/>'
+                    f'r="{_fmt(_MARKER_RADIUS)}" fill="{s.color}" opacity="{_fmt(s.opacity)}"/>'
                 )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

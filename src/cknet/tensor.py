@@ -9,13 +9,12 @@ computation graph is rebuilt on every forward pass and torn down by
 A forcing map act(W x + b) is one node: ``affine`` takes the activation's
 name and applies it inside the same node, and its pullback forms
 g·act'(z) once for the x, weight and bias edges. The activation formulas
-(value and derivative) live once, in ``ACTIVATIONS``; the ``tanh``,
-``sigmoid`` and ``leaky_relu`` ops read the same table. ``affine`` also
+(value and derivative) live once, in ``ACTIVATIONS``. ``affine`` also
 takes E maps stacked on a leading member axis, so E independent networks
 of one shape step as a single ensemble.
 
 Only ``Tensor`` operands are graph nodes. A Python scalar or a numpy array
-given to ``+``, ``-``, ``*``, ``affine`` or as a ``linear_combination``
+given to ``+``, ``*``, ``affine`` or as a ``linear_combination``
 coefficient or term is a constant: it gets no parent edge, no pullback and
 no gradient, so the input batch, the mesh-step powers and the integer
 stencil coefficients cost nothing in ``backward``. ``affine`` and
@@ -48,9 +47,6 @@ __all__ = [
     "Parameter",
     "ShapeError",
     "GraphError",
-    "tanh",
-    "sigmoid",
-    "leaky_relu",
     "affine",
     "linear_combination",
     "ACTIVATIONS",
@@ -80,7 +76,7 @@ class Tensor:
 
     __slots__ = ("data", "grad", "_parents", "_spent")
     # numpy operators defer to Tensor's reflected ones, so an array on the
-    # left of ``+``, ``-`` or ``*`` is a constant too
+    # left of ``+`` or ``*`` is a constant too
     __array_ufunc__ = None
 
     def __init__(self, data, _parents=()):
@@ -139,17 +135,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        data, other = self._operand(other, "sub")
-        parents = [(self, lambda g: _unbroadcast(g, self.shape))]
-        if other is not None:
-            parents.append((other, lambda g: _unbroadcast(-g, other.shape)))
-        return Tensor(self.data - data, _parents=parents)
-
-    def __rsub__(self, other):
-        data, _ = self._operand(other, "sub")
-        return Tensor(data - self.data, _parents=((self, lambda g: _unbroadcast(-g, self.shape)),))
-
     def __mul__(self, other):
         data, other = self._operand(other, "mul")
         parents = [(self, lambda g: _unbroadcast(g * data, self.shape))]
@@ -159,20 +144,10 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return Tensor(-self.data, _parents=((self, lambda g: -g),))
-
     def sum(self) -> "Tensor":
         return Tensor(
             self.data.sum(),
             _parents=((self, lambda g: np.broadcast_to(g, self.shape).copy()),),
-        )
-
-    def mean(self) -> "Tensor":
-        n = self.data.size
-        return Tensor(
-            self.data.mean(),
-            _parents=((self, lambda g: np.broadcast_to(g / n, self.shape).copy()),),
         )
 
     # -- backward pass -------------------------------------------------------
@@ -257,51 +232,32 @@ def _reverse_topological(root: Tensor) -> list[Tensor]:
 
 
 # -- nonlinearities ----------------------------------------------------------
-# Each entry maps a pre-activation z to its value y and the chain factor
-# g -> g·act'(z). The public ops and the fused ``affine(..., activation=)``
-# node both read this table, so no derivative is written twice. ``out`` is
-# where y goes: ``affine`` passes its own buffer z; the public ops pass
-# none and get a fresh array (numpy's ``out=...``, which keeps a 0-d value
-# an array the later steps can write), so they never write their operand.
+# Each entry maps a pre-activation z, whose buffer it overwrites with the
+# value y, to y and the chain factor g -> g·act'(z). ``affine`` applies it
+# to its own matmul output.
 
 
-def _tanh(z: np.ndarray, out=...):
-    y = np.tanh(z, out=out)
+def _tanh(z: np.ndarray):
+    y = np.tanh(z, out=z)
     return y, lambda g: g * (1.0 - y * y)
 
 
-def _sigmoid(z: np.ndarray, out=...):
+def _sigmoid(z: np.ndarray):
     # 0.5·(1 + tanh(0.5·z)), which stays finite for any input magnitude
-    y = np.multiply(0.5, z, out=out)
+    y = np.multiply(0.5, z, out=z)
     np.tanh(y, y)  # the rest in place
     np.add(1.0, y, y)
     np.multiply(0.5, y, y)
     return y, lambda g: g * y * (1.0 - y)
 
 
-def _leaky_relu(z: np.ndarray, slope: float = 0.1, out=...):
+def _leaky_relu(z: np.ndarray):
     # the scale follows the sign of z, not of the output
-    scale = np.where(z >= 0.0, 1.0, slope)
-    return np.multiply(z, scale, out=out), lambda g: g * scale
+    scale = np.where(z >= 0.0, 1.0, 0.1)
+    return np.multiply(z, scale, out=z), lambda g: g * scale
 
 
 ACTIVATIONS = {"tanh": _tanh, "sigmoid": _sigmoid, "leaky_relu": _leaky_relu}
-
-
-def _activated(x: Tensor, y: np.ndarray, chain) -> Tensor:
-    return Tensor(y, _parents=((x, chain),))
-
-
-def tanh(x: Tensor) -> Tensor:
-    return _activated(x, *_tanh(x.data))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return _activated(x, *_sigmoid(x.data))
-
-
-def leaky_relu(x: Tensor, slope: float = 0.1) -> Tensor:
-    return _activated(x, *_leaky_relu(x.data, slope))
 
 
 # -- linear maps --------------------------------------------------------------
@@ -351,10 +307,10 @@ def affine(x, weight, bias, activation: str | None = None):
     (its gradient sums over the batch rows). ``activation`` names an entry
     of ``ACTIVATIONS``, or is ``None`` for the bare affine map. The pullback
     forms g·act'(z) once and feeds the x, weight and bias contributions from
-    it, so values and gradients are bitwise those of ``affine`` followed by
-    the activation op. Any operand that is not a ``Tensor`` is a constant
-    and gets no gradient; with no ``Tensor`` operand the value comes back as
-    an ``np.ndarray``, with no node.
+    it, so values and gradients are bitwise those of the bare ``affine``
+    followed by the activation as a node of its own. Any operand that is
+    not a ``Tensor`` is a constant and gets no gradient; with no ``Tensor``
+    operand the value comes back as an ``np.ndarray``, with no node.
 
     A stack of E maps has a leading member axis: weight [E, m, n], bias
     [E, m] and x [E, n] or [E, batch, n]. Member e is
@@ -375,7 +331,7 @@ def affine(x, weight, bias, activation: str | None = None):
     y = _biased(xd @ wd.T, bd)
     local = _passed
     if activation is not None:
-        y, chain = ACTIVATIONS[activation](y, out=y)
+        y, chain = ACTIVATIONS[activation](y)
         local = _shared(chain)
     if not _any_node(x, weight, bias):
         return y
@@ -404,7 +360,7 @@ def _stacked_affine(x, weight, bias, xd, wd, bd, activation):
     y = _biased(np.matmul(rows, np.swapaxes(wd, 1, 2)), bd[:, None, :]).reshape(*xd.shape[:-1], m)
     local = _passed
     if activation is not None:
-        y, chain = ACTIVATIONS[activation](y, out=y)
+        y, chain = ACTIVATIONS[activation](y)
         local = _shared(chain)
     if not _any_node(x, weight, bias):
         return y

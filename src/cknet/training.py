@@ -91,70 +91,59 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     return Tensor(value, _parents=((logits, pull),))
 
 
+# Adam's moment decay rates and the denominator's guard
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with bias correction; one shared step counter for all parameters.
 
     The first and second moments live in two flat buffers, laid out in
     parameter order. A step concatenates the gradients, checks them for
     finiteness once, updates the whole buffer in one vectorised pass and
-    gives every updated parameter a fresh array; an array a caller still
-    holds from before the step is never written to. The
-    result is bitwise that of updating each parameter on its own. A
-    parameter whose ``grad`` is None keeps its data and moments, and a
-    non-finite gradient raises before any parameter moves.
+    gives every parameter a fresh array; an array a caller still holds
+    from before the step is never written to. The result is bitwise that
+    of updating each parameter on its own. A parameter without a ``grad``
+    or with a non-finite one raises before anything moves.
     """
 
-    def __init__(self, params, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, learning_rate=1e-3):
         self.params: list[Parameter] = list(params)
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
-        bounds = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
-        self._spans = list(zip(bounds[:-1], bounds[1:]))
-        self.m = np.zeros(bounds[-1])
-        self.v = np.zeros(bounds[-1])
+        size = sum(p.data.size for p in self.params)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
     def step(self) -> None:
-        self.t += 1
-        live = [p for p in self.params if p.grad is not None]
-        if not live:
-            return
-        g = np.concatenate([p.grad.ravel() for p in live])
+        missing = [p.name for p in self.params if p.grad is None]
+        if missing:
+            raise TrainingError(f"no gradient for parameter {missing[0]!r}")
+        g = np.concatenate([p.grad.ravel() for p in self.params])
         if not np.isfinite(g).all():
-            bad = next(p for p in live if not np.isfinite(p.grad).all())
+            bad = next(p for p in self.params if not np.isfinite(p.grad).all())
             raise TrainingError(f"non-finite gradient for parameter {bad.name!r}")
-        if len(live) == len(self.params):
-            idx = None
-            m, v = self.m, self.v
-        else:
-            idx = np.concatenate(
-                [np.arange(*span) for p, span in zip(self.params, self._spans) if p.grad is not None]
-            )
-            m, v = self.m[idx], self.v[idx]
-        b1, b2 = self.beta1, self.beta2
+        self.t += 1
+        m, v = self.m, self.v
         # the per-parameter formulas term for term, reusing two scratch
         # buffers: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g, then
         # lr*m_hat / (sqrt(v_hat) + eps) in ``g``
-        m *= b1
-        v *= b2
-        scratch = g * (1.0 - b2)
+        m *= BETA1
+        v *= BETA2
+        scratch = g * (1.0 - BETA2)
         scratch *= g
         v += scratch
-        g *= 1.0 - b1
+        g *= 1.0 - BETA1
         m += g
-        np.divide(m, 1.0 - b1**self.t, out=g)
+        np.divide(m, 1.0 - BETA1**self.t, out=g)
         g *= self.learning_rate
-        np.divide(v, 1.0 - b2**self.t, out=scratch)
+        np.divide(v, 1.0 - BETA2**self.t, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += self.eps
+        scratch += EPS
         g /= scratch
         del scratch
-        if idx is not None:
-            self.m[idx], self.v[idx] = m, v
         offset = 0
-        for p in live:
+        for p in self.params:
             size = p.data.size
             p.data = p.data - g[offset : offset + size].reshape(p.data.shape)
             offset += size

@@ -12,7 +12,7 @@ from cknet.architectures import (
     LayerRecord,
     Trace,
     c1_step,
-    dense_difference_identity_check,
+    dense_difference_identity_residual,
     unroll,
 )
 from cknet.data import IMAGE_MAGIC, LABEL_MAGIC
@@ -25,7 +25,7 @@ from cknet.dynamics import (
     build_dense_matrices,
     mixed_diff_coefficients,
 )
-from cknet.tensor import Parameter, Tensor, affine, linear_combination
+from cknet.tensor import ACTIVATIONS, Parameter, Tensor, affine, linear_combination
 
 
 def central_difference(fn, arrays, step=1e-6):
@@ -74,6 +74,37 @@ def count_tensors(monkeypatch) -> list:
 
     monkeypatch.setattr(Tensor, "__init__", counting)
     return made
+
+
+def activated(x, activation):
+    """The activation as a node of its own: the unfused reference for
+    ``affine(..., activation)``, over the same ``ACTIVATIONS`` entry."""
+    y, chain = ACTIVATIONS[activation](x.data.copy())
+    return Tensor(y, _parents=((x, chain),))
+
+
+def expand(matrix):
+    """A ``BlockMatrix`` as its dense (k*d, k*d) float64 array."""
+    return np.kron(np.array(matrix.block, dtype=np.float64), np.eye(matrix.d))
+
+
+def identity_holds(trajectory, forcing_values, n, dl, tol=1e-10):
+    """The verdict of the order-n dense difference identity: every residual is within ``tol``."""
+    return float(np.max(dense_difference_identity_residual(trajectory, forcing_values, n, dl))) <= tol
+
+
+def spearman(xs, ys) -> float:
+    """Spearman rank correlation (Pearson correlation of the rank vectors)."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if xs.shape != ys.shape or xs.ndim != 1 or len(xs) < 2:
+        raise ValueError("spearman needs two equal-length 1-D samples")
+    rank = lambda v: np.argsort(np.argsort(v)).astype(np.float64)
+    rx, ry = rank(xs), rank(ys)
+    rx -= rx.mean()
+    ry -= ry.mean()
+    denom = np.sqrt((rx**2).sum() * (ry**2).sum())
+    return float((rx * ry).sum() / denom)
 
 
 def save_idx_images(path, images: np.ndarray) -> None:
@@ -284,7 +315,7 @@ def extraction_gap(xs, states, k):
 
 def identity_gap(trajectory, forcing_values, n, dl):
     """Worst deviation of the order-n dense difference identity, layer by
-    layer; ``dense_difference_identity_check`` passes iff this is <= tol."""
+    layer; ``identity_holds`` passes iff this is <= tol."""
     lhs_coeffs = mixed_diff_coefficients(n + 1)
     rhs_coeffs = alternating_binomial_row(n)
     worst = 0.0
@@ -351,7 +382,7 @@ def check_case(key, dense_forcing_matrix):
         ("dense state extraction", case_extraction_deviation(xs_dd, dense_state.states, k), case),
     ]
     for n in range(min(k, len(xs_dd) - 1)):
-        ok = dense_difference_identity_check(xs_dd, forcing_values, n, dl, tol=verify._IDENTITY_TOLERANCE)
+        ok = identity_holds(xs_dd, forcing_values, n, dl, tol=verify._IDENTITY_TOLERANCE)
         outcomes.append(("dense difference identity", 0.0 if ok else np.inf, f"{case} order n={n}"))
     if k == 1:
         same = all(

@@ -16,7 +16,6 @@ from cknet.architectures import (
     NetworkConfig,
     Trace,
     c1_step,
-    dense_difference_identity_check,
     unroll,
     weight_matrix_ratio,
 )
@@ -36,11 +35,10 @@ from cknet.experiments import (
     emit_toy_report,
     run_depth_sweep,
     run_toy_experiment,
-    spearman,
 )
 from cknet.tensor import Tensor
 from cknet.training import softmax_cross_entropy
-from helpers import central_difference, extraction_gap, random_forcing, unrolled
+from helpers import central_difference, extraction_gap, identity_holds, random_forcing, spearman, unrolled
 
 GRID_ORDERS = (1, 2, 3, 4)
 GRID_WIDTHS = (1, 2, 8)
@@ -134,9 +132,7 @@ def test_criterion_3_dense_difference_identity():
     for k, xs, forcing_values in _dense_runs:
         # an order-n check needs at least one admissible layer (n <= L-1)
         for n in range(min(k, len(xs) - 1)):
-            all_ok = all_ok and dense_difference_identity_check(
-                xs, forcing_values, n, dl=1.0, tol=TOL_IDENTITY
-            )
+            all_ok = all_ok and identity_holds(xs, forcing_values, n, dl=1.0, tol=TOL_IDENTITY)
             checked += 1
     report(
         3,

@@ -14,7 +14,6 @@ from cknet.architectures import (
     NetworkConfig,
     Trace,
     c1_step,
-    dense_difference_identity_check,
     load_checkpoint,
     parameter_count,
     save_checkpoint,
@@ -33,9 +32,11 @@ from helpers import (
     count_tensors,
     dense_direct_step,
     dense_state_step,
+    expand,
     gradient_close,
     graph_layers,
     identity_gap,
+    identity_holds,
     initialize_state,
     unrolled,
 )
@@ -150,7 +151,7 @@ class TestSingleSteps:
 
         transition, coupling = build_ck_matrices(k, d)
         force = np.tanh(f.weight.data @ parts[0] + f.bias.data) * dl**k
-        expected = transition.expand() @ np.concatenate(parts) + coupling.expand() @ np.tile(force, k)
+        expected = expand(transition) @ np.concatenate(parts) + expand(coupling) @ np.tile(force, k)
         assert np.allclose(np.concatenate([p.data for p in stepped.parts]), expected, rtol=0, atol=1e-12)
 
     def test_ck_state_part_count_checked(self):
@@ -238,7 +239,7 @@ class TestDenseSteps:
         pushes = np.concatenate(
             [np.tanh(f.weight.data @ lag + f.bias.data) * dl for f, lag in zip(fs, lags)]
         )
-        expected = transition.expand() @ np.concatenate(parts) + forcing.expand() @ pushes
+        expected = expand(transition) @ np.concatenate(parts) + expand(forcing) @ pushes
         assert np.allclose(
             np.concatenate([p.data for p in stepped.parts]), expected, rtol=0, atol=1e-12
         )
@@ -263,14 +264,14 @@ class TestDenseDifferenceIdentity:
         fs = [random_forcing(2, seed=40 + i) for i in range(5)]
         x0 = np.array([0.3, -0.6])
         xs, forcing, _ = unrolled(fs, x0, "dense", 1, 0.8, "direct")
-        assert dense_difference_identity_check(xs, forcing, 0, dl=0.8)
+        assert identity_holds(xs, forcing, 0, dl=0.8)
 
     def test_holds_for_random_dense_networks(self):
         for seed in range(5):
             fs = [random_forcing(3, seed=60 + seed * 10 + i) for i in range(8)]
             x0 = np.random.default_rng(seed).standard_normal(3)
             xs, forcing, _ = unrolled(fs, x0, "dense", 2, 0.5, "direct")
-            assert dense_difference_identity_check(xs, forcing, 1, dl=0.5)
+            assert identity_holds(xs, forcing, 1, dl=0.5)
 
     def test_discriminates_smooth_from_dense_families(self):
         # the identity is a dense-family property; an order-2 smooth network
@@ -283,14 +284,14 @@ class TestDenseDifferenceIdentity:
             forcing = [
                 np.tanh(f.weight.data @ x + f.bias.data) for f, x in zip(fs, xs[:-1])
             ]
-            if not dense_difference_identity_check(xs, forcing, 1, dl=0.5):
+            if not identity_holds(xs, forcing, 1, dl=0.5):
                 found_counterexample = True
                 break
         assert found_counterexample
 
     def test_insufficient_trajectory_rejected(self):
         with pytest.raises(IndexError):
-            dense_difference_identity_check([np.zeros(1)] * 2, [np.zeros(1)], 3, 1.0)
+            identity_holds([np.zeros(1)] * 2, [np.zeros(1)], 3, 1.0)
 
     @pytest.mark.parametrize("family", ["dense", "ck"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -303,8 +304,8 @@ class TestDenseDifferenceIdentity:
             worst = identity_gap(xs, forcing, n, 0.5)
             below = np.nextafter(worst, -np.inf)
             for trajectory, values in ((xs, forcing), (np.stack(xs), np.stack(forcing))):
-                assert dense_difference_identity_check(trajectory, values, n, 0.5, tol=worst)
-                assert not dense_difference_identity_check(trajectory, values, n, 0.5, tol=below)
+                assert identity_holds(trajectory, values, n, 0.5, tol=worst)
+                assert not identity_holds(trajectory, values, n, 0.5, tol=below)
 
 
 class TestParameterAccounting:

@@ -1,10 +1,14 @@
+import io
 import itertools
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cknet import cli, data, experiments
 from helpers import save_idx_images, save_idx_labels
@@ -93,8 +97,60 @@ def test_invalid_invocation_exits_two_with_one_line_message(argv, message, monke
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    # the subcommand's usage and prefix, also for the checks made after parsing
+    assert err.startswith(f"usage: cknet {argv[0]} "), err
     errors = [line for line in err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and errors[0].endswith(message), err
+    assert len(errors) == 1 and errors[0].startswith(f"cknet {argv[0]}: error: ") and errors[0].endswith(message), err
+
+
+def run_in_process(argv):
+    """Exit code, stdout and stderr of ``cknet argv``, run by ``cli.main`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_documented_exit(argv):
+    """A documented exit code, no traceback, and one ``error:`` line on any
+    failure but the battery's own ``[FAIL]`` report."""
+    code, out, err = run_in_process(argv)
+    assert code in (0, 1, 2, 3) and "Traceback" not in err, (argv, code, err)
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == (0 if code == 0 or "[FAIL]" in out else 1), (argv, code, err)
+
+
+# numbers at the edges of every type a flag takes, and a few that are no number
+EDGES = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-300", str(2**63), str(10**400), "9" * 4000, "1" * 5000,
+         "two", ""]
+
+
+class TestFuzz:
+    """Every argv ends in a documented exit code with no traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.sampled_from(EDGES) | st.integers(1, 99).map(str),
+           d=st.sampled_from(EDGES) | st.integers(1, 99).map(str),
+           depth=st.none() | st.sampled_from(EDGES) | st.integers(1, 99).map(str))
+    def test_param_count(self, k, d, depth):
+        assert_documented_exit(["param-count", "-k", k, "-d", d] + ([] if depth is None else ["-L", depth]))
+
+    # the flags that set the battery's work take 1 or 2, and at most one of
+    # them then a value rejected at parse time, so that every case stays cheap
+    SMALL = st.lists(st.sampled_from(["1", "2"]), min_size=1, max_size=2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(orders=SMALL, widths=SMALL, depths=SMALL, seeds=st.sampled_from(["1", "2"]),
+           rejected=st.none() | st.tuples(st.sampled_from(["--orders", "--widths", "--depths", "--seeds"]),
+                                          st.sampled_from(["0", "-1", "nan", "1e308", "two", ""])),
+           tolerance=st.sampled_from(EDGES + ["1e-9", "-0", "5e-324"]))
+    def test_verify(self, orders, widths, depths, seeds, rejected, tolerance):
+        argv = ["verify", "--orders", *orders, "--widths", *widths, "--depths", *depths, "--seeds", seeds,
+                f"--tolerance={tolerance}"]
+        assert_documented_exit(argv + ([] if rejected is None else [f"{rejected[0]}={rejected[1]}"]))
 
 
 class TestUsage:
@@ -253,16 +309,21 @@ class TestDepthSweepCommand:
         [
             ("images", "magic number 0x67617262, expected image magic 0x00000803"),
             ("labels", "truncated while reading 3 labels (wanted 3 bytes, got 1)"),
+            ("gzip", "corrupt gzip data (Compressed file ended before the end-of-stream marker was reached)"),
         ],
     )
     def test_corrupt_data_file_is_io_error(self, tmp_path, capsys, command, corrupt, message):
         images, labels = tmp_path / "train-images-idx3-ubyte", tmp_path / "train-labels-idx1-ubyte"
-        save_idx_images(images, np.zeros((3, 2, 2), dtype=np.uint8))
+        if corrupt == "gzip":  # the first half of a gzipped file, as an interrupted download leaves it
+            images = images.with_name(images.name + ".gz")
+        save_idx_images(images, np.arange(300, dtype=np.uint8).reshape(3, 10, 10))
         save_idx_labels(labels, np.zeros(3, dtype=np.uint8))
         if corrupt == "images":
             images.write_bytes(b"garbage")
-        else:
+        elif corrupt == "labels":
             labels.write_bytes(labels.read_bytes()[:-2])
+        else:
+            images.write_bytes(images.read_bytes()[: images.stat().st_size // 2])
         code = run_cli([command, "--data-dir", str(tmp_path), "--out", str(tmp_path / "out")])
         assert code == 3
         err = capsys.readouterr().err
@@ -326,6 +387,7 @@ class TestFetchMnist:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "I/O error: downloaded train-images-idx3-ubyte.gz has 1 bytes, expected 9912422\n"
+        assert list(tmp_path.iterdir()) == []  # nothing at the final name, no partial file left
 
     def test_data_dir_from_the_environment(self, tmp_path, monkeypatch, capsys):
         fetched = []

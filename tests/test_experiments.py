@@ -16,12 +16,11 @@ from cknet.experiments import (
     phase_plot_svg,
     run_depth_sweep,
     run_toy_experiment,
-    spearman,
     write_depth_sweep_csv,
     write_trajectory_csv,
 )
 from cknet.svgplot import Series, plot
-from helpers import count_tensors, graph_layers, reference_perturbation
+from helpers import count_tensors, graph_layers, reference_perturbation, spearman
 
 
 def _residual_net(depth=3, width=2, dl=1.0, seed=0, input_dim=2):
@@ -285,7 +284,7 @@ class TestToyExperiment:
 class TestDepthSweep:
     def test_small_sweep_produces_fit_and_decreasing_trend(self):
         ds = synthetic_digits(400, seed=1)
-        result = run_depth_sweep([2, 5, 8], ds, epochs=2, batch_size=64, seed=1, probe_size=128)
+        result = run_depth_sweep([2, 5, 8], ds, epochs=2, batch_size=64, seed=1)
         assert len(result.points) == 3
         assert result.fit.d_estimate > 0
         assert result.points[0][1] > result.points[-1][1]

@@ -10,12 +10,9 @@ from cknet.tensor import (
     ShapeError,
     Tensor,
     affine,
-    leaky_relu,
     linear_combination,
-    sigmoid,
-    tanh,
 )
-from helpers import central_difference, gradient_close
+from helpers import activated, central_difference, gradient_close
 
 
 class TestMatmul:
@@ -53,16 +50,18 @@ class TestMatmul:
         assert gradient_close(a.grad, fd, rtol=1e-6)
 
 
+def identity_affine(x, activation):
+    """``activation`` of x itself, as the fused ``affine`` with an identity map."""
+    n = x.shape[-1]
+    return affine(x, np.eye(n), np.zeros(n), activation)
+
+
 class TestElementwise:
-    def test_tanh_at_zero(self):
-        assert tanh(Tensor(0.0)).item() == 0.0
-
-    def test_leaky_relu_definition(self):
-        assert leaky_relu(Tensor(-2.0), slope=0.1).item() == pytest.approx(-0.2)
-        assert leaky_relu(Tensor(3.0), slope=0.1).item() == 3.0
-
-    def test_sigmoid_at_zero(self):
-        assert sigmoid(Tensor(0.0)).item() == 0.5
+    @pytest.mark.parametrize("activation,x,y", [
+        ("tanh", 0.0, 0.0), ("sigmoid", 0.0, 0.5), ("leaky_relu", -2.0, -0.2), ("leaky_relu", 3.0, 3.0),
+    ])
+    def test_activation_values(self, activation, x, y):
+        assert identity_affine(np.array([x]), activation)[0] == y
 
     def test_scalar_broadcast(self):
         t = Tensor([1.0, 2.0]) + Tensor(1.0)
@@ -104,7 +103,7 @@ class TestBackward:
             return float((h @ w2.T + b2).sum())
 
         tw1, tb1, tw2, tb2 = Tensor(w1), Tensor(b1), Tensor(w2), Tensor(b2)
-        out = affine(tanh(affine(Tensor(x), tw1, tb1)), tw2, tb2).sum()
+        out = affine(affine(Tensor(x), tw1, tb1, "tanh"), tw2, tb2).sum()
         out.backward()
         fds = central_difference(loss_value, [w1, b1, w2, b2])
         for tensor, fd in zip([tw1, tb1, tw2, tb2], fds):
@@ -148,16 +147,16 @@ class TestPurity:
         a = Tensor(rng.standard_normal((3, 3)))
         b = Tensor(rng.standard_normal((3, 3)))
         before_a, before_b = a.data.copy(), b.data.copy()
-        out = affine(a + b, b, Tensor(np.zeros(3))) * 0.5 - a
-        tanh(out).sum().backward()
+        out = affine(a + b, b, Tensor(np.zeros(3))) * 0.5 + a * -1.0
+        affine(out, b, Tensor(np.zeros(3)), "tanh").sum().backward()
         assert np.array_equal(a.data, before_a)
         assert np.array_equal(b.data, before_b)
 
     def test_outputs_are_finite_for_bounded_inputs(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.uniform(-10, 10, size=(4, 4)))
-        for op in (tanh, sigmoid, lambda t: leaky_relu(t, 0.1)):
-            assert np.all(np.isfinite(op(x).data))
+        for activation in ACTIVATIONS:
+            assert np.all(np.isfinite(identity_affine(x, activation).data))
         assert np.all(np.isfinite(affine(x, x, Tensor(np.zeros(4))).data))
 
 
@@ -168,11 +167,6 @@ def _random_op_case(op_name, rng):
         build = lambda x, y: (x + y).sum()
         ref = lambda: float((x_data + y_data).sum())
         return [x_data, y_data], build, ref
-    if op_name == "sub":
-        y_data = rng.standard_normal(5)
-        build = lambda x, y: (x - y).sum()
-        ref = lambda: float((x_data - y_data).sum())
-        return [x_data, y_data], build, ref
     if op_name == "mul":
         y_data = rng.standard_normal(5)
         build = lambda x, y: (x * y).sum()
@@ -182,26 +176,10 @@ def _random_op_case(op_name, rng):
         build = lambda x: (x * 1.7).sum()
         ref = lambda: float((x_data * 1.7).sum())
         return [x_data], build, ref
-    if op_name == "tanh":
-        build = lambda x: tanh(x).sum()
-        ref = lambda: float(np.tanh(x_data).sum())
-        return [x_data], build, ref
-    if op_name == "sigmoid":
-        build = lambda x: sigmoid(x).sum()
-        ref = lambda: float((1 / (1 + np.exp(-x_data))).sum())
-        return [x_data], build, ref
-    if op_name == "leaky_relu":
-        # nudge values off the kink so finite differences are well-defined
-        x_data = x_data + np.sign(x_data) * 0.05
-        build = lambda x: leaky_relu(x, 0.1).sum()
-        ref = lambda: float(np.where(x_data >= 0, x_data, 0.1 * x_data).sum())
-        return [x_data], build, ref
     raise AssertionError(op_name)
 
 
-@pytest.mark.parametrize(
-    "op_name", ["add", "sub", "mul", "scale", "tanh", "sigmoid", "leaky_relu"]
-)
+@pytest.mark.parametrize("op_name", ["add", "mul", "scale"])
 def test_gradients_match_finite_differences_100_seeds(op_name):
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -217,7 +195,7 @@ def test_gradients_match_finite_differences_100_seeds(op_name):
 @given(st.lists(st.floats(-10, 10), min_size=1, max_size=8))
 def test_tanh_gradient_identity_property(values):
     x = Tensor(np.array(values))
-    out = tanh(x)
+    out = identity_affine(x, "tanh")
     out.sum().backward()
     assert np.allclose(x.grad, 1.0 - out.data**2)
 
@@ -236,7 +214,7 @@ class TestConstants:
 
     def test_python_scalars_add_no_parent_edges(self):
         x = Tensor(np.array([1.0, -2.0]))
-        for out in (x * 0.5, 0.5 * x, x + 1.0, 1.0 + x, x - 1.0, 1.0 - x):
+        for out in (x * 0.5, 0.5 * x, x + 1.0, 1.0 + x):
             assert self.parents(out) == [x]
 
     def test_int_stencil_coefficient_adds_no_parent_edge(self):
@@ -248,9 +226,9 @@ class TestConstants:
     def test_numpy_array_operands_are_constants_on_either_side(self):
         x = Tensor(np.array([1.0, -2.0]))
         c = np.array([3.0, 4.0])
-        for out in (x * c, c * x, c + x, c - x):
+        for out in (x * c, c * x, c + x):
             assert isinstance(out, Tensor) and self.parents(out) == [x]
-        assert np.array_equal((c - x).data, [2.0, 6.0])
+        assert np.array_equal((c * x).data, [3.0, -8.0])
 
     def test_affine_on_a_raw_input_batch_has_no_input_edge(self):
         rng = np.random.default_rng(3)
@@ -415,7 +393,6 @@ class TestConstantFolding:
 class TestFusedAffine:
     """``affine(x, W, b, activation)``: act(Wx+b) as one node."""
 
-    OPS = {"tanh": tanh, "sigmoid": sigmoid, "leaky_relu": leaky_relu}
     NUMPY = {
         "tanh": np.tanh,
         "sigmoid": lambda z: 1 / (1 + np.exp(-z)),
@@ -455,7 +432,7 @@ class TestFusedAffine:
 
         def run(fused):
             xt, wt, bt = (x if x_is_constant else Tensor(x)), Tensor(w), Tensor(b)
-            out = affine(xt, wt, bt, activation) if fused else self.OPS[activation](affine(xt, wt, bt))
+            out = affine(xt, wt, bt, activation) if fused else activated(affine(xt, wt, bt), activation)
             (out * weights).sum().backward()
             grads = [wt.grad, bt.grad] + ([] if x_is_constant else [xt.grad])
             return [out.data.tobytes()] + [g.tobytes() for g in grads]
@@ -466,7 +443,7 @@ class TestFusedAffine:
         x, w, b = Tensor(np.ones(2)), Tensor(np.eye(2)), Tensor(np.zeros(2))
         out = affine(x, w, b, "sigmoid")
         assert [p for p, _ in out._parents] == [x, w, b]
-        assert np.array_equal(out.data, sigmoid(affine(x, w, b)).data)
+        assert np.array_equal(out.data, activated(affine(x, w, b), "sigmoid").data)
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError, match="unknown activation"):
@@ -628,14 +605,4 @@ class TestOwnBuffers:
                 want = t if c == 1 else c * t
                 for c, t in zip(coefficients[1:], terms[1:]):
                     want = want + (t if c == 1 else c * t)
-            assert got.shape == shape and got.tobytes() == np.asarray(want).tobytes(), seed
-
-    @pytest.mark.parametrize("op,activation", [(tanh, "tanh"), (sigmoid, "sigmoid"), (leaky_relu, "leaky_relu")])
-    @pytest.mark.parametrize("shape", [(), (1,), (7,), (2, 3)])
-    def test_activation_ops(self, op, activation, shape):
-        for seed in range(40):
-            x = self.values(np.random.default_rng(seed), shape)
-            with np.errstate(all="ignore"):
-                got = self.checked((x,), (True,), op)
-                want = self.out_of_place(x, activation)
             assert got.shape == shape and got.tobytes() == np.asarray(want).tobytes(), seed

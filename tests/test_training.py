@@ -84,7 +84,7 @@ class TestAdam:
     def test_first_step_matches_hand_rolled_scalar_recursion(self):
         p = Parameter(np.array([0.0]), "theta")
         alpha, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        opt = Adam([p], learning_rate=alpha, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam([p], learning_rate=alpha)
         p.grad = np.array([1.0])
         opt.step()
         m = (1 - b1) * 1.0
@@ -94,12 +94,10 @@ class TestAdam:
         assert p.data[0] == pytest.approx(-0.1, abs=1e-8)
 
     def test_converges_on_convex_quadratic(self):
-        # beta1 below default: momentum overshoot otherwise dominates the
-        # last decades of convergence on a pure quadratic
         target = np.array([3.0, -1.5])
         p = Parameter(np.zeros(2), "theta")
-        opt = Adam([p], learning_rate=0.1, beta1=0.8)
-        for _ in range(100):
+        opt = Adam([p], learning_rate=0.1)
+        for _ in range(200):
             p.grad = p.data - target  # gradient of ||theta - target||^2 / 2
             opt.step()
         assert np.max(np.abs(p.data - target)) < 1e-3
@@ -133,25 +131,23 @@ class TestAdam:
 class ReferenceAdam:
     """Per-parameter Adam, one array at a time: the oracle for the flat update."""
 
-    def __init__(self, params, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, learning_rate=1e-3):
         self.params = list(params)
-        self.learning_rate, self.beta1, self.beta2, self.eps = learning_rate, beta1, beta2, eps
+        self.learning_rate = learning_rate
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         for i, p in enumerate(self.params):
             g = p.grad
-            if g is None:
-                continue
             self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
             m_hat = self.m[i] / (1.0 - b1**self.t)
             v_hat = self.v[i] / (1.0 - b2**self.t)
-            p.data = p.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
 
 class TestFlatAdam:
@@ -168,11 +164,7 @@ class TestFlatAdam:
         rng = np.random.default_rng(5)
         for step in range(8):
             for i, (a, b) in enumerate(zip(flat_params, ref_params)):
-                # p1 never gets a gradient; p3 skips every other step
-                if i == 1 or (i == 3 and step % 2):
-                    a.grad = b.grad = None
-                else:
-                    a.grad = b.grad = rng.standard_normal(a.shape) * 10.0 ** (i - 2)
+                a.grad = b.grad = rng.standard_normal(a.shape) * 10.0 ** (i - 2)
             flat.step()
             ref.step()
             for a, b in zip(flat_params, ref_params):
@@ -180,14 +172,20 @@ class TestFlatAdam:
                 assert a.data.tobytes() == b.data.tobytes(), (step, a.name)
         assert flat.t == ref.t == 8
 
-    def test_parameter_without_gradient_keeps_its_array(self):
+    def test_parameter_without_gradient_names_it_and_moves_nothing(self):
         params = self.make_params()
-        untouched = params[2].data
         opt = Adam(params, learning_rate=0.1)
         for p in params:
-            p.grad = None if p is params[2] else np.ones_like(p.data)
+            p.grad = np.ones_like(p.data)
         opt.step()
-        assert params[2].data is untouched
+        held = [p.data for p in params]
+        moments = opt.m.copy(), opt.v.copy()
+        params[2].grad = None
+        with pytest.raises(TrainingError, match="no gradient for parameter 'p2'"):
+            opt.step()
+        assert all(p.data is h for p, h in zip(params, held))
+        assert opt.m.tobytes() == moments[0].tobytes() and opt.v.tobytes() == moments[1].tobytes()
+        assert opt.t == 1
 
     def test_step_never_writes_into_arrays_callers_hold(self):
         params = self.make_params()
@@ -241,6 +239,15 @@ class TestFlatAdam:
                 opt.step()
         for a, b in zip(nets[0].parameters(), nets[1].parameters()):
             assert a.data.tobytes() == b.data.tobytes(), a.name
+
+    @pytest.mark.parametrize("family,k", [("c0", 1)] + [(f, k) for f in ("ck", "dense") for k in (1, 2, 3, 4)])
+    @pytest.mark.parametrize("depth", [0, 1, 5])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    def test_every_network_parameter_gets_a_gradient(self, family, k, depth, mode):
+        # what lets ``Adam`` refuse a parameter without one
+        net = Network(NetworkConfig(family, k, depth=depth, width=3, input_dim=2, num_classes=2, seed=k))
+        softmax_cross_entropy(net.forward(np.ones((4, 2)), mode), np.array([0, 1, 0, 1])).backward()
+        assert [p.name for p in net.parameters() if p.grad is None] == []
 
 
 def _blobs(n=60, seed=0):
