@@ -66,9 +66,8 @@ class ForcingFunction:
     E of them stacked on a leading member axis (see ``affine``), so that one
     ``unroll`` steps E networks of the same shape at once.
 
-    The weight and bias are ``Parameter``s to train, or numpy arrays for a
-    forward-only map: on array inputs it then returns arrays (see
-    ``affine``), and an ``unroll`` over such maps builds no graph."""
+    A map that is called holds numpy arrays. A ``Network``'s blocks hold its
+    ``Parameter``s, and ``Network.layers`` maps their current arrays."""
 
     def __init__(self, weight, bias, activation: str):
         if len(weight.shape) not in (2, 3) or weight.shape[-2] != weight.shape[-1]:
@@ -88,8 +87,7 @@ class ForcingFunction:
         return cls(weight, bias, activation)
 
     def __call__(self, x):
-        """One graph node, the fused ``affine`` with this map's activation, or
-        its array value when nothing in it is a ``Tensor``."""
+        """The fused ``affine`` with this map's activation."""
         return T.affine(x, self.weight, self.bias, self.activation)
 
     def parameters(self) -> list[Parameter]:
@@ -216,16 +214,11 @@ class LayerRecord(NamedTuple):
     ``x`` is the activation x_l, ``force`` the forcing output
     f_{l-1}(x_{l-1}) that produced it (``None`` at the input), and ``state``
     the tuple of state parts q_l in state mode (``None`` in direct mode).
-    Each value is a ``Tensor``, or an array when the unroll built no graph.
     """
 
-    x: Tensor | np.ndarray
-    force: Tensor | np.ndarray | None
+    x: np.ndarray
+    force: np.ndarray | None
     state: tuple | None
-
-
-def _value(v) -> np.ndarray:
-    return v.data if isinstance(v, Tensor) else v
 
 
 def _c0_matrices(k: int, d: int) -> tuple[BlockMatrix, BlockMatrix]:
@@ -248,12 +241,10 @@ def unroll(forcings, x0, family: str, k: int, dl: float, mode: str, matrices=Non
     evaluates its own forcing once; direct dense reuses the outputs of the
     layers before it, the dense state form evaluates them on their lags.
 
-    ``x0`` and the forcing maps' weights may be ``Tensor``s or numpy arrays;
-    with arrays only, every value is an array and no graph is built, bitwise
-    the values of the graph path. The lag window and the state parts are
-    tuples: ``lags`` holds x_l, ..., x_{l-k+1} (the ghost start repeats x_0)
-    and ``forced`` f_{l-1}(x_{l-1}), ..., f_{l-k}(x_{l-k}), ``None`` before
-    the input; ``q`` holds q_1..q_k, q_1 = x_0 and the rest zero at the input.
+    The lag window and the state parts are tuples: ``lags`` holds x_l, ...,
+    x_{l-k+1} (the ghost start repeats x_0) and ``forced`` f_{l-1}(x_{l-1}),
+    ..., f_{l-k}(x_{l-k}), ``None`` before the input; ``q`` holds q_1..q_k,
+    q_1 = x_0 and the rest zero at the input.
     """
     if mode not in ("direct", "state"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -306,16 +297,16 @@ class Trace:
     @classmethod
     def from_layers(cls, layers) -> "Trace":
         """The values in the ``LayerRecord``s of one ``unroll``, one array per
-        field; a record may hold ``Tensor``s or arrays. ``np.array`` copies a
-        list of equal-shape arrays into one stacked array (like ``np.stack``,
-        at a third of its overhead on the battery's width-1..8 arrays), so the
-        trace keeps no array of the unroll alive."""
+        field. ``np.array`` copies a list of equal-shape arrays into one
+        stacked array (like ``np.stack``, at a third of its overhead on the
+        battery's width-1..8 arrays), so the trace keeps no array of the
+        unroll alive."""
         layers = list(layers)
-        forces = [_value(r.force) for r in layers[1:]]
+        forces = [r.force for r in layers[1:]]
         return cls(
-            np.array([_value(r.x) for r in layers]),
+            np.array([r.x for r in layers]),
             np.array(forces) if forces else np.empty((0, *layers[0].x.shape)),
-            None if layers[0].state is None else np.array([[_value(p) for p in r.state] for r in layers]),
+            None if layers[0].state is None else np.array([r.state for r in layers]),
         )
 
 
@@ -351,49 +342,93 @@ class Network:
     def forward(self, inputs: np.ndarray, mode: str = "direct") -> Tensor:
         """Run the network on a [batch, input_dim] (or [input_dim]) array.
 
-        Returns the logits tensor. ``mode`` selects the direct multi-lag
-        recurrence or the equivalent first-order state-space evaluation.
-        This is the graph path that training differentiates; ``infer``
-        gives the same values without a graph.
+        Returns the logits as a ``Tensor``. ``mode`` selects the direct
+        multi-lag recurrence or the equivalent first-order state-space
+        evaluation. The logits' pullback is the layer adjoint over the
+        ``LayerRecord``s of ``layers``, which it keeps: a ``backward`` that
+        reaches a [batch, classes] gradient at the logits sets the ``grad``
+        of every parameter. ``infer`` gives the same values and keeps nothing.
         """
-        layers = self._unroll(inputs, mode, (self.embed_weight, self.embed_bias), self.blocks)
-        return self._read_out(layers, (self.head_weight, self.head_bias))
+        inputs = np.asarray(inputs, dtype=np.float64)
+        weights = [b.weight.data for b in self.blocks] + [self.head_weight.data]
+        xs, forces = [], []
+        for record in self.layers(inputs, mode):
+            xs.append(record.x)
+            forces.append(record.force)
+        logits = T.affine(xs[-1], weights[-1], self.head_bias.data)
+        return Tensor(logits, lambda g: self._adjoint(g, inputs, xs, forces[1:], weights))
+
+    def _adjoint(self, g: np.ndarray, inputs: np.ndarray, xs: list, forces: list, weights: list) -> None:
+        """The reverse pass: the layer recurrence run from layer L down to 0.
+
+        ``xs`` are x_0..x_L and ``forces`` f_0(x_0)..f_{L-1}(x_{L-1}) of one
+        forward pass, ``weights`` the block and head weights it ran on, and
+        ``g`` the gradient at its logits. A layer pushes
+        x̄_{l+1} back through its terms, in their forward order, onto f̄_l
+        and the lag window's x̄ (ghost lags land on x_0), then pulls f̄_l
+        through f_l. Contributions to one x̄ or f̄ are summed in the order
+        the layers above make them, and a unit coefficient passes a
+        gradient on without a multiply. State-mode records hold x_l = q_1
+        and f_l(q_1), on which the state form is this same recurrence.
+        """
+        cfg, depth = self.config, len(self.blocks)
+        self.head_weight._pull(g.T @ xs[depth])
+        self.head_bias._pull(g.sum(axis=0))
+        xbar, fbar = [None] * depth + [g @ weights[depth]], [None] * depth
+        scale = cfg.dl**cfg.k if cfg.family == "ck" else 1
+        stencil = [-c for c in mixed_diff_coefficients(cfg.k)[1:]]
+
+        def push(bars, i, c, grad):
+            grad = grad if c == 1 else c * grad
+            bars[i] = grad if bars[i] is None else bars[i] + grad
+
+        for l in reversed(range(depth)):
+            grad = xbar[l + 1]
+            if cfg.family == "c0":
+                fbar[l] = grad
+            elif cfg.family == "ck":  # x_{l+1} = s·f_l + Σ_j c_j·x_{l-j}
+                push(fbar, l, scale, grad)
+                for j, c in enumerate(stencil):
+                    push(xbar, max(l - j, 0), c, grad)
+            else:  # x_{l+1} = x_{l-k+1} + dl·(f_{l-k+1} + ... + f_l)
+                oldest = max(l - cfg.k + 1, 0)
+                push(xbar, oldest, 1, grad)
+                for m in range(oldest, l + 1):
+                    push(fbar, m, cfg.dl, grad)
+            block = self.blocks[l]
+            local = ACTIVATIONS[block.activation].chain(fbar[l], forces[l])
+            push(xbar, l, 1, local @ weights[l])
+            block.weight._pull(local.T @ xs[l])
+            block.bias._pull(local.sum(axis=0))
+        self.embed_weight._pull(xbar[0].T @ inputs)
+        self.embed_bias._pull(xbar[0].sum(axis=0))
 
     def infer(self, inputs: np.ndarray, mode: str = "direct") -> np.ndarray:
-        """``forward`` on the parameters' current arrays, building no graph.
+        """``forward``'s logits as an ``np.ndarray``, bitwise, keeping no record.
 
-        Returns the logits as an ``np.ndarray``, bitwise those of
-        ``forward``. For evaluation, where nothing is differentiated. It
-        reads out the records of ``layers``.
+        For evaluation, where nothing is differentiated. It reads out the
+        last record of ``layers``.
         """
-        return self._read_out(self.layers(inputs, mode), (self.head_weight.data, self.head_bias.data))
+        for last in self.layers(inputs, mode):
+            pass
+        return T.affine(last.x, self.head_weight.data, self.head_bias.data)
 
     def layers(self, inputs: np.ndarray, mode: str = "direct"):
-        """The ``unroll`` of ``infer``: its ``LayerRecord``s x_0..x_L, as arrays.
+        """The ``unroll`` of this network on the parameters' current arrays:
+        its ``LayerRecord``s x_0..x_L.
 
         The records stream: a consumer that keeps only what it needs of each
-        (the perturbation probe keeps one activation, the phase dump two
-        state columns) never holds the trajectory. The input width is
-        checked and x_0 embedded when this is called.
+        (``infer`` keeps the last, the perturbation probe one activation, the
+        phase dump two state columns) never holds the trajectory. The input
+        width is checked and x_0 embedded when this is called.
         """
-        embed = (self.embed_weight.data, self.embed_bias.data)
-        blocks = [ForcingFunction(b.weight.data, b.bias.data, b.activation) for b in self.blocks]
-        return self._unroll(inputs, mode, embed, blocks)
-
-    def _unroll(self, inputs, mode: str, embed, forcings):
-        """The one embed-and-unroll body of ``forward`` and ``layers``."""
         cfg = self.config
         arr = np.asarray(inputs, dtype=np.float64)
         if arr.shape[-1] != cfg.input_dim:
             raise ShapeError(f"input width {arr.shape} does not match input_dim={cfg.input_dim}")
-        return unroll(forcings, T.affine(arr, *embed), cfg.family, cfg.k, cfg.dl, mode)
-
-    def _read_out(self, layers, head):
-        """The logits of the last of ``layers``. Only the last layer is kept,
-        so a graph-free unroll frees each layer's arrays once the next is built."""
-        for last in layers:
-            pass
-        return T.affine(last.x, *head)
+        x0 = T.affine(arr, self.embed_weight.data, self.embed_bias.data)
+        blocks = [ForcingFunction(b.weight.data, b.bias.data, b.activation) for b in self.blocks]
+        return unroll(blocks, x0, cfg.family, cfg.k, cfg.dl, mode)
 
 
 # -- checkpoint io -----------------------------------------------------------------

@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", "--order", type=order, default=2)
     p.add_argument("-L", "--depth", type=int_at_least(0), default=16)
     p.add_argument("--dl", type=positive_float, default=0.2)
-    p.add_argument("--seed", type=int, default=0, help="base seed; runs use seed..seed+seeds-1")
+    p.add_argument("--seed", type=int_at_least(0), default=0, help="base seed; runs use seed..seed+seeds-1")
     p.add_argument("--seeds", type=positive_int, default=5, help="number of independent runs")
     p.add_argument("--epochs", type=int_at_least(0), default=2000)
     p.add_argument("--learning-rate", type=positive_float, default=0.002)
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int_at_least(0), default=8)
     p.add_argument("--batch-size", type=positive_int, default=128)
     p.add_argument("--learning-rate", type=positive_float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int_at_least(0), default=0)
     p.add_argument("--data-dir", default=None, help="IDX directory (or env CK_DATA_DIR); synthetic data when absent")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_depth_sweep)
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=positive_int, default=8)
     p.add_argument("--batch-size", type=positive_int, default=128)
     p.add_argument("--learning-rate", type=positive_float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int_at_least(0), default=0)
     p.add_argument("--data-dir", default=None)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_compare)
@@ -242,15 +242,16 @@ def cmd_compare(args) -> int:
 
 
 def cmd_param_count(args) -> int:
-    k, d = args.order, args.width
-    per_layer_ck = d * d
-    per_layer_eq = (k * d) * (k * d)
-    ratio = float(weight_matrix_ratio(k, d))
-    print(f"{per_layer_ck} vs {per_layer_eq} (ratio {ratio})")
-    if args.depth is not None:
-        total_ck = parameter_count("ck", k, d, args.depth)
-        total_eq = parameter_count("first_order_equiv", k, d, args.depth)
-        print(f"totals over {args.depth} layers incl. biases: {total_ck} vs {total_eq}")
+    k, d, depth = args.order, args.width, args.depth
+    try:  # every line is formatted before any is printed
+        lines = [f"{d * d} vs {(k * d) * (k * d)} (ratio {float(weight_matrix_ratio(k, d))})"]
+        if depth is not None:
+            totals = parameter_count("ck", k, d, depth), parameter_count("first_order_equiv", k, d, depth)
+            lines.append(f"totals over {depth} layers incl. biases: {totals[0]} vs {totals[1]}")
+    except ValueError:  # Python prints no int of more than sys.get_int_max_str_digits() digits
+        args.parser.error(f"the counts for -k/--order, -d/--width and -L/--depth have more than "
+                          f"{sys.get_int_max_str_digits()} digits")
+    print("\n".join(lines))
     return EXIT_OK
 
 

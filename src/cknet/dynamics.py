@@ -7,8 +7,8 @@ matrices that define the equivalent first-order systems of the higher-order
 architectures.
 
 All coefficient arithmetic is exact (Python integers). The sequence
-operators are generic: entries may be numpy arrays or autodiff tensors,
-anything supporting ``+`` and multiplication by an int.
+operators are generic: entries may be numpy arrays, or anything supporting
+``+`` and multiplication by an int.
 """
 from __future__ import annotations
 
@@ -128,7 +128,7 @@ class BlockMatrix:
     """A k-by-k grid of integer multiples of the d-by-d identity.
 
     The grid of integers *is* the object of interest; ``apply`` performs
-    the block-structured action on a list of k width-d tensors without ever
+    the block-structured action on a list of k width-d arrays without ever
     materializing the dense (k*d, k*d) matrix.
     """
 
@@ -143,11 +143,11 @@ class BlockMatrix:
             raise ShapeError(f"block grid must be {self.k}x{self.k}")
 
     def apply(self, parts, input_matrix=None, inputs=(), scale=1):
-        """Rows of ``self·parts + scale·input_matrix·inputs`` on width-d tensors.
+        """Rows of ``self·parts + scale·input_matrix·inputs`` on width-d arrays.
 
-        Each row is one ``linear_combination`` node over the parts, then the
+        Each row is one ``linear_combination`` over the parts, then the
         inputs, summed left to right. A zero coefficient or a ``None`` input
-        adds no term, so a row with a single unit term is that tensor itself.
+        adds no term, so a row with a single unit term is that array itself.
         """
         if len(parts) != self.k:
             raise ShapeError(f"expected {self.k} parts, got {len(parts)}")

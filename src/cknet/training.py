@@ -77,7 +77,8 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log softmax probability of the true labels.
 
     ``logits`` is [batch, classes]; ``labels`` an int array of length batch.
-    Stabilized by row-max subtraction before exponentiation.
+    Stabilized by row-max subtraction before exponentiation. ``backward`` on
+    the loss passes (softmax - onehot) / batch on to ``logits``.
     """
     value, log_probs = _log_softmax_loss(logits.data, labels)
     labels = np.asarray(labels)
@@ -86,9 +87,9 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     def pull(g):
         soft = np.exp(log_probs)
         soft[np.arange(batch), labels] -= 1.0
-        return g * soft / batch
+        logits._pull(g * soft / batch)
 
-    return Tensor(value, _parents=((logits, pull),))
+    return Tensor(value, pull)
 
 
 # Adam's moment decay rates and the denominator's guard
@@ -150,8 +151,8 @@ class Adam:
 
 
 def evaluate(network, inputs: np.ndarray, labels: np.ndarray, mode: str = "direct"):
-    """Loss and accuracy of a frozen network on one batch, through the
-    graph-free ``Network.infer``: bitwise the values ``forward`` gives."""
+    """Loss and accuracy of a frozen network on one batch, through
+    ``Network.infer``: bitwise the values ``forward`` gives."""
     logits = network.infer(inputs, mode=mode)
     loss, _ = _log_softmax_loss(logits, labels)
     return float(loss), float((logits.argmax(axis=1) == labels).mean())

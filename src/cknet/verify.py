@@ -149,7 +149,6 @@ def _check_group(k: int, d: int, depth: int, seeds, dense_forcing_matrix) -> lis
         weights[:, e] = (-bound + (bound - -bound) * u[:, : d * d]).reshape(depth, d, d)
         biases[:, e] = -0.5 + (0.5 - -0.5) * u[:, d * d :]
         x0[e] = rng.standard_normal(d)
-    # arrays, not Tensors: every check is forward-only, so no graph is built
     fs = [ForcingFunction(w, b, activation) for w, b in zip(weights, biases)]
 
     matrices = None

@@ -9,7 +9,6 @@ import numpy as np
 from cknet import verify
 from cknet.architectures import (
     ForcingFunction,
-    LayerRecord,
     Trace,
     c1_step,
     dense_difference_identity_residual,
@@ -25,14 +24,14 @@ from cknet.dynamics import (
     build_dense_matrices,
     mixed_diff_coefficients,
 )
-from cknet.tensor import ACTIVATIONS, Parameter, Tensor, affine, linear_combination
+from cknet.tensor import linear_combination
 
 
 def central_difference(fn, arrays, step=1e-6):
     """Central finite-difference gradients of scalar fn w.r.t. each array.
 
     fn is called with no arguments and must read the (mutated) arrays; this
-    keeps the oracle independent of the autodiff graph under test.
+    keeps the oracle independent of the reverse pass under test.
     """
     grads = []
     for arr in arrays:
@@ -61,26 +60,6 @@ def pascal_triangle_row(n: int) -> list[int]:
 
 def gradient_close(analytic, numeric, rtol=1e-5, atol=1e-8) -> bool:
     return np.allclose(analytic, numeric, rtol=rtol, atol=atol)
-
-
-def count_tensors(monkeypatch) -> list:
-    """A list that gets the type of every ``Tensor`` constructed from now on."""
-    made = []
-    construct = Tensor.__init__
-
-    def counting(self, *args, **kwargs):
-        made.append(type(self))
-        construct(self, *args, **kwargs)
-
-    monkeypatch.setattr(Tensor, "__init__", counting)
-    return made
-
-
-def activated(x, activation):
-    """The activation as a node of its own: the unfused reference for
-    ``affine(..., activation)``, over the same ``ACTIVATIONS`` entry."""
-    y, chain = ACTIVATIONS[activation](x.data.copy())
-    return Tensor(y, _parents=((x, chain),))
 
 
 def expand(matrix):
@@ -133,21 +112,9 @@ def unrolled(fs, x0, family, k, dl, mode):
     """Activations, forcing outputs and (state mode) state parts, as lists
     of arrays, of ``unroll`` over the forcing functions ``fs`` from the
     array ``x0``."""
-    trace = Trace.from_layers(unroll(fs, Tensor(x0), family, k, dl, mode))
+    trace = Trace.from_layers(unroll(fs, x0, family, k, dl, mode))
     states = None if trace.states is None else [list(parts) for parts in trace.states]
     return list(trace.activations), list(trace.forcing), states
-
-
-def graph_layers(network, inputs, mode="direct"):
-    """``Network.layers`` computed on the graph path: ``unroll`` over the
-    ``Parameter``s, each record's values read off its tensors (the zero
-    state parts at the input are arrays already)."""
-    cfg = network.config
-    value = lambda v: v.data if isinstance(v, Tensor) else v
-    x0 = affine(np.asarray(inputs, dtype=np.float64), network.embed_weight, network.embed_bias)
-    for x, force, state in unroll(network.blocks, x0, cfg.family, cfg.k, cfg.dl, mode):
-        yield LayerRecord(x.data, None if force is None else force.data,
-                          None if state is None else tuple(map(value, state)))
 
 
 def reference_perturbation(network, inputs):
@@ -236,7 +203,7 @@ class StateVector:
 
 def initialize_state(x0, k):
     """Position set to the input, all higher difference states zero."""
-    return StateVector([x0, *(Tensor(np.zeros_like(x0.data)) for _ in range(k - 1))])
+    return StateVector([x0, *(np.zeros_like(x0) for _ in range(k - 1))])
 
 
 def ck_direct_step(f, history, k, dl):
@@ -330,12 +297,11 @@ def identity_gap(trajectory, forcing_values, n, dl):
 # which checks the cases of a grid point as stacked ensembles.
 
 
-def random_forcing(d, activation, rng, name):
+def random_forcing(d, activation, rng):
     """A battery case's forcing map: Glorot-uniform weight, then a bias in [-0.5, 0.5)."""
     bound = np.sqrt(6.0 / (2 * d))
-    weight = Parameter(rng.uniform(-bound, bound, size=(d, d)), name=f"{name}.weight")
-    bias = Parameter(rng.uniform(-0.5, 0.5, size=d), name=f"{name}.bias")
-    return ForcingFunction(weight, bias, activation)
+    weight = rng.uniform(-bound, bound, size=(d, d))
+    return ForcingFunction(weight, rng.uniform(-0.5, 0.5, size=d), activation)
 
 
 def case_extraction_deviation(xs, states, k):
@@ -354,11 +320,11 @@ def check_case(key, dense_forcing_matrix):
     activation = verify._ACTIVATION_CYCLE[i % len(verify._ACTIVATION_CYCLE)]
     dl = verify._DL_CYCLE[i % len(verify._DL_CYCLE)]
     case = f"k={k} d={d} L={depth} dl={dl} act={activation} seed#{i}"
-    fs = [random_forcing(d, activation, rng, f"f{layer}") for layer in range(depth)]
+    fs = [random_forcing(d, activation, rng) for _ in range(depth)]
     x0 = rng.standard_normal(d)
 
     def trace(family, mode, matrices=None):
-        return Trace.from_layers(unroll(fs, Tensor(x0), family, k, dl, mode, matrices))
+        return Trace.from_layers(unroll(fs, x0, family, k, dl, mode, matrices))
 
     def gap(xs, ys):
         return float(np.max(np.abs(xs - ys)))
@@ -386,7 +352,7 @@ def check_case(key, dense_forcing_matrix):
         outcomes.append(("dense difference identity", 0.0 if ok else np.inf, f"{case} order n={n}"))
     if k == 1:
         same = all(
-            c1_step(f, Tensor(a), dl).data.tobytes() == b.tobytes()
+            c1_step(f, a, dl).tobytes() == b.tobytes()
             for f, a, b in zip(fs, xs_direct, xs_direct[1:])
         ) and (xs_direct.tobytes() == xs_state.tobytes() == xs_dd.tobytes() == xs_ds.tobytes())
         outcomes.append(("k=1 collapse", 0.0 if same else np.inf, case))

@@ -36,7 +36,6 @@ from cknet.experiments import (
     run_depth_sweep,
     run_toy_experiment,
 )
-from cknet.tensor import Tensor
 from cknet.training import softmax_cross_entropy
 from helpers import central_difference, extraction_gap, identity_holds, random_forcing, spearman, unrolled
 
@@ -61,7 +60,7 @@ def _grid_cases():
                 for i in range(GRID_SEEDS):
                     rng = np.random.default_rng(np.random.SeedSequence([7, k, d, depth, i]))
                     activation = ("tanh", "sigmoid", "leaky_relu")[i % 3]
-                    fs = [random_forcing(d, activation, rng, f"f{j}") for j in range(depth)]
+                    fs = [random_forcing(d, activation, rng) for _ in range(depth)]
                     x0 = rng.standard_normal(d)
                     yield k, d, depth, i, fs, x0
 
@@ -105,11 +104,9 @@ def test_criterion_2_dense_family_equivalence_and_collapse():
         _dense_runs.append((k, xs_direct, forcing_values))
         if k == 1:
             xs_ck = unrolled(fs, x0, "ck", 1, 1.0, "direct")[0]
-            x = Tensor(x0)
-            xs_c1 = [x.data]
+            xs_c1 = [x0]
             for f in fs:
-                x = c1_step(f, x, 1.0)
-                xs_c1.append(x.data)
+                xs_c1.append(c1_step(f, xs_c1[-1], 1.0))
             collapse_ok = collapse_ok and all(
                 a.tobytes() == b.tobytes() == c.tobytes()
                 for a, b, c in zip(xs_c1, xs_ck, xs_direct)

@@ -21,20 +21,18 @@ from cknet.architectures import (
     weight_matrix_ratio,
 )
 from cknet.dynamics import backward_diff_power, build_ck_matrices
-from cknet.tensor import Parameter, ShapeError, Tensor, affine
-from cknet.training import softmax_cross_entropy
+from cknet.tensor import GraphError, ShapeError, affine
+from cknet.training import evaluate, softmax_cross_entropy
 from helpers import (
     LayerHistory,
     StateVector,
     central_difference,
     ck_direct_step,
     ck_state_step,
-    count_tensors,
     dense_direct_step,
     dense_state_step,
     expand,
     gradient_close,
-    graph_layers,
     identity_gap,
     identity_holds,
     initialize_state,
@@ -44,8 +42,8 @@ from helpers import (
 
 def make_forcing(d, weight, bias, activation="tanh"):
     return ForcingFunction(
-        Parameter(np.full((d, d), float(weight)) * np.eye(d) if np.isscalar(weight) else weight, "w"),
-        Parameter(np.full(d, float(bias)) if np.isscalar(bias) else bias, "b"),
+        np.full((d, d), float(weight)) * np.eye(d) if np.isscalar(weight) else weight,
+        np.full(d, float(bias)) if np.isscalar(bias) else bias,
         activation,
     )
 
@@ -61,11 +59,7 @@ def const_forcing(value, d=1):
 
 def random_forcing(d, seed, activation="tanh"):
     rng = np.random.default_rng(seed)
-    return ForcingFunction(
-        Parameter(rng.uniform(-1, 1, size=(d, d)) / np.sqrt(d), f"w{seed}"),
-        Parameter(rng.uniform(-0.5, 0.5, size=d), f"b{seed}"),
-        activation,
-    )
+    return ForcingFunction(rng.uniform(-1, 1, size=(d, d)) / np.sqrt(d), rng.uniform(-0.5, 0.5, size=d), activation)
 
 
 def one_layer(f, x, family, k, dl, mode="direct"):
@@ -80,65 +74,65 @@ def c0_step(f, x):
 
 class TestSingleSteps:
     def test_c0_zero_forcing_maps_to_zero(self):
-        out = c0_step(zero_forcing(3), Tensor(np.ones(3)))
-        assert np.array_equal(out.data, np.zeros(3))
+        out = c0_step(zero_forcing(3), np.ones(3))
+        assert np.array_equal(out, np.zeros(3))
 
     def test_c0_sigmoid_of_bias_at_zero_input(self):
         f = make_forcing(2, 1.0, 0.3, activation="sigmoid")
-        out = c0_step(f, Tensor(np.zeros(2)))
-        assert np.allclose(out.data, 1 / (1 + np.exp(-0.3)), rtol=0, atol=1e-15)
+        out = c0_step(f, np.zeros(2))
+        assert np.allclose(out, 1 / (1 + np.exp(-0.3)), rtol=0, atol=1e-15)
 
     def test_c0_matches_direct_evaluation(self):
         f = random_forcing(4, seed=9)
         x = np.random.default_rng(1).standard_normal(4)
-        expected = np.tanh(f.weight.data @ x + f.bias.data)
-        assert np.allclose(c0_step(f, Tensor(x)).data, expected, rtol=0, atol=1e-15)
+        expected = np.tanh(f.weight @ x + f.bias)
+        assert np.allclose(c0_step(f, x), expected, rtol=0, atol=1e-15)
 
     def test_c1_identity_flow_with_zero_forcing(self):
-        x = Tensor(np.array([1.5, -2.0]))
+        x = np.array([1.5, -2.0])
         out = c1_step(zero_forcing(2), x, dl=1.0)
-        assert np.array_equal(out.data, x.data)
+        assert np.array_equal(out, x)
 
     def test_c1_perturbation_vanishes_with_dl(self):
         f = random_forcing(3, seed=2)
-        x = Tensor(np.array([0.4, -0.1, 2.0]))
+        x = np.array([0.4, -0.1, 2.0])
         for dl in (1e-3, 1e-6, 1e-9):
             out = c1_step(f, x, dl)
-            assert np.max(np.abs(out.data - x.data)) <= 1.1 * dl
+            assert np.max(np.abs(out - x)) <= 1.1 * dl
 
     def test_c1_equals_order_one_direct_step_bitwise(self):
         f = random_forcing(2, seed=3)
-        x = Tensor(np.array([0.7, -0.2]))
+        x = np.array([0.7, -0.2])
         via_c1 = c1_step(f, x, dl=0.3)
         via_ck = one_layer(f, x, "ck", 1, dl=0.3)
-        assert via_c1.data.tobytes() == via_ck.data.tobytes()
+        assert via_c1.tobytes() == via_ck.tobytes()
 
     def test_ck_direct_free_motion_extrapolates(self):
-        history = LayerHistory([Tensor(np.array([1.0])), Tensor(np.array([0.0]))])
+        history = LayerHistory([np.array([1.0]), np.array([0.0])])
         out = ck_direct_step(zero_forcing(1), history, 2, dl=1.0)
-        assert out.data[0] == 2.0  # 2 x_l - x_{l-1}
+        assert out[0] == 2.0  # 2 x_l - x_{l-1}
 
     def test_ck_direct_hand_expansion_order_two(self):
-        history = LayerHistory([Tensor(np.array([1.0])), Tensor(np.array([1.0]))])
+        history = LayerHistory([np.array([1.0]), np.array([1.0])])
         out = ck_direct_step(const_forcing(0.5), history, 2, dl=1.0)
-        assert out.data[0] == pytest.approx(1.5, abs=1e-15)
+        assert out[0] == pytest.approx(1.5, abs=1e-15)
 
     def test_ck_direct_requires_full_history(self):
         with pytest.raises(ValueError, match="2 activations"):
-            ck_direct_step(zero_forcing(1), LayerHistory([Tensor(np.zeros(1))]), 2, 1.0)
+            ck_direct_step(zero_forcing(1), LayerHistory([np.zeros(1)]), 2, 1.0)
 
     def test_ck_state_hand_evaluation_order_two(self):
-        q = StateVector([Tensor(np.array([1.0])), Tensor(np.array([0.0]))])
+        q = StateVector([np.array([1.0]), np.array([0.0])])
         out = ck_state_step(const_forcing(0.5), q, 2, dl=1.0)
-        assert out.parts[0].data[0] == pytest.approx(1.5, abs=1e-15)
-        assert out.parts[1].data[0] == pytest.approx(0.5, abs=1e-15)
+        assert out.parts[0][0] == pytest.approx(1.5, abs=1e-15)
+        assert out.parts[1][0] == pytest.approx(0.5, abs=1e-15)
 
     def test_ck_state_zero_forcing_drift(self):
-        q = StateVector([Tensor(np.array([0.0])), Tensor(np.array([2.0])), Tensor(np.array([3.0]))])
+        q = StateVector([np.array([0.0]), np.array([2.0]), np.array([3.0])])
         out = ck_state_step(zero_forcing(1), q, 3, dl=1.0)
-        assert out.parts[0].data[0] == 5.0  # q1 + q2 + q3
-        assert out.parts[1].data[0] == 5.0  # q2 + q3
-        assert out.parts[2].data[0] == 3.0  # q3 unchanged
+        assert out.parts[0][0] == 5.0  # q1 + q2 + q3
+        assert out.parts[1][0] == 5.0  # q2 + q3
+        assert out.parts[2][0] == 3.0  # q3 unchanged
 
     def test_ck_state_matches_dense_matrix_oracle(self):
         k, d = 4, 3
@@ -146,28 +140,27 @@ class TestSingleSteps:
         f = random_forcing(d, seed=21)
         dl = 0.5
         parts = [rng.standard_normal(d) for _ in range(k)]
-        q = StateVector([Tensor(p) for p in parts])
-        stepped = ck_state_step(f, q, k, dl)
+        stepped = ck_state_step(f, StateVector(parts), k, dl)
 
         transition, coupling = build_ck_matrices(k, d)
-        force = np.tanh(f.weight.data @ parts[0] + f.bias.data) * dl**k
+        force = np.tanh(f.weight @ parts[0] + f.bias) * dl**k
         expected = expand(transition) @ np.concatenate(parts) + expand(coupling) @ np.tile(force, k)
-        assert np.allclose(np.concatenate([p.data for p in stepped.parts]), expected, rtol=0, atol=1e-12)
+        assert np.allclose(np.concatenate(stepped.parts), expected, rtol=0, atol=1e-12)
 
     def test_ck_state_part_count_checked(self):
-        q = initialize_state(Tensor(np.zeros(2)), 2)
+        q = initialize_state(np.zeros(2), 2)
         with pytest.raises(ValueError, match="parts"):
             ck_state_step(zero_forcing(2), q, 3, 1.0)
 
 
 class TestInitialization:
     def test_order_one_state_is_input(self):
-        q = initialize_state(Tensor(np.array([2.0, 3.0])), 1)
-        assert q.order == 1 and np.array_equal(q.parts[0].data, [2.0, 3.0])
+        q = initialize_state(np.array([2.0, 3.0]), 1)
+        assert q.order == 1 and np.array_equal(q.parts[0], [2.0, 3.0])
 
     def test_order_two_velocity_zero(self):
-        q = initialize_state(Tensor(np.array([2.0])), 2)
-        assert np.array_equal(q.parts[1].data, [0.0])
+        q = initialize_state(np.array([2.0]), 2)
+        assert np.array_equal(q.parts[1], [0.0])
 
     def test_constant_ghost_history_has_zero_higher_differences(self):
         x0 = np.array([1.3, -0.4])
@@ -180,48 +173,47 @@ class TestInitialization:
             assert np.array_equal(backward_diff_power(exact, 4, n), np.zeros(2, dtype=int))
 
     def test_state_vector_embedding_dimension(self):
-        q = initialize_state(Tensor(np.zeros(7)), 4)
+        q = initialize_state(np.zeros(7), 4)
         assert q.embedding_dim == 4 * 7
 
 
 class TestDenseSteps:
     def test_order_one_reduces_to_residual_bitwise(self):
         f = random_forcing(3, seed=5)
-        x = Tensor(np.array([0.2, -0.8, 1.1]))
+        x = np.array([0.2, -0.8, 1.1])
         via_c1 = c1_step(f, x, dl=0.7)
         via_dense = one_layer(f, x, "dense", 1, dl=0.7)
-        assert via_c1.data.tobytes() == via_dense.data.tobytes()
+        assert via_c1.tobytes() == via_dense.tobytes()
 
     def test_zero_forcing_is_pure_lag_copy(self):
-        entries = [Tensor(np.array([float(v)])) for v in (5.0, 7.0, 9.0)]
+        entries = [np.array([float(v)]) for v in (5.0, 7.0, 9.0)]
         history = LayerHistory(entries)
         out, advanced = dense_direct_step([zero_forcing(1)] * 3, history, dl=1.0)
-        assert out.data[0] == 9.0  # x_{l+1-k}
+        assert out[0] == 9.0  # x_{l+1-k}
         assert advanced[0] is out and advanced[1] is entries[0]
 
     def test_forcing_count_must_match_window(self):
-        history = LayerHistory.ghost(Tensor(np.zeros(1)), 3)
+        history = LayerHistory.ghost(np.zeros(1), 3)
         with pytest.raises(ValueError, match="forcing functions"):
             dense_direct_step([zero_forcing(1)] * 2, history, dl=1.0)
 
     def test_state_order_one_matches_residual(self):
         f = random_forcing(2, seed=6)
-        x = Tensor(np.array([0.4, 0.9]))
+        x = np.array([0.4, 0.9])
         stepped = one_layer(f, x, "dense", 1, dl=0.25, mode="state")
-        assert stepped.data.tobytes() == c1_step(f, x, 0.25).data.tobytes()
+        assert stepped.tobytes() == c1_step(f, x, 0.25).tobytes()
 
     def test_state_order_two_velocity_gets_forcing_difference(self):
         f0, f1 = random_forcing(2, seed=7), random_forcing(2, seed=8)
         rng = np.random.default_rng(9)
         q_parts = [rng.standard_normal(2), rng.standard_normal(2)]
-        q = StateVector([Tensor(p) for p in q_parts])
         dl = 0.5
-        stepped = dense_state_step([f0, f1], q, 2, dl)
+        stepped = dense_state_step([f0, f1], StateVector(q_parts), 2, dl)
         x_now = q_parts[0]
         x_prev = q_parts[0] - q_parts[1]
-        f_now = np.tanh(f0.weight.data @ x_now + f0.bias.data) * dl
-        f_prev = np.tanh(f1.weight.data @ x_prev + f1.bias.data) * dl
-        assert np.allclose(stepped.parts[1].data - q_parts[1], f_now - f_prev, rtol=0, atol=1e-15)
+        f_now = np.tanh(f0.weight @ x_now + f0.bias) * dl
+        f_prev = np.tanh(f1.weight @ x_prev + f1.bias) * dl
+        assert np.allclose(stepped.parts[1] - q_parts[1], f_now - f_prev, rtol=0, atol=1e-15)
 
     def test_state_step_matches_dense_matrix_oracle(self):
         # evaluate the block-matrix form explicitly on the expanded state
@@ -231,18 +223,13 @@ class TestDenseSteps:
         fs = [random_forcing(d, seed=300 + i) for i in range(k)]
         rng = np.random.default_rng(33)
         parts = [rng.standard_normal(d) for _ in range(k)]
-        q = StateVector([Tensor(p) for p in parts])
-        stepped = dense_state_step(fs, q, k, dl)
+        stepped = dense_state_step(fs, StateVector(parts), k, dl)
 
         transition, forcing = build_dense_matrices(k, d)
         lags = binomial_invert(parts)
-        pushes = np.concatenate(
-            [np.tanh(f.weight.data @ lag + f.bias.data) * dl for f, lag in zip(fs, lags)]
-        )
+        pushes = np.concatenate([np.tanh(f.weight @ lag + f.bias) * dl for f, lag in zip(fs, lags)])
         expected = expand(transition) @ np.concatenate(parts) + expand(forcing) @ pushes
-        assert np.allclose(
-            np.concatenate([p.data for p in stepped.parts]), expected, rtol=0, atol=1e-12
-        )
+        assert np.allclose(np.concatenate(stepped.parts), expected, rtol=0, atol=1e-12)
 
     def test_order_three_state_equals_direct_recurrence(self):
         k, d, depth = 3, 4, 9
@@ -282,7 +269,7 @@ class TestDenseDifferenceIdentity:
             x0 = np.random.default_rng(200 + seed).standard_normal(3)
             xs = unrolled(fs, x0, "ck", 2, 0.5, "direct")[0]
             forcing = [
-                np.tanh(f.weight.data @ x + f.bias.data) for f, x in zip(fs, xs[:-1])
+                np.tanh(f.weight @ x + f.bias) for f, x in zip(fs, xs[:-1])
             ]
             if not identity_holds(xs, forcing, 1, dl=0.5):
                 found_counterexample = True
@@ -437,11 +424,9 @@ class TestEquivalenceGrid:
         xs_ck_state, _, _ = unrolled(fs, x0, "ck", 1, dl, "state")
         xs_dd, _, _ = unrolled(fs, x0, "dense", 1, dl, "direct")
         xs_ds, _, _ = unrolled(fs, x0, "dense", 1, dl, "state")
-        x = Tensor(x0)
-        xs_c1 = [x.data]
+        xs_c1 = [x0]
         for f in fs:
-            x = c1_step(f, x, dl)
-            xs_c1.append(x.data)
+            xs_c1.append(c1_step(f, xs_c1[-1], dl))
         for variants in zip(xs_c1, xs_ck, xs_ck_state, xs_dd, xs_ds):
             reference = variants[0].tobytes()
             assert all(v.tobytes() == reference for v in variants[1:])
@@ -453,15 +438,15 @@ class TestScaling:
         # zero history isolates the forcing term; powers of two keep float
         # multiplication exact, so the s^k scaling law holds bitwise
         f = random_forcing(3, seed=99)
-        x = Tensor(np.zeros(3))
+        x = np.zeros(3)
         dl, s = 0.25, 2.0
-        small = one_layer(f, x, "ck", k, dl).data
-        large = one_layer(f, x, "ck", k, s * dl).data
+        small = one_layer(f, x, "ck", k, dl)
+        large = one_layer(f, x, "ck", k, s * dl)
         assert np.array_equal(large, s**k * small)
 
 
 def chained_ck_direct(f, history, k, dl):
-    """The order-k step as chained ``+`` and constant ``*`` nodes."""
+    """The order-k step as chained ``+`` and ``*``."""
     coeffs = [(-1) ** j * math.comb(k, j) for j in range(k + 1)]
     out = f(history[0]) * (dl**k)
     for j in range(1, k + 1):
@@ -509,52 +494,43 @@ class TestFusedSteps:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_dense_steps_bitwise_equal_chained_formula(self, k):
         fs = [random_forcing(3, seed=70 + i) for i in range(6)]
-        x0 = Tensor(np.random.default_rng(k).standard_normal((2, 3)))
+        x0 = np.random.default_rng(k).standard_normal((2, 3))
         history, q = LayerHistory.ghost(x0, k), initialize_state(x0, k)
         for layer in range(len(fs)):
             window = [fs[layer - j] if layer - j >= 0 else None for j in range(k)]
             expected = chained_dense_direct(window, history, 0.5)
             x, history = dense_direct_step(window, history, 0.5)
-            assert x.data.tobytes() == expected.data.tobytes()
+            assert x.tobytes() == expected.tobytes()
             expected_parts = chained_dense_state(window, q.parts, k, 0.5)
             q = dense_state_step(window, q, k, 0.5)
             for a, b in zip(q.parts, expected_parts):
-                assert a.data.tobytes() == b.data.tobytes()
+                assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_ck_steps_bitwise_equal_chained_formula(self, k):
         rng = np.random.default_rng(40 + k)
         f = random_forcing(3, seed=k)
         for dl in (1.0, 0.5, 0.2):
-            entries = [Tensor(rng.standard_normal((2, 3))) for _ in range(k)]
+            entries = [rng.standard_normal((2, 3)) for _ in range(k)]
             fused = ck_direct_step(f, LayerHistory(entries), k, dl)
-            assert fused.data.tobytes() == chained_ck_direct(f, entries, k, dl).data.tobytes()
+            assert fused.tobytes() == chained_ck_direct(f, entries, k, dl).tobytes()
             stepped = ck_state_step(f, StateVector(entries), k, dl)
             for a, b in zip(stepped.parts, chained_ck_state(f, entries, k, dl)):
-                assert a.data.tobytes() == b.data.tobytes()
-
-    def test_order_two_layer_is_two_nodes(self):
-        f = random_forcing(2, seed=1)
-        x = Tensor(np.ones(2))
-        out = one_layer(f, x, "ck", 2, 0.5)
-        # the fused stencil node and the fused forcing node act(Wx+b): no
-        # coefficient, dl**k or separate activation node in between
-        assert [p for p, _ in out._parents][1:] == [x, x]
-        forcing_node = out._parents[0][0]
-        assert [p for p, _ in forcing_node._parents] == [x, f.weight, f.bias]
+                assert a.tobytes() == b.tobytes()
 
 
 def reference_forward(net, inputs, mode):
     """Logits and trace arrays of ``net`` from the chained reference steps."""
     cfg = net.config
     k, dl = cfg.k, cfg.dl
-    x = affine(inputs, net.embed_weight, net.embed_bias)
+    blocks = [ForcingFunction(b.weight.data, b.bias.data, b.activation) for b in net.blocks]
+    x = affine(inputs, net.embed_weight.data, net.embed_bias.data)
     history = [x] * k
-    parts = [x] + [Tensor(np.zeros_like(x.data)) for _ in range(k - 1)]
-    activations, forcing, states = [x.data], [], [[p.data for p in parts]]
-    for layer, f in enumerate(net.blocks):
-        window = [f] + [net.blocks[layer - j] if layer >= j else None for j in range(1, k)]
-        forcing.append(f(parts[0] if mode == "state" else history[0]).data)
+    parts = [x] + [np.zeros_like(x) for _ in range(k - 1)]
+    activations, forcing, states = [x], [], [parts]
+    for layer, f in enumerate(blocks):
+        window = [f] + [blocks[layer - j] if layer >= j else None for j in range(1, k)]
+        forcing.append(f(parts[0] if mode == "state" else history[0]))
         if cfg.family == "c0":
             parts = [f(parts[0])]
         elif mode == "direct" and cfg.family == "ck":
@@ -566,10 +542,10 @@ def reference_forward(net, inputs, mode):
         else:
             parts = chained_dense_state(window, parts, k, dl)
         history = [parts[0]] + history[:-1]
-        activations.append(parts[0].data)
-        states.append([p.data for p in parts])
-    logits = affine(parts[0], net.head_weight, net.head_bias)
-    return logits.data, activations, forcing, states if mode == "state" else None
+        activations.append(parts[0])
+        states.append(parts)
+    logits = affine(parts[0], net.head_weight.data, net.head_bias.data)
+    return logits, activations, forcing, states if mode == "state" else None
 
 
 class TestWholeNetworkBitwise:
@@ -580,7 +556,7 @@ class TestWholeNetworkBitwise:
     def test_forward_and_trace_equal_chained_reference(self, family, k, mode):
         net = Network(NetworkConfig(family, k, depth=6, width=3, input_dim=2, num_classes=3, dl=0.5, seed=k))
         x = np.random.default_rng(k).standard_normal((4, 2))
-        logits, trace = net.forward(x, mode=mode), Trace.from_layers(graph_layers(net, x, mode))
+        logits, trace = net.forward(x, mode=mode), Trace.from_layers(net.layers(x, mode))
         ref_logits, activations, forcing, states = reference_forward(net, x, mode)
 
         def same(a, b):
@@ -603,7 +579,7 @@ class TestRecordedTrace:
         net = Network(NetworkConfig(family, k, depth=0, width=3, input_dim=2, num_classes=2, seed=1))
         x = np.random.default_rng(1).standard_normal((4, 2))
         trace = Trace.from_layers(net.layers(x, mode))
-        x0 = affine(x, net.embed_weight, net.embed_bias).data
+        x0 = affine(x, net.embed_weight.data, net.embed_bias.data)
         assert len(trace.activations) == 1 and trace.activations[0].tobytes() == x0.tobytes()
         assert len(trace.forcing) == 0
         if mode == "direct":
@@ -627,72 +603,39 @@ class TestRecordedTrace:
         assert direct.states is None
         assert state.states.shape == (depth + 1, k, *batch, width)
 
-    def test_trace_keeps_no_graph_array(self):
+    def test_trace_keeps_no_unroll_array(self):
         fs = [random_forcing(3, seed=70 + i) for i in range(4)]
-        layers = list(unroll(fs, Tensor(np.ones(3)), "ck", 2, 0.5, "state"))
+        layers = list(unroll(fs, np.ones(3), "ck", 2, 0.5, "state"))
         trace = Trace.from_layers(layers)
-        graph = [r.x.data for r in layers] + [r.force.data for r in layers[1:]]
-        graph += [p.data for r in layers for p in r.state]
+        arrays = [r.x for r in layers] + [r.force for r in layers[1:]] + [p for r in layers for p in r.state]
         for field in (trace.activations, trace.forcing, trace.states):
-            assert not any(np.shares_memory(field, a) for a in graph)
+            assert not any(np.shares_memory(field, a) for a in arrays)
 
 
 FORMS = [("c0", 1), *(("ck", k) for k in (1, 2, 3, 4)), *(("dense", k) for k in (1, 2, 3, 4))]
 
 
-class TestGraphFreeUnroll:
-    """``unroll`` over arrays builds no graph and gives the graph path's values."""
-
-    @staticmethod
-    def forcings(depth, lead, seed):
-        rng = np.random.default_rng(seed)
-        return [
-            ForcingFunction(rng.uniform(-1, 1, size=(*lead, 3, 3)), rng.uniform(-0.5, 0.5, size=(*lead, 3)), act)
-            for act in ("tanh", "sigmoid", "leaky_relu", "tanh", "sigmoid")[:depth]
-        ]
-
-    @pytest.mark.parametrize("family,k", FORMS, ids=[f"{f}{k}" for f, k in FORMS])
-    @pytest.mark.parametrize("mode", ["direct", "state"])
-    @pytest.mark.parametrize("lead,x_shape", [((), (3,)), ((), (4, 3)), ((2,), (2, 3)), ((2,), (2, 4, 3))],
-                             ids=["vector", "batch", "stacked", "stacked-batch"])
-    @pytest.mark.parametrize("depth", [0, 5])
-    def test_arrays_give_the_tensor_values_bitwise(self, family, k, mode, lead, x_shape, depth):
-        fs = self.forcings(depth, lead, seed=k)
-        x0 = np.random.default_rng(depth).standard_normal(x_shape)
-        layers = list(unroll(fs, x0, family, k, 0.5, mode))
-        values = [r.x for r in layers] + [r.force for r in layers[1:]]
-        values += [p for r in layers for p in r.state or ()]
-        assert all(type(v) is np.ndarray for v in values)
-        graph_fs = [ForcingFunction(Tensor(f.weight), Tensor(f.bias), f.activation) for f in fs]
-        folded = Trace.from_layers(layers)
-        graph = Trace.from_layers(unroll(graph_fs, Tensor(x0), family, k, 0.5, mode))
-        assert folded.activations.tobytes() == graph.activations.tobytes()
-        assert folded.forcing.shape == graph.forcing.shape
-        assert folded.forcing.tobytes() == graph.forcing.tobytes()
-        if mode == "state":
-            assert folded.states.shape == (depth + 1, k, *x_shape)
-            assert folded.states.tobytes() == graph.states.tobytes()
-        else:
-            assert folded.states is graph.states is None
+class TestStepReferences:
+    """The single-layer steps of ``helpers`` give ``unroll``'s values."""
 
     @pytest.mark.parametrize("family,k", [("ck", 3), ("dense", 3)])
     @pytest.mark.parametrize("mode", ["direct", "state"])
     def test_step_references_give_the_unroll_values_bitwise(self, family, k, mode):
         fs = [random_forcing(3, seed=50 + i) for i in range(6)]
-        x0 = Tensor(np.random.default_rng(k).standard_normal((2, 3)))
-        xs = [r.x.data for r in unroll(fs, x0, family, k, 0.5, mode)]
-        history, q, expected = LayerHistory.ghost(x0, k), initialize_state(x0, k), [x0.data]
+        x0 = np.random.default_rng(k).standard_normal((2, 3))
+        xs = [r.x for r in unroll(fs, x0, family, k, 0.5, mode)]
+        history, q, expected = LayerHistory.ghost(x0, k), initialize_state(x0, k), [x0]
         for layer, f in enumerate(fs):
             window = [fs[layer - j] if layer >= j else None for j in range(k)]
             if mode == "state":
                 q = ck_state_step(f, q, k, 0.5) if family == "ck" else dense_state_step(window, q, k, 0.5)
-                expected.append(q.parts[0].data)
+                expected.append(q.parts[0])
             elif family == "ck":
                 history = history.advanced(ck_direct_step(f, history, k, 0.5))
-                expected.append(history[0].data)
+                expected.append(history[0])
             else:
                 history = dense_direct_step(window, history, 0.5)[1]
-                expected.append(history[0].data)
+                expected.append(history[0])
         assert [x.tobytes() for x in xs] == [x.tobytes() for x in expected]
 
 
@@ -700,7 +643,7 @@ ACTIVATIONS = ["tanh", "sigmoid", "leaky_relu"]
 
 
 class TestInfer:
-    """``Network.infer`` is ``forward`` on the parameters' arrays, with no graph."""
+    """``Network.infer`` gives ``forward``'s logits and keeps no record."""
 
     @staticmethod
     def network(family, k, activation="tanh", depth=5, seed=0):
@@ -712,31 +655,13 @@ class TestInfer:
     @pytest.mark.parametrize("mode", ["direct", "state"])
     @pytest.mark.parametrize("depth", [0, 5])
     @pytest.mark.parametrize("x_shape", [(2,), (4, 2)], ids=["vector", "batch"])
-    def test_logits_and_trace_are_forward_bitwise(self, family, k, activation, mode, depth, x_shape):
+    def test_logits_are_forward_and_reference_bitwise(self, family, k, activation, mode, depth, x_shape):
         net = self.network(family, k, activation, depth, seed=k)
         x = np.random.default_rng(depth).standard_normal(x_shape)
         logits = net.infer(x, mode=mode)
         assert type(logits) is np.ndarray
         assert logits.tobytes() == net.forward(x, mode=mode).data.tobytes()
-        trace, expected = Trace.from_layers(net.layers(x, mode)), Trace.from_layers(graph_layers(net, x, mode))
-        for field in ("activations", "forcing", "states"):
-            got, want = getattr(trace, field), getattr(expected, field)
-            if want is None:
-                assert got is None
-            else:
-                assert type(got) is np.ndarray and got.shape == want.shape and got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("family,k", FORMS, ids=[f"{f}{k}" for f, k in FORMS])
-    def test_constructs_no_tensor(self, monkeypatch, family, k):
-        net = self.network(family, k)
-        x = np.random.default_rng(0).standard_normal((4, 2))
-        made = count_tensors(monkeypatch)
-        for mode in ("direct", "state"):
-            net.infer(x, mode)
-            Trace.from_layers(net.layers(x, mode))
-        assert made == []
-        net.forward(x)  # the counter sees the graph path
-        assert made
+        assert logits.tobytes() == reference_forward(net, x, mode)[0].tobytes()
 
     @pytest.mark.parametrize("family,k", [("c0", 1), ("ck", 1), ("ck", 3), ("dense", 3)])
     @pytest.mark.parametrize("mode", ["direct", "state"])
@@ -781,39 +706,138 @@ class TestInfer:
 
 
 class TestLayers:
-    """``Network.layers`` streams the records ``infer`` reads out: graph-free,
-    and bitwise the rows of the recorded ``Trace``."""
+    """``Network.layers`` streams the records ``infer`` reads out, bitwise
+    those of the chained reference steps."""
 
     @pytest.mark.parametrize("family,k", FORMS, ids=[f"{f}{k}" for f, k in FORMS])
     @pytest.mark.parametrize("mode", ["direct", "state"])
     @pytest.mark.parametrize("x_shape", [(2,), (4, 2)], ids=["vector", "batch"])
-    def test_records_are_the_trace_rows_bitwise(self, family, k, mode, x_shape):
+    def test_records_are_the_reference_layers_bitwise(self, family, k, mode, x_shape):
         net = TestInfer.network(family, k, "sigmoid", depth=6, seed=k)
         x = np.random.default_rng(k).standard_normal(x_shape)
         records = list(net.layers(x, mode))
-        trace = Trace.from_layers(graph_layers(net, x, mode))
-        assert len(records) == len(trace.activations) == 7 and records[0].force is None
+        _, activations, forcing, states = reference_forward(net, x, mode)
+        assert len(records) == len(activations) == 7 and records[0].force is None
         for layer, (x_l, force, state) in enumerate(records):
-            assert type(x_l) is np.ndarray and x_l.tobytes() == trace.activations[layer].tobytes()
+            assert type(x_l) is np.ndarray and x_l.tobytes() == activations[layer].tobytes()
             if layer:
-                assert type(force) is np.ndarray and force.tobytes() == trace.forcing[layer - 1].tobytes()
+                assert type(force) is np.ndarray and force.tobytes() == forcing[layer - 1].tobytes()
             if mode == "direct":
                 assert state is None
             else:
                 assert len(state) == k
-                assert all(p.tobytes() == row.tobytes() for p, row in zip(state, trace.states[layer]))
-
-    def test_constructs_no_tensor(self, monkeypatch):
-        net = TestInfer.network("dense", 3)
-        made = count_tensors(monkeypatch)
-        for mode in ("direct", "state"):
-            list(net.layers(np.ones((4, 2)), mode))
-        assert made == []
+                assert all(p.tobytes() == row.tobytes() for p, row in zip(state, states[layer]))
 
     def test_input_width_checked_on_call(self):
         net = TestInfer.network("ck", 2)
         with pytest.raises(ShapeError, match="input_dim=2"):
             net.layers(np.zeros((2, 3)))
+
+
+class TestAdjoint:
+    """``forward``'s pullback, the layer adjoint, against central differences."""
+
+    @pytest.mark.parametrize("family,k", FORMS, ids=[f"{f}{k}" for f, k in FORMS])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_gradients_match_central_differences(self, family, k, mode, activation, depth):
+        net = Network(NetworkConfig(family, k, depth=depth, width=2, input_dim=2, num_classes=2, dl=0.5,
+                                    activation=activation, seed=10 * depth + k))
+        rng = np.random.default_rng(depth)
+        x, y = rng.standard_normal((3, 2)), np.array([0, 1, 1])
+        loss = softmax_cross_entropy(net.forward(x, mode), y)
+        loss.backward()
+        with pytest.raises(GraphError, match="already ran"):
+            loss.backward()
+        params = net.parameters()
+        fds = central_difference(lambda: evaluate(net, x, y, mode)[0], [p.data for p in params])
+        for p, fd in zip(params, fds):
+            assert gradient_close(p.grad, fd), p.name
+
+    def test_gradients_are_taken_at_the_forward_pass(self):
+        def gradients(update_before_backward):
+            net = Network(NetworkConfig("ck", 2, depth=3, width=2, input_dim=2, num_classes=2, dl=0.5, seed=1))
+            loss = softmax_cross_entropy(net.forward(np.ones((3, 2))), np.array([0, 1, 1]))
+            if update_before_backward:  # as ``Adam.step`` does: fresh arrays
+                for p in net.parameters():
+                    p.data = p.data * 3.0
+            loss.backward()
+            return [p.grad.tobytes() for p in net.parameters()]
+
+        assert gradients(True) == gradients(False)
+
+    @staticmethod
+    def network(family, k, activation="sigmoid", depth=3, dl=0.5, seed=0):
+        return Network(NetworkConfig(family, k, depth=depth, width=2, input_dim=2, num_classes=2, dl=dl,
+                                     activation=activation, seed=seed))
+
+    @staticmethod
+    def gradients(net, x, y, mode="direct"):
+        """Every parameter's gradient of the loss on (x, y), from cleared grads."""
+        net.zero_grad()
+        softmax_cross_entropy(net.forward(x, mode), y).backward()
+        return [p.grad for p in net.parameters()]
+
+    @pytest.mark.parametrize("family,k", FORMS, ids=[f"{f}{k}" for f, k in FORMS])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    @pytest.mark.parametrize("dl", [1.0, 0.3, 1.5])
+    def test_mesh_step_enters_the_gradient(self, family, k, mode, dl):
+        # dl=1 takes the unit-coefficient path, which passes a gradient on without a multiply
+        net = self.network(family, k, dl=dl, seed=k)
+        x, y = np.random.default_rng(k).standard_normal((3, 2)), np.array([1, 0, 1])
+        got = self.gradients(net, x, y, mode)
+        params = net.parameters()
+        fds = central_difference(lambda: evaluate(net, x, y, mode)[0], [p.data for p in params])
+        for p, g, fd in zip(params, got, fds):
+            assert gradient_close(g, fd), p.name
+
+    @pytest.mark.parametrize("family,k", FORMS, ids=[f"{f}{k}" for f, k in FORMS])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_direct_and_state_gradients_agree(self, family, k, activation, depth):
+        net = self.network(family, k, activation, depth, seed=depth + k)
+        x, y = np.random.default_rng(depth).standard_normal((4, 2)), np.array([0, 1, 1, 0])
+        direct, state = self.gradients(net, x, y, "direct"), self.gradients(net, x, y, "state")
+        for p, a, b in zip(net.parameters(), direct, state):
+            assert np.allclose(a, b, rtol=1e-9, atol=1e-13), p.name
+
+    @pytest.mark.parametrize("family,k", FORMS, ids=[f"{f}{k}" for f, k in FORMS])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    def test_batch_gradient_is_the_mean_of_sample_gradients(self, family, k, mode):
+        net = self.network(family, k, "tanh", depth=4, seed=k)
+        x, y = np.random.default_rng(k).standard_normal((4, 2)), np.array([1, 1, 0, 1])
+        batch = self.gradients(net, x, y, mode)
+        samples = [self.gradients(net, x[i : i + 1], y[i : i + 1], mode) for i in range(4)]
+        for j, p in enumerate(net.parameters()):
+            mean = sum(s[j] for s in samples) / 4
+            assert np.allclose(batch[j], mean, rtol=1e-10, atol=1e-15), p.name
+
+    @pytest.mark.parametrize("family,k", FORMS, ids=[f"{f}{k}" for f, k in FORMS])
+    def test_gradients_accumulate_until_zero_grad(self, family, k):
+        net = self.network(family, k, seed=k)
+        rng = np.random.default_rng(k)
+        (xa, xb), y = rng.standard_normal((2, 3, 2)), np.array([0, 1, 1])
+        first, second = self.gradients(net, xa, y), self.gradients(net, xb, y)
+        net.zero_grad()
+        for x in (xa, xb):  # no zero_grad in between
+            softmax_cross_entropy(net.forward(x), y).backward()
+        for p, a, b in zip(net.parameters(), first, second):
+            assert p.grad.tobytes() == (a + b).tobytes(), p.name
+        net.zero_grad()
+        assert all(p.grad is None for p in net.parameters())
+
+    @pytest.mark.parametrize("family,k", FORMS, ids=[f"{f}{k}" for f, k in FORMS])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    def test_backward_writes_into_no_array_it_reads(self, family, k, mode):
+        net = self.network(family, k, seed=k)
+        x = np.random.default_rng(k).standard_normal((3, 2))
+        logits = net.forward(x, mode)
+        held = [x, logits.data] + [p.data for p in net.parameters()]
+        before = [a.tobytes() for a in held]
+        softmax_cross_entropy(logits, np.array([1, 0, 0])).backward()
+        assert [a.tobytes() for a in held] == before
+        assert all(p.data is a for p, a in zip(net.parameters(), held[2:]))
 
 
 class TestDenseIsResidual:
@@ -835,6 +859,22 @@ class TestDenseIsResidual:
         assert dense.infer(x, mode=mode).tobytes() == expected
         assert residual.infer(x, mode=mode).tobytes() == expected
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("mode", ["state", "direct"])
+    def test_dense_gradients_are_ck1_gradients(self, k, activation, mode):
+        # the two networks are one function of the parameters, so their
+        # gradients agree; the adjoints sum different terms to get them
+        x, y = np.random.default_rng(k).standard_normal((5, 4)), np.array([0, 2, 1, 1, 0])
+        dense, residual = (
+            Network(NetworkConfig(family, order, depth=6, width=3, input_dim=4, num_classes=3, dl=0.5,
+                                  activation=activation, seed=12))
+            for family, order in (("dense", k), ("ck", 1))
+        )
+        for p, a, b in zip(dense.parameters(), TestAdjoint.gradients(dense, x, y, mode),
+                           TestAdjoint.gradients(residual, x, y, mode)):
+            assert np.allclose(a, b, rtol=1e-10, atol=1e-14), p.name
+
 
 class TestForcingEvaluatedOnce:
     @pytest.fixture
@@ -842,8 +882,8 @@ class TestForcingEvaluatedOnce:
         counts = {}
         original = ForcingFunction.__call__
 
-        def counting(self, x):
-            counts[id(self)] = counts.get(id(self), 0) + 1
+        def counting(self, x):  # by weight: ``Network.layers`` maps a block's array afresh
+            counts[id(self.weight)] = counts.get(id(self.weight), 0) + 1
             return original(self, x)
 
         monkeypatch.setattr(ForcingFunction, "__call__", counting)
@@ -855,10 +895,10 @@ class TestForcingEvaluatedOnce:
         net = Network(NetworkConfig("dense", k=k, depth=6, width=3, input_dim=2, num_classes=2, seed=k))
         x = np.random.default_rng(k).standard_normal((4, 2))
         if record:
-            trace = Trace.from_layers(graph_layers(net, x))
+            trace = Trace.from_layers(net.layers(x))
         else:
             net.forward(x)
-        assert [calls.get(id(b), 0) for b in net.blocks] == [1] * 6
+        assert [calls.get(id(b.weight.data), 0) for b in net.blocks] == [1] * 6
         if record:
             for layer, block in enumerate(net.blocks):
                 expected = np.tanh(trace.activations[layer] @ block.weight.data.T + block.bias.data)
@@ -872,15 +912,15 @@ class TestForcingEvaluatedOnce:
         net.forward(x, mode=mode)
         plain_calls = dict(calls)
         calls.clear()
-        trace = Trace.from_layers(graph_layers(net, x, mode))
+        trace = Trace.from_layers(net.layers(x, mode))
         assert calls == plain_calls
         assert len(trace.forcing) == 5
 
     def test_window_built_from_activations_alone_evaluates_every_lag(self, calls):
         fs = [random_forcing(1, seed=s) for s in range(3)]
-        history = LayerHistory([Tensor(np.array([float(v)])) for v in (1.0, 2.0, 3.0)])
+        history = LayerHistory([np.array([float(v)]) for v in (1.0, 2.0, 3.0)])
         dense_direct_step(fs, history, dl=0.5)
-        assert [calls.get(id(f), 0) for f in fs] == [1, 1, 1]
+        assert [calls.get(id(f.weight), 0) for f in fs] == [1, 1, 1]
 
 
 class TestCheckpoint:
@@ -1029,16 +1069,16 @@ class TestCheckpoint:
 
 class TestStackedForcing:
     def test_maps_each_member_of_a_stack(self):
-        f = ForcingFunction(Parameter(np.zeros((4, 3, 3)), "w"), Parameter(np.zeros((4, 3)), "b"), "tanh")
-        assert f(Tensor(np.ones((4, 3)))).shape == (4, 3)
-        assert f(Tensor(np.ones((4, 5, 3)))).shape == (4, 5, 3)
+        f = ForcingFunction(np.zeros((4, 3, 3)), np.zeros((4, 3)), "tanh")
+        assert f(np.ones((4, 3))).shape == (4, 3)
+        assert f(np.ones((4, 5, 3))).shape == (4, 5, 3)
 
     @pytest.mark.parametrize(
         "w_shape,b_shape", [((4, 3, 2), (4, 2)), ((4, 3, 3), (3,)), ((4, 3, 3), (5, 3)), ((3, 3), (4, 3))]
     )
     def test_rejects_a_stack_that_does_not_match(self, w_shape, b_shape):
         with pytest.raises(ShapeError):
-            ForcingFunction(Parameter(np.zeros(w_shape), "w"), Parameter(np.zeros(b_shape), "b"), "tanh")
+            ForcingFunction(np.zeros(w_shape), np.zeros(b_shape), "tanh")
 
 
 class TestConfigValidation:

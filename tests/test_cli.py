@@ -1,5 +1,6 @@
 import io
 import itertools
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -86,10 +87,16 @@ INVALID_INVOCATIONS = [
     (["depth-sweep", "--depths", "4"], "--depths: need at least 3 distinct depths, got [4]"),
     (["depth-sweep", "--depths", "6", "2", "6", "2"], "--depths: need at least 3 distinct depths, got [2, 6]"),
     (["fetch-mnist"], "fetch-mnist requires --data-dir or CK_DATA_DIR"),
+    (["train-toy", "--seed", "-1", "--seeds", "1", "--epochs", "0", "-L", "1"], "--seed: must be >= 0, got -1"),
+    (["depth-sweep", "--seed=-1"], "--seed: must be >= 0, got -1"),
+    (["compare", "--seed", "-3"], "--seed: must be >= 0, got -3"),
+    (["compare", "--seed", "two"], "--seed: expected an integer, got 'two'"),
+    (["param-count", "-k", "9" * 4000, "-d", "1"],
+     "the counts for -k/--order, -d/--width and -L/--depth have more than 4300 digits"),
 ]
 
 
-@pytest.mark.parametrize("argv,message", INVALID_INVOCATIONS, ids=[" ".join(a) for a, _ in INVALID_INVOCATIONS])
+@pytest.mark.parametrize("argv,message", INVALID_INVOCATIONS, ids=[" ".join(a)[:80] for a, _ in INVALID_INVOCATIONS])
 def test_invalid_invocation_exits_two_with_one_line_message(argv, message, monkeypatch, capsys):
     monkeypatch.delenv("CK_DATA_DIR", raising=False)
     with pytest.raises(SystemExit) as exc:
@@ -114,11 +121,11 @@ def run_in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def assert_documented_exit(argv):
-    """A documented exit code, no traceback, and one ``error:`` line on any
-    failure but the battery's own ``[FAIL]`` report."""
+def assert_documented_exit(argv, codes=(0, 1, 2, 3)):
+    """An exit code among ``codes``, no traceback, and one ``error:`` line on
+    any failure but the battery's own ``[FAIL]`` report."""
     code, out, err = run_in_process(argv)
-    assert code in (0, 1, 2, 3) and "Traceback" not in err, (argv, code, err)
+    assert code in codes and "Traceback" not in err, (argv, code, err)
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == (0 if code == 0 or "[FAIL]" in out else 1), (argv, code, err)
 
@@ -136,7 +143,8 @@ class TestFuzz:
            d=st.sampled_from(EDGES) | st.integers(1, 99).map(str),
            depth=st.none() | st.sampled_from(EDGES) | st.integers(1, 99).map(str))
     def test_param_count(self, k, d, depth):
-        assert_documented_exit(["param-count", "-k", k, "-d", d] + ([] if depth is None else ["-L", depth]))
+        argv = ["param-count", "-k", k, "-d", d] + ([] if depth is None else ["-L", depth])
+        assert_documented_exit(argv, codes=(0, 2))
 
     # the flags that set the battery's work take 1 or 2, and at most one of
     # them then a value rejected at parse time, so that every case stays cheap
@@ -151,6 +159,61 @@ class TestFuzz:
         argv = ["verify", "--orders", *orders, "--widths", *widths, "--depths", *depths, "--seeds", seeds,
                 f"--tolerance={tolerance}"]
         assert_documented_exit(argv + ([] if rejected is None else [f"{rejected[0]}={rejected[1]}"]))
+
+    @pytest.fixture(scope="class")
+    def out(self, tmp_path_factory):
+        return str(tmp_path_factory.mktemp("fuzz"))
+
+    # the training commands with their work capped; ``edge`` puts an edge
+    # value on one flag, the last occurrence of a flag being the one used
+    TRAINING = {
+        "train-toy": (["--seeds", "1"], ["-k", "--dl", "--learning-rate", "--seed"]),
+        "depth-sweep": (["--depths", "1", "2", "3", "--repetitions", "1", "--batch-size", "8"],
+                        ["--dl", "--learning-rate", "--seed"]),
+        "compare": (["--orders", "1", "--dense-orders", "2", "--batch-size", "8"],
+                    ["--orders", "--dl", "--learning-rate", "--seed"]),
+    }
+
+    @settings(max_examples=100, deadline=None)
+    @given(command=st.sampled_from(sorted(TRAINING)), epochs=st.integers(0, 2), depth=st.integers(0, 2),
+           samples=st.integers(10, 20), width=st.integers(1, 2), data=st.data())
+    def test_training_commands(self, out, command, epochs, depth, samples, width, data):
+        fixed, edged = self.TRAINING[command]
+        argv = [command, *fixed, "--epochs", str(epochs), "--out", out]
+        argv += ["-L", str(depth)] if command != "depth-sweep" else []
+        argv += ["--samples", str(samples), "-d", str(width)] if command != "train-toy" else []
+        edge = data.draw(st.none() | st.tuples(st.sampled_from(edged), st.sampled_from(EDGES + ["64", "65", "1e-5"])))
+        assert_documented_exit(argv + ([] if edge is None else [f"{edge[0]}={edge[1]}"]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(where=st.sampled_from(["unset", "empty", "new", "a file", "cached"]),
+           download=st.sampled_from(["wrong size", "unreachable", "right size"]),
+           from_environment=st.booleans())
+    def test_fetch_mnist(self, out, where, download, from_environment):
+        root = Path(out) / "mnist"
+        shutil.rmtree(root, ignore_errors=True)
+        root.mkdir()
+        target = {"unset": None, "empty": "", "new": root / "new", "a file": root / "file", "cached": root}[where]
+        (root / "file").write_bytes(b"x")
+        for name, size in data.MNIST_FILES.items():
+            with open(root / name, "wb") as fh:
+                fh.truncate(size)
+
+        def retrieve(url, partial):
+            if download == "unreachable":
+                raise OSError("network is unreachable")
+            with open(partial, "wb") as fh:
+                fh.truncate(data.MNIST_FILES[url.rsplit("/", 1)[1]] + (download == "wrong size"))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data.urllib.request, "urlretrieve", retrieve)
+            mp.delenv("CK_DATA_DIR", raising=False)
+            argv = ["fetch-mnist"]
+            if target is not None and from_environment:
+                mp.setenv("CK_DATA_DIR", str(target))
+            elif target is not None:
+                argv.append(f"--data-dir={target}")
+            assert_documented_exit(argv)
 
 
 class TestUsage:

@@ -14,7 +14,7 @@ from cknet.dynamics import (
     build_dense_matrices,
     mixed_diff_coefficients,
 )
-from cknet.tensor import ShapeError, Tensor
+from cknet.tensor import ShapeError
 from helpers import expand, pascal_triangle_row
 
 
@@ -231,7 +231,7 @@ class TestBlockMatrices:
         for k, d in [(1, 3), (3, 2), (5, 4)]:
             matrix = build_ck_matrices(k, d)[0]
             parts = [rng.standard_normal(d) for _ in range(k)]
-            via_apply = np.concatenate([t.data for t in matrix.apply([Tensor(p) for p in parts])])
+            via_apply = np.concatenate(matrix.apply(parts))
             via_dense = expand(matrix) @ np.concatenate(parts)
             assert np.allclose(via_apply, via_dense, rtol=0, atol=1e-12)
 
@@ -239,14 +239,13 @@ class TestBlockMatrices:
         rng = np.random.default_rng(6)
         k, d, scale = 3, 2, 0.25
         transition, forcing = build_dense_matrices(k, d)
-        parts = [Tensor(rng.standard_normal(d)) for _ in range(k)]
-        inputs = [Tensor(rng.standard_normal(d)) for _ in range(k - 1)] + [None]
+        parts = [rng.standard_normal(d) for _ in range(k)]
+        inputs = [rng.standard_normal(d) for _ in range(k - 1)] + [None]
         out = transition.apply(parts, forcing, inputs, scale)
-        stacked = np.concatenate([p.data for p in parts])
-        pushed = np.concatenate([u.data for u in inputs[:-1]] + [np.zeros(d)])
-        expected = expand(transition) @ stacked + scale * (expand(forcing) @ pushed)
-        assert np.allclose(np.concatenate([t.data for t in out]), expected, rtol=0, atol=1e-12)
-        # a row with one unit term is that part itself, not a new node
+        pushed = np.concatenate(inputs[:-1] + [np.zeros(d)])
+        expected = expand(transition) @ np.concatenate(parts) + scale * (expand(forcing) @ pushed)
+        assert np.allclose(np.concatenate(out), expected, rtol=0, atol=1e-12)
+        # a row with one unit term is that part itself, not a new array
         assert forcing.apply(parts)[0] is parts[0]
 
     def test_determinant_matches_numpy_oracle(self):

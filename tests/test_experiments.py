@@ -20,7 +20,7 @@ from cknet.experiments import (
     write_trajectory_csv,
 )
 from cknet.svgplot import Series, plot
-from helpers import count_tensors, graph_layers, reference_perturbation, spearman
+from helpers import reference_perturbation, spearman
 
 
 def _residual_net(depth=3, width=2, dl=1.0, seed=0, input_dim=2):
@@ -29,55 +29,8 @@ def _residual_net(depth=3, width=2, dl=1.0, seed=0, input_dim=2):
     )
 
 
-def graph_infer(network, inputs, mode="direct"):
-    """``Network.infer`` computed on the graph path, ``forward``."""
-    return Network.forward(network, inputs, mode).data
-
-
 def hexed(records):
     return [(r.layer, r.ratio.hex(), r.skipped) for r in records]
-
-
-class TestGraphFreeProbes:
-    """Perturbation probes, toy runs and comparisons run on ``Network.infer``
-    and ``Network.layers``, with the values the graph path gives."""
-
-    def test_perturbation_records_equal_the_graph_path(self, monkeypatch):
-        net = _residual_net(depth=6, width=5, input_dim=3, dl=0.5, seed=3)
-        batch = np.random.default_rng(3).standard_normal((32, 3))
-        batch[4] = 0.0
-        records = measure_perturbation(net, batch)
-        monkeypatch.setattr(Network, "layers", graph_layers)
-        expected = measure_perturbation(net, batch)
-        assert hexed(records) == hexed(expected)
-
-    def test_perturbation_probe_constructs_no_tensor(self, monkeypatch):
-        net = _residual_net(depth=4, width=3, seed=5)
-        made = count_tensors(monkeypatch)
-        measure_perturbation(net, np.ones((8, 2)))
-        assert made == []
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_toy_run_and_phase_dump_equal_the_graph_path(self, monkeypatch, k):
-        result = run_toy_experiment(k, seeds=(0, 1), depth=5, epochs=3)
-        monkeypatch.setattr(Network, "infer", graph_infer)  # the evaluation
-        monkeypatch.setattr(Network, "layers", graph_layers)  # the phase dump
-        expected = run_toy_experiment(k, seeds=(0, 1), depth=5, epochs=3)
-        assert result.accuracies == expected.accuracies
-        assert (result.best_seed, result.best_accuracy) == (expected.best_seed, expected.best_accuracy)
-        assert result.best_metrics == expected.best_metrics
-        for field in ("q1", "q2", "labels"):
-            got, want = getattr(result.dump, field), getattr(expected.dump, field)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-    def test_compare_rows_equal_the_graph_path(self, monkeypatch):
-        from cknet.data import split
-
-        trainset, heldout = split(synthetic_digits(200, seed=4), 0.8, seed=0)
-        run = lambda: compare_orders([1, 3], [2], trainset, heldout, depth=2, width=8, epochs=1, seed=0)
-        rows = run()
-        monkeypatch.setattr(Network, "infer", graph_infer)
-        assert rows == run()
 
 
 class TestStreamedProbe:
