@@ -4,7 +4,6 @@ first-order state-space realizations, training, and the desk-scale
 experiments that probe them."""
 
 from .architectures import (
-    ForcingFunction,
     Network,
     NetworkConfig,
     c1_step,

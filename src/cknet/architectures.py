@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import os
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
@@ -40,7 +42,6 @@ from .tensor import ACTIVATIONS, Parameter, ShapeError, Tensor
 
 __all__ = [
     "ACTIVATIONS",
-    "ForcingFunction",
     "NetworkConfig",
     "check_mesh_step",
     "LayerRecord",
@@ -56,42 +57,11 @@ __all__ = [
 ]
 
 
-def _init_weight(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_out, fan_in))
-
-
-class ForcingFunction:
-    """Learnable per-layer map act(W x + b) with a square weight matrix, or
-    E of them stacked on a leading member axis (see ``affine``), so that one
-    ``unroll`` steps E networks of the same shape at once.
-
-    A map that is called holds numpy arrays. A ``Network``'s blocks hold its
-    ``Parameter``s, and ``Network.layers`` maps their current arrays."""
-
-    def __init__(self, weight, bias, activation: str):
-        if len(weight.shape) not in (2, 3) or weight.shape[-2] != weight.shape[-1]:
-            raise ShapeError(f"forcing weight must be square, or a stack of square, got {weight.shape}")
-        if bias.shape != weight.shape[:-1]:
-            raise ShapeError(f"forcing bias shape {bias.shape} does not match {weight.shape}")
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        self.weight = weight
-        self.bias = bias
-        self.activation = activation
-
-    @classmethod
-    def create(cls, d: int, activation: str, rng: np.random.Generator, name: str):
-        weight = Parameter(_init_weight(rng, d, d), name=f"{name}.weight")
-        bias = Parameter(np.zeros(d), name=f"{name}.bias")
-        return cls(weight, bias, activation)
-
-    def __call__(self, x):
-        """The fused ``affine`` with this map's activation."""
-        return T.affine(x, self.weight, self.bias, self.activation)
-
-    def parameters(self) -> list[Parameter]:
-        return [self.weight, self.bias]
+def _init_weight(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Glorot-uniform weights of shape [..., fan_out, fan_in]. One draw of a
+    stack is bitwise the draws of its matrices one after another."""
+    bound = np.sqrt(6.0 / (shape[-1] + shape[-2]))
+    return rng.uniform(-bound, bound, size=shape)
 
 
 def check_mesh_step(dl: float, k: int) -> None:
@@ -145,11 +115,12 @@ class NetworkConfig:
 # -- single block steps --------------------------------------------------------
 
 
-def c1_step(f: ForcingFunction, x, dl: float):
-    """Residual layer: identity plus a forcing perturbation of size dl."""
+def c1_step(weight, bias, activation: str, x, dl: float):
+    """Residual layer: identity plus a forcing perturbation of size dl, the
+    forcing act(weight x + bias) of ``affine``."""
     if not dl > 0:
         raise ValueError(f"dl must be positive, got {dl}")
-    return x + f(x) * dl
+    return x + T.affine(x, weight, bias, activation) * dl
 
 
 def dense_difference_identity_residual(trajectory, forcing_values, n: int, dl: float) -> np.ndarray:
@@ -187,7 +158,7 @@ def parameter_count(kind: str, k: int, d: int, depth: int) -> int:
     """Per-network learnable-parameter total of the block stack.
 
     ``kind="ck"``: each of the ``depth`` layers owns one width-d forcing
-    function (d*d weights + d biases) regardless of order k. ``kind=
+    map (d*d weights + d biases) regardless of order k. ``kind=
     "first_order_equiv"``: an explicit first-order network on the k*d
     dimensional state with a full (k*d)^2 weight per layer.
     """
@@ -221,25 +192,28 @@ class LayerRecord(NamedTuple):
     state: tuple | None
 
 
-def _c0_matrices(k: int, d: int) -> tuple[BlockMatrix, BlockMatrix]:
+def _c0_matrices(k: int) -> tuple[BlockMatrix, BlockMatrix]:
     """No skips, no memory: A = [[0]], B = [[1]], the next state is f(x)."""
-    return BlockMatrix(1, d, ((0,),)), BlockMatrix(1, d, ((1,),))
+    return BlockMatrix(1, ((0,),)), BlockMatrix(1, ((1,),))
 
 
 _MATRICES = {"c0": _c0_matrices, "ck": build_ck_matrices, "dense": build_dense_matrices}
 
 
-def unroll(forcings, x0, family: str, k: int, dl: float, mode: str, matrices=None):
-    """Step ``x0`` through the layers ``forcings``; yield a ``LayerRecord`` per layer.
+def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float, mode: str, matrices=None):
+    """Step ``x0`` through the layers of a block stack; yield a ``LayerRecord`` per layer.
 
-    The first record is the input x_0, then one per forcing function. In
-    state mode every layer is ``q' = A·q + s·B·u`` over the family's
-    (transition, coupling) pair, or over ``matrices`` when given (the
-    verification battery passes a corrupted pair to check that it is
-    caught). In direct mode ck runs its stencil on the lag window, dense its
-    multi-lag sum, and c0, which has no memory, its matrix step. A layer
-    evaluates its own forcing once; direct dense reuses the outputs of the
-    layers before it, the dense state form evaluates them on their lags.
+    Layer l's forcing map is ``affine(x, weights[l], biases[l], activation)``:
+    ``weights`` is [L, d, d] and ``biases`` [L, d], or [L, E, d, d] and
+    [L, E, d] for E maps stacked on a member axis (see ``affine``). The
+    first record is the input x_0, then one per layer. In state mode every
+    layer is ``q' = A·q + s·B·u`` over the family's (transition, coupling)
+    pair, or over ``matrices`` when given (the verification battery passes a
+    corrupted pair to check that it is caught). In direct mode ck runs its
+    stencil on the lag window, dense its multi-lag sum, and c0, which has no
+    memory, its matrix step. A layer evaluates its own forcing once; direct
+    dense reuses the outputs of the layers before it, the dense state form
+    evaluates them on their lags.
 
     The lag window and the state parts are tuples: ``lags`` holds x_l, ...,
     x_{l-k+1} (the ghost start repeats x_0) and ``forced`` f_{l-1}(x_{l-1}),
@@ -250,6 +224,14 @@ def unroll(forcings, x0, family: str, k: int, dl: float, mode: str, matrices=Non
         raise ValueError(f"unknown mode {mode!r}")
     if family not in _MATRICES:
         raise ValueError(f"unknown family {family!r}")
+    if weights.ndim not in (3, 4) or weights.shape[-2] != weights.shape[-1]:
+        raise ShapeError(f"layer weights must be [L, d, d], or [L, E, d, d] when stacked, got {weights.shape}")
+    if biases.shape != weights.shape[:-1]:
+        raise ShapeError(f"layer biases of shape {biases.shape} do not match weights {weights.shape}")
+
+    def forcing(layer, x):
+        return T.affine(x, weights[layer], biases[layer], activation)
+
     direct, state = mode == "direct" and family != "c0", mode == "state"
     scale = dl**k if family == "ck" else 1
     if direct:
@@ -257,12 +239,12 @@ def unroll(forcings, x0, family: str, k: int, dl: float, mode: str, matrices=Non
         stencil = [-c for c in mixed_diff_coefficients(k)[1:]]
     else:
         q = (x0,) + (np.zeros(x0.shape),) * (k - 1)
-        transition, coupling = matrices or _MATRICES[family](k, x0.shape[-1])
+        transition, coupling = matrices or _MATRICES[family](k)
     yield LayerRecord(x0, None, q if state else None)
     del x0  # the lag window or state holds it as long as a layer needs it
-    for layer, f in enumerate(forcings):
+    for layer in range(len(weights)):
         if direct:
-            force = f(lags[0])
+            force = forcing(layer, lags[0])
             if family == "ck":
                 x = T.linear_combination([(scale, force), *zip(stencil, lags)])
             else:  # x_{l+1} = x_{l-k+1} + dl·(f_{l-k+1} + ... + f_l), oldest output first
@@ -270,13 +252,12 @@ def unroll(forcings, x0, family: str, k: int, dl: float, mode: str, matrices=Non
                 x = T.linear_combination([(1, lags[-1]), *((dl, u) for u in reversed(forced) if u is not None)])
             lags = (x,) + lags[:-1]
         elif family == "dense":  # u_j = f_{l-j}(lag_j)·dl on the lags B·q, a pre-input layer adds nothing
-            window = [forcings[layer - j] if layer >= j else None for j in range(k)]
             lagged = coupling.apply(q)
-            force = f(lagged[0])
-            inputs = [force * dl] + [None if g is None else g(lag) * dl for g, lag in zip(window[1:], lagged[1:])]
+            force = forcing(layer, lagged[0])
+            inputs = [force * dl] + [None if layer < j else forcing(layer - j, lagged[j]) * dl for j in range(1, k)]
             q = tuple(transition.apply(q, coupling, inputs))
         else:  # ck and c0: u_j = f(q_1) for every j
-            force = f(q[0])
+            force = forcing(layer, q[0])
             q = tuple(transition.apply(q, coupling, (force,) * k, scale))
         yield LayerRecord(lags[0] if direct else q[0], force, q if state else None)
 
@@ -310,30 +291,33 @@ class Trace:
         )
 
 
+def _parameter_shapes(config: NetworkConfig) -> dict[str, tuple]:
+    """The name and shape of each parameter of ``Network(config)``, in order, allocating nothing."""
+    d, c, depth = config.width, config.num_classes, config.depth
+    return {
+        "embed.weight": (d, config.input_dim), "embed.bias": (d,),
+        "blocks.weight": (depth, d, d), "blocks.bias": (depth, d),
+        "head.weight": (c, d), "head.bias": (c,),
+    }
+
+
 class Network:
     """Input embedding, a stack of dynamical blocks, and an affine readout."""
 
     def __init__(self, config: NetworkConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
-        d, c = config.width, config.num_classes
-        self.embed_weight = Parameter(_init_weight(rng, d, config.input_dim), name="embed.weight")
-        self.embed_bias = Parameter(np.zeros(d), name="embed.bias")
-        self.blocks = [
-            ForcingFunction.create(d, config.activation, rng, name=f"block{i}")
-            for i in range(config.depth)
-        ]
-        self.head_weight = Parameter(_init_weight(rng, c, d), name="head.weight")
-        self.head_bias = Parameter(np.zeros(c), name="head.bias")
+        # the weights are drawn in parameter order: embedding, blocks, head
+        self.embed_weight, self.embed_bias, self.block_weight, self.block_bias, self.head_weight, self.head_bias = (
+            Parameter(_init_weight(rng, shape) if name.endswith(".weight") else np.zeros(shape), name)
+            for name, shape in _parameter_shapes(config).items()
+        )
 
     def parameters(self) -> list[Parameter]:
-        params = [self.embed_weight, self.embed_bias]
-        for block in self.blocks:
-            params.extend(block.parameters())
-        params.extend([self.head_weight, self.head_bias])
-        names = [p.name for p in params]
-        assert len(names) == len(set(names)), "parameter names must be unique"
-        return params
+        """The six arrays training updates: the embedding, the [L, d, d] and
+        [L, d] block stacks, and the head."""
+        return [self.embed_weight, self.embed_bias, self.block_weight, self.block_bias,
+                self.head_weight, self.head_bias]
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -350,31 +334,33 @@ class Network:
         of every parameter. ``infer`` gives the same values and keeps nothing.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
-        weights = [b.weight.data for b in self.blocks] + [self.head_weight.data]
+        weights, head = self.block_weight.data, self.head_weight.data
         xs, forces = [], []
         for record in self.layers(inputs, mode):
             xs.append(record.x)
             forces.append(record.force)
-        logits = T.affine(xs[-1], weights[-1], self.head_bias.data)
-        return Tensor(logits, lambda g: self._adjoint(g, inputs, xs, forces[1:], weights))
+        logits = T.affine(xs[-1], head, self.head_bias.data)
+        return Tensor(logits, lambda g: self._adjoint(g, inputs, xs, forces[1:], weights, head))
 
-    def _adjoint(self, g: np.ndarray, inputs: np.ndarray, xs: list, forces: list, weights: list) -> None:
+    def _adjoint(self, g: np.ndarray, inputs: np.ndarray, xs: list, forces: list, weights, head) -> None:
         """The reverse pass: the layer recurrence run from layer L down to 0.
 
         ``xs`` are x_0..x_L and ``forces`` f_0(x_0)..f_{L-1}(x_{L-1}) of one
-        forward pass, ``weights`` the block and head weights it ran on, and
-        ``g`` the gradient at its logits. A layer pushes
-        x̄_{l+1} back through its terms, in their forward order, onto f̄_l
-        and the lag window's x̄ (ghost lags land on x_0), then pulls f̄_l
-        through f_l. Contributions to one x̄ or f̄ are summed in the order
-        the layers above make them, and a unit coefficient passes a
-        gradient on without a multiply. State-mode records hold x_l = q_1
+        forward pass, ``weights`` and ``head`` the block stack and head
+        weights it ran on, and ``g`` the gradient at its logits. A layer
+        pushes x̄_{l+1} back through its terms, in their forward order, onto
+        f̄_l and the lag window's x̄ (ghost lags land on x_0), then pulls f̄_l
+        through f_l into its slices of the stacked weight and bias
+        gradients. Contributions to one x̄ or f̄ are summed in the order the
+        layers above make them, and a unit coefficient passes a gradient on
+        without a multiply. State-mode records hold x_l = q_1
         and f_l(q_1), on which the state form is this same recurrence.
         """
-        cfg, depth = self.config, len(self.blocks)
+        cfg, depth = self.config, len(weights)
         self.head_weight._pull(g.T @ xs[depth])
         self.head_bias._pull(g.sum(axis=0))
-        xbar, fbar = [None] * depth + [g @ weights[depth]], [None] * depth
+        xbar, fbar = [None] * depth + [g @ head], [None] * depth
+        wbar, bbar = np.empty(weights.shape), np.empty(weights.shape[:-1])
         scale = cfg.dl**cfg.k if cfg.family == "ck" else 1
         stencil = [-c for c in mixed_diff_coefficients(cfg.k)[1:]]
 
@@ -395,11 +381,12 @@ class Network:
                 push(xbar, oldest, 1, grad)
                 for m in range(oldest, l + 1):
                     push(fbar, m, cfg.dl, grad)
-            block = self.blocks[l]
-            local = ACTIVATIONS[block.activation].chain(fbar[l], forces[l])
+            local = ACTIVATIONS[cfg.activation].chain(fbar[l], forces[l])
             push(xbar, l, 1, local @ weights[l])
-            block.weight._pull(local.T @ xs[l])
-            block.bias._pull(local.sum(axis=0))
+            wbar[l] = local.T @ xs[l]
+            bbar[l] = local.sum(axis=0)
+        self.block_weight._pull(wbar)
+        self.block_bias._pull(bbar)
         self.embed_weight._pull(xbar[0].T @ inputs)
         self.embed_bias._pull(xbar[0].sum(axis=0))
 
@@ -427,15 +414,14 @@ class Network:
         if arr.shape[-1] != cfg.input_dim:
             raise ShapeError(f"input width {arr.shape} does not match input_dim={cfg.input_dim}")
         x0 = T.affine(arr, self.embed_weight.data, self.embed_bias.data)
-        blocks = [ForcingFunction(b.weight.data, b.bias.data, b.activation) for b in self.blocks]
-        return unroll(blocks, x0, cfg.family, cfg.k, cfg.dl, mode)
+        return unroll(self.block_weight.data, self.block_bias.data, cfg.activation, x0, cfg.family, cfg.k, cfg.dl, mode)
 
 
 # -- checkpoint io -----------------------------------------------------------------
 
 _CHECKPOINT_FORMAT = "cknet-checkpoint"
-_CHECKPOINT_VERSION = 1
-_MAX_HEADER_BYTES = 1 << 20  # ~10k layers of parameter entries
+_CHECKPOINT_VERSION = 2
+_MAX_HEADER_BYTES = 1 << 20
 
 
 def save_checkpoint(network: Network, path) -> None:
@@ -472,7 +458,8 @@ def load_checkpoint(path) -> Network:
     once, with its shape, and the payload must hold exactly those values.
     A missing, unknown or repeated parameter, an unknown or invalid config
     entry, a header line longer than 1 MiB, and a truncated or over-long
-    payload all raise ``ValueError``.
+    payload all raise ``ValueError``. The header is checked against the
+    config's shapes and the file's size before anything is allocated.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline(_MAX_HEADER_BYTES + 1)
@@ -494,32 +481,39 @@ def load_checkpoint(path) -> Network:
         if unknown:
             raise ValueError(f"unknown checkpoint config keys {unknown}")
         try:
-            network = Network(NetworkConfig(**config))
+            config = NetworkConfig(**config)
+            # the sizes and the seed Network(config) takes, checked without allocating
+            for size in (config.depth, config.width, config.input_dim, config.num_classes):
+                operator.index(size)
+            np.random.default_rng(config.seed)
         except TypeError as exc:  # a missing key, or a value of the wrong type
             raise ValueError(f"bad checkpoint config: {exc}") from exc
-        params = {p.name: p for p in network.parameters()}
-        loaded = set()
+        shapes = _parameter_shapes(config)
+        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        loaded, payload_bytes = {}, 0
         for entry in entries:
             name, shape = _param_entry(entry)
             if name in loaded:
                 raise ValueError(f"checkpoint lists parameter {name!r} twice")
-            if name not in params:
+            if name not in shapes:
                 raise ValueError(f"checkpoint parameter {name!r} not in network")
-            param = params[name]
-            if param.shape != shape:
+            if shapes[name] != shape:
                 raise ShapeError(
                     f"checkpoint shape {shape} does not match parameter "
-                    f"{name!r} of shape {param.shape}"
+                    f"{name!r} of shape {shapes[name]}"
                 )
-            payload = fh.read(8 * param.size)
-            if len(payload) != 8 * param.size:
+            payload_bytes += 8 * math.prod(shape)
+            if payload_bytes > available:
                 raise ValueError(f"checkpoint truncated while reading {name!r}")
-            param.data = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-            loaded.add(name)
-        missing = [name for name in params if name not in loaded]
+            loaded[name] = shape
+        missing = [name for name in shapes if name not in loaded]
         if missing:
             raise ValueError(f"checkpoint lacks parameters {missing}")
-        extra = fh.read(1)
-        if extra:
+        if available > payload_bytes:
             raise ValueError("checkpoint has trailing bytes after declared payloads")
+        network = Network(config)
+        params = {p.name: p for p in network.parameters()}
+        for name, shape in loaded.items():
+            payload = fh.read(8 * math.prod(shape))
+            params[name].data = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     return network

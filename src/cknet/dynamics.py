@@ -125,25 +125,24 @@ def binomial_invert(states):
 
 @dataclass(frozen=True)
 class BlockMatrix:
-    """A k-by-k grid of integer multiples of the d-by-d identity.
+    """A k-by-k grid of integer multiples of the identity, of any width.
 
     The grid of integers *is* the object of interest; ``apply`` performs
-    the block-structured action on a list of k width-d arrays without ever
-    materializing the dense (k*d, k*d) matrix.
+    the block-structured action on a list of k equal-shape arrays without
+    ever materializing the dense (k*d, k*d) matrix.
     """
 
     k: int
-    d: int
     block: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.k < 1 or self.d < 1:
-            raise ValueError(f"BlockMatrix requires k >= 1 and d >= 1, got k={self.k}, d={self.d}")
+        if self.k < 1:
+            raise ValueError(f"BlockMatrix requires k >= 1, got k={self.k}")
         if len(self.block) != self.k or any(len(row) != self.k for row in self.block):
             raise ShapeError(f"block grid must be {self.k}x{self.k}")
 
     def apply(self, parts, input_matrix=None, inputs=(), scale=1):
-        """Rows of ``self·parts + scale·input_matrix·inputs`` on width-d arrays.
+        """Rows of ``self·parts + scale·input_matrix·inputs`` on equal-shape arrays.
 
         Each row is one ``linear_combination`` over the parts, then the
         inputs, summed left to right. A zero coefficient or a ``None`` input
@@ -193,8 +192,8 @@ class BlockMatrix:
         return sign * a[n - 1][n - 1]
 
 
-@cache  # frozen, so one instance per (k, d) serves every unroll and state step
-def build_ck_matrices(k: int, d: int) -> tuple[BlockMatrix, BlockMatrix]:
+@cache  # frozen, so one instance per k serves every unroll and state step
+def build_ck_matrices(k: int) -> tuple[BlockMatrix, BlockMatrix]:
     """State matrices of the k-th order smooth recurrence.
 
     The transition factor is the upper-triangular all-ones block matrix
@@ -203,11 +202,11 @@ def build_ck_matrices(k: int, d: int) -> tuple[BlockMatrix, BlockMatrix]:
     """
     transition = tuple(tuple(1 if j >= i else 0 for j in range(k)) for i in range(k))
     identity = tuple(tuple(1 if j == i else 0 for j in range(k)) for i in range(k))
-    return BlockMatrix(k, d, transition), BlockMatrix(k, d, identity)
+    return BlockMatrix(k, transition), BlockMatrix(k, identity)
 
 
 @cache  # as above
-def build_dense_matrices(k: int, d: int) -> tuple[BlockMatrix, BlockMatrix]:
+def build_dense_matrices(k: int) -> tuple[BlockMatrix, BlockMatrix]:
     """State matrices of the k-th order additive dense recurrence.
 
     The transition factor is the block identity; the forcing factor is the
@@ -220,4 +219,4 @@ def build_dense_matrices(k: int, d: int) -> tuple[BlockMatrix, BlockMatrix]:
         tuple((-1) ** j * binomial(i, j) if j <= i else 0 for j in range(k))
         for i in range(k)
     )
-    return BlockMatrix(k, d, identity), BlockMatrix(k, d, forcing)
+    return BlockMatrix(k, identity), BlockMatrix(k, forcing)

@@ -6,9 +6,9 @@ order-1 collapse, the dense difference identity, the binomial-inversion
 roundtrip, and the exact integer identities.
 
 It runs in one process. The cases of a grid point that share an activation
-and mesh step form one ensemble: their forcing maps are stacked on a
-leading member axis, one ``unroll`` per form steps every member, and each
-check reduces over all axes but that one. Outcomes are absorbed in grid
+and mesh step form one ensemble: their forcing maps are stacked on axis 1
+of the [depth, E, d, d] and [depth, E, d] block arrays, one ``unroll`` per
+form steps every member, and each check reduces over all axes but that one. Outcomes are absorbed in grid
 order, so every result is that of checking the cases one by one. The CLI
 exposes this battery; the test suite asserts the same properties
 independently, against the per-case reference in ``tests/helpers.py``.
@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .architectures import (
-    ForcingFunction,
-    Trace,
-    c1_step,
-    dense_difference_identity_residual,
-    unroll,
-)
+from .architectures import Trace, c1_step, dense_difference_identity_residual, unroll
 from .dynamics import (
     MAX_BINOMIAL_N,
     BlockMatrix,
@@ -85,17 +79,17 @@ def _new_checks(tolerance: float) -> dict[str, CheckResult]:
     }
 
 
-def sign_flipped_dense_forcing(k: int, d: int) -> BlockMatrix:
+def sign_flipped_dense_forcing(k: int) -> BlockMatrix:
     """Dense forcing matrix with one corrupted sign; fault-injection hook.
 
     The corrupted entry is the leading one, which both reconstructs the
     current activation and couples its forcing into it, so the activation
     trajectory itself departs from the direct form.
     """
-    _, forcing = build_dense_matrices(k, d)
+    _, forcing = build_dense_matrices(k)
     grid = [list(row) for row in forcing.block]
     grid[0][0] = -grid[0][0]
-    return BlockMatrix(k, d, tuple(tuple(row) for row in grid))
+    return BlockMatrix(k, tuple(tuple(row) for row in grid))
 
 
 # A stacked trajectory is (L+1, E, ...) and a stacked state (L+1, k, E, ...);
@@ -149,15 +143,14 @@ def _check_group(k: int, d: int, depth: int, seeds, dense_forcing_matrix) -> lis
         weights[:, e] = (-bound + (bound - -bound) * u[:, : d * d]).reshape(depth, d, d)
         biases[:, e] = -0.5 + (0.5 - -0.5) * u[:, d * d :]
         x0[e] = rng.standard_normal(d)
-    fs = [ForcingFunction(w, b, activation) for w, b in zip(weights, biases)]
-
     matrices = None
     if dense_forcing_matrix:
-        matrices = (build_dense_matrices(k, d)[0], dense_forcing_matrix(k, d))
-    xs = Trace.from_layers(unroll(fs, x0, "ck", k, dl, "direct")).activations
-    ck_state = Trace.from_layers(unroll(fs, x0, "ck", k, dl, "state"))
-    dense = Trace.from_layers(unroll(fs, x0, "dense", k, dl, "direct"))
-    dense_state = Trace.from_layers(unroll(fs, x0, "dense", k, dl, "state", matrices))
+        matrices = (build_dense_matrices(k)[0], dense_forcing_matrix(k))
+    stack = (weights, biases, activation, x0)
+    xs = Trace.from_layers(unroll(*stack, "ck", k, dl, "direct")).activations
+    ck_state = Trace.from_layers(unroll(*stack, "ck", k, dl, "state"))
+    dense = Trace.from_layers(unroll(*stack, "dense", k, dl, "direct"))
+    dense_state = Trace.from_layers(unroll(*stack, "dense", k, dl, "state", matrices))
     rows = [  # (check, deviation of each member, detail suffix)
         ("ck equivalence", _max_gap(xs, ck_state.activations), ""),
         ("ck state extraction", _extraction_deviation(xs, ck_state.states, k), ""),
@@ -171,7 +164,7 @@ def _check_group(k: int, d: int, depth: int, seeds, dense_forcing_matrix) -> lis
     if k == 1:
         # every residual step x + f(x)·dl from the same x_0, so the whole
         # residual trajectory, and every form's trajectory, bitwise
-        residual = np.array([xs[0], *(c1_step(f, x, dl) for f, x in zip(fs, xs))])
+        residual = np.array([xs[0], *(c1_step(w, b, activation, x, dl) for w, b, x in zip(weights, biases, xs))])
         trajectories = (residual, ck_state.activations, dense.activations, dense_state.activations)
         differ = np.any([_member_max(ys.view(np.int64) != xs.view(np.int64)) for ys in trajectories], axis=0)
         rows.append(("k=1 collapse", np.where(differ, np.inf, 0.0), ""))
@@ -208,7 +201,7 @@ def _absorb_exact_checks(checks: dict[str, CheckResult]) -> None:
         alternating.absorb(abs(alternating_binomial_sum(n)), f"n={n}")
 
     for k in range(1, 9):
-        for matrix in (*build_ck_matrices(k, 3), *build_dense_matrices(k, 3)):
+        for matrix in (*build_ck_matrices(k), *build_dense_matrices(k)):
             det = matrix.determinant()
             unimodular.absorb(0.0 if det in (1, -1) else abs(det), f"k={k} det={det}")
 
@@ -224,7 +217,7 @@ def run_battery(
     """Run every check over the given grid; returns one result per check.
 
     ``dense_forcing_matrix`` is a fault-injection hook: when given a
-    callable (k, d) -> BlockMatrix, the dense state evaluation uses that
+    callable k -> BlockMatrix, the dense state evaluation uses that
     forcing matrix instead of the correct one, which a healthy battery must
     flag. It is called once per ensemble.
 

@@ -3,12 +3,12 @@ from __future__ import annotations
 
 import gzip
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
-from cknet import verify
+from cknet import tensor, verify
 from cknet.architectures import (
-    ForcingFunction,
     Trace,
     c1_step,
     dense_difference_identity_residual,
@@ -36,7 +36,7 @@ def central_difference(fn, arrays, step=1e-6):
     grads = []
     for arr in arrays:
         grad = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
+        it = np.nditer(arr, flags=["multi_index", "zerosize_ok"])
         for _ in it:
             idx = it.multi_index
             orig = arr[idx]
@@ -62,9 +62,9 @@ def gradient_close(analytic, numeric, rtol=1e-5, atol=1e-8) -> bool:
     return np.allclose(analytic, numeric, rtol=rtol, atol=atol)
 
 
-def expand(matrix):
-    """A ``BlockMatrix`` as its dense (k*d, k*d) float64 array."""
-    return np.kron(np.array(matrix.block, dtype=np.float64), np.eye(matrix.d))
+def expand(matrix, d):
+    """A ``BlockMatrix`` at width d as its dense (k*d, k*d) float64 array."""
+    return np.kron(np.array(matrix.block, dtype=np.float64), np.eye(d))
 
 
 def identity_holds(trajectory, forcing_values, n, dl, tol=1e-10):
@@ -108,11 +108,30 @@ def save_idx_labels(path, labels: np.ndarray) -> None:
         fh.write(labels.tobytes())
 
 
+class Layer(NamedTuple):
+    """One layer's forcing map act(W x + b) as a callable, for the
+    single-layer references; ``stacked`` gives ``unroll`` the arrays of a
+    list of them. ``c1_step(*layer, x, dl)`` is the residual step."""
+
+    weight: np.ndarray
+    bias: np.ndarray
+    activation: str = "tanh"
+
+    def __call__(self, x):
+        return tensor.affine(x, self.weight, self.bias, self.activation)
+
+
+def stacked(layers):
+    """The (weights, biases, activation) that ``unroll`` takes for a
+    non-empty list of ``Layer``s of one activation."""
+    return np.array([f.weight for f in layers]), np.array([f.bias for f in layers]), layers[0].activation
+
+
 def unrolled(fs, x0, family, k, dl, mode):
     """Activations, forcing outputs and (state mode) state parts, as lists
-    of arrays, of ``unroll`` over the forcing functions ``fs`` from the
-    array ``x0``."""
-    trace = Trace.from_layers(unroll(fs, x0, family, k, dl, mode))
+    of arrays, of ``unroll`` over the ``Layer``s ``fs`` from the array
+    ``x0``."""
+    trace = Trace.from_layers(unroll(*stacked(fs), x0, family, k, dl, mode))
     states = None if trace.states is None else [list(parts) for parts in trace.states]
     return list(trace.activations), list(trace.forcing), states
 
@@ -221,7 +240,7 @@ def ck_state_step(f, q, k, dl):
     """``q' = A·q + dl^k·B·u`` over ``build_ck_matrices``, u_j = f(q_1)."""
     if q.order != k:
         raise ValueError(f"state vector has {q.order} parts, expected {k}")
-    transition, coupling = build_ck_matrices(k, q.width)
+    transition, coupling = build_ck_matrices(k)
     force = f(q.parts[0])
     return StateVector(transition.apply(q.parts, coupling, [force] * k, dl**k))
 
@@ -230,7 +249,7 @@ def dense_direct_step(fs, history, dl):
     """The additive dense recurrence one layer on; returns the next activation
     and the advanced history, which carries this layer's forcing output.
 
-    ``fs`` lists the forcing functions of the current layer and its k-1
+    ``fs`` lists the forcing maps of the current layer and its k-1
     predecessors, newest first, ``None`` for pre-input layers. A
     predecessor's output comes from ``history.forcing`` when the window
     carries it and is evaluated otherwise.
@@ -259,7 +278,7 @@ def dense_state_step(fs, q, k, dl):
         raise ValueError(f"state vector has {q.order} parts, expected {k}")
     if len(fs) != k:
         raise ValueError(f"got {len(fs)} forcing functions for order {k}")
-    transition, coupling = build_dense_matrices(k, q.width)
+    transition, coupling = build_dense_matrices(k)
     lags = coupling.apply(q.parts)
     inputs = [None if f is None else f(lag) * dl for f, lag in zip(fs, lags)]
     return StateVector(transition.apply(q.parts, coupling, inputs))
@@ -301,7 +320,7 @@ def random_forcing(d, activation, rng):
     """A battery case's forcing map: Glorot-uniform weight, then a bias in [-0.5, 0.5)."""
     bound = np.sqrt(6.0 / (2 * d))
     weight = rng.uniform(-bound, bound, size=(d, d))
-    return ForcingFunction(weight, rng.uniform(-0.5, 0.5, size=d), activation)
+    return Layer(weight, rng.uniform(-0.5, 0.5, size=d), activation)
 
 
 def case_extraction_deviation(xs, states, k):
@@ -324,7 +343,7 @@ def check_case(key, dense_forcing_matrix):
     x0 = rng.standard_normal(d)
 
     def trace(family, mode, matrices=None):
-        return Trace.from_layers(unroll(fs, x0, family, k, dl, mode, matrices))
+        return Trace.from_layers(unroll(*stacked(fs), x0, family, k, dl, mode, matrices))
 
     def gap(xs, ys):
         return float(np.max(np.abs(xs - ys)))
@@ -338,7 +357,7 @@ def check_case(key, dense_forcing_matrix):
     ]
     matrices = None
     if dense_forcing_matrix:
-        matrices = (build_dense_matrices(k, d)[0], dense_forcing_matrix(k, d))
+        matrices = (build_dense_matrices(k)[0], dense_forcing_matrix(k))
     dense_direct = trace("dense", "direct")
     dense_state = trace("dense", "state", matrices)
     xs_dd, forcing_values = dense_direct.activations, dense_direct.forcing
@@ -352,7 +371,7 @@ def check_case(key, dense_forcing_matrix):
         outcomes.append(("dense difference identity", 0.0 if ok else np.inf, f"{case} order n={n}"))
     if k == 1:
         same = all(
-            c1_step(f, a, dl).tobytes() == b.tobytes()
+            c1_step(*f, a, dl).tobytes() == b.tobytes()
             for f, a, b in zip(fs, xs_direct, xs_direct[1:])
         ) and (xs_direct.tobytes() == xs_state.tobytes() == xs_dd.tobytes() == xs_ds.tobytes())
         outcomes.append(("k=1 collapse", 0.0 if same else np.inf, case))
@@ -379,7 +398,7 @@ def absorb_exact_checks(checks):
     for n in range(1, 65):
         checks["alternating binomial sums"].absorb(abs(alternating_binomial_sum(n)), f"n={n}")
     for k in range(1, 9):
-        for matrix in (*build_ck_matrices(k, 3), *build_dense_matrices(k, 3)):
+        for matrix in (*build_ck_matrices(k), *build_dense_matrices(k)):
             det = matrix.determinant()
             checks["unimodular block matrices"].absorb(0.0 if det in (1, -1) else abs(det), f"k={k} det={det}")
 

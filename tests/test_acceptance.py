@@ -106,7 +106,7 @@ def test_criterion_2_dense_family_equivalence_and_collapse():
             xs_ck = unrolled(fs, x0, "ck", 1, 1.0, "direct")[0]
             xs_c1 = [x0]
             for f in fs:
-                xs_c1.append(c1_step(f, xs_c1[-1], 1.0))
+                xs_c1.append(c1_step(*f, xs_c1[-1], 1.0))
             collapse_ok = collapse_ok and all(
                 a.tobytes() == b.tobytes() == c.tobytes()
                 for a, b, c in zip(xs_c1, xs_ck, xs_direct)
@@ -177,7 +177,9 @@ def test_criterion_5_parameter_ratio_and_embedding_dimension():
         for d in (1, 2, 8, 64)
     )
     embed_ok = all(
-        Trace.from_layers(unroll([], np.zeros(d), "ck", k, 1.0, "state")).states[0].size == k * d
+        Trace.from_layers(
+            unroll(np.empty((0, d, d)), np.empty((0, d)), "tanh", np.zeros(d), "ck", k, 1.0, "state")
+        ).states[0].size == k * d
         for k in range(1, 9)
         for d in (1, 2, 8)
     )

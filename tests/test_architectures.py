@@ -7,9 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cknet import architectures
+from cknet import architectures, tensor
 from cknet.architectures import (
-    ForcingFunction,
     Network,
     NetworkConfig,
     Trace,
@@ -25,6 +24,7 @@ from cknet.tensor import GraphError, ShapeError, affine
 from cknet.training import evaluate, softmax_cross_entropy
 from helpers import (
     LayerHistory,
+    Layer,
     StateVector,
     central_difference,
     ck_direct_step,
@@ -36,12 +36,13 @@ from helpers import (
     identity_gap,
     identity_holds,
     initialize_state,
+    stacked,
     unrolled,
 )
 
 
 def make_forcing(d, weight, bias, activation="tanh"):
-    return ForcingFunction(
+    return Layer(
         np.full((d, d), float(weight)) * np.eye(d) if np.isscalar(weight) else weight,
         np.full(d, float(bias)) if np.isscalar(bias) else bias,
         activation,
@@ -59,12 +60,12 @@ def const_forcing(value, d=1):
 
 def random_forcing(d, seed, activation="tanh"):
     rng = np.random.default_rng(seed)
-    return ForcingFunction(rng.uniform(-1, 1, size=(d, d)) / np.sqrt(d), rng.uniform(-0.5, 0.5, size=d), activation)
+    return Layer(rng.uniform(-1, 1, size=(d, d)) / np.sqrt(d), rng.uniform(-0.5, 0.5, size=d), activation)
 
 
 def one_layer(f, x, family, k, dl, mode="direct"):
     """The layer after the input ``x`` (ghost start), as ``unroll`` steps it."""
-    return list(unroll([f], x, family, k, dl, mode))[-1].x
+    return list(unroll(*stacked([f]), x, family, k, dl, mode))[-1].x
 
 
 def c0_step(f, x):
@@ -90,20 +91,20 @@ class TestSingleSteps:
 
     def test_c1_identity_flow_with_zero_forcing(self):
         x = np.array([1.5, -2.0])
-        out = c1_step(zero_forcing(2), x, dl=1.0)
+        out = c1_step(*zero_forcing(2), x, dl=1.0)
         assert np.array_equal(out, x)
 
     def test_c1_perturbation_vanishes_with_dl(self):
         f = random_forcing(3, seed=2)
         x = np.array([0.4, -0.1, 2.0])
         for dl in (1e-3, 1e-6, 1e-9):
-            out = c1_step(f, x, dl)
+            out = c1_step(*f, x, dl)
             assert np.max(np.abs(out - x)) <= 1.1 * dl
 
     def test_c1_equals_order_one_direct_step_bitwise(self):
         f = random_forcing(2, seed=3)
         x = np.array([0.7, -0.2])
-        via_c1 = c1_step(f, x, dl=0.3)
+        via_c1 = c1_step(*f, x, dl=0.3)
         via_ck = one_layer(f, x, "ck", 1, dl=0.3)
         assert via_c1.tobytes() == via_ck.tobytes()
 
@@ -142,9 +143,9 @@ class TestSingleSteps:
         parts = [rng.standard_normal(d) for _ in range(k)]
         stepped = ck_state_step(f, StateVector(parts), k, dl)
 
-        transition, coupling = build_ck_matrices(k, d)
+        transition, coupling = build_ck_matrices(k)
         force = np.tanh(f.weight @ parts[0] + f.bias) * dl**k
-        expected = expand(transition) @ np.concatenate(parts) + expand(coupling) @ np.tile(force, k)
+        expected = expand(transition, d) @ np.concatenate(parts) + expand(coupling, d) @ np.tile(force, k)
         assert np.allclose(np.concatenate(stepped.parts), expected, rtol=0, atol=1e-12)
 
     def test_ck_state_part_count_checked(self):
@@ -181,7 +182,7 @@ class TestDenseSteps:
     def test_order_one_reduces_to_residual_bitwise(self):
         f = random_forcing(3, seed=5)
         x = np.array([0.2, -0.8, 1.1])
-        via_c1 = c1_step(f, x, dl=0.7)
+        via_c1 = c1_step(*f, x, dl=0.7)
         via_dense = one_layer(f, x, "dense", 1, dl=0.7)
         assert via_c1.tobytes() == via_dense.tobytes()
 
@@ -201,7 +202,7 @@ class TestDenseSteps:
         f = random_forcing(2, seed=6)
         x = np.array([0.4, 0.9])
         stepped = one_layer(f, x, "dense", 1, dl=0.25, mode="state")
-        assert stepped.tobytes() == c1_step(f, x, 0.25).tobytes()
+        assert stepped.tobytes() == c1_step(*f, x, 0.25).tobytes()
 
     def test_state_order_two_velocity_gets_forcing_difference(self):
         f0, f1 = random_forcing(2, seed=7), random_forcing(2, seed=8)
@@ -225,10 +226,10 @@ class TestDenseSteps:
         parts = [rng.standard_normal(d) for _ in range(k)]
         stepped = dense_state_step(fs, StateVector(parts), k, dl)
 
-        transition, forcing = build_dense_matrices(k, d)
+        transition, forcing = build_dense_matrices(k)
         lags = binomial_invert(parts)
         pushes = np.concatenate([np.tanh(f.weight @ lag + f.bias) * dl for f, lag in zip(fs, lags)])
-        expected = expand(transition) @ np.concatenate(parts) + expand(forcing) @ pushes
+        expected = expand(transition, d) @ np.concatenate(parts) + expand(forcing, d) @ pushes
         assert np.allclose(np.concatenate(stepped.parts), expected, rtol=0, atol=1e-12)
 
     def test_order_three_state_equals_direct_recurrence(self):
@@ -362,8 +363,8 @@ class TestNetworkForward:
         net = Network(NetworkConfig("c0", k=1, depth=3, width=4, input_dim=3, num_classes=2, seed=9))
         x = np.random.default_rng(9).standard_normal((2, 3))
         h = x @ net.embed_weight.data.T + net.embed_bias.data
-        for block in net.blocks:
-            h = np.tanh(h @ block.weight.data.T + block.bias.data)
+        for weight, bias in zip(net.block_weight.data, net.block_bias.data):
+            h = np.tanh(h @ weight.T + bias)
         expected = h @ net.head_weight.data.T + net.head_bias.data
         assert np.allclose(net.forward(x).data, expected, rtol=0, atol=1e-14)
         assert np.array_equal(net.forward(x).data, net.forward(x, mode="state").data)
@@ -426,7 +427,7 @@ class TestEquivalenceGrid:
         xs_ds, _, _ = unrolled(fs, x0, "dense", 1, dl, "state")
         xs_c1 = [x0]
         for f in fs:
-            xs_c1.append(c1_step(f, xs_c1[-1], dl))
+            xs_c1.append(c1_step(*f, xs_c1[-1], dl))
         for variants in zip(xs_c1, xs_ck, xs_ck_state, xs_dd, xs_ds):
             reference = variants[0].tobytes()
             assert all(v.tobytes() == reference for v in variants[1:])
@@ -523,7 +524,7 @@ def reference_forward(net, inputs, mode):
     """Logits and trace arrays of ``net`` from the chained reference steps."""
     cfg = net.config
     k, dl = cfg.k, cfg.dl
-    blocks = [ForcingFunction(b.weight.data, b.bias.data, b.activation) for b in net.blocks]
+    blocks = [Layer(w, b, cfg.activation) for w, b in zip(net.block_weight.data, net.block_bias.data)]
     x = affine(inputs, net.embed_weight.data, net.embed_bias.data)
     history = [x] * k
     parts = [x] + [np.zeros_like(x) for _ in range(k - 1)]
@@ -605,7 +606,7 @@ class TestRecordedTrace:
 
     def test_trace_keeps_no_unroll_array(self):
         fs = [random_forcing(3, seed=70 + i) for i in range(4)]
-        layers = list(unroll(fs, np.ones(3), "ck", 2, 0.5, "state"))
+        layers = list(unroll(*stacked(fs), np.ones(3), "ck", 2, 0.5, "state"))
         trace = Trace.from_layers(layers)
         arrays = [r.x for r in layers] + [r.force for r in layers[1:]] + [p for r in layers for p in r.state]
         for field in (trace.activations, trace.forcing, trace.states):
@@ -623,7 +624,7 @@ class TestStepReferences:
     def test_step_references_give_the_unroll_values_bitwise(self, family, k, mode):
         fs = [random_forcing(3, seed=50 + i) for i in range(6)]
         x0 = np.random.default_rng(k).standard_normal((2, 3))
-        xs = [r.x for r in unroll(fs, x0, family, k, 0.5, mode)]
+        xs = [r.x for r in unroll(*stacked(fs), x0, family, k, 0.5, mode)]
         history, q, expected = LayerHistory.ghost(x0, k), initialize_state(x0, k), [x0]
         for layer, f in enumerate(fs):
             window = [fs[layer - j] if layer >= j else None for j in range(k)]
@@ -699,7 +700,9 @@ class TestInfer:
         net = self.network("ck", 2)
         x = np.random.default_rng(1).standard_normal((4, 2))
         before = net.infer(x)
-        net.blocks[0].weight.data = net.blocks[0].weight.data * 2.0
+        weight = net.block_weight.data.copy()
+        weight[0] *= 2.0
+        net.block_weight.data = weight
         after = net.infer(x)
         assert after.tobytes() != before.tobytes()
         assert after.tobytes() == net.forward(x).data.tobytes()
@@ -876,17 +879,24 @@ class TestDenseIsResidual:
             assert np.allclose(a, b, rtol=1e-10, atol=1e-14), p.name
 
 
+def layer_calls(calls, weights):
+    """How often each of ``weights``' layers was mapped, from ``calls``."""
+    return [calls.get(w.ctypes.data, 0) for w in weights]
+
+
 class TestForcingEvaluatedOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
+        """``tensor.affine`` calls by the address of their weight: a layer of a
+        block stack is a view of its own part of the stack's buffer."""
         counts = {}
-        original = ForcingFunction.__call__
+        original = tensor.affine
 
-        def counting(self, x):  # by weight: ``Network.layers`` maps a block's array afresh
-            counts[id(self.weight)] = counts.get(id(self.weight), 0) + 1
-            return original(self, x)
+        def counting(x, weight, bias, activation=None):
+            counts[weight.ctypes.data] = counts.get(weight.ctypes.data, 0) + 1
+            return original(x, weight, bias, activation)
 
-        monkeypatch.setattr(ForcingFunction, "__call__", counting)
+        monkeypatch.setattr(tensor, "affine", counting)
         return counts
 
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -898,10 +908,10 @@ class TestForcingEvaluatedOnce:
             trace = Trace.from_layers(net.layers(x))
         else:
             net.forward(x)
-        assert [calls.get(id(b.weight.data), 0) for b in net.blocks] == [1] * 6
+        assert layer_calls(calls, net.block_weight.data) == [1] * 6
         if record:
-            for layer, block in enumerate(net.blocks):
-                expected = np.tanh(trace.activations[layer] @ block.weight.data.T + block.bias.data)
+            for layer, (weight, bias) in enumerate(zip(net.block_weight.data, net.block_bias.data)):
+                expected = np.tanh(trace.activations[layer] @ weight.T + bias)
                 assert trace.forcing[layer].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("family,k", [("c0", 1), ("ck", 3), ("dense", 3)])
@@ -910,17 +920,17 @@ class TestForcingEvaluatedOnce:
         net = Network(NetworkConfig(family, k=k, depth=5, width=3, input_dim=2, num_classes=2, seed=2))
         x = np.random.default_rng(2).standard_normal((4, 2))
         net.forward(x, mode=mode)
-        plain_calls = dict(calls)
+        plain_calls = layer_calls(calls, net.block_weight.data)
         calls.clear()
         trace = Trace.from_layers(net.layers(x, mode))
-        assert calls == plain_calls
+        assert layer_calls(calls, net.block_weight.data) == plain_calls
         assert len(trace.forcing) == 5
 
     def test_window_built_from_activations_alone_evaluates_every_lag(self, calls):
         fs = [random_forcing(1, seed=s) for s in range(3)]
         history = LayerHistory([np.array([float(v)]) for v in (1.0, 2.0, 3.0)])
         dense_direct_step(fs, history, dl=0.5)
-        assert [calls.get(id(f.weight), 0) for f in fs] == [1, 1, 1]
+        assert layer_calls(calls, [f.weight for f in fs]) == [1, 1, 1]
 
 
 class TestCheckpoint:
@@ -1011,6 +1021,14 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key,value", [("width", 2.5), ("depth", 2.0), ("num_classes", 3.0), ("seed", 1.5)])
+    def test_non_integer_size_or_seed_is_a_bad_config(self, tmp_path, key, value):
+        # rejected with the config, before the entries are compared with its shapes
+        path = self.saved(tmp_path)
+        self.rewrite(path, lambda header, _: header["config"].update({key: value}))
+        with pytest.raises(ValueError, match="bad checkpoint config"):
+            load_checkpoint(path)
+
     def test_header_line_is_bounded(self, tmp_path):
         path = tmp_path / "endless.bin"
         path.write_bytes(b"{" + b" " * (1 << 20) + b"}\n")
@@ -1042,8 +1060,11 @@ class TestCheckpoint:
     @settings(max_examples=50, deadline=None)
     @given(
         edit=st.sampled_from(["duplicate", "drop", "rename"]),
-        index=st.integers(0, 7),
-        new_name=st.one_of(st.sampled_from(["block0.weight", "head.bias", "embed.bias"]), st.text(max_size=12)),
+        index=st.integers(0, 5),
+        new_name=st.one_of(
+            st.sampled_from(["blocks.weight", "blocks.bias", "head.bias", "embed.bias", "block0.weight"]),
+            st.text(max_size=12),
+        ),
         with_payload=st.booleans(),
     )
     def test_fuzz_header_parameter_entries_rejected(self, checkpoint, edit, index, new_name, with_payload):
@@ -1067,18 +1088,58 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+    def test_version_one_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.rewrite(path, lambda header, _: header.update(version=1))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("listed", ["none", "all"])
+    def test_header_checked_before_anything_is_allocated(self, tmp_path, monkeypatch, listed):
+        # 298 GiB of parameters at width 200000, and no payload
+        config = dict(family="ck", k=1, depth=1, width=200000, input_dim=2, num_classes=2, dl=1.0,
+                      activation="tanh", seed=0)
+        shapes = architectures._parameter_shapes(NetworkConfig(**config))
+        entries = [] if listed == "none" else [{"name": n, "shape": list(s)} for n, s in shapes.items()]
+        header = {"format": "cknet-checkpoint", "version": 2, "config": config, "params": entries}
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(json.dumps(header).encode() + b"\n")
+
+        def unbuilt(config):
+            raise AssertionError("the network was built before the header was checked")
+
+        monkeypatch.setattr(architectures, "Network", unbuilt)
+        with pytest.raises(ValueError, match="lacks parameters" if listed == "none" else "truncated"):
+            load_checkpoint(path)
+
+
 class TestStackedForcing:
     def test_maps_each_member_of_a_stack(self):
-        f = ForcingFunction(np.zeros((4, 3, 3)), np.zeros((4, 3)), "tanh")
-        assert f(np.ones((4, 3))).shape == (4, 3)
-        assert f(np.ones((4, 5, 3))).shape == (4, 5, 3)
+        weights, biases = np.zeros((2, 4, 3, 3)), np.zeros((2, 4, 3))
+        for x0 in (np.ones((4, 3)), np.ones((4, 5, 3))):
+            records = list(unroll(weights, biases, "tanh", x0, "c0", 1, 1.0, "direct"))
+            assert [r.force.shape for r in records[1:]] == [x0.shape] * 2
+            assert records[-1].x.shape == x0.shape
 
     @pytest.mark.parametrize(
-        "w_shape,b_shape", [((4, 3, 2), (4, 2)), ((4, 3, 3), (3,)), ((4, 3, 3), (5, 3)), ((3, 3), (4, 3))]
+        "w_shape,b_shape",
+        [
+            ((2, 4, 3, 2), (2, 4, 2)),
+            ((2, 4, 3, 3), (2, 3)),
+            ((2, 4, 3, 3), (2, 5, 3)),
+            ((2, 3, 3), (2, 4, 3)),
+            ((3, 3), (3,)),
+            ((2, 3, 3), (3, 3)),
+        ],
     )
     def test_rejects_a_stack_that_does_not_match(self, w_shape, b_shape):
+        layers = unroll(np.zeros(w_shape), np.zeros(b_shape), "tanh", np.ones(3), "ck", 2, 1.0, "direct")
         with pytest.raises(ShapeError):
-            ForcingFunction(np.zeros(w_shape), np.zeros(b_shape), "tanh")
+            next(layers)
+
+    def test_unroll_rejects_an_unknown_activation(self):
+        with pytest.raises(ValueError, match="relu6"):
+            list(unroll(np.zeros((1, 3, 3)), np.zeros((1, 3)), "relu6", np.ones(3), "ck", 1, 1.0, "direct"))
 
 
 class TestConfigValidation:
@@ -1109,6 +1170,33 @@ class TestConfigValidation:
     def test_bad_activation(self):
         with pytest.raises(ValueError):
             NetworkConfig("ck", 1, 1, 1, 1, 2, activation="relu6")
+
+    @pytest.mark.parametrize("depth", [0, 1, 5])
+    def test_parameters_are_six_fixed_arrays(self, depth):
+        net = Network(NetworkConfig("dense", 3, depth=depth, width=4, input_dim=2, num_classes=3))
+        expected = [
+            ("embed.weight", (4, 2)),
+            ("embed.bias", (4,)),
+            ("blocks.weight", (depth, 4, 4)),
+            ("blocks.bias", (depth, 4)),
+            ("head.weight", (3, 4)),
+            ("head.bias", (3,)),
+        ]
+        assert [(p.name, p.shape) for p in net.parameters()] == expected
+        assert list(architectures._parameter_shapes(net.config).items()) == expected
+
+    @pytest.mark.parametrize("depth", [0, 1, 5])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_stacked_init_is_the_per_layer_draws(self, depth, width):
+        net = Network(NetworkConfig("ck", 2, depth=depth, width=width, input_dim=4, num_classes=3, seed=7))
+        rng = np.random.default_rng(7)
+        embed = architectures._init_weight(rng, (width, 4))
+        layers = [architectures._init_weight(rng, (width, width)) for _ in range(depth)]
+        head = architectures._init_weight(rng, (3, width))
+        assert net.embed_weight.data.tobytes() == embed.tobytes()
+        assert [w.tobytes() for w in net.block_weight.data] == [w.tobytes() for w in layers]
+        assert net.head_weight.data.tobytes() == head.tobytes()
+        assert not np.any(net.block_bias.data)
 
     def test_parameter_names_unique(self):
         net = Network(NetworkConfig("ck", 2, 3, 2, 2, 2))

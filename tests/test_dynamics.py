@@ -183,8 +183,8 @@ class TestBinomialInvert:
 
     def test_self_inverse_matrix_property(self):
         for k in range(1, 9):
-            _, forcing = build_dense_matrices(k, 1)
-            m = expand(forcing)
+            _, forcing = build_dense_matrices(k)
+            m = expand(forcing, 1)
             assert np.array_equal(m @ m, np.eye(k))
 
     def test_empty_rejected(self):
@@ -198,52 +198,52 @@ class TestBinomialInvert:
 
 class TestBlockMatrices:
     def test_ck_k1_residual_case(self):
-        transition, coupling = build_ck_matrices(1, 4)
+        transition, coupling = build_ck_matrices(1)
         assert transition.block == ((1,),)
         assert coupling.block == ((1,),)
 
     def test_ck_k3_transition_pattern(self):
-        transition, coupling = build_ck_matrices(3, 2)
+        transition, coupling = build_ck_matrices(3)
         assert transition.block == ((1, 1, 1), (0, 1, 1), (0, 0, 1))
         assert coupling.block == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_ck_transition_determinant_one(self):
         for k in range(1, 9):
-            transition, _ = build_ck_matrices(k, 3)
+            transition, _ = build_ck_matrices(k)
             assert transition.determinant() == 1
 
     def test_dense_k1_collapses_to_residual(self):
-        _, forcing = build_dense_matrices(1, 5)
+        _, forcing = build_dense_matrices(1)
         assert forcing.block == ((1,),)
 
     def test_dense_k3_rows(self):
-        _, forcing = build_dense_matrices(3, 2)
+        _, forcing = build_dense_matrices(3)
         assert forcing.block == ((1, 0, 0), (1, -1, 0), (1, -2, 1))
 
     def test_dense_forcing_full_rank_up_to_8(self):
         for k in range(1, 9):
-            transition, forcing = build_dense_matrices(k, 2)
+            transition, forcing = build_dense_matrices(k)
             assert transition.determinant() in (1, -1)
             assert forcing.determinant() in (1, -1)
 
     def test_expand_matches_block_apply(self):
         rng = np.random.default_rng(5)
         for k, d in [(1, 3), (3, 2), (5, 4)]:
-            matrix = build_ck_matrices(k, d)[0]
+            matrix = build_ck_matrices(k)[0]
             parts = [rng.standard_normal(d) for _ in range(k)]
             via_apply = np.concatenate(matrix.apply(parts))
-            via_dense = expand(matrix) @ np.concatenate(parts)
+            via_dense = expand(matrix, d) @ np.concatenate(parts)
             assert np.allclose(via_apply, via_dense, rtol=0, atol=1e-12)
 
     def test_apply_with_input_matrix_matches_expanded_form(self):
         rng = np.random.default_rng(6)
         k, d, scale = 3, 2, 0.25
-        transition, forcing = build_dense_matrices(k, d)
+        transition, forcing = build_dense_matrices(k)
         parts = [rng.standard_normal(d) for _ in range(k)]
         inputs = [rng.standard_normal(d) for _ in range(k - 1)] + [None]
         out = transition.apply(parts, forcing, inputs, scale)
         pushed = np.concatenate(inputs[:-1] + [np.zeros(d)])
-        expected = expand(transition) @ np.concatenate(parts) + scale * (expand(forcing) @ pushed)
+        expected = expand(transition, d) @ np.concatenate(parts) + scale * (expand(forcing, d) @ pushed)
         assert np.allclose(np.concatenate(out), expected, rtol=0, atol=1e-12)
         # a row with one unit term is that part itself, not a new array
         assert forcing.apply(parts)[0] is parts[0]
@@ -255,12 +255,12 @@ class TestBlockMatrices:
             grid = tuple(
                 tuple(int(v) for v in rng.integers(-4, 5, size=k)) for _ in range(k)
             )
-            matrix = BlockMatrix(k, 1, grid)
+            matrix = BlockMatrix(k, grid)
             oracle = int(round(np.linalg.det(np.array(grid, dtype=float)))) if k else 1
             assert matrix.determinant() == oracle
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ShapeError):
-            BlockMatrix(2, 1, ((1, 0),))
+            BlockMatrix(2, ((1, 0),))
         with pytest.raises(ValueError):
-            BlockMatrix(0, 1, ())
+            BlockMatrix(0, ())

@@ -58,7 +58,7 @@ class TestStreamedProbe:
     def test_errors_match_the_reference(self, dl, nan_layer):
         net = _residual_net(depth=5, width=3, dl=dl, seed=13)
         if nan_layer is not None:
-            net.blocks[nan_layer].bias.data = np.full(3, np.nan)
+            net.block_bias.data[nan_layer] = np.nan
         batch = np.random.default_rng(13).standard_normal((4, 2))
         with pytest.raises(ValueError) as expected:
             reference_perturbation(net, batch)
@@ -93,9 +93,8 @@ class TestStreamedProbe:
 class TestMeasurePerturbation:
     def test_zero_forcing_gives_zero_ratios(self):
         net = _residual_net(depth=4)
-        for block in net.blocks:
-            block.weight.data = np.zeros_like(block.weight.data)
-            block.bias.data = np.zeros_like(block.bias.data)
+        net.block_weight.data = np.zeros_like(net.block_weight.data)
+        net.block_bias.data = np.zeros_like(net.block_bias.data)
         records = measure_perturbation(net, np.ones((5, 2)))
         assert all(r.ratio == 0.0 for r in records)
         assert mean_perturbation(records) == 0.0
@@ -105,9 +104,8 @@ class TestMeasurePerturbation:
         net = _residual_net(depth=1)
         net.embed_weight.data = np.eye(2)
         net.embed_bias.data = np.zeros(2)
-        block = net.blocks[0]
-        block.weight.data = np.zeros((2, 2))
-        block.bias.data = np.arctanh(np.array([0.3, 0.4]))
+        net.block_weight.data = np.zeros((1, 2, 2))
+        net.block_bias.data = np.arctanh(np.array([[0.3, 0.4]]))
         records = measure_perturbation(net, np.array([[3.0, 4.0]]))
         assert records[0].ratio == pytest.approx(0.1, abs=1e-12)
         assert records[0].skipped == 0
@@ -121,7 +119,7 @@ class TestMeasurePerturbation:
     def test_non_finite_norms_name_their_layer_without_warnings(self, depth, dl, nan_layer, monkeypatch):
         net = _residual_net(depth=depth, width=3, dl=dl, seed=4)
         if nan_layer is not None:  # NaN forcing from this layer on
-            net.blocks[nan_layer].bias.data = np.full(3, np.nan)
+            net.block_bias.data[nan_layer] = np.nan
         batch = np.random.default_rng(0).standard_normal((4, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

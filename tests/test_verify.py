@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cknet import verify
-from cknet.architectures import ForcingFunction, Trace, unroll
+from cknet.architectures import Trace, unroll
 from cknet.dynamics import BlockMatrix, build_dense_matrices
 from cknet.verify import (
     CheckResult,
@@ -14,13 +14,14 @@ from cknet.verify import (
     run_battery,
     sign_flipped_dense_forcing,
 )
-from helpers import extraction_gap, random_forcing, reference_battery
+from helpers import extraction_gap, random_forcing, reference_battery, stacked
 
 MEMBERS = 3
 
 
-def trace(fs, x0, family, k, dl, mode, matrices=None):
-    return Trace.from_layers(unroll(fs, x0, family, k, dl, mode, matrices))
+def trace(layers, x0, family, k, dl, mode, matrices=None):
+    """The trace of ``unroll`` over ``layers``, the (weights, biases, activation) of a stack."""
+    return Trace.from_layers(unroll(*layers, x0, family, k, dl, mode, matrices))
 
 
 def case(k, d, batch, seed):
@@ -28,22 +29,16 @@ def case(k, d, batch, seed):
     activation = ("tanh", "sigmoid", "leaky_relu")[seed % 3]
     fs = [random_forcing(d, activation, rng) for _ in range(7)]
     x0 = rng.standard_normal((batch, d) if batch else d)
-    return fs, x0
+    return stacked(fs), x0
 
 
 def ensemble(k, d, batch, seed):
     """``MEMBERS`` cases with one activation, each on its own and stacked on
-    a leading member axis."""
+    axis 1 of the block arrays."""
     cases = [case(k, d, batch, seed + 3 * e) for e in range(MEMBERS)]
-    stacked = [
-        ForcingFunction(
-            np.stack([fs[layer].weight for fs, _ in cases]),
-            np.stack([fs[layer].bias for fs, _ in cases]),
-            cases[0][0][layer].activation,
-        )
-        for layer in range(7)
-    ]
-    return cases, stacked, np.stack([x0 for _, x0 in cases])
+    weights, biases, activation = zip(*(layers for layers, _ in cases))
+    members = (np.stack(weights, axis=1), np.stack(biases, axis=1), activation[0])
+    return cases, members, np.stack([x0 for _, x0 in cases])
 
 
 FORMS = [("c0", 1), *(("ck", k) for k in (1, 2, 3, 4)), *(("dense", k) for k in (1, 2, 3, 4))]
@@ -54,13 +49,13 @@ FORMS = [("c0", 1), *(("ck", k) for k in (1, 2, 3, 4)), *(("dense", k) for k in 
 @pytest.mark.parametrize("batch", [0, 4])
 def test_stacked_unroll_is_bitwise_each_member(family, k, mode, batch):
     cases, fs, x0 = ensemble(k, 3, batch, seed=k)
-    stacked = trace(fs, x0, family, k, 0.5, mode)
+    together = trace(fs, x0, family, k, 0.5, mode)
     for e, (member_fs, member_x0) in enumerate(cases):
         alone = trace(member_fs, member_x0, family, k, 0.5, mode)
-        assert stacked.activations[:, e].tobytes() == alone.activations.tobytes()
-        assert stacked.forcing[:, e].tobytes() == alone.forcing.tobytes()
+        assert together.activations[:, e].tobytes() == alone.activations.tobytes()
+        assert together.forcing[:, e].tobytes() == alone.forcing.tobytes()
         if mode == "state":
-            assert stacked.states[:, :, e].tobytes() == alone.states.tobytes()
+            assert together.states[:, :, e].tobytes() == alone.states.tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -69,7 +64,7 @@ def test_stacked_unroll_is_bitwise_each_member(family, k, mode, batch):
 @pytest.mark.parametrize("faulty", [False, True])
 def test_extraction_deviation_is_bitwise_the_loop(k, d, batch, faulty):
     cases, fs, x0 = ensemble(k, d, batch, seed=k + d)
-    matrices = (build_dense_matrices(k, d)[0], sign_flipped_dense_forcing(k, d)) if faulty else None
+    matrices = (build_dense_matrices(k)[0], sign_flipped_dense_forcing(k)) if faulty else None
     for family, dl in (("ck", 0.5), ("dense", 1.0)):
         dense_matrices = matrices if family == "dense" else None
         xs = trace(fs, x0, family, k, dl, "direct").activations
@@ -128,27 +123,30 @@ def fields(results):
     return [(r.name, r.tolerance, r.max_deviation.hex(), r.passed, r.detail) for r in results]
 
 
-def with_nan(k, d, row, column):
-    grid = [list(row) for row in build_dense_matrices(k, d)[1].block]
+def with_nan(k, row, column):
+    grid = [list(row) for row in build_dense_matrices(k)[1].block]
     grid[row][column] = float("nan")
-    return BlockMatrix(k, d, tuple(tuple(row) for row in grid))
+    return BlockMatrix(k, tuple(tuple(row) for row in grid))
 
 
-def nan_at_width_two(k, d):
-    return with_nan(k, d, 0, 0) if d == 2 else build_dense_matrices(k, d)[1]
+def nan_at_order_one(k):
+    return with_nan(k, 0, 0) if k == 1 else build_dense_matrices(k)[1]
 
 
-def nan_in_second_state(k, d):
+def nan_in_second_state(k):
     """NaN in q_2 only: no later q_1 reads it, so the activations stay finite."""
-    return with_nan(k, d, 1, 1) if k > 1 else build_dense_matrices(k, d)[1]
+    return with_nan(k, 1, 1) if k > 1 else build_dense_matrices(k)[1]
 
 
 CASES = {
     "healthy": (None, {}, set()),
     "sign-flip": (sign_flipped_dense_forcing, {}, {"dense equivalence", "dense state extraction", "k=1 collapse"}),
-    # the first NaN is k=1 d=2 seed#0, and NaN cases follow in later ensembles
-    "nan-at-width-2": (
-        nan_at_width_two, {"depths": (3,)}, {"dense equivalence", "dense state extraction", "k=1 collapse"}
+    # k=2 runs first, so the first NaN is k=1 d=1 seed#0, after healthy
+    # ensembles, and NaN cases follow in later ensembles
+    "nan-at-order-1": (
+        nan_at_order_one,
+        {"orders": (2, 1, 3, 4), "depths": (3,)},
+        {"dense equivalence", "dense state extraction", "k=1 collapse"},
     ),
     "nan-in-second-state": (nan_in_second_state, {"widths": (2,)}, {"dense state extraction"}),
 }
@@ -194,9 +192,9 @@ def test_the_first_failing_case_in_grid_order_is_the_detail(monkeypatch):
 def test_an_order_above_the_binomial_cap_is_refused_before_any_case_runs():
     calls = []
 
-    def hook(k, d):
-        calls.append((k, d))
-        return build_dense_matrices(k, d)[1]
+    def hook(k):
+        calls.append(k)
+        return build_dense_matrices(k)[1]
 
     with pytest.raises(ValueError, match=r"orders must be in \[1, 64\], got \[1, 65\]"):
         run_battery(orders=(1, 65), widths=(1,), depths=(3,), seeds=1, dense_forcing_matrix=hook)
