@@ -206,6 +206,9 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
     Layer l's forcing map is ``affine(x, weights[l], biases[l], activation)``:
     ``weights`` is [L, d, d] and ``biases`` [L, d], or [L, E, d, d] and
     [L, E, d] for E maps stacked on a member axis (see ``affine``). The
+    activation, the stack and x_0 (against its width and member axis) are
+    checked when the loop starts, before any record; the layers then run on
+    the kernels of ``affine`` and ``linear_combination``, looked up then. The
     first record is the input x_0, then one per layer. In state mode every
     layer is ``q' = A·q + s·B·u`` over the family's (transition, coupling)
     pair, or over ``matrices`` when given (the verification battery passes a
@@ -224,13 +227,21 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
         raise ValueError(f"unknown mode {mode!r}")
     if family not in _MATRICES:
         raise ValueError(f"unknown family {family!r}")
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
+    weights, biases, x0 = T._as_array(weights), T._as_array(biases), T._as_array(x0)
     if weights.ndim not in (3, 4) or weights.shape[-2] != weights.shape[-1]:
         raise ShapeError(f"layer weights must be [L, d, d], or [L, E, d, d] when stacked, got {weights.shape}")
     if biases.shape != weights.shape[:-1]:
         raise ShapeError(f"layer biases of shape {biases.shape} do not match weights {weights.shape}")
+    members = weights.shape[1:-2]  # (E,) when stacked, else ()
+    if x0.ndim - len(members) not in (1, 2) or (*x0.shape[: len(members)], x0.shape[-1]) != weights.shape[1:-1]:
+        raise ShapeError(f"x_0 of shape {x0.shape} does not match layer weights {weights.shape}")
+    affine, combine, act = T._affine, T._linear_combination, ACTIVATIONS[activation].value
+    weights_t = np.swapaxes(weights, -1, -2)
 
     def forcing(layer, x):
-        return T.affine(x, weights[layer], biases[layer], activation)
+        return affine(x, weights_t[layer], biases[layer], act)
 
     direct, state = mode == "direct" and family != "c0", mode == "state"
     scale = dl**k if family == "ck" else 1
@@ -246,10 +257,10 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
         if direct:
             force = forcing(layer, lags[0])
             if family == "ck":
-                x = T.linear_combination([(scale, force), *zip(stencil, lags)])
+                x = combine([(scale, force), *zip(stencil, lags)])
             else:  # x_{l+1} = x_{l-k+1} + dl·(f_{l-k+1} + ... + f_l), oldest output first
                 forced = (force,) + forced[:-1]
-                x = T.linear_combination([(1, lags[-1]), *((dl, u) for u in reversed(forced) if u is not None)])
+                x = combine([(1, lags[-1]), *((dl, u) for u in reversed(forced) if u is not None)])
             lags = (x,) + lags[:-1]
         elif family == "dense":  # u_j = f_{l-j}(lag_j)·dl on the lags B·q, a pre-input layer adds nothing
             lagged = coupling.apply(q)
@@ -361,30 +372,29 @@ class Network:
         self.head_bias._pull(g.sum(axis=0))
         xbar, fbar = [None] * depth + [g @ head], [None] * depth
         wbar, bbar = np.empty(weights.shape), np.empty(weights.shape[:-1])
-        scale = cfg.dl**cfg.k if cfg.family == "ck" else 1
-        stencil = [-c for c in mixed_diff_coefficients(cfg.k)[1:]]
-
-        def push(bars, i, c, grad):
-            grad = grad if c == 1 else c * grad
-            bars[i] = grad if bars[i] is None else bars[i] + grad
-
+        family, k, dl, chain = cfg.family, cfg.k, cfg.dl, ACTIVATIONS[cfg.activation].chain
+        scale = dl**k if family == "ck" else 1
+        stencil = tuple(enumerate(-c for c in mixed_diff_coefficients(k)[1:]))
         for l in reversed(range(depth)):
             grad = xbar[l + 1]
-            if cfg.family == "c0":
+            if family == "c0":
                 fbar[l] = grad
-            elif cfg.family == "ck":  # x_{l+1} = s·f_l + Σ_j c_j·x_{l-j}
-                push(fbar, l, scale, grad)
-                for j, c in enumerate(stencil):
-                    push(xbar, max(l - j, 0), c, grad)
+            elif family == "ck":  # x_{l+1} = s·f_l + Σ_j c_j·x_{l-j}
+                fbar[l] = grad if scale == 1 else scale * grad
+                for j, c in stencil:
+                    i, term = max(l - j, 0), grad if c == 1 else c * grad
+                    xbar[i] = term if xbar[i] is None else xbar[i] + term
             else:  # x_{l+1} = x_{l-k+1} + dl·(f_{l-k+1} + ... + f_l)
-                oldest = max(l - cfg.k + 1, 0)
-                push(xbar, oldest, 1, grad)
+                oldest = max(l - k + 1, 0)
+                xbar[oldest] = grad if xbar[oldest] is None else xbar[oldest] + grad
+                term = grad if dl == 1 else dl * grad
                 for m in range(oldest, l + 1):
-                    push(fbar, m, cfg.dl, grad)
-            local = ACTIVATIONS[cfg.activation].chain(fbar[l], forces[l])
-            push(xbar, l, 1, local @ weights[l])
-            wbar[l] = local.T @ xs[l]
-            bbar[l] = local.sum(axis=0)
+                    fbar[m] = term if fbar[m] is None else fbar[m] + term
+            local = chain(fbar[l], forces[l])
+            term = local @ weights[l]
+            xbar[l] = term if xbar[l] is None else xbar[l] + term
+            np.matmul(local.T, xs[l], out=wbar[l])
+            np.add.reduce(local, axis=0, out=bbar[l])
         self.block_weight._pull(wbar)
         self.block_bias._pull(bbar)
         self.embed_weight._pull(xbar[0].T @ inputs)

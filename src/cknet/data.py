@@ -10,7 +10,6 @@ from __future__ import annotations
 import gzip
 import math
 import struct
-import urllib.request
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -213,6 +212,7 @@ def fetch_mnist(data_dir) -> dict[str, Path]:
     Each file downloads to a ``.part`` name beside its final one and takes
     the final name only once its size is right, so a failed or wrong-size
     download leaves nothing under either name."""
+    import urllib.request  # here, not at the top: it pulls in http.client and ssl
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     paths = {}

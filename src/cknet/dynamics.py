@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .tensor import ShapeError, linear_combination
+from .tensor import ShapeError, _as_array, _linear_combination
 
 __all__ = [
     "MAX_BINOMIAL_N",
@@ -152,12 +152,15 @@ class BlockMatrix:
             raise ShapeError(f"expected {self.k} parts, got {len(parts)}")
         if input_matrix is not None and not len(inputs) == input_matrix.k == self.k:
             raise ShapeError(f"expected a {self.k}-block input matrix and {self.k} inputs")
+        parts = [_as_array(p) for p in parts]
+        inputs = [None if u is None else _as_array(u) for u in inputs] if input_matrix is not None else []
+        _check_same_shape(parts + [u for u in inputs if u is not None], "BlockMatrix.apply")
         input_rows = input_matrix._nonzero if input_matrix is not None else ((),) * self.k
         out = []
         for row, input_row in zip(self._nonzero, input_rows):
             terms = [(c, parts[j]) for j, c in row]
             terms += [(scale * c, inputs[j]) for j, c in input_row if inputs[j] is not None]
-            out.append(linear_combination(terms or [(0, parts[0])]))
+            out.append(_linear_combination(terms or [(0, parts[0])]))
         return out
 
     @cached_property

@@ -8,7 +8,9 @@ formulas live once, in ``ACTIVATIONS``: each entry gives the value and the
 chain factor g·act'(z), read from the output y = act(z), which is all a
 reverse pass keeps of a layer. ``affine`` also takes E maps stacked on a
 leading member axis, so E independent networks of one shape step as a
-single ensemble.
+single ensemble. Each checks its operands, then runs a private kernel,
+``_affine`` or ``_linear_combination``: ``unroll`` checks a layer stack
+once per pass and runs every layer on the kernels, bitwise the same values.
 
 An op computes its value in its own output buffer: ``affine`` adds the
 bias and applies the activation in place on its matmul output, and
@@ -156,14 +158,6 @@ ACTIVATIONS = {
 # -- linear maps --------------------------------------------------------------
 
 
-def _biased(y: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """``y + bias``, written into ``y``, a matmul output the caller allocated.
-    numpy adds into a one-element first operand by its reduction loop, which
-    may keep the other operand's NaN payload, so that one sum is formed out
-    of place."""
-    return np.add(y, bias, out=y) if y.size > 1 else y + bias
-
-
 def affine(x, weight, bias, activation: str | None = None) -> np.ndarray:
     """``act(x @ weight.T + bias)`` for x of shape [n] or [batch, n].
 
@@ -190,12 +184,23 @@ def affine(x, weight, bias, activation: str | None = None) -> np.ndarray:
         raise ShapeError(f"affine weight must be 2-D, or 3-D when stacked, got {weight.shape}")
     if activation is not None and activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
-    if weight.ndim == 2:
-        y = _biased(x @ weight.T, bias)
-    else:
-        rows = np.matmul(x.reshape(members, -1, n), np.swapaxes(weight, 1, 2))
-        y = _biased(rows, bias[:, None, :]).reshape(*x.shape[:-1], m)
-    return y if activation is None else ACTIVATIONS[activation].value(y)
+    return _affine(x, np.swapaxes(weight, -1, -2), bias, None if activation is None else ACTIVATIONS[activation].value)
+
+
+def _affine(x: np.ndarray, weight_t: np.ndarray, bias: np.ndarray, act) -> np.ndarray:
+    """``affine`` on checked operands, ``act`` an ``Activation.value`` or ``None``
+    and the weight transposed by ``np.swapaxes(w, -1, -2)``, the view ``affine``
+    multiplies by (of one layer, or of a whole stack indexed per layer)."""
+    if weight_t.ndim == 2:
+        y = x @ weight_t
+    else:  # [E, rows, n] @ [E, n, m], an unbatched member being one row
+        y, bias = np.matmul(x.reshape(weight_t.shape[0], -1, weight_t.shape[1]), weight_t), bias[:, None, :]
+    # numpy adds into a one-element first operand by its reduction loop, which
+    # may keep the other operand's NaN payload, so that one sum is out of place
+    y = np.add(y, bias, out=y) if y.size > 1 else y + bias
+    if weight_t.ndim == 3:
+        y = y.reshape(*x.shape[:-1], weight_t.shape[-1])
+    return y if act is None else act(y)
 
 
 def linear_combination(terms) -> np.ndarray:
@@ -208,21 +213,25 @@ def linear_combination(terms) -> np.ndarray:
     an operand. Every term must have the same shape. A single term with
     coefficient 1 returns its term unchanged.
     """
-    terms = list(terms)
+    terms = [(c, _as_array(t)) for c, t in terms]
     if not terms:
         raise ValueError("linear_combination needs at least one term")
+    for _, t in terms:
+        if t.shape != terms[0][1].shape:
+            raise ShapeError(f"linear_combination: shapes {terms[0][1].shape} and {t.shape} differ")
+    return _linear_combination(terms)
+
+
+def _linear_combination(terms: list) -> np.ndarray:
+    """``linear_combination`` on a non-empty list of (coefficient, float64 array) pairs of one shape."""
     if len(terms) == 1 and terms[0][0] == 1:
         return terms[0][1]
-    shape = terms[0][1].shape
     value, owned = None, False  # owned: value is an array allocated here, free to write
-    for c, t in terms:
-        if t.shape != shape:
-            raise ShapeError(f"linear_combination: shapes {shape} and {t.shape} differ")
-        data = _as_array(t)
+    for c, data in terms:
         term = data if c == 1 else c * data
         if value is None:
             # one-element sums stay out of place: numpy gives a 0-d result as
-            # a scalar, and see ``_biased`` for adding into a one-element array
+            # a scalar, and see ``_affine`` for adding into a one-element array
             inplace = data.size > 1
             value, owned = term, inplace and c != 1
         elif owned:

@@ -152,9 +152,13 @@ class Adam:
 
 def evaluate(network, inputs: np.ndarray, labels: np.ndarray, mode: str = "direct"):
     """Loss and accuracy of a frozen network on one batch, through
-    ``Network.infer``: bitwise the values ``forward`` gives."""
-    logits = network.infer(inputs, mode=mode)
-    loss, _ = _log_softmax_loss(logits, labels)
+    ``Network.infer``: bitwise the values ``forward`` gives. A loss that is
+    not finite, read from logits that overflowed, raises ``TrainingError``."""
+    with np.errstate(all="ignore"):
+        logits = network.infer(inputs, mode=mode)
+        loss, _ = _log_softmax_loss(logits, labels)
+    if not np.isfinite(loss):
+        raise TrainingError(f"{mode} evaluation diverged (loss={float(loss)!r})")
     return float(loss), float((logits.argmax(axis=1) == labels).mean())
 
 
@@ -163,9 +167,9 @@ def train(network, dataset, config: TrainConfig, val=None):
 
     Deterministic for a fixed (network seed, config seed, dataset): batch
     order, parameter updates, and metrics are all reproducible bitwise.
-    A diverging run raises ``TrainingError`` (a non-finite or huge loss, or
-    a non-finite gradient) and lets no numpy floating-point warning from the
-    overflow that led to it through.
+    A diverging run raises ``TrainingError`` (a non-finite or huge loss, a
+    non-finite gradient, or a parameter not finite before returning or a
+    ``val`` evaluation) and lets no numpy floating-point warning through.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -194,6 +198,10 @@ def train(network, dataset, config: TrainConfig, val=None):
                 optimizer.step()
             total_loss += loss_value * len(idx)
             total_correct += int((logits.data.argmax(axis=1) == batch_y).sum())
+        if val is not None or epoch == config.epochs - 1:  # a last step that overflowed raises here
+            bad = next((p for p in optimizer.params if not np.isfinite(p.data).all()), None)
+            if bad is not None:
+                raise TrainingError(f"non-finite parameter {bad.name!r} after epoch {epoch}")
         row = EpochMetrics(epoch, total_loss / n, total_correct / n)
         if val is not None:
             val_loss, val_acc = evaluate(network, val.inputs, val.labels)

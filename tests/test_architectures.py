@@ -887,16 +887,18 @@ def layer_calls(calls, weights):
 class TestForcingEvaluatedOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """``tensor.affine`` calls by the address of their weight: a layer of a
-        block stack is a view of its own part of the stack's buffer."""
+        """Calls of the kernel ``tensor._affine``, which ``unroll`` looks up
+        when it starts and ``affine`` runs, by the address of their weight: a
+        layer of a block stack, transposed or not, is a view of its own part
+        of the stack's buffer."""
         counts = {}
-        original = tensor.affine
+        original = tensor._affine
 
-        def counting(x, weight, bias, activation=None):
-            counts[weight.ctypes.data] = counts.get(weight.ctypes.data, 0) + 1
-            return original(x, weight, bias, activation)
+        def counting(x, weight_t, bias, act):
+            counts[weight_t.ctypes.data] = counts.get(weight_t.ctypes.data, 0) + 1
+            return original(x, weight_t, bias, act)
 
-        monkeypatch.setattr(tensor, "affine", counting)
+        monkeypatch.setattr(tensor, "_affine", counting)
         return counts
 
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -921,6 +923,8 @@ class TestForcingEvaluatedOnce:
         x = np.random.default_rng(2).standard_normal((4, 2))
         net.forward(x, mode=mode)
         plain_calls = layer_calls(calls, net.block_weight.data)
+        # the dense state form evaluates layer m's map on the lags of layers m..m+k-1
+        assert plain_calls == ([3, 3, 3, 2, 1] if (family, mode) == ("dense", "state") else [1] * 5)
         calls.clear()
         trace = Trace.from_layers(net.layers(x, mode))
         assert layer_calls(calls, net.block_weight.data) == plain_calls
@@ -1136,6 +1140,26 @@ class TestStackedForcing:
         layers = unroll(np.zeros(w_shape), np.zeros(b_shape), "tanh", np.ones(3), "ck", 2, 1.0, "direct")
         with pytest.raises(ShapeError):
             next(layers)
+
+    @pytest.mark.parametrize(
+        "w_shape,x_shape",
+        [
+            ((2, 3, 3), (2,)),
+            ((2, 3, 3), (4, 2)),
+            ((2, 3, 3), ()),
+            ((2, 3, 3), (1, 4, 3)),
+            ((0, 3, 3), (2,)),
+            ((2, 4, 3, 3), (3,)),
+            ((2, 4, 3, 3), (5, 3)),
+            ((2, 4, 3, 3), (4, 2)),
+            ((2, 4, 3, 3), (1, 4, 3, 3)),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    def test_rejects_an_input_that_does_not_match_the_stack(self, w_shape, x_shape, mode):
+        layers = unroll(np.zeros(w_shape), np.zeros(w_shape[:-1]), "tanh", np.ones(x_shape), "ck", 2, 1.0, mode)
+        with pytest.raises(ShapeError, match=r"^x_0 of shape"):
+            next(layers)  # before the record of x_0
 
     def test_unroll_rejects_an_unknown_activation(self):
         with pytest.raises(ValueError, match="relu6"):

@@ -3,6 +3,7 @@ import itertools
 import shutil
 import subprocess
 import sys
+import urllib.request
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -37,6 +38,13 @@ def test_package_runs_as_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert "9 vs 36 (ratio 0.25)" in proc.stdout
+
+
+@pytest.mark.parametrize("module", ["cknet", "cknet.cli"])
+def test_import_leaves_out_the_download_modules(module):
+    code = f"import sys, {module}; assert 'urllib.request' not in sys.modules, sorted(sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_bad_order_is_a_usage_error_without_traceback():
@@ -206,7 +214,7 @@ class TestFuzz:
                 fh.truncate(data.MNIST_FILES[url.rsplit("/", 1)[1]] + (download == "wrong size"))
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data.urllib.request, "urlretrieve", retrieve)
+            mp.setattr(urllib.request, "urlretrieve", retrieve)
             mp.delenv("CK_DATA_DIR", raising=False)
             argv = ["fetch-mnist"]
             if target is not None and from_environment:
@@ -331,6 +339,18 @@ class TestToyCommand:
         for name in ("toy.csv", "trajectory_k2.csv", "phase_k2.svg"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_overflowing_last_step_is_one_error_line_without_warnings(self, tmp_path):
+        # the one Adam step leaves parameters near 1e308, finite, on which the
+        # evaluation after training overflows
+        proc = subprocess.run(
+            [sys.executable, "-m", "cknet", "train-toy", "--seeds", "1", "--epochs", "1", "-L", "1",
+             "--learning-rate=1e308", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: direct evaluation diverged (loss=nan)\n"
+
 
 class TestDepthSweepCommand:
     def test_missing_data_dir_is_io_error(self, tmp_path, capsys):
@@ -445,7 +465,7 @@ class TestCompareCommand:
 
 class TestFetchMnist:
     def test_download_of_the_wrong_size_is_one_io_error_line(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(data.urllib.request, "urlretrieve", lambda url, target: Path(target).write_bytes(b"x"))
+        monkeypatch.setattr(urllib.request, "urlretrieve", lambda url, target: Path(target).write_bytes(b"x"))
         assert run_cli(["fetch-mnist", "--data-dir", str(tmp_path)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -454,7 +474,7 @@ class TestFetchMnist:
 
     def test_data_dir_from_the_environment(self, tmp_path, monkeypatch, capsys):
         fetched = []
-        monkeypatch.setattr(data.urllib.request, "urlretrieve", lambda url, target: fetched.append(url))
+        monkeypatch.setattr(urllib.request, "urlretrieve", lambda url, target: fetched.append(url))
         for name, size in data.MNIST_FILES.items():
             with open(tmp_path / name, "wb") as fh:
                 fh.truncate(size)

@@ -1,6 +1,7 @@
 import gzip
 import os
 import struct
+import urllib.request
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ class TestFetchMnist:
             with open(target, "wb") as fh:
                 fh.truncate(size(fetched[-1]))
 
-        monkeypatch.setattr(data.urllib.request, "urlretrieve", urlretrieve)
+        monkeypatch.setattr(urllib.request, "urlretrieve", urlretrieve)
         return fetched
 
     def test_downloads_every_missing_file_once(self, tmp_path, monkeypatch):
@@ -216,7 +217,7 @@ class TestFetchMnist:
                 fh.write(b"first bytes")
             raise OSError("connection reset")
 
-        monkeypatch.setattr(data.urllib.request, "urlretrieve", interrupted)
+        monkeypatch.setattr(urllib.request, "urlretrieve", interrupted)
         with pytest.raises(OSError, match="connection reset"):
             fetch_mnist(tmp_path)
         assert list(tmp_path.iterdir()) == []

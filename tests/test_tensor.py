@@ -9,6 +9,8 @@ from cknet.tensor import (
     Parameter,
     ShapeError,
     Tensor,
+    _affine,
+    _linear_combination,
     affine,
     linear_combination,
 )
@@ -286,3 +288,41 @@ class TestOwnBuffers:
                 for c, t in zip(coefficients[1:], terms[1:]):
                     want = want + (t if c == 1 else c * t)
             assert got.shape == shape and got.tobytes() == np.asarray(want).tobytes(), seed
+
+
+class TestKernels:
+    """``_affine`` and ``_linear_combination``, the unchecked bodies that
+    ``unroll`` and ``BlockMatrix.apply`` run on operands they checked once,
+    give the bits of the public ``affine`` and ``linear_combination``."""
+
+    def test_one_element_nan_payloads(self):
+        # a -NaN matmul plus a NaN bias: the sum must keep the matmul's NaN
+        x, w, b = np.array([1.0]), np.array([[SPECIALS[1]]]), np.array([SPECIALS[0]])
+        with np.errstate(invalid="ignore"):
+            want = (x @ w.T + b).tobytes()
+            assert _affine(x, np.swapaxes(w, -1, -2), b, None).tobytes() == affine(x, w, b).tobytes() == want
+            for terms in ([(1, x @ w.T), (1, b)], [(1, x @ w.T), (0.5, b)], [(2, x @ w.T), (1, b)]):
+                assert _linear_combination(terms).tobytes() == linear_combination(terms).tobytes()
+            assert _linear_combination([(1, x @ w.T), (1, b)]).tobytes() == want
+
+    @pytest.mark.parametrize("activation", [None, "tanh", "sigmoid", "leaky_relu"])
+    @pytest.mark.parametrize("members,d", [(9, 1), (8, 3)])
+    @pytest.mark.parametrize("batch", [None, 4])
+    def test_stacked_battery_shapes(self, activation, members, d, batch):
+        act = None if activation is None else ACTIVATIONS[activation].value
+        shape = (members, d) if batch is None else (members, batch, d)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            # two layers of a [L, E, d, d] stack, mapped through one swapped view as ``unroll`` does
+            values = TestOwnBuffers.values
+            weights, biases, x = values(rng, (2, members, d, d)), values(rng, (2, members, d)), values(rng, shape)
+            weights_t = np.swapaxes(weights, -1, -2)
+            with np.errstate(all="ignore"):
+                for layer in range(2):
+                    got = _affine(x, weights_t[layer], biases[layer], act)
+                    want = affine(x, weights[layer], biases[layer], activation)
+                    assert got.tobytes() == want.tobytes(), (seed, layer)
+                for coefficients in ([0.25, 2, -1], [1, 0.5, 0.5, 0.5], [1, 1], [3, -3, 1, 1]):
+                    terms = [(c, values(rng, shape)) for c in coefficients]
+                    got = _linear_combination(terms)
+                    assert got.tobytes() == linear_combination(terms).tobytes(), (seed, coefficients)

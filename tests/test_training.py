@@ -351,6 +351,28 @@ class TestQuietDivergence:
             with pytest.raises(TrainingError, match="non-finite gradient for parameter 'embed.weight'"):
                 train(net, data, TrainConfig(epochs=1, batch_size=2))
 
+    @pytest.mark.parametrize("epochs,with_val", [(1, False), (2, True)])
+    def test_overflowing_last_step_is_a_non_finite_parameter(self, epochs, with_val):
+        # one class only, so the step pushes one head bias past the float range;
+        # the check runs before returning, or before the epoch's val evaluation
+        net = Network(NetworkConfig("ck", k=1, depth=1, width=2, input_dim=2, num_classes=2, seed=0))
+        net.head_bias.data = np.full(2, 1.7e308)
+        data = Dataset(np.random.default_rng(0).standard_normal((8, 2)), np.zeros(8, dtype=np.int64), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match="^non-finite parameter 'head.bias' after epoch 0$"):
+                train(net, data, TrainConfig(epochs=epochs, batch_size=8, learning_rate=1e308),
+                      val=data if with_val else None)
+
+    def test_evaluation_that_overflows_raises(self):
+        # finite parameters whose values overflow, as after a step of size 1e308
+        net = _linear_model()
+        net.embed_weight.data = np.full((4, 2), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match=r"^direct evaluation diverged \(loss=nan\)$"):
+                evaluate(net, _blobs().inputs, _blobs().labels)
+
 
 FORMS = [("c0", 1), *(("ck", k) for k in (1, 2, 3, 4)), *(("dense", k) for k in (1, 2, 3, 4))]
 
