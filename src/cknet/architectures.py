@@ -95,6 +95,11 @@ class NetworkConfig:
     def __post_init__(self):
         if self.family not in ("c0", "ck", "dense"):
             raise ValueError(f"unknown family {self.family!r}")
+        for name in ("k", "depth", "width", "input_dim", "num_classes"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.family == "c0" and self.k != 1:
             raise ValueError("the skipless family has no order parameter; use k=1")
         if self.k < 1:
@@ -192,12 +197,21 @@ class LayerRecord(NamedTuple):
     state: tuple | None
 
 
-def _c0_matrices(k: int) -> tuple[BlockMatrix, BlockMatrix]:
-    """No skips, no memory: A = [[0]], B = [[1]], the next state is f(x)."""
-    return BlockMatrix(1, ((0,),)), BlockMatrix(1, ((1,),))
+_MATRICES = {"c0": lambda k: (BlockMatrix(1, ((0,),)), BlockMatrix(1, ((1,),))),  # no memory: q' = f(q)
+             "ck": build_ck_matrices, "dense": build_dense_matrices}
 
 
-_MATRICES = {"c0": _c0_matrices, "ck": build_ck_matrices, "dense": build_dense_matrices}
+def _direct_terms(family: str, k: int, dl: float) -> tuple[tuple[float, int, bool], ...]:
+    """The family's direct recurrence as (coefficient, lag j, is_forcing) terms, which
+    ``unroll``'s direct mode and the layer adjoint both read: x_{l+1} is the sum, in
+    table order, of c·x_{l-j} or c·f_{l-j}(x_{l-j}). A lag before the input is x_0
+    (the ghost start), and a forcing before the input adds no term."""
+    if family == "c0":  # x_{l+1} = f_l
+        return ((1, 0, True),)
+    if family == "ck":  # x_{l+1} = dl^k·f_l - Σ_j c_{j+1}·x_{l-j}, c the mixed difference stencil
+        return ((dl**k, 0, True), *((-c, j, False) for j, c in enumerate(mixed_diff_coefficients(k)[1:])))
+    # dense: x_{l+1} = x_{l-k+1} + dl·(f_{l-k+1} + ... + f_l), oldest output first
+    return ((1, k - 1, False), *((dl, j, True) for j in reversed(range(k))))
 
 
 def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float, mode: str, matrices=None):
@@ -212,16 +226,14 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
     first record is the input x_0, then one per layer. In state mode every
     layer is ``q' = A·q + s·B·u`` over the family's (transition, coupling)
     pair, or over ``matrices`` when given (the verification battery passes a
-    corrupted pair to check that it is caught). In direct mode ck runs its
-    stencil on the lag window, dense its multi-lag sum, and c0, which has no
-    memory, its matrix step. A layer evaluates its own forcing once; direct
-    dense reuses the outputs of the layers before it, the dense state form
-    evaluates them on their lags.
-
-    The lag window and the state parts are tuples: ``lags`` holds x_l, ...,
-    x_{l-k+1} (the ghost start repeats x_0) and ``forced`` f_{l-1}(x_{l-1}),
-    ..., f_{l-k}(x_{l-k}), ``None`` before the input; ``q`` holds q_1..q_k,
-    q_1 = x_0 and the rest zero at the input.
+    corrupted pair to check that it is caught). In direct mode every family
+    sums its ``_direct_terms`` over two tuples of the table's n lags: ``lags``
+    holds x_l, ..., x_{l-n+1}, the ghost start repeating x_0, and ``forced``
+    f_l(x_l), ..., f_{l-n+1}(x_{l-n+1}), ``None`` before the input. The state
+    parts ``q`` are a tuple q_1..q_k, q_1 = x_0 and the rest zero at the
+    input. A layer evaluates its own forcing once; direct dense reuses the
+    outputs of the layers before it, the dense state form evaluates them on
+    their lags.
     """
     if mode not in ("direct", "state"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -243,12 +255,13 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
     def forcing(layer, x):
         return affine(x, weights_t[layer], biases[layer], act)
 
-    direct, state = mode == "direct" and family != "c0", mode == "state"
-    scale = dl**k if family == "ck" else 1
+    direct, state = mode == "direct", mode == "state"
     if direct:
-        lags, forced = (x0,) * k, (None,) * k
-        stencil = [-c for c in mixed_diff_coefficients(k)[1:]]
+        terms = _direct_terms(family, k, dl)
+        window = 1 + max(j for _, j, _ in terms)
+        lags, forced = (x0,) * window, (None,) * window
     else:
+        scale = dl**k if family == "ck" else 1
         q = (x0,) + (np.zeros(x0.shape),) * (k - 1)
         transition, coupling = matrices or _MATRICES[family](k)
     yield LayerRecord(x0, None, q if state else None)
@@ -256,11 +269,9 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
     for layer in range(len(weights)):
         if direct:
             force = forcing(layer, lags[0])
-            if family == "ck":
-                x = combine([(scale, force), *zip(stencil, lags)])
-            else:  # x_{l+1} = x_{l-k+1} + dl·(f_{l-k+1} + ... + f_l), oldest output first
-                forced = (force,) + forced[:-1]
-                x = combine([(1, lags[-1]), *((dl, u) for u in reversed(forced) if u is not None)])
+            forced = (force,) + forced[:-1]
+            x = combine([(c, u) for c, j, is_forcing in terms
+                         if (u := (forced if is_forcing else lags)[j]) is not None])
             lags = (x,) + lags[:-1]
         elif family == "dense":  # u_j = f_{l-j}(lag_j)·dl on the lags B·q, a pre-input layer adds nothing
             lagged = coupling.apply(q)
@@ -359,37 +370,29 @@ class Network:
         ``xs`` are x_0..x_L and ``forces`` f_0(x_0)..f_{L-1}(x_{L-1}) of one
         forward pass, ``weights`` and ``head`` the block stack and head
         weights it ran on, and ``g`` the gradient at its logits. A layer
-        pushes x̄_{l+1} back through its terms, in their forward order, onto
-        f̄_l and the lag window's x̄ (ghost lags land on x_0), then pulls f̄_l
-        through f_l into its slices of the stacked weight and bias
-        gradients. Contributions to one x̄ or f̄ are summed in the order the
-        layers above make them, and a unit coefficient passes a gradient on
-        without a multiply. State-mode records hold x_l = q_1
-        and f_l(q_1), on which the state form is this same recurrence.
+        pushes x̄_{l+1} back through the terms of ``_direct_terms``, in table
+        order, then pulls f̄_l through f_l into its slices of the stacked
+        weight and bias gradients. Contributions to one x̄ or f̄ are summed in
+        the order the layers above make them, and a unit coefficient passes a
+        gradient on without a multiply. State-mode records hold x_l = q_1 and
+        f_l(q_1), on which the state form is this same recurrence.
         """
         cfg, depth = self.config, len(weights)
         self.head_weight._pull(g.T @ xs[depth])
         self.head_bias._pull(g.sum(axis=0))
         xbar, fbar = [None] * depth + [g @ head], [None] * depth
         wbar, bbar = np.empty(weights.shape), np.empty(weights.shape[:-1])
-        family, k, dl, chain = cfg.family, cfg.k, cfg.dl, ACTIVATIONS[cfg.activation].chain
-        scale = dl**k if family == "ck" else 1
-        stencil = tuple(enumerate(-c for c in mixed_diff_coefficients(k)[1:]))
+        chain = ACTIVATIONS[cfg.activation].chain
+        terms = [(c, j, fbar if forcing else xbar) for c, j, forcing in _direct_terms(cfg.family, cfg.k, cfg.dl)]
         for l in reversed(range(depth)):
-            grad = xbar[l + 1]
-            if family == "c0":
-                fbar[l] = grad
-            elif family == "ck":  # x_{l+1} = s·f_l + Σ_j c_j·x_{l-j}
-                fbar[l] = grad if scale == 1 else scale * grad
-                for j, c in stencil:
-                    i, term = max(l - j, 0), grad if c == 1 else c * grad
-                    xbar[i] = term if xbar[i] is None else xbar[i] + term
-            else:  # x_{l+1} = x_{l-k+1} + dl·(f_{l-k+1} + ... + f_l)
-                oldest = max(l - k + 1, 0)
-                xbar[oldest] = grad if xbar[oldest] is None else xbar[oldest] + grad
-                term = grad if dl == 1 else dl * grad
-                for m in range(oldest, l + 1):
-                    fbar[m] = term if fbar[m] is None else fbar[m] + term
+            grad, last = xbar[l + 1], None
+            for c, j, bars in terms:
+                if l < j and bars is fbar:  # a forcing before the input
+                    continue
+                i = l - j if l >= j else 0  # a ghost lag is x_0
+                if c != last:  # equal neighbours share one product: a dense layer's dl·x̄
+                    term, last = grad if c == 1 else c * grad, c
+                bars[i] = term if bars[i] is None else bars[i] + term
             local = chain(fbar[l], forces[l])
             term = local @ weights[l]
             xbar[l] = term if xbar[l] is None else xbar[l] + term
@@ -421,8 +424,8 @@ class Network:
         """
         cfg = self.config
         arr = np.asarray(inputs, dtype=np.float64)
-        if arr.shape[-1] != cfg.input_dim:
-            raise ShapeError(f"input width {arr.shape} does not match input_dim={cfg.input_dim}")
+        if arr.ndim not in (1, 2) or arr.shape[-1] != cfg.input_dim:
+            raise ShapeError(f"input {arr.shape} is not [input_dim] or [batch, input_dim], input_dim={cfg.input_dim}")
         x0 = T.affine(arr, self.embed_weight.data, self.embed_bias.data)
         return unroll(self.block_weight.data, self.block_bias.data, cfg.activation, x0, cfg.family, cfg.k, cfg.dl, mode)
 
@@ -492,10 +495,7 @@ def load_checkpoint(path) -> Network:
             raise ValueError(f"unknown checkpoint config keys {unknown}")
         try:
             config = NetworkConfig(**config)
-            # the sizes and the seed Network(config) takes, checked without allocating
-            for size in (config.depth, config.width, config.input_dim, config.num_classes):
-                operator.index(size)
-            np.random.default_rng(config.seed)
+            np.random.default_rng(config.seed)  # the seed Network(config) takes, checked without allocating
         except TypeError as exc:  # a missing key, or a value of the wrong type
             raise ValueError(f"bad checkpoint config: {exc}") from exc
         shapes = _parameter_shapes(config)

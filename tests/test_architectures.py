@@ -19,7 +19,7 @@ from cknet.architectures import (
     unroll,
     weight_matrix_ratio,
 )
-from cknet.dynamics import backward_diff_power, build_ck_matrices
+from cknet.dynamics import backward_diff_power, build_ck_matrices, mixed_diff_coefficients
 from cknet.tensor import GraphError, ShapeError, affine
 from cknet.training import evaluate, softmax_cross_entropy
 from helpers import (
@@ -736,6 +736,13 @@ class TestLayers:
         with pytest.raises(ShapeError, match="input_dim=2"):
             net.layers(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("inputs", [5.0, np.full((1, 4, 2), 5.0)], ids=["0-d", "3-D"])
+    @pytest.mark.parametrize("call", ["forward", "infer", "layers"])
+    def test_input_that_is_not_a_row_or_a_batch_is_rejected(self, inputs, call):
+        net = TestInfer.network("ck", 2)
+        with pytest.raises(ShapeError, match=r"is not \[input_dim\] or \[batch, input_dim\], input_dim=2$"):
+            getattr(net, call)(inputs)
+
 
 class TestAdjoint:
     """``forward``'s pullback, the layer adjoint, against central differences."""
@@ -841,6 +848,51 @@ class TestAdjoint:
         softmax_cross_entropy(logits, np.array([1, 0, 0])).backward()
         assert [a.tobytes() for a in held] == before
         assert all(p.data is a for p, a in zip(net.parameters(), held[2:]))
+
+
+class TestDirectTerms:
+    """``_direct_terms`` states each family's direct recurrence once; ``unroll``
+    and the layer adjoint both read it."""
+
+    def test_c0_is_its_forcing(self):
+        assert architectures._direct_terms("c0", 1, 0.5) == ((1, 0, True),)
+
+    @pytest.mark.parametrize("k,stencil", [(1, (1,)), (2, (2, -1)), (3, (3, -3, 1)), (4, (4, -6, 4, -1))])
+    @pytest.mark.parametrize("dl", [1.0, 0.5])
+    def test_ck_is_the_scaled_forcing_then_the_stencil(self, k, stencil, dl):
+        terms = architectures._direct_terms("ck", k, dl)
+        assert terms == ((dl**k, 0, True), *((c, j, False) for j, c in enumerate(stencil)))
+        assert [-c for c, _, _ in terms[1:]] == mixed_diff_coefficients(k)[1:]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dl", [1.0, 0.5])
+    def test_dense_is_the_oldest_lag_then_every_output_oldest_first(self, k, dl):
+        expected = ((1, k - 1, False), *((dl, j, True) for j in range(k - 1, -1, -1)))
+        assert architectures._direct_terms("dense", k, dl) == expected
+
+    # x_{l+1} = 0.6·x_l + 0.3·f_l + 1.2·f_{l-1} - 0.4·x_{l-2}: no family's recurrence
+    MADE_UP = ((0.6, 0, False), (0.3, 0, True), (1.2, 1, True), (-0.4, 2, False))
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_forward_and_adjoint_read_one_table(self, monkeypatch, activation):
+        monkeypatch.setattr(architectures, "_direct_terms", lambda family, k, dl: self.MADE_UP)
+        net = TestAdjoint.network("ck", 3, activation, depth=5, seed=3)
+        x, y = np.random.default_rng(3).standard_normal((3, 2)), np.array([1, 0, 1])
+        trace = Trace.from_layers(net.layers(x))
+        xs, fs = trace.activations, trace.forcing
+        for l in range(5):  # the ghost start: a lag before the input is x_0, a forcing adds nothing
+            value = None
+            for c, j, forcing in self.MADE_UP:
+                if forcing and l < j:
+                    continue
+                term = c * (fs[l - j] if forcing else xs[max(l - j, 0)])
+                value = term if value is None else value + term
+            assert xs[l + 1].tobytes() == value.tobytes()
+        got = TestAdjoint.gradients(net, x, y)
+        params = net.parameters()
+        fds = central_difference(lambda: evaluate(net, x, y)[0], [p.data for p in params])
+        for p, g, fd in zip(params, got, fds):
+            assert gradient_close(g, fd), p.name
 
 
 class TestDenseIsResidual:
@@ -1025,9 +1077,11 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("key,value", [("width", 2.5), ("depth", 2.0), ("num_classes", 3.0), ("seed", 1.5)])
+    @pytest.mark.parametrize("key,value", [("width", 2.5), ("depth", 2.0), ("num_classes", 3.0), ("seed", 1.5),
+                                           ("k", 2.5), ("k", 2.0)])
     def test_non_integer_size_or_seed_is_a_bad_config(self, tmp_path, key, value):
-        # rejected with the config, before the entries are compared with its shapes
+        # rejected with the config, before the entries are compared with its
+        # shapes; no shape depends on k, so a non-integer k is caught only here
         path = self.saved(tmp_path)
         self.rewrite(path, lambda header, _: header["config"].update({key: value}))
         with pytest.raises(ValueError, match="bad checkpoint config"):
@@ -1184,6 +1238,17 @@ class TestConfigValidation:
     def test_bad_dl(self):
         with pytest.raises(ValueError):
             NetworkConfig("ck", 1, 1, 1, 1, 2, dl=0.0)
+
+    @pytest.mark.parametrize("name", ["k", "depth", "width", "input_dim", "num_classes"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", None], ids=["fraction", "whole-float", "str", "none"])
+    def test_non_integer_size_is_a_type_error(self, name, value):
+        sizes = dict(k=2, depth=3, width=2, input_dim=2, num_classes=2)
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$"):
+            NetworkConfig("ck", **{**sizes, name: value})
+
+    def test_integer_types_are_accepted(self):
+        config = NetworkConfig("ck", np.int64(2), np.int32(3), 2, 2, 2)
+        assert Network(config).infer(np.ones(2)).shape == (2,)
 
     @pytest.mark.parametrize("family,k,dl", [("ck", 2, 1e308), ("dense", 3, 1e103), ("ck", 1, np.inf)])
     def test_dl_whose_kth_power_is_not_finite(self, family, k, dl):
