@@ -7,9 +7,7 @@ from .architectures import (
     Network,
     NetworkConfig,
     c1_step,
-    load_checkpoint,
     parameter_count,
-    save_checkpoint,
     unroll,
     weight_matrix_ratio,
 )

@@ -19,11 +19,9 @@ in place and must be serialized externally.
 """
 from __future__ import annotations
 
-import json
 import math
 import operator
-import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -32,9 +30,7 @@ import numpy as np
 from . import tensor as T
 from .dynamics import (
     MAX_BINOMIAL_N,
-    BlockMatrix,
     alternating_binomial_row,
-    build_ck_matrices,
     build_dense_matrices,
     mixed_diff_coefficients,
 )
@@ -52,8 +48,6 @@ __all__ = [
     "dense_difference_identity_residual",
     "parameter_count",
     "weight_matrix_ratio",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 
@@ -197,10 +191,6 @@ class LayerRecord(NamedTuple):
     state: tuple | None
 
 
-_MATRICES = {"c0": lambda k: (BlockMatrix(1, ((0,),)), BlockMatrix(1, ((1,),))),  # no memory: q' = f(q)
-             "ck": build_ck_matrices, "dense": build_dense_matrices}
-
-
 def _direct_terms(family: str, k: int, dl: float) -> tuple[tuple[float, int, bool], ...]:
     """The family's direct recurrence as (coefficient, lag j, is_forcing) terms, which
     ``unroll``'s direct mode and the layer adjoint both read: x_{l+1} is the sum, in
@@ -223,24 +213,29 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
     activation, the stack and x_0 (against its width and member axis) are
     checked when the loop starts, before any record; the layers then run on
     the kernels of ``affine`` and ``linear_combination``, looked up then. The
-    first record is the input x_0, then one per layer. In state mode every
-    layer is ``q' = A·q + s·B·u`` over the family's (transition, coupling)
-    pair, or over ``matrices`` when given (the verification battery passes a
-    corrupted pair to check that it is caught). In direct mode every family
-    sums its ``_direct_terms`` over two tuples of the table's n lags: ``lags``
-    holds x_l, ..., x_{l-n+1}, the ghost start repeating x_0, and ``forced``
-    f_l(x_l), ..., f_{l-n+1}(x_{l-n+1}), ``None`` before the input. The state
-    parts ``q`` are a tuple q_1..q_k, q_1 = x_0 and the rest zero at the
-    input. A layer evaluates its own forcing once; direct dense reuses the
-    outputs of the layers before it, the dense state form evaluates them on
-    their lags.
+    first record is the input x_0, then one per layer. Every layer evaluates
+    its own forcing map once, on x_l (direct) or q_1 (state), and never
+    another layer's. In direct mode every family sums its ``_direct_terms``
+    over two tuples of the table's n lags: ``lags`` holds x_l, ..., x_{l-n+1},
+    the ghost start repeating x_0, and ``forced`` f_l(x_l), ...,
+    f_{l-n+1}(x_{l-n+1}), ``None`` before the input. In state mode the parts
+    ``q`` are a tuple q_1..q_k, q_1 = x_0 and the rest zero at the input, and
+    a layer runs its family's first-order step: c0 is q' = (f,); ck, whose
+    transition is the upper all-ones matrix, is the suffix sum q_k' = q_k +
+    dl^k·f, then q_n' = q_n + q_{n+1}' for n = k-1..1; dense is ``q' = A·q +
+    B·u`` over ``build_dense_matrices``, or over ``matrices`` when given (the
+    verification battery passes a corrupted pair to check that it is
+    caught), with u the window dl·f_l, ..., dl·f_{l-k+1} of the layers' own
+    outputs, ``None`` before the input.
     """
     if mode not in ("direct", "state"):
         raise ValueError(f"unknown mode {mode!r}")
-    if family not in _MATRICES:
+    if family not in ("c0", "ck", "dense"):
         raise ValueError(f"unknown family {family!r}")
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
+    if matrices is not None and (family, mode) != ("dense", "state"):
+        raise ValueError(f"matrices replace the dense state step's pair; {family} {mode} takes none")
     weights, biases, x0 = T._as_array(weights), T._as_array(biases), T._as_array(x0)
     if weights.ndim not in (3, 4) or weights.shape[-2] != weights.shape[-1]:
         raise ShapeError(f"layer weights must be [L, d, d], or [L, E, d, d] when stacked, got {weights.shape}")
@@ -261,26 +256,29 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
         window = 1 + max(j for _, j, _ in terms)
         lags, forced = (x0,) * window, (None,) * window
     else:
-        scale = dl**k if family == "ck" else 1
-        q = (x0,) + (np.zeros(x0.shape),) * (k - 1)
-        transition, coupling = matrices or _MATRICES[family](k)
+        scale, q = dl**k, (x0,) + (np.zeros(x0.shape),) * (k - 1)
+        if family == "dense":
+            transition, coupling = matrices or build_dense_matrices(k)
+            outputs = (None,) * k
     yield LayerRecord(x0, None, q if state else None)
     del x0  # the lag window or state holds it as long as a layer needs it
     for layer in range(len(weights)):
+        force = forcing(layer, lags[0] if direct else q[0])
         if direct:
-            force = forcing(layer, lags[0])
             forced = (force,) + forced[:-1]
             x = combine([(c, u) for c, j, is_forcing in terms
                          if (u := (forced if is_forcing else lags)[j]) is not None])
             lags = (x,) + lags[:-1]
-        elif family == "dense":  # u_j = f_{l-j}(lag_j)·dl on the lags B·q, a pre-input layer adds nothing
-            lagged = coupling.apply(q)
-            force = forcing(layer, lagged[0])
-            inputs = [force * dl] + [None if layer < j else forcing(layer - j, lagged[j]) * dl for j in range(1, k)]
-            q = tuple(transition.apply(q, coupling, inputs))
-        else:  # ck and c0: u_j = f(q_1) for every j
-            force = forcing(layer, q[0])
-            q = tuple(transition.apply(q, coupling, (force,) * k, scale))
+        elif family == "ck":  # one product dl^k·f, then k unit-coefficient adds from q_k up
+            suffix = [combine([(1, q[-1]), (scale, force)])]
+            for part in reversed(q[:-1]):
+                suffix.append(part + suffix[-1])
+            q = tuple(reversed(suffix))
+        elif family == "dense":
+            outputs = (force * dl,) + outputs[:-1]
+            q = tuple(transition.apply(q, coupling, outputs))
+        else:  # c0 keeps no memory
+            q = (force,)
         yield LayerRecord(lags[0] if direct else q[0], force, q if state else None)
 
 
@@ -429,101 +427,3 @@ class Network:
         x0 = T.affine(arr, self.embed_weight.data, self.embed_bias.data)
         return unroll(self.block_weight.data, self.block_bias.data, cfg.activation, x0, cfg.family, cfg.k, cfg.dl, mode)
 
-
-# -- checkpoint io -----------------------------------------------------------------
-
-_CHECKPOINT_FORMAT = "cknet-checkpoint"
-_CHECKPOINT_VERSION = 2
-_MAX_HEADER_BYTES = 1 << 20
-
-
-def save_checkpoint(network: Network, path) -> None:
-    """Single-file checkpoint: one JSON header line, then raw little-endian
-    float64 parameter payloads concatenated in header order."""
-    params = network.parameters()
-    header = {
-        "format": _CHECKPOINT_FORMAT,
-        "version": _CHECKPOINT_VERSION,
-        "config": asdict(network.config),
-        "params": [{"name": p.name, "shape": list(p.shape)} for p in params],
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for p in params:
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
-
-
-def _param_entry(entry) -> tuple[str, tuple[int, ...]]:
-    try:
-        name, shape = entry["name"], tuple(int(n) for n in entry["shape"])
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ValueError(f"bad checkpoint parameter entry {entry!r}") from exc
-    if not isinstance(name, str):
-        raise ValueError(f"bad checkpoint parameter name {name!r}")
-    return name, shape
-
-
-def load_checkpoint(path) -> Network:
-    """Read a checkpoint written by ``save_checkpoint``.
-
-    The header must list every parameter of the configured network exactly
-    once, with its shape, and the payload must hold exactly those values.
-    A missing, unknown or repeated parameter, an unknown or invalid config
-    entry, a header line longer than 1 MiB, and a truncated or over-long
-    payload all raise ``ValueError``. The header is checked against the
-    config's shapes and the file's size before anything is allocated.
-    """
-    with open(path, "rb") as fh:
-        header_line = fh.readline(_MAX_HEADER_BYTES + 1)
-        if not header_line.endswith(b"\n"):
-            raise ValueError(f"not a checkpoint file: no header line within {_MAX_HEADER_BYTES} bytes")
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"not a checkpoint file: bad header ({exc})") from exc
-        tag = header.get("format") if isinstance(header, dict) else None
-        if tag != _CHECKPOINT_FORMAT:
-            raise ValueError(f"not a checkpoint file: format {tag!r}")
-        if header.get("version") != _CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header.get('version')!r}")
-        config, entries = header.get("config"), header.get("params")
-        if not isinstance(config, dict) or not isinstance(entries, list):
-            raise ValueError("checkpoint header needs a config object and a params list")
-        unknown = sorted(set(config) - {f.name for f in fields(NetworkConfig)})
-        if unknown:
-            raise ValueError(f"unknown checkpoint config keys {unknown}")
-        try:
-            config = NetworkConfig(**config)
-            np.random.default_rng(config.seed)  # the seed Network(config) takes, checked without allocating
-        except TypeError as exc:  # a missing key, or a value of the wrong type
-            raise ValueError(f"bad checkpoint config: {exc}") from exc
-        shapes = _parameter_shapes(config)
-        available = os.fstat(fh.fileno()).st_size - fh.tell()
-        loaded, payload_bytes = {}, 0
-        for entry in entries:
-            name, shape = _param_entry(entry)
-            if name in loaded:
-                raise ValueError(f"checkpoint lists parameter {name!r} twice")
-            if name not in shapes:
-                raise ValueError(f"checkpoint parameter {name!r} not in network")
-            if shapes[name] != shape:
-                raise ShapeError(
-                    f"checkpoint shape {shape} does not match parameter "
-                    f"{name!r} of shape {shapes[name]}"
-                )
-            payload_bytes += 8 * math.prod(shape)
-            if payload_bytes > available:
-                raise ValueError(f"checkpoint truncated while reading {name!r}")
-            loaded[name] = shape
-        missing = [name for name in shapes if name not in loaded]
-        if missing:
-            raise ValueError(f"checkpoint lacks parameters {missing}")
-        if available > payload_bytes:
-            raise ValueError("checkpoint has trailing bytes after declared payloads")
-        network = Network(config)
-        params = {p.name: p for p in network.parameters()}
-        for name, shape in loaded.items():
-            payload = fh.read(8 * math.prod(shape))
-            params[name].data = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-    return network

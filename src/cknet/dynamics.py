@@ -195,7 +195,7 @@ class BlockMatrix:
         return sign * a[n - 1][n - 1]
 
 
-@cache  # frozen, so one instance per k serves every unroll and state step
+@cache  # frozen, so one instance per k serves every caller
 def build_ck_matrices(k: int) -> tuple[BlockMatrix, BlockMatrix]:
     """State matrices of the k-th order smooth recurrence.
 

@@ -82,9 +82,9 @@ def _new_checks(tolerance: float) -> dict[str, CheckResult]:
 def sign_flipped_dense_forcing(k: int) -> BlockMatrix:
     """Dense forcing matrix with one corrupted sign; fault-injection hook.
 
-    The corrupted entry is the leading one, which both reconstructs the
-    current activation and couples its forcing into it, so the activation
-    trajectory itself departs from the direct form.
+    The corrupted entry is the leading one, which couples the current
+    forcing output into q_1, so the activation trajectory itself departs
+    from the direct form.
     """
     _, forcing = build_dense_matrices(k)
     grid = [list(row) for row in forcing.block]

@@ -237,12 +237,14 @@ def ck_direct_step(f, history, k, dl):
 
 
 def ck_state_step(f, q, k, dl):
-    """``q' = A·q + dl^k·B·u`` over ``build_ck_matrices``, u_j = f(q_1)."""
+    """The ck state step as a suffix sum: q_k' = q_k + dl^k·f(q_1), then
+    q_n' = q_n + q_{n+1}' for n = k-1..1."""
     if q.order != k:
         raise ValueError(f"state vector has {q.order} parts, expected {k}")
-    transition, coupling = build_ck_matrices(k)
-    force = f(q.parts[0])
-    return StateVector(transition.apply(q.parts, coupling, [force] * k, dl**k))
+    suffix = [linear_combination([(1, q.parts[-1]), (dl**k, f(q.parts[0]))])]
+    for part in reversed(q.parts[:-1]):
+        suffix.append(part + suffix[-1])
+    return StateVector(reversed(suffix))
 
 
 def dense_direct_step(fs, history, dl):
@@ -271,17 +273,55 @@ def dense_direct_step(fs, history, dl):
     return out, history.advanced(out, outs[0])
 
 
-def dense_state_step(fs, q, k, dl):
+def dense_state_step(f, q, outputs, dl):
+    """The dense state step ``q' = q + B·u``, B from ``build_dense_matrices``
+    written out: row n adds (-1)^j C(n, j)·u_j for j = 0..n. u is the window
+    dl·f(q_1), then ``outputs``' first k-1 entries: ``outputs`` holds the k
+    scaled outputs of the layers before, newest first, ``None`` before the
+    input. Returns the next state and u, the next layer's ``outputs``."""
+    if len(outputs) != q.order:
+        raise ValueError(f"got {len(outputs)} outputs for order {q.order}")
+    window = (f(q.parts[0]) * dl, *outputs[:-1])
+    parts = [
+        linear_combination([(1, part)] + [(c, u) for c, u in zip(alternating_binomial_row(n), window) if u is not None])
+        for n, part in enumerate(q.parts)
+    ]
+    return StateVector(parts), window
+
+
+# The state steps as the whole product ``q' = A·q + s·B·u`` by
+# ``BlockMatrix.apply``, dense mapping each layer on its lag recovered as
+# ``B·q``: the references ``unroll``'s per-family state steps are checked
+# against.
+
+
+def ck_matrix_step(f, q, k, dl):
+    """``q' = A·q + dl^k·B·u`` over ``build_ck_matrices``, u_j = f(q_1)."""
+    transition, coupling = build_ck_matrices(k)
+    force = f(q.parts[0])
+    return StateVector(transition.apply(q.parts, coupling, [force] * k, dl**k))
+
+
+def dense_matrix_step(fs, q, k, dl):
     """``q' = A·q + B·u`` over ``build_dense_matrices``, u_j = f_j(lag_j)·dl on
     the lags ``B·q``; a ``None`` forcing (a pre-input layer) adds nothing."""
-    if q.order != k:
-        raise ValueError(f"state vector has {q.order} parts, expected {k}")
-    if len(fs) != k:
-        raise ValueError(f"got {len(fs)} forcing functions for order {k}")
     transition, coupling = build_dense_matrices(k)
     lags = coupling.apply(q.parts)
     inputs = [None if f is None else f(lag) * dl for f, lag in zip(fs, lags)]
     return StateVector(transition.apply(q.parts, coupling, inputs))
+
+
+def matrix_states(fs, x0, family, k, dl):
+    """The state parts q_1..q_k of every layer, x_0 first, from the matrix steps."""
+    q = initialize_state(x0, k)
+    states = [q.parts]
+    for layer, f in enumerate(fs):
+        if family == "ck":
+            q = ck_matrix_step(f, q, k, dl)
+        else:
+            q = dense_matrix_step([fs[layer - j] if layer >= j else None for j in range(k)], q, k, dl)
+        states.append(q.parts)
+    return np.array(states)
 
 
 # Per-layer loop references for the whole-trajectory checks in ``cknet``.

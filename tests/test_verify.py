@@ -159,6 +159,16 @@ def test_stacked_battery_equals_the_per_case_reference(hook, grid, failing):
     assert {name for name, _, _, passed, _ in stacked if not passed} == failing
 
 
+@pytest.mark.parametrize("k", range(2, 9))
+def test_the_sign_flip_fails_dense_equivalence_at_every_order(k):
+    # it reaches the dense state step only through its input coupling B
+    results = run_battery(orders=(k,), widths=(1, 2), depths=(3,), seeds=2,
+                          dense_forcing_matrix=sign_flipped_dense_forcing)
+    checks = {r.name: r for r in results}
+    assert not checks["dense equivalence"].passed and checks["dense equivalence"].max_deviation > 1e-3
+    assert checks["ck equivalence"].passed
+
+
 class NaNStart:
     """A case generator whose x_0 is NaN; the forcing draws are the real ones."""
 
