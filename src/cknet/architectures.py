@@ -19,6 +19,7 @@ in place and must be serialized externally.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -191,6 +192,7 @@ class LayerRecord(NamedTuple):
     state: tuple | None
 
 
+@functools.cache  # read by every ``unroll`` and every layer adjoint
 def _direct_terms(family: str, k: int, dl: float) -> tuple[tuple[float, int, bool], ...]:
     """The family's direct recurrence as (coefficient, lag j, is_forcing) terms, which
     ``unroll``'s direct mode and the layer adjoint both read: x_{l+1} is the sum, in
@@ -246,6 +248,8 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
         raise ShapeError(f"x_0 of shape {x0.shape} does not match layer weights {weights.shape}")
     affine, combine, act = T._affine, T._linear_combination, ACTIVATIONS[activation].value
     weights_t = np.swapaxes(weights, -1, -2)
+    if weights.shape[1:] == (1, 1):
+        biases = biases + 0.0  # once per pass, for ``_affine``'s one-row product
 
     def forcing(layer, x):
         return affine(x, weights_t[layer], biases[layer], act)

@@ -3,7 +3,7 @@ carries a gradient back to the parameters.
 
 ``affine`` and ``linear_combination`` take and return numpy arrays. A
 forcing map act(W x + b) is one ``affine`` call: it takes the activation's
-name and applies it in place on its own matmul output. The activation
+name and applies it in place on its own product. The activation
 formulas live once, in ``ACTIVATIONS``: each entry gives the value and the
 chain factor g·act'(z), read from the output y = act(z), which is all a
 reverse pass keeps of a layer. ``affine`` also takes E maps stacked on a
@@ -13,7 +13,7 @@ single ensemble. Each checks its operands, then runs a private kernel,
 once per pass and runs every layer on the kernels, bitwise the same values.
 
 An op computes its value in its own output buffer: ``affine`` adds the
-bias and applies the activation in place on its matmul output, and
+bias and applies the activation in place on its product, and
 ``linear_combination`` sums into an array it allocated itself. Only
 buffers an op allocated are ever written, so operands are never mutated,
 and each value is bitwise that of the out-of-place expression with the same
@@ -184,15 +184,25 @@ def affine(x, weight, bias, activation: str | None = None) -> np.ndarray:
         raise ShapeError(f"affine weight must be 2-D, or 3-D when stacked, got {weight.shape}")
     if activation is not None and activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
+    if weight.ndim == 2 and weight.shape[1] == 1:
+        bias = bias + 0.0  # see ``_affine``
     return _affine(x, np.swapaxes(weight, -1, -2), bias, None if activation is None else ACTIVATIONS[activation].value)
 
 
 def _affine(x: np.ndarray, weight_t: np.ndarray, bias: np.ndarray, act) -> np.ndarray:
     """``affine`` on checked operands, ``act`` an ``Activation.value`` or ``None``
     and the weight transposed by ``np.swapaxes(w, -1, -2)``, the view ``affine``
-    multiplies by (of one layer, or of a whole stack indexed per layer)."""
+    multiplies by (of one layer, or of a whole stack indexed per layer).
+
+    A 2-D ``weight_t`` with one row (inputs of width 1) is multiplied as the
+    broadcast ``x * weight_t[0]``, not by numpy's unblocked matmul loop, which
+    takes about seven times as long on 4,096 rows. That loop sums 0 + p, and
+    (0 + p) + b is bitwise p + (b + 0.0), NaN payloads included, so the
+    caller passes such a bias as ``bias + 0.0``: that turns a -0.0 into 0.0
+    and changes nothing else. ``np.dot`` would not do: OpenBLAS gives 0 for a
+    NaN input against a zero weight."""
     if weight_t.ndim == 2:
-        y = x @ weight_t
+        y = x * weight_t[0] if weight_t.shape[0] == 1 else x @ weight_t
     else:  # [E, rows, n] @ [E, n, m], an unbatched member being one row
         y, bias = np.matmul(x.reshape(weight_t.shape[0], -1, weight_t.shape[1]), weight_t), bias[:, None, :]
     # numpy adds into a one-element first operand by its reduction loop, which

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 
@@ -68,7 +69,12 @@ def _log_softmax_loss(z: np.ndarray, labels) -> tuple[np.float64, np.ndarray]:
             f"labels must lie in [0, {z.shape[1]}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    shifted = z - z.max(axis=1, keepdims=True)
+    # the row maximum as a fold over the class columns: numpy's per-row max
+    # reduction costs about 40 ns a row. The fold can differ from it only in the
+    # sign of a zero maximum reached by a tie of ±0; such a row has two classes
+    # at exp(0) = 1, so log Σ >= log 2 and every log probability is unchanged
+    top = functools.reduce(np.maximum, z.T)
+    shifted = z - top[:, None]
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return -log_probs[np.arange(z.shape[0]), labels].mean(), log_probs
 

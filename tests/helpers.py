@@ -62,6 +62,14 @@ def gradient_close(analytic, numeric, rtol=1e-5, atol=1e-8) -> bool:
     return np.allclose(analytic, numeric, rtol=rtol, atol=atol)
 
 
+def log_softmax_loss(z, labels):
+    """``training._log_softmax_loss`` on checked operands, with the row maximum
+    taken by numpy's reduction ``z.max(axis=1, keepdims=True)``."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return -log_probs[np.arange(z.shape[0]), labels].mean(), log_probs
+
+
 def expand(matrix, d):
     """A ``BlockMatrix`` at width d as its dense (k*d, k*d) float64 array."""
     return np.kron(np.array(matrix.block, dtype=np.float64), np.eye(d))

@@ -1035,6 +1035,24 @@ class TestForcingEvaluatedOnce:
         assert layer_calls(calls, [f.weight for f in fs]) == [1, 1, 1]
 
 
+class TestWidthOne:
+    """A width-1 ``unroll`` normalizes its biases once per pass for ``_affine``'s
+    one-row product: every layer's forcing is bitwise act(x @ w.T + b)."""
+
+    @pytest.mark.parametrize("family,k", [("c0", 1), ("ck", 2), ("dense", 2)])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    def test_forcing_is_the_matmul_with_negative_zero_biases(self, family, k, mode):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            weights = rng.choice([0.0, -0.0, 1.5, -1.5], size=(6, 1, 1))
+            biases = rng.choice([0.0, -0.0], size=(6, 1))
+            x0 = rng.choice([0.0, -0.0, 0.5], size=(8, 1))
+            trace = Trace.from_layers(unroll(weights, biases, "tanh", x0, family, k, 0.5, mode))
+            for layer, (weight, bias) in enumerate(zip(weights, biases)):
+                expected = np.tanh(trace.activations[layer] @ weight.T + bias)
+                assert trace.forcing[layer].tobytes() == expected.tobytes(), (seed, layer)
+
+
 class TestStackedForcing:
     def test_maps_each_member_of_a_stack(self):
         weights, biases = np.zeros((2, 4, 3, 3)), np.zeros((2, 4, 3))

@@ -290,6 +290,39 @@ class TestOwnBuffers:
             assert got.shape == shape and got.tobytes() == np.asarray(want).tobytes(), seed
 
 
+class TestOneRowProduct:
+    """``affine`` with a one-column weight (inputs of width 1) forms its product
+    as a broadcast, bitwise ``x @ w.T + b``, NaN payloads included."""
+
+    ENTRIES = np.array([0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308])
+
+    @pytest.mark.parametrize("m", [1, 2, 10])
+    @pytest.mark.parametrize("x_shape", [(1,), (7, 1)], ids=["vector", "batch"])
+    def test_bitwise_the_matmul(self, x_shape, m):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            x, w, b = (rng.choice(self.ENTRIES, size=shape) for shape in (x_shape, (m, 1), (m,)))
+            with np.errstate(all="ignore"):
+                want = x @ w.T + b
+                got = affine(x, w, b)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
+
+    @pytest.mark.parametrize("x_shape", [(1,), (3, 1)], ids=["vector", "batch"])
+    def test_negative_zero_bias(self, x_shape):
+        # 0 + (-0·1) is +0 in numpy's matmul loop, so the bias -0.0 adds to +0
+        x, w, b = np.full(x_shape, -0.0), np.ones((2, 1)), np.array([-0.0, 1.5])
+        want = x @ w.T + b
+        assert np.signbit(want[..., 0]).sum() == 0
+        assert affine(x, w, b).tobytes() == want.tobytes()
+
+    def test_nan_input_against_a_zero_weight_stays_nan(self):
+        x, w, b = np.array([[np.nan], [1.0]]), np.zeros((3, 1)), np.zeros(3)
+        with np.errstate(invalid="ignore"):
+            got = affine(x, w, b)
+            assert got.tobytes() == (x @ w.T + b).tobytes()
+        assert np.isnan(got[0]).all() and (got[1] == 0.0).all()
+
+
 class TestKernels:
     """``_affine`` and ``_linear_combination``, the unchecked bodies that
     ``unroll`` and ``BlockMatrix.apply`` run on operands they checked once,

@@ -12,12 +12,13 @@ from cknet.training import (
     EpochMetrics,
     TrainConfig,
     TrainingError,
+    _log_softmax_loss,
     evaluate,
     metrics_to_csv,
     softmax_cross_entropy,
     train,
 )
-from helpers import central_difference, gradient_close
+from helpers import central_difference, gradient_close, log_softmax_loss
 
 
 class TestSoftmaxCrossEntropy:
@@ -81,6 +82,31 @@ class TestSoftmaxCrossEntropy:
             softmax_cross_entropy(logits, labels).backward()
             fd = central_difference(lambda: softmax_cross_entropy(Tensor(z), labels).item(), [z])[0]
             assert gradient_close(logits.grad, fd), seed
+
+
+class TestRowMaximum:
+    """``_log_softmax_loss`` takes each row's maximum as a fold of ``np.maximum``
+    over the class columns. Its loss and log probabilities are bitwise those of
+    numpy's max reduction, which can differ from the fold in the sign of a zero
+    maximum reached by a ±0 tie."""
+
+    # a row's maximum is often a tie of ±0; from 9 classes on, numpy's reduction
+    # gives some of those a sign other than the fold's
+    TIES = np.array([0.0, -0.0, -1.5, -np.inf])
+    SPECIALS = np.array([0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, np.nan])
+
+    @pytest.mark.parametrize("classes", [2, 3, 9, 10])
+    @pytest.mark.parametrize("entries", ["ties", "specials"])
+    def test_bitwise_the_max_reduction(self, classes, entries):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            z = rng.choice(self.TIES if entries == "ties" else self.SPECIALS, size=(64, classes))
+            labels = rng.integers(0, classes, size=64)
+            with np.errstate(all="ignore"):
+                loss, log_probs = _log_softmax_loss(z, labels)
+                want_loss, want_log_probs = log_softmax_loss(z, labels)
+            assert loss.tobytes() == want_loss.tobytes(), seed
+            assert log_probs.tobytes() == want_log_probs.tobytes(), seed
 
 
 class TestAdam:
