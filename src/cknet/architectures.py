@@ -206,7 +206,7 @@ def _direct_terms(family: str, k: int, dl: float) -> tuple[tuple[float, int, boo
     return ((1, k - 1, False), *((dl, j, True) for j in reversed(range(k))))
 
 
-def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float, mode: str, matrices=None):
+def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float, mode: str, forcing_matrix=None):
     """Step ``x0`` through the layers of a block stack; yield a ``LayerRecord`` per layer.
 
     Layer l's forcing map is ``affine(x, weights[l], biases[l], activation)``:
@@ -224,11 +224,14 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
     ``q`` are a tuple q_1..q_k, q_1 = x_0 and the rest zero at the input, and
     a layer runs its family's first-order step: c0 is q' = (f,); ck, whose
     transition is the upper all-ones matrix, is the suffix sum q_k' = q_k +
-    dl^k·f, then q_n' = q_n + q_{n+1}' for n = k-1..1; dense is ``q' = A·q +
-    B·u`` over ``build_dense_matrices``, or over ``matrices`` when given (the
-    verification battery passes a corrupted pair to check that it is
-    caught), with u the window dl·f_l, ..., dl·f_{l-k+1} of the layers' own
-    outputs, ``None`` before the input.
+    dl^k·f, then q_n' = q_n + q_{n+1}' for n = k-1..1; dense is ``q' = q +
+    B·u``, its transition A the identity, with u the window dl·f_l, ...,
+    dl·f_{l-k+1} of the layers' own outputs, ``None`` before the input: each
+    q_n' is one ``linear_combination`` of q_n, then c·u_j over row n's
+    nonzero entries c of B, read once per pass. B is ``build_dense_matrices``'
+    forcing matrix, or ``forcing_matrix`` when given (the verification
+    battery passes a corrupted one to check that it is caught); its order
+    is checked against k when the loop starts.
     """
     if mode not in ("direct", "state"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -236,8 +239,10 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
         raise ValueError(f"unknown family {family!r}")
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
-    if matrices is not None and (family, mode) != ("dense", "state"):
-        raise ValueError(f"matrices replace the dense state step's pair; {family} {mode} takes none")
+    if forcing_matrix is not None and (family, mode) != ("dense", "state"):
+        raise ValueError(f"a forcing matrix replaces the dense state step's B; {family} {mode} takes none")
+    if forcing_matrix is not None and forcing_matrix.k != k:
+        raise ShapeError(f"forcing matrix of order {forcing_matrix.k} does not match k={k}")
     weights, biases, x0 = T._as_array(weights), T._as_array(biases), T._as_array(x0)
     if weights.ndim not in (3, 4) or weights.shape[-2] != weights.shape[-1]:
         raise ShapeError(f"layer weights must be [L, d, d], or [L, E, d, d] when stacked, got {weights.shape}")
@@ -261,8 +266,9 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
         lags, forced = (x0,) * window, (None,) * window
     else:
         scale, q = dl**k, (x0,) + (np.zeros(x0.shape),) * (k - 1)
-        if family == "dense":
-            transition, coupling = matrices or build_dense_matrices(k)
+        if family == "dense":  # (column j, coefficient c) of each row's nonzero entries of B
+            rows = [[(j, c) for j, c in enumerate(row) if c]
+                    for row in (forcing_matrix or build_dense_matrices(k)[1]).block]
             outputs = (None,) * k
     yield LayerRecord(x0, None, q if state else None)
     del x0  # the lag window or state holds it as long as a layer needs it
@@ -280,7 +286,8 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
             q = tuple(reversed(suffix))
         elif family == "dense":
             outputs = (force * dl,) + outputs[:-1]
-            q = tuple(transition.apply(q, coupling, outputs))
+            q = tuple(combine([(1, part), *((c, outputs[j]) for j, c in row if outputs[j] is not None)])
+                      for part, row in zip(q, rows))
         else:  # c0 keeps no memory
             q = (force,)
         yield LayerRecord(lags[0] if direct else q[0], force, q if state else None)

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
-from .tensor import ShapeError, _as_array, _linear_combination
+from .tensor import ShapeError
 
 __all__ = [
     "MAX_BINOMIAL_N",
@@ -127,9 +127,10 @@ def binomial_invert(states):
 class BlockMatrix:
     """A k-by-k grid of integer multiples of the identity, of any width.
 
-    The grid of integers *is* the object of interest; ``apply`` performs
-    the block-structured action on a list of k equal-shape arrays without
-    ever materializing the dense (k*d, k*d) matrix.
+    The grid of integers *is* the object of interest: it is never expanded
+    to the dense (k*d, k*d) matrix. ``unroll``'s dense state step reads the
+    nonzero entries of a forcing matrix's rows, and the verification
+    battery checks each matrix's exact determinant.
     """
 
     k: int
@@ -140,33 +141,6 @@ class BlockMatrix:
             raise ValueError(f"BlockMatrix requires k >= 1, got k={self.k}")
         if len(self.block) != self.k or any(len(row) != self.k for row in self.block):
             raise ShapeError(f"block grid must be {self.k}x{self.k}")
-
-    def apply(self, parts, input_matrix=None, inputs=(), scale=1):
-        """Rows of ``self·parts + scale·input_matrix·inputs`` on equal-shape arrays.
-
-        Each row is one ``linear_combination`` over the parts, then the
-        inputs, summed left to right. A zero coefficient or a ``None`` input
-        adds no term, so a row with a single unit term is that array itself.
-        """
-        if len(parts) != self.k:
-            raise ShapeError(f"expected {self.k} parts, got {len(parts)}")
-        if input_matrix is not None and not len(inputs) == input_matrix.k == self.k:
-            raise ShapeError(f"expected a {self.k}-block input matrix and {self.k} inputs")
-        parts = [_as_array(p) for p in parts]
-        inputs = [None if u is None else _as_array(u) for u in inputs] if input_matrix is not None else []
-        _check_same_shape(parts + [u for u in inputs if u is not None], "BlockMatrix.apply")
-        input_rows = input_matrix._nonzero if input_matrix is not None else ((),) * self.k
-        out = []
-        for row, input_row in zip(self._nonzero, input_rows):
-            terms = [(c, parts[j]) for j, c in row]
-            terms += [(scale * c, inputs[j]) for j, c in input_row if inputs[j] is not None]
-            out.append(_linear_combination(terms or [(0, parts[0])]))
-        return out
-
-    @cached_property
-    def _nonzero(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """(column, coefficient) of each row's nonzero entries."""
-        return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in self.block)
 
     def determinant(self) -> int:
         """Exact integer determinant of the k-by-k coefficient grid.

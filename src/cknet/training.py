@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,11 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:

@@ -16,6 +16,7 @@ independently, against the per-case reference in ``tests/helpers.py``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,9 +125,10 @@ def _case_rng(base_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([base_seed, *key]))
 
 
-def _check_group(k: int, d: int, depth: int, seeds, dense_forcing_matrix) -> list[list[tuple[str, float, str]]]:
+def _check_group(k: int, d: int, depth: int, seeds, forcing_matrix) -> list[list[tuple[str, float, str]]]:
     """The (check, deviation, detail) outcomes of each case (k, d, depth, i)
-    for i in ``seeds``, which share an activation and dl, from one ensemble."""
+    for i in ``seeds``, which share an activation and dl, from one ensemble.
+    ``forcing_matrix`` replaces the dense state step's B unless it is ``None``."""
     activation = _ACTIVATION_CYCLE[seeds[0] % len(_ACTIVATION_CYCLE)]
     dl = _DL_CYCLE[seeds[0] % len(_DL_CYCLE)]
     # member e draws from its case's generator in the per-case order: every
@@ -143,14 +145,11 @@ def _check_group(k: int, d: int, depth: int, seeds, dense_forcing_matrix) -> lis
         weights[:, e] = (-bound + (bound - -bound) * u[:, : d * d]).reshape(depth, d, d)
         biases[:, e] = -0.5 + (0.5 - -0.5) * u[:, d * d :]
         x0[e] = rng.standard_normal(d)
-    matrices = None
-    if dense_forcing_matrix:
-        matrices = (build_dense_matrices(k)[0], dense_forcing_matrix(k))
     stack = (weights, biases, activation, x0)
     xs = Trace.from_layers(unroll(*stack, "ck", k, dl, "direct")).activations
     ck_state = Trace.from_layers(unroll(*stack, "ck", k, dl, "state"))
     dense = Trace.from_layers(unroll(*stack, "dense", k, dl, "direct"))
-    dense_state = Trace.from_layers(unroll(*stack, "dense", k, dl, "state", matrices))
+    dense_state = Trace.from_layers(unroll(*stack, "dense", k, dl, "state", forcing_matrix))
     rows = [  # (check, deviation of each member, detail suffix)
         ("ck equivalence", _max_gap(xs, ck_state.activations), ""),
         ("ck state extraction", _extraction_deviation(xs, ck_state.states, k), ""),
@@ -219,26 +218,38 @@ def run_battery(
     ``dense_forcing_matrix`` is a fault-injection hook: when given a
     callable k -> BlockMatrix, the dense state evaluation uses that
     forcing matrix instead of the correct one, which a healthy battery must
-    flag. It is called once per ensemble.
+    flag. It is called once per order.
 
     The (k, d, depth, seed) cases are independent. At each (k, d, depth)
     the seeds with the same ``i mod 6`` (one activation, one dl) run as one
     stacked ensemble; the outcomes are absorbed in grid order, so every
     result, ``detail`` included, is the same as checking case by case.
-    Orders run from 1 to ``MAX_BINOMIAL_N``.
+    Orders, widths, depths and seeds are integers >= 1, orders at most
+    ``MAX_BINOMIAL_N``, and the tolerance is finite and >= 0; the grid is
+    checked before any case runs.
     """
-    if not orders or not widths or not depths or seeds < 1:
-        raise ValueError("verification grid must be non-empty")
-    if not all(1 <= k <= MAX_BINOMIAL_N for k in orders):
-        raise ValueError(f"orders must be in [1, {MAX_BINOMIAL_N}], got {list(orders)}")
+    for name, values in (("orders", orders), ("widths", widths), ("depths", depths), ("seeds", [seeds])):
+        if not len(values):
+            raise ValueError("verification grid must be non-empty")
+        for value in values:
+            try:
+                operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be integers, got {value!r}") from None
+        high = MAX_BINOMIAL_N if name == "orders" else math.inf
+        if not all(1 <= value <= high for value in values):
+            raise ValueError(f"{name} must be in [1, {high}], got {list(values)}")
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     checks = _new_checks(tolerance)
     for k in orders:
+        forcing_matrix = dense_forcing_matrix(k) if dense_forcing_matrix else None
         for d in widths:
             for depth in depths:
                 cases = [None] * seeds
                 for first in range(min(_GROUP_STRIDE, seeds)):
                     group = range(first, seeds, _GROUP_STRIDE)
-                    for i, outcomes in zip(group, _check_group(k, d, depth, group, dense_forcing_matrix)):
+                    for i, outcomes in zip(group, _check_group(k, d, depth, group, forcing_matrix)):
                         cases[i] = outcomes
                 for outcomes in cases:
                     for name, deviation, detail in outcomes:

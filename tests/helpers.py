@@ -297,26 +297,44 @@ def dense_state_step(f, q, outputs, dl):
     return StateVector(parts), window
 
 
-# The state steps as the whole product ``q' = A·q + s·B·u`` by
-# ``BlockMatrix.apply``, dense mapping each layer on its lag recovered as
-# ``B·q``: the references ``unroll``'s per-family state steps are checked
+# The state steps as the whole product ``q' = A·q + s·B·u`` by the general
+# block action ``block_apply``, dense mapping each layer on its lag recovered
+# as ``B·q``: the references ``unroll``'s per-family state steps are checked
 # against.
+
+
+def block_apply(matrix, parts, input_matrix=None, inputs=(), scale=1):
+    """Rows of ``matrix·parts + scale·input_matrix·inputs`` on equal-shape arrays.
+
+    Each row is one ``linear_combination`` over the parts, then the inputs,
+    summed left to right. A zero coefficient or a ``None`` input adds no
+    term, so a row with a single unit term is that array itself.
+    """
+    if len(parts) != matrix.k or (input_matrix is not None and not len(inputs) == input_matrix.k == matrix.k):
+        raise tensor.ShapeError(f"expected {matrix.k} parts, and as many inputs for an input matrix")
+    input_rows = input_matrix.block if input_matrix is not None else [()] * matrix.k
+    out = []
+    for row, input_row in zip(matrix.block, input_rows):
+        terms = [(c, part) for c, part in zip(row, parts) if c]
+        terms += [(scale * c, u) for c, u in zip(input_row, inputs) if c and u is not None]
+        out.append(linear_combination(terms or [(0, parts[0])]))
+    return out
 
 
 def ck_matrix_step(f, q, k, dl):
     """``q' = A·q + dl^k·B·u`` over ``build_ck_matrices``, u_j = f(q_1)."""
     transition, coupling = build_ck_matrices(k)
     force = f(q.parts[0])
-    return StateVector(transition.apply(q.parts, coupling, [force] * k, dl**k))
+    return StateVector(block_apply(transition, q.parts, coupling, [force] * k, dl**k))
 
 
 def dense_matrix_step(fs, q, k, dl):
     """``q' = A·q + B·u`` over ``build_dense_matrices``, u_j = f_j(lag_j)·dl on
     the lags ``B·q``; a ``None`` forcing (a pre-input layer) adds nothing."""
     transition, coupling = build_dense_matrices(k)
-    lags = coupling.apply(q.parts)
+    lags = block_apply(coupling, q.parts)
     inputs = [None if f is None else f(lag) * dl for f, lag in zip(fs, lags)]
-    return StateVector(transition.apply(q.parts, coupling, inputs))
+    return StateVector(block_apply(transition, q.parts, coupling, inputs))
 
 
 def matrix_states(fs, x0, family, k, dl):
@@ -390,8 +408,8 @@ def check_case(key, dense_forcing_matrix):
     fs = [random_forcing(d, activation, rng) for _ in range(depth)]
     x0 = rng.standard_normal(d)
 
-    def trace(family, mode, matrices=None):
-        return Trace.from_layers(unroll(*stacked(fs), x0, family, k, dl, mode, matrices))
+    def trace(family, mode, forcing_matrix=None):
+        return Trace.from_layers(unroll(*stacked(fs), x0, family, k, dl, mode, forcing_matrix))
 
     def gap(xs, ys):
         return float(np.max(np.abs(xs - ys)))
@@ -403,11 +421,8 @@ def check_case(key, dense_forcing_matrix):
         ("ck equivalence", gap(xs_direct, xs_state), case),
         ("ck state extraction", case_extraction_deviation(xs_direct, ck_state.states, k), case),
     ]
-    matrices = None
-    if dense_forcing_matrix:
-        matrices = (build_dense_matrices(k)[0], dense_forcing_matrix(k))
     dense_direct = trace("dense", "direct")
-    dense_state = trace("dense", "state", matrices)
+    dense_state = trace("dense", "state", dense_forcing_matrix(k) if dense_forcing_matrix else None)
     xs_dd, forcing_values = dense_direct.activations, dense_direct.forcing
     xs_ds = dense_state.activations
     outcomes += [

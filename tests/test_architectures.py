@@ -618,8 +618,8 @@ class TestRecordedTrace:
 
 
 class TestStateStepAccuracy:
-    """``unroll``'s per-family state steps against the ``BlockMatrix.apply``
-    step and, for ck, against an exact recurrence."""
+    """``unroll``'s per-family state steps against the general block action
+    ``helpers.block_apply`` and, for ck, against an exact recurrence."""
 
     @pytest.mark.parametrize("family", ["ck", "dense"])
     @pytest.mark.parametrize("k", range(1, 9))
@@ -1098,12 +1098,20 @@ class TestStackedForcing:
             next(layers)  # before the record of x_0
 
     @pytest.mark.parametrize("family,mode", [("ck", "state"), ("c0", "state"), ("dense", "direct")])
-    def test_unroll_takes_matrices_for_the_dense_state_step_only(self, family, mode):
+    def test_unroll_takes_a_forcing_matrix_for_the_dense_state_step_only(self, family, mode):
         from cknet.dynamics import build_dense_matrices
 
-        with pytest.raises(ValueError, match="matrices replace the dense state step's pair"):
+        with pytest.raises(ValueError, match="a forcing matrix replaces the dense state step's B"):
             next(unroll(*stacked([random_forcing(2, seed=1)]), np.ones(2), family, 1, 1.0, mode,
-                        build_dense_matrices(1)))
+                        forcing_matrix=build_dense_matrices(1)[1]))
+
+    def test_unroll_checks_the_forcing_matrix_order_before_any_record(self):
+        from cknet.dynamics import build_dense_matrices
+
+        layers = unroll(*stacked([random_forcing(2, seed=1)]), np.ones(2), "dense", 3, 1.0, "state",
+                        forcing_matrix=build_dense_matrices(2)[1])
+        with pytest.raises(ShapeError, match="forcing matrix of order 2 does not match k=3"):
+            next(layers)  # before the record of x_0
 
     def test_unroll_rejects_an_unknown_activation(self):
         with pytest.raises(ValueError, match="relu6"):

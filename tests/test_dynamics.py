@@ -15,7 +15,7 @@ from cknet.dynamics import (
     mixed_diff_coefficients,
 )
 from cknet.tensor import ShapeError
-from helpers import expand, pascal_triangle_row
+from helpers import block_apply, expand, pascal_triangle_row
 
 
 class TestBinomial:
@@ -231,7 +231,7 @@ class TestBlockMatrices:
         for k, d in [(1, 3), (3, 2), (5, 4)]:
             matrix = build_ck_matrices(k)[0]
             parts = [rng.standard_normal(d) for _ in range(k)]
-            via_apply = np.concatenate(matrix.apply(parts))
+            via_apply = np.concatenate(block_apply(matrix, parts))
             via_dense = expand(matrix, d) @ np.concatenate(parts)
             assert np.allclose(via_apply, via_dense, rtol=0, atol=1e-12)
 
@@ -241,12 +241,12 @@ class TestBlockMatrices:
         transition, forcing = build_dense_matrices(k)
         parts = [rng.standard_normal(d) for _ in range(k)]
         inputs = [rng.standard_normal(d) for _ in range(k - 1)] + [None]
-        out = transition.apply(parts, forcing, inputs, scale)
+        out = block_apply(transition, parts, forcing, inputs, scale)
         pushed = np.concatenate(inputs[:-1] + [np.zeros(d)])
         expected = expand(transition, d) @ np.concatenate(parts) + scale * (expand(forcing, d) @ pushed)
         assert np.allclose(np.concatenate(out), expected, rtol=0, atol=1e-12)
         # a row with one unit term is that part itself, not a new array
-        assert forcing.apply(parts)[0] is parts[0]
+        assert block_apply(forcing, parts)[0] is parts[0]
 
     def test_determinant_matches_numpy_oracle(self):
         rng = np.random.default_rng(8)

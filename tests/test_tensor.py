@@ -325,8 +325,8 @@ class TestOneRowProduct:
 
 class TestKernels:
     """``_affine`` and ``_linear_combination``, the unchecked bodies that
-    ``unroll`` and ``BlockMatrix.apply`` run on operands they checked once,
-    give the bits of the public ``affine`` and ``linear_combination``."""
+    ``unroll`` runs on operands it checked once per pass, give the bits of
+    the public ``affine`` and ``linear_combination``."""
 
     def test_one_element_nan_payloads(self):
         # a -NaN matmul plus a NaN bias: the sum must keep the matmul's NaN

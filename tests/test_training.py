@@ -354,6 +354,11 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(epochs=1, learning_rate=learning_rate)
 
+    @pytest.mark.parametrize("name,value", [("epochs", 2.5), ("batch_size", 16.0), ("seed", 1.5), ("seed", "3")])
+    def test_non_integer_count_or_seed_is_a_type_error(self, name, value):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            TrainConfig(**{"epochs": 1, name: value})
+
 
 class TestQuietDivergence:
     """A diverging run raises ``TrainingError`` and no numpy warning gets out."""

@@ -19,9 +19,9 @@ from helpers import extraction_gap, random_forcing, reference_battery, stacked
 MEMBERS = 3
 
 
-def trace(layers, x0, family, k, dl, mode, matrices=None):
+def trace(layers, x0, family, k, dl, mode, forcing_matrix=None):
     """The trace of ``unroll`` over ``layers``, the (weights, biases, activation) of a stack."""
-    return Trace.from_layers(unroll(*layers, x0, family, k, dl, mode, matrices))
+    return Trace.from_layers(unroll(*layers, x0, family, k, dl, mode, forcing_matrix))
 
 
 def case(k, d, batch, seed):
@@ -64,16 +64,15 @@ def test_stacked_unroll_is_bitwise_each_member(family, k, mode, batch):
 @pytest.mark.parametrize("faulty", [False, True])
 def test_extraction_deviation_is_bitwise_the_loop(k, d, batch, faulty):
     cases, fs, x0 = ensemble(k, d, batch, seed=k + d)
-    matrices = (build_dense_matrices(k)[0], sign_flipped_dense_forcing(k)) if faulty else None
     for family, dl in (("ck", 0.5), ("dense", 1.0)):
-        dense_matrices = matrices if family == "dense" else None
+        forcing_matrix = sign_flipped_dense_forcing(k) if faulty and family == "dense" else None
         xs = trace(fs, x0, family, k, dl, "direct").activations
-        states = trace(fs, x0, family, k, dl, "state", dense_matrices).states
+        states = trace(fs, x0, family, k, dl, "state", forcing_matrix).states
         vectorised = _extraction_deviation(xs, states, k)
         assert vectorised.shape == (MEMBERS,)
         for e, (member_fs, member_x0) in enumerate(cases):
             xs_e = trace(member_fs, member_x0, family, k, dl, "direct").activations
-            states_e = trace(member_fs, member_x0, family, k, dl, "state", dense_matrices).states
+            states_e = trace(member_fs, member_x0, family, k, dl, "state", forcing_matrix).states
             loop = extraction_gap(list(xs_e), [list(parts) for parts in states_e], k)
             assert vectorised[e].hex() == loop.hex()
             if faulty and family == "dense":
@@ -208,4 +207,44 @@ def test_an_order_above_the_binomial_cap_is_refused_before_any_case_runs():
 
     with pytest.raises(ValueError, match=r"orders must be in \[1, 64\], got \[1, 65\]"):
         run_battery(orders=(1, 65), widths=(1,), depths=(3,), seeds=1, dense_forcing_matrix=hook)
+    assert calls == []
+
+
+def test_the_fault_hook_is_asked_once_per_order():
+    calls = []
+
+    def hook(k):
+        calls.append(k)
+        return sign_flipped_dense_forcing(k)
+
+    run_battery(orders=(2, 1, 3), widths=(1, 2), depths=(3, 4), seeds=8, dense_forcing_matrix=hook)
+    assert calls == [2, 1, 3]
+
+
+BAD_GRIDS = {
+    "zero-width": ({"widths": (0,)}, ValueError, r"^widths must be in \[1, inf\], got \[0\]"),
+    "zero-depth": ({"depths": (3, 0)}, ValueError, r"^depths must be in \[1, inf\]"),
+    "zero-seeds": ({"seeds": 0}, ValueError, r"^seeds must be in \[1, inf\], got \[0\]"),
+    "zero-order": ({"orders": (0,)}, ValueError, r"^orders must be in \[1, 64\], got \[0\]"),
+    "empty-widths": ({"widths": ()}, ValueError, r"^verification grid must be non-empty"),
+    "float-width": ({"widths": (1.5,)}, TypeError, r"^widths must be integers, got 1.5"),
+    "float-seeds": ({"seeds": 2.5}, TypeError, r"^seeds must be integers, got 2.5"),
+    "float-order": ({"orders": (1.5,)}, TypeError, r"^orders must be integers, got 1.5"),
+    "integral-float-depth": ({"depths": (3.0,)}, TypeError, r"^depths must be integers, got 3.0"),
+    "nan-tolerance": ({"tolerance": float("nan")}, ValueError, r"^tolerance must be a finite number >= 0, got nan"),
+    "inf-tolerance": ({"tolerance": float("inf")}, ValueError, r"^tolerance must be a finite number >= 0"),
+    "negative-tolerance": ({"tolerance": -1e-9}, ValueError, r"^tolerance must be a finite number >= 0"),
+}
+
+
+@pytest.mark.parametrize("grid,error,message", BAD_GRIDS.values(), ids=BAD_GRIDS.keys())
+def test_a_bad_grid_is_refused_before_any_case_runs(grid, error, message):
+    calls = []
+
+    def hook(k):
+        calls.append(k)
+        return build_dense_matrices(k)[1]
+
+    with pytest.raises(error, match=message):
+        run_battery(**{"orders": (1,), "widths": (1,), "depths": (3,), "seeds": 1, **grid}, dense_forcing_matrix=hook)
     assert calls == []
