@@ -20,7 +20,6 @@ from .dynamics import (
     binomial_invert,
     build_ck_matrices,
     build_dense_matrices,
-    mixed_diff_coefficients,
 )
 from .tensor import GraphError, Parameter, ShapeError, Tensor
 from .training import Adam, TrainConfig, TrainingError, softmax_cross_entropy, train

@@ -33,7 +33,6 @@ from .dynamics import (
     MAX_BINOMIAL_N,
     alternating_binomial_row,
     build_dense_matrices,
-    mixed_diff_coefficients,
 )
 from .tensor import ACTIVATIONS, Parameter, ShapeError, Tensor
 
@@ -90,7 +89,7 @@ class NetworkConfig:
     def __post_init__(self):
         if self.family not in ("c0", "ck", "dense"):
             raise ValueError(f"unknown family {self.family!r}")
-        for name in ("k", "depth", "width", "input_dim", "num_classes"):
+        for name in ("k", "depth", "width", "input_dim", "num_classes", "seed"):
             try:
                 operator.index(getattr(self, name))
             except TypeError:
@@ -101,6 +100,8 @@ class NetworkConfig:
             raise ValueError(f"order k must be >= 1, got {self.k}")
         if self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if min(self.width, self.input_dim) < 1 or self.num_classes < 2:
             raise ValueError("width and input_dim must be >= 1, num_classes >= 2")
         if not self.dl > 0:
@@ -146,7 +147,7 @@ def dense_difference_identity_residual(trajectory, forcing_values, n: int, dl: f
         raise ShapeError("need one forcing value per transition")
     xs, fs = np.asarray(trajectory), np.asarray(forcing_values)
     # term j of layer l = n..last reads x_{l+1-j} and f_{l-j}
-    lhs = sum(c * xs[n + 1 - j : last + 2 - j] for j, c in enumerate(mixed_diff_coefficients(n + 1)))
+    lhs = sum(c * xs[n + 1 - j : last + 2 - j] for j, c in enumerate(alternating_binomial_row(n + 1)))
     rhs = sum(c * fs[n - j : last + 1 - j] for j, c in enumerate(alternating_binomial_row(n))) * dl
     return np.abs(lhs - rhs)
 
@@ -201,7 +202,7 @@ def _direct_terms(family: str, k: int, dl: float) -> tuple[tuple[float, int, boo
     if family == "c0":  # x_{l+1} = f_l
         return ((1, 0, True),)
     if family == "ck":  # x_{l+1} = dl^k·f_l - Σ_j c_{j+1}·x_{l-j}, c the mixed difference stencil
-        return ((dl**k, 0, True), *((-c, j, False) for j, c in enumerate(mixed_diff_coefficients(k)[1:])))
+        return ((dl**k, 0, True), *((-c, j, False) for j, c in enumerate(alternating_binomial_row(k)[1:])))
     # dense: x_{l+1} = x_{l-k+1} + dl·(f_{l-k+1} + ... + f_l), oldest output first
     return ((1, k - 1, False), *((dl, j, True) for j in reversed(range(k))))
 
@@ -214,7 +215,7 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
     [L, E, d] for E maps stacked on a member axis (see ``affine``). The
     activation, the stack and x_0 (against its width and member axis) are
     checked when the loop starts, before any record; the layers then run on
-    the kernels of ``affine`` and ``linear_combination``, looked up then. The
+    the kernels ``_affine`` and ``_linear_combination``, looked up then. The
     first record is the input x_0, then one per layer. Every layer evaluates
     its own forcing map once, on x_l (direct) or q_1 (state), and never
     another layer's. In direct mode every family sums its ``_direct_terms``
@@ -227,7 +228,7 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
     dl^k·f, then q_n' = q_n + q_{n+1}' for n = k-1..1; dense is ``q' = q +
     B·u``, its transition A the identity, with u the window dl·f_l, ...,
     dl·f_{l-k+1} of the layers' own outputs, ``None`` before the input: each
-    q_n' is one ``linear_combination`` of q_n, then c·u_j over row n's
+    q_n' is one ``_linear_combination`` of q_n, then c·u_j over row n's
     nonzero entries c of B, read once per pass. B is ``build_dense_matrices``'
     forcing matrix, or ``forcing_matrix`` when given (the verification
     battery passes a corrupted one to check that it is caught); its order
@@ -322,26 +323,19 @@ class Trace:
         )
 
 
-def _parameter_shapes(config: NetworkConfig) -> dict[str, tuple]:
-    """The name and shape of each parameter of ``Network(config)``, in order, allocating nothing."""
-    d, c, depth = config.width, config.num_classes, config.depth
-    return {
-        "embed.weight": (d, config.input_dim), "embed.bias": (d,),
-        "blocks.weight": (depth, d, d), "blocks.bias": (depth, d),
-        "head.weight": (c, d), "head.bias": (c,),
-    }
-
-
 class Network:
     """Input embedding, a stack of dynamical blocks, and an affine readout."""
 
     def __init__(self, config: NetworkConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
+        d, c, depth = config.width, config.num_classes, config.depth
         # the weights are drawn in parameter order: embedding, blocks, head
         self.embed_weight, self.embed_bias, self.block_weight, self.block_bias, self.head_weight, self.head_bias = (
             Parameter(_init_weight(rng, shape) if name.endswith(".weight") else np.zeros(shape), name)
-            for name, shape in _parameter_shapes(config).items()
+            for name, shape in (("embed.weight", (d, config.input_dim)), ("embed.bias", (d,)),
+                                ("blocks.weight", (depth, d, d)), ("blocks.bias", (depth, d)),
+                                ("head.weight", (c, d)), ("head.bias", (c,)))
         )
 
     def parameters(self) -> list[Parameter]:

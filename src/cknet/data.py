@@ -20,7 +20,6 @@ __all__ = [
     "Dataset",
     "IdxFormatError",
     "generate_toy_1d",
-    "best_threshold_accuracy",
     "load_idx_images",
     "load_idx_labels",
     "load_mnist_idx",
@@ -97,30 +96,6 @@ def generate_toy_1d(n_per_segment: int, seed: int = 0) -> Dataset:
     inputs = np.concatenate([left, middle, right])[:, None]
     labels = np.concatenate([np.zeros(n), np.ones(2 * n), np.zeros(n)]).astype(np.int64)
     return Dataset(inputs, labels, num_classes=2)
-
-
-def best_threshold_accuracy(values: np.ndarray, labels: np.ndarray) -> float:
-    """Best accuracy of any single-threshold classifier on scalar values.
-
-    Sweeps every cut position between sorted points, in both orientations
-    (class 1 above or below the cut).
-    """
-    values = np.asarray(values).reshape(-1)
-    labels = np.asarray(labels).reshape(-1)
-    if values.shape != labels.shape:
-        raise ValueError("values and labels must have equal length")
-    order = np.argsort(values, kind="stable")
-    sorted_labels = labels[order]
-    n = len(values)
-    # ones_below[i] = number of class-1 points among the first i sorted values
-    ones_below = np.concatenate([[0], np.cumsum(sorted_labels == 1)])
-    zeros_below = np.arange(n + 1) - ones_below
-    total_ones = ones_below[-1]
-    # predict 1 above the cut: correct = zeros below + ones above
-    above = zeros_below + (total_ones - ones_below)
-    # predict 1 below the cut
-    below = ones_below + ((n - total_ones) - zeros_below)
-    return float(max(above.max(), below.max())) / n
 
 
 # -- IDX format ------------------------------------------------------------------

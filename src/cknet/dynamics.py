@@ -23,7 +23,6 @@ __all__ = [
     "binomial",
     "alternating_binomial_row",
     "alternating_binomial_sum",
-    "mixed_diff_coefficients",
     "backward_diff_power",
     "binomial_invert",
     "BlockMatrix",
@@ -55,17 +54,6 @@ def alternating_binomial_sum(n: int) -> int:
     if n < 1:
         raise ValueError(f"alternating_binomial_sum requires n >= 1, got {n}")
     return sum(alternating_binomial_row(n))
-
-
-def mixed_diff_coefficients(k: int) -> list[int]:
-    """Stencil of one forward then k-1 backward differences.
-
-    Returns the coefficients c[j] such that applying the composite operator
-    to a sequence at position l equals sum_j c[j] * x[l + 1 - j], j = 0..k.
-    """
-    if k < 1:
-        raise ValueError(f"mixed_diff_coefficients requires k >= 1, got {k}")
-    return alternating_binomial_row(k)
 
 
 def _check_same_shape(entries, what: str) -> None:
@@ -192,8 +180,5 @@ def build_dense_matrices(k: int) -> tuple[BlockMatrix, BlockMatrix]:
     never introduce degeneracies.
     """
     identity = tuple(tuple(1 if j == i else 0 for j in range(k)) for i in range(k))
-    forcing = tuple(
-        tuple((-1) ** j * binomial(i, j) if j <= i else 0 for j in range(k))
-        for i in range(k)
-    )
+    forcing = tuple(tuple(alternating_binomial_row(i)) + (0,) * (k - 1 - i) for i in range(k))
     return BlockMatrix(k, identity), BlockMatrix(k, forcing)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -146,6 +147,19 @@ def fit_computational_distance(pairs) -> RegressionFit:
     return RegressionFit(slope, intercept, r_squared, 1.0 / slope)
 
 
+# -- training one network -----------------------------------------------------
+
+
+def _train_network(dataset: Dataset, family: str, k: int, depth: int, width: int, dl: float,
+                   epochs: int, batch_size: int, learning_rate: float, seed: int):
+    """A tanh network of the dataset's input and class counts, built and trained
+    from one seed: every experiment's run. Returns it and its per-epoch metrics."""
+    network = Network(
+        NetworkConfig(family, k, depth, width, dataset.input_dim, dataset.num_classes, dl, "tanh", seed)
+    )
+    return network, train(network, dataset, TrainConfig(epochs, batch_size, learning_rate, seed=seed))
+
+
 # -- 1-D separability ----------------------------------------------------------
 
 
@@ -176,22 +190,6 @@ class ToyResult:
     best_accuracy: float
     dump: TrajectoryDump
     best_metrics: list  # per-epoch metrics of the best run
-
-
-def _toy_network(k: int, depth: int, dl: float, seed: int) -> Network:
-    return Network(
-        NetworkConfig(
-            family="ck",
-            k=k,
-            depth=depth,
-            width=1,
-            input_dim=1,
-            num_classes=2,
-            dl=dl,
-            activation="tanh",
-            seed=seed,
-        )
-    )
 
 
 def _phase_dump(network: Network, dataset: Dataset) -> TrajectoryDump:
@@ -229,14 +227,7 @@ def run_toy_experiment(
     best = None
     for seed in seeds:
         dataset = generate_toy_1d(40, seed=seed)
-        network = _toy_network(k, depth, dl, seed)
-        config = TrainConfig(
-            epochs=epochs,
-            batch_size=len(dataset),
-            learning_rate=learning_rate,
-            seed=seed,
-        )
-        metrics = train(network, dataset, config)
+        network, metrics = _train_network(dataset, "ck", k, depth, 1, dl, epochs, len(dataset), learning_rate, seed)
         _, acc = evaluate(network, dataset.inputs, dataset.labels)
         accuracies[seed] = acc
         if best is None or acc > best[1]:
@@ -259,25 +250,6 @@ class SweepResult:
     seed: int
 
 
-def _train_residual(dataset: Dataset, depth: int, width: int, dl: float, epochs: int,
-                    batch_size: int, learning_rate: float, seed: int) -> Network:
-    network = Network(
-        NetworkConfig(
-            family="ck",
-            k=1,
-            depth=depth,
-            width=width,
-            input_dim=dataset.input_dim,
-            num_classes=dataset.num_classes,
-            dl=dl,
-            activation="tanh",
-            seed=seed,
-        )
-    )
-    train(network, dataset, TrainConfig(epochs, batch_size, learning_rate, seed=seed))
-    return network
-
-
 def run_depth_sweep(
     depths,
     dataset: Dataset,
@@ -293,9 +265,9 @@ def run_depth_sweep(
 
     Each depth is trained ``repetitions`` times from independent derived
     seeds; the reported ratio is the mean across runs, each probed on the
-    first 1024 samples.
+    first 1024 samples. A depth that is not an integer is a ``TypeError``.
     """
-    depths = sorted(set(int(L) for L in depths))
+    depths = sorted(set(operator.index(L) for L in depths))
     if len(depths) < 3:
         raise ValueError(f"depth sweep needs at least 3 distinct depths, got {depths}")
     if repetitions < 1:
@@ -306,8 +278,8 @@ def run_depth_sweep(
     for depth in depths:
         for rep in range(repetitions):
             point_seed = int(np.random.SeedSequence([seed, depth, rep]).generate_state(1)[0])
-            network = _train_residual(
-                dataset, depth, width, dl, epochs, batch_size, learning_rate, point_seed
+            network, _ = _train_network(
+                dataset, "ck", 1, depth, width, dl, epochs, batch_size, learning_rate, point_seed
             )
             rhos[depth].append(mean_perturbation(measure_perturbation(network, probe)))
     points = [(depth, float(np.mean(rhos[depth]))) for depth in depths]
@@ -338,8 +310,9 @@ def compare_orders(
     learning_rate: float = 1e-3,
     seed: int = 0,
 ) -> list[CompareRow]:
-    """Train every requested architecture under one shared configuration."""
-    entries = [("ck", int(k)) for k in ck_orders] + [("dense", int(k)) for k in dense_orders]
+    """Train every requested architecture under one shared configuration;
+    an order that is not an integer is a ``TypeError`` before any training."""
+    entries = [("ck", operator.index(k)) for k in ck_orders] + [("dense", operator.index(k)) for k in dense_orders]
     if not entries:
         raise ValueError("nothing to compare")
     if epochs < 1:
@@ -347,20 +320,9 @@ def compare_orders(
 
     rows = []
     for family, k in entries:
-        network = Network(
-            NetworkConfig(
-                family=family,
-                k=k,
-                depth=depth,
-                width=width,
-                input_dim=dataset.input_dim,
-                num_classes=dataset.num_classes,
-                dl=dl,
-                activation="tanh",
-                seed=seed,
-            )
+        network, metrics = _train_network(
+            dataset, family, k, depth, width, dl, epochs, batch_size, learning_rate, seed
         )
-        metrics = train(network, dataset, TrainConfig(epochs, batch_size, learning_rate, seed=seed))
         _, heldout_acc = evaluate(network, heldout.inputs, heldout.labels)
         rows.append(CompareRow(family, k, metrics[-1].train_acc, 1.0 - heldout_acc))
     return sorted(rows, key=lambda r: (r.arch, r.k))

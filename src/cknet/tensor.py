@@ -1,20 +1,21 @@
 """Dense float64 arrays, the ops a layer is built from, and the tensor that
 carries a gradient back to the parameters.
 
-``affine`` and ``linear_combination`` take and return numpy arrays. A
-forcing map act(W x + b) is one ``affine`` call: it takes the activation's
-name and applies it in place on its own product. The activation
-formulas live once, in ``ACTIVATIONS``: each entry gives the value and the
-chain factor g·act'(z), read from the output y = act(z), which is all a
-reverse pass keeps of a layer. ``affine`` also takes E maps stacked on a
-leading member axis, so E independent networks of one shape step as a
-single ensemble. Each checks its operands, then runs a private kernel,
-``_affine`` or ``_linear_combination``: ``unroll`` checks a layer stack
-once per pass and runs every layer on the kernels, bitwise the same values.
+``affine`` takes and returns numpy arrays. A forcing map act(W x + b) is
+one ``affine`` call: it takes the activation's name and applies it in place
+on its own product. The activation formulas live once, in ``ACTIVATIONS``:
+each entry gives the value and the chain factor g·act'(z), read from the
+output y = act(z), which is all a reverse pass keeps of a layer.
+``affine`` also takes E maps stacked on a leading member axis, so E
+independent networks of one shape step as a single ensemble. It checks its
+operands, then runs a private kernel, ``_affine``. ``unroll`` checks a
+layer stack once per pass and runs every layer on the kernels: ``_affine``
+for the forcing maps, bitwise the values ``affine`` gives, and
+``_linear_combination`` for each block's stencil.
 
 An op computes its value in its own output buffer: ``affine`` adds the
 bias and applies the activation in place on its product, and
-``linear_combination`` sums into an array it allocated itself. Only
+``_linear_combination`` sums into an array it allocated itself. Only
 buffers an op allocated are ever written, so operands are never mutated,
 and each value is bitwise that of the out-of-place expression with the same
 operand order.
@@ -41,7 +42,6 @@ __all__ = [
     "ShapeError",
     "GraphError",
     "affine",
-    "linear_combination",
     "ACTIVATIONS",
 ]
 
@@ -213,29 +213,16 @@ def _affine(x: np.ndarray, weight_t: np.ndarray, bias: np.ndarray, act) -> np.nd
     return y if act is None else act(y)
 
 
-def linear_combination(terms) -> np.ndarray:
-    """``c_0*t_0 + c_1*t_1 + ...`` over (coefficient, array) pairs.
+def _linear_combination(terms: list) -> np.ndarray:
+    """``c_0*t_0 + c_1*t_1 + ...`` over a non-empty list of (coefficient,
+    float64 array) pairs of one shape, unchecked.
 
     The terms are summed left to right, and a term whose coefficient is 1
     is added without a multiply, so the value is bitwise that of chaining
     ``+`` and ``*`` in the same order. The sum goes into an array allocated
     here (a scaled term, or the first sum of two unscaled ones), never into
-    an operand. Every term must have the same shape. A single term with
-    coefficient 1 returns its term unchanged.
+    an operand; a single term with coefficient 1 is returned unchanged.
     """
-    terms = [(c, _as_array(t)) for c, t in terms]
-    if not terms:
-        raise ValueError("linear_combination needs at least one term")
-    for _, t in terms:
-        if t.shape != terms[0][1].shape:
-            raise ShapeError(f"linear_combination: shapes {terms[0][1].shape} and {t.shape} differ")
-    return _linear_combination(terms)
-
-
-def _linear_combination(terms: list) -> np.ndarray:
-    """``linear_combination`` on a non-empty list of (coefficient, float64 array) pairs of one shape."""
-    if len(terms) == 1 and terms[0][0] == 1:
-        return terms[0][1]
     value, owned = None, False  # owned: value is an array allocated here, free to write
     for c, data in terms:
         term = data if c == 1 else c * data

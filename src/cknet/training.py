@@ -47,6 +47,8 @@ class TrainConfig:
                 raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -58,8 +60,6 @@ class EpochMetrics:
     epoch: int
     train_loss: float
     train_acc: float
-    val_loss: float | None = None
-    val_acc: float | None = None
 
 
 def _log_softmax_loss(z: np.ndarray, labels) -> tuple[np.float64, np.ndarray]:
@@ -174,14 +174,14 @@ def evaluate(network, inputs: np.ndarray, labels: np.ndarray, mode: str = "direc
     return float(loss), float((logits.argmax(axis=1) == labels).mean())
 
 
-def train(network, dataset, config: TrainConfig, val=None):
+def train(network, dataset, config: TrainConfig):
     """Train in place; returns per-epoch metrics.
 
     Deterministic for a fixed (network seed, config seed, dataset): batch
     order, parameter updates, and metrics are all reproducible bitwise.
     A diverging run raises ``TrainingError`` (a non-finite or huge loss, a
-    non-finite gradient, or a parameter not finite before returning or a
-    ``val`` evaluation) and lets no numpy floating-point warning through.
+    non-finite gradient, or a parameter not finite after the last epoch)
+    and lets no numpy floating-point warning through.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -210,31 +210,19 @@ def train(network, dataset, config: TrainConfig, val=None):
                 optimizer.step()
             total_loss += loss_value * len(idx)
             total_correct += int((logits.data.argmax(axis=1) == batch_y).sum())
-        if val is not None or epoch == config.epochs - 1:  # a last step that overflowed raises here
+        if epoch == config.epochs - 1:  # a last step that overflowed raises here
             bad = next((p for p in optimizer.params if not np.isfinite(p.data).all()), None)
             if bad is not None:
                 raise TrainingError(f"non-finite parameter {bad.name!r} after epoch {epoch}")
-        row = EpochMetrics(epoch, total_loss / n, total_correct / n)
-        if val is not None:
-            val_loss, val_acc = evaluate(network, val.inputs, val.labels)
-            row = EpochMetrics(row.epoch, row.train_loss, row.train_acc, val_loss, val_acc)
-        metrics.append(row)
+        metrics.append(EpochMetrics(epoch, total_loss / n, total_correct / n))
     return metrics
 
 
 def metrics_to_csv(metrics) -> str:
-    """CSV rendering with columns epoch, train_loss, train_acc, val_loss, val_acc."""
+    """CSV rendering with columns epoch, train_loss, train_acc, val_loss, val_acc;
+    the two validation columns are written empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["epoch", "train_loss", "train_acc", "val_loss", "val_acc"])
-    for m in metrics:
-        writer.writerow(
-            [
-                m.epoch,
-                repr(m.train_loss),
-                repr(m.train_acc),
-                "" if m.val_loss is None else repr(m.val_loss),
-                "" if m.val_acc is None else repr(m.val_acc),
-            ]
-        )
+    writer.writerows([m.epoch, repr(m.train_loss), repr(m.train_acc), "", ""] for m in metrics)
     return buf.getvalue()

@@ -22,9 +22,8 @@ from cknet.dynamics import (
     binomial_invert,
     build_ck_matrices,
     build_dense_matrices,
-    mixed_diff_coefficients,
 )
-from cknet.tensor import linear_combination
+from cknet.tensor import _linear_combination
 
 
 def central_difference(fn, arrays, step=1e-6):
@@ -48,6 +47,30 @@ def central_difference(fn, arrays, step=1e-6):
             grad[idx] = (up - down) / (2.0 * step)
         grads.append(grad)
     return grads
+
+
+def best_threshold_accuracy(values: np.ndarray, labels: np.ndarray) -> float:
+    """Best accuracy of any single-threshold classifier on scalar values.
+
+    Sweeps every cut position between sorted points, in both orientations
+    (class 1 above or below the cut).
+    """
+    values = np.asarray(values).reshape(-1)
+    labels = np.asarray(labels).reshape(-1)
+    if values.shape != labels.shape:
+        raise ValueError("values and labels must have equal length")
+    order = np.argsort(values, kind="stable")
+    sorted_labels = labels[order]
+    n = len(values)
+    # ones_below[i] = number of class-1 points among the first i sorted values
+    ones_below = np.concatenate([[0], np.cumsum(sorted_labels == 1)])
+    zeros_below = np.arange(n + 1) - ones_below
+    total_ones = ones_below[-1]
+    # predict 1 above the cut: correct = zeros below + ones above
+    above = zeros_below + (total_ones - ones_below)
+    # predict 1 below the cut
+    below = ones_below + ((n - total_ones) - zeros_below)
+    return float(max(above.max(), below.max())) / n
 
 
 def pascal_triangle_row(n: int) -> list[int]:
@@ -235,13 +258,13 @@ def initialize_state(x0, k):
 
 def ck_direct_step(f, history, k, dl):
     """x_next = f(x)·dl^k minus the remaining stencil terms over the k
-    previous activations, as one ``linear_combination``."""
+    previous activations, as one ``_linear_combination``."""
     if len(history) < k:
         raise ValueError(f"order-{k} step needs {k} activations, history has {len(history)}")
-    coeffs = mixed_diff_coefficients(k)
+    coeffs = alternating_binomial_row(k)
     terms = [(dl**k, f(history[0]))]
     terms.extend((-coeffs[j], history[j - 1]) for j in range(1, k + 1))
-    return linear_combination(terms)
+    return _linear_combination(terms)
 
 
 def ck_state_step(f, q, k, dl):
@@ -249,7 +272,7 @@ def ck_state_step(f, q, k, dl):
     q_n' = q_n + q_{n+1}' for n = k-1..1."""
     if q.order != k:
         raise ValueError(f"state vector has {q.order} parts, expected {k}")
-    suffix = [linear_combination([(1, q.parts[-1]), (dl**k, f(q.parts[0]))])]
+    suffix = [_linear_combination([(1, q.parts[-1]), (dl**k, f(q.parts[0]))])]
     for part in reversed(q.parts[:-1]):
         suffix.append(part + suffix[-1])
     return StateVector(reversed(suffix))
@@ -277,7 +300,7 @@ def dense_direct_step(fs, history, dl):
             outs.append(f(history[j]))
     terms = [(1, history[k - 1])]
     terms.extend((dl, outs[j]) for j in reversed(range(k)) if outs[j] is not None)
-    out = linear_combination(terms)
+    out = _linear_combination(terms)
     return out, history.advanced(out, outs[0])
 
 
@@ -291,7 +314,7 @@ def dense_state_step(f, q, outputs, dl):
         raise ValueError(f"got {len(outputs)} outputs for order {q.order}")
     window = (f(q.parts[0]) * dl, *outputs[:-1])
     parts = [
-        linear_combination([(1, part)] + [(c, u) for c, u in zip(alternating_binomial_row(n), window) if u is not None])
+        _linear_combination([(1, part)] + [(c, u) for c, u in zip(alternating_binomial_row(n), window) if u is not None])
         for n, part in enumerate(q.parts)
     ]
     return StateVector(parts), window
@@ -306,7 +329,7 @@ def dense_state_step(f, q, outputs, dl):
 def block_apply(matrix, parts, input_matrix=None, inputs=(), scale=1):
     """Rows of ``matrix·parts + scale·input_matrix·inputs`` on equal-shape arrays.
 
-    Each row is one ``linear_combination`` over the parts, then the inputs,
+    Each row is one ``_linear_combination`` over the parts, then the inputs,
     summed left to right. A zero coefficient or a ``None`` input adds no
     term, so a row with a single unit term is that array itself.
     """
@@ -317,7 +340,7 @@ def block_apply(matrix, parts, input_matrix=None, inputs=(), scale=1):
     for row, input_row in zip(matrix.block, input_rows):
         terms = [(c, part) for c, part in zip(row, parts) if c]
         terms += [(scale * c, u) for c, u in zip(input_row, inputs) if c and u is not None]
-        out.append(linear_combination(terms or [(0, parts[0])]))
+        out.append(_linear_combination(terms or [(0, parts[0])]))
     return out
 
 
@@ -368,7 +391,7 @@ def extraction_gap(xs, states, k):
 def identity_gap(trajectory, forcing_values, n, dl):
     """Worst deviation of the order-n dense difference identity, layer by
     layer; ``identity_holds`` passes iff this is <= tol."""
-    lhs_coeffs = mixed_diff_coefficients(n + 1)
+    lhs_coeffs = alternating_binomial_row(n + 1)
     rhs_coeffs = alternating_binomial_row(n)
     worst = 0.0
     for l in range(n, len(trajectory) - 1):

@@ -21,7 +21,6 @@ from cknet.architectures import (
 )
 from cknet.data import (
     Dataset,
-    best_threshold_accuracy,
     generate_toy_1d,
     load_mnist_dir,
     split,
@@ -37,7 +36,7 @@ from cknet.experiments import (
     run_toy_experiment,
 )
 from cknet.training import softmax_cross_entropy
-from helpers import central_difference, extraction_gap, identity_holds, random_forcing, spearman, unrolled
+from helpers import best_threshold_accuracy, central_difference, extraction_gap, identity_holds, random_forcing, spearman, unrolled
 
 GRID_ORDERS = (1, 2, 3, 4)
 GRID_WIDTHS = (1, 2, 8)

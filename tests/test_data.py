@@ -11,7 +11,6 @@ from cknet.data import (
     MNIST_FILES,
     Dataset,
     IdxFormatError,
-    best_threshold_accuracy,
     fetch_mnist,
     generate_toy_1d,
     load_idx_images,
@@ -21,7 +20,7 @@ from cknet.data import (
     split,
     synthetic_digits,
 )
-from helpers import save_idx_images, save_idx_labels
+from helpers import best_threshold_accuracy, save_idx_images, save_idx_labels
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801

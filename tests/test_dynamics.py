@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from cknet.dynamics import (
     MAX_BINOMIAL_N,
     BlockMatrix,
+    alternating_binomial_row,
     alternating_binomial_sum,
     backward_diff_power,
     binomial,
     binomial_invert,
     build_ck_matrices,
     build_dense_matrices,
-    mixed_diff_coefficients,
 )
 from cknet.tensor import ShapeError
 from helpers import block_apply, expand, pascal_triangle_row
@@ -55,7 +55,7 @@ class TestBinomial:
 
 def forward_diff(seq, l):
     """x[l+1] - x[l] through the order-1 mixed stencil sum_j c[j] x[l+1-j]."""
-    c = mixed_diff_coefficients(1)
+    c = alternating_binomial_row(1)
     return c[0] * seq[l + 1] + c[1] * seq[l]
 
 
@@ -122,22 +122,21 @@ class TestDifferenceOperators:
 
 
 class TestMixedDiffCoefficients:
+    """The stencil of one forward then k-1 backward differences, c[j] on
+    x[l + 1 - j], is the alternating binomial row k."""
+
     def test_first_order(self):
-        assert mixed_diff_coefficients(1) == [1, -1]
+        assert alternating_binomial_row(1) == [1, -1]
 
     def test_second_order(self):
-        assert mixed_diff_coefficients(2) == [1, -2, 1]
+        assert alternating_binomial_row(2) == [1, -2, 1]
 
     def test_fifth_order_matches_convolution_oracle(self):
         # one forward and four backward differences each convolve by (1, -1)
         stencil = np.array([1])
         for _ in range(5):
             stencil = np.convolve(stencil, [1, -1])
-        assert mixed_diff_coefficients(5) == stencil.tolist()
-
-    def test_order_zero_rejected(self):
-        with pytest.raises(ValueError):
-            mixed_diff_coefficients(0)
+        assert alternating_binomial_row(5) == stencil.tolist()
 
 
 class TestAlternatingSum:

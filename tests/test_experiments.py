@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from cknet import experiments
 from cknet.architectures import Network, NetworkConfig
-from cknet.data import best_threshold_accuracy, generate_toy_1d, synthetic_digits
+from cknet.data import generate_toy_1d, split, synthetic_digits
 from cknet.experiments import (
     PerturbationRecord,
     TrajectoryDump,
@@ -20,7 +21,8 @@ from cknet.experiments import (
     write_trajectory_csv,
 )
 from cknet.svgplot import Series, plot
-from helpers import reference_perturbation, spearman
+from cknet.training import TrainConfig
+from helpers import best_threshold_accuracy, reference_perturbation, spearman
 
 
 def _residual_net(depth=3, width=2, dl=1.0, seed=0, input_dim=2):
@@ -274,6 +276,80 @@ class TestCompare:
         ds = synthetic_digits(100, seed=6)
         with pytest.raises(ValueError, match="at least one epoch, got 0"):
             compare_orders([1], [], ds, ds, depth=1, width=4, epochs=0)
+
+
+class TestExperimentConfigs:
+    """The network and training configuration of every run an experiment
+    trains, in training order, recorded on the way into the real ``train``."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        recorded, real = [], experiments.train
+
+        def recording(network, dataset, config):
+            recorded.append((network.config, config))
+            return real(network, dataset, config)
+
+        monkeypatch.setattr(experiments, "train", recording)
+        return recorded
+
+    def test_toy(self, runs):
+        run_toy_experiment(3, seeds=(4, 1), depth=5, dl=0.3, epochs=2, learning_rate=0.01)
+        assert runs == [
+            (NetworkConfig(family="ck", k=3, depth=5, width=1, input_dim=1, num_classes=2,
+                           dl=0.3, activation="tanh", seed=seed),
+             TrainConfig(epochs=2, batch_size=160, learning_rate=0.01, seed=seed))
+            for seed in (4, 1)
+        ]
+
+    def test_depth_sweep(self, runs):
+        ds = synthetic_digits(60, seed=2)
+        run_depth_sweep([6, 2, 4, 2], ds, repetitions=2, width=4, dl=0.25, epochs=1,
+                        batch_size=16, learning_rate=0.01, seed=7)
+        # each run's seed is SeedSequence([7, depth, repetition]).generate_state(1)[0]
+        seeds = {(2, 0): 1009178997, (2, 1): 1060258595, (4, 0): 3335713882,
+                 (4, 1): 3210196619, (6, 0): 924414274, (6, 1): 3434892207}
+        assert runs == [
+            (NetworkConfig(family="ck", k=1, depth=depth, width=4, input_dim=784, num_classes=10,
+                           dl=0.25, activation="tanh", seed=seeds[depth, rep]),
+             TrainConfig(epochs=1, batch_size=16, learning_rate=0.01, seed=seeds[depth, rep]))
+            for depth in (2, 4, 6) for rep in (0, 1)
+        ]
+
+    def test_compare(self, runs):
+        trainset, heldout = split(synthetic_digits(60, seed=3), 0.75, seed=0)
+        compare_orders([2, 1], [3], trainset, heldout, depth=2, width=3, dl=0.25, epochs=1,
+                       batch_size=16, learning_rate=0.01, seed=5)
+        assert runs == [
+            (NetworkConfig(family=family, k=k, depth=2, width=3, input_dim=784, num_classes=10,
+                           dl=0.25, activation="tanh", seed=5),
+             TrainConfig(epochs=1, batch_size=16, learning_rate=0.01, seed=5))
+            for family, k in [("ck", 2), ("ck", 1), ("dense", 3)]
+        ]
+
+
+class TestIntegerArguments:
+    """An order or depth that is not an integer is refused before any network
+    is built, not truncated."""
+
+    @pytest.fixture(autouse=True)
+    def no_network(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("built a network")
+
+        monkeypatch.setattr(experiments, "Network", never)
+
+    @pytest.mark.parametrize("ck_orders,dense_orders", [([1.7], []), ([1], [2.0]), ([2], ["3"])])
+    def test_compare_orders(self, ck_orders, dense_orders):
+        ds = synthetic_digits(20, seed=6)
+        with pytest.raises(TypeError, match="integer"):
+            compare_orders(ck_orders, dense_orders, ds, ds, depth=1, width=2, epochs=1)
+
+    @pytest.mark.parametrize("depths", [[2, 4.9, 6], [2.0, 4, 6], [2, 4, "8"]])
+    def test_depth_sweep(self, depths):
+        ds = synthetic_digits(20, seed=6)
+        with pytest.raises(TypeError, match="integer"):
+            run_depth_sweep(depths, ds, width=2, epochs=1)
 
 
 class TestSvg:
