@@ -20,6 +20,7 @@ in place and must be serialized externally.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -29,11 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .dynamics import (
-    MAX_BINOMIAL_N,
-    alternating_binomial_row,
-    build_dense_matrices,
-)
+from .dynamics import MAX_BINOMIAL_N, alternating_binomial_row
 from .tensor import ACTIVATIONS, Parameter, ShapeError, Tensor
 
 __all__ = [
@@ -207,7 +204,7 @@ def _direct_terms(family: str, k: int, dl: float) -> tuple[tuple[float, int, boo
     return ((1, k - 1, False), *((dl, j, True) for j in reversed(range(k))))
 
 
-def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float, mode: str, forcing_matrix=None):
+def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float, mode: str):
     """Step ``x0`` through the layers of a block stack; yield a ``LayerRecord`` per layer.
 
     Layer l's forcing map is ``affine(x, weights[l], biases[l], activation)``:
@@ -225,14 +222,12 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
     ``q`` are a tuple q_1..q_k, q_1 = x_0 and the rest zero at the input, and
     a layer runs its family's first-order step: c0 is q' = (f,); ck, whose
     transition is the upper all-ones matrix, is the suffix sum q_k' = q_k +
-    dl^k·f, then q_n' = q_n + q_{n+1}' for n = k-1..1; dense is ``q' = q +
-    B·u``, its transition A the identity, with u the window dl·f_l, ...,
-    dl·f_{l-k+1} of the layers' own outputs, ``None`` before the input: each
-    q_n' is one ``_linear_combination`` of q_n, then c·u_j over row n's
-    nonzero entries c of B, read once per pass. B is ``build_dense_matrices``'
-    forcing matrix, or ``forcing_matrix`` when given (the verification
-    battery passes a corrupted one to check that it is caught); its order
-    is checked against k when the loop starts.
+    dl^k·f, then q_n' = q_n + q_{n+1}' for n = k-1..1; dense, whose
+    transition is the identity, is ``q' = q + B·u``, u the outputs dl·f_l,
+    dl·f_{l-1}, ... (zero before the input), and row n of B·u is their n-fold
+    backward difference D_n: from the layer before's D_0..D_{k-1} (zero
+    before the input), D_0 = dl·f_l, D_m = D_{m-1} - D_{m-1}(before), then
+    q_n' = q_n + D_{n-1}.
     """
     if mode not in ("direct", "state"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -240,10 +235,6 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
         raise ValueError(f"unknown family {family!r}")
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
-    if forcing_matrix is not None and (family, mode) != ("dense", "state"):
-        raise ValueError(f"a forcing matrix replaces the dense state step's B; {family} {mode} takes none")
-    if forcing_matrix is not None and forcing_matrix.k != k:
-        raise ShapeError(f"forcing matrix of order {forcing_matrix.k} does not match k={k}")
     weights, biases, x0 = T._as_array(weights), T._as_array(biases), T._as_array(x0)
     if weights.ndim not in (3, 4) or weights.shape[-2] != weights.shape[-1]:
         raise ShapeError(f"layer weights must be [L, d, d], or [L, E, d, d] when stacked, got {weights.shape}")
@@ -266,11 +257,7 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
         window = 1 + max(j for _, j, _ in terms)
         lags, forced = (x0,) * window, (None,) * window
     else:
-        scale, q = dl**k, (x0,) + (np.zeros(x0.shape),) * (k - 1)
-        if family == "dense":  # (column j, coefficient c) of each row's nonzero entries of B
-            rows = [[(j, c) for j, c in enumerate(row) if c]
-                    for row in (forcing_matrix or build_dense_matrices(k)[1]).block]
-            outputs = (None,) * k
+        scale, q, differences = dl**k, (x0,) + (np.zeros(x0.shape),) * (k - 1), (np.zeros(x0.shape),) * k
     yield LayerRecord(x0, None, q if state else None)
     del x0  # the lag window or state holds it as long as a layer needs it
     for layer in range(len(weights)):
@@ -285,10 +272,9 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
             for part in reversed(q[:-1]):
                 suffix.append(part + suffix[-1])
             q = tuple(reversed(suffix))
-        elif family == "dense":
-            outputs = (force * dl,) + outputs[:-1]
-            q = tuple(combine([(1, part), *((c, outputs[j]) for j, c in row if outputs[j] is not None)])
-                      for part, row in zip(q, rows))
+        elif family == "dense":  # one product dl·f, then k-1 unit-coefficient subtracts and k adds
+            differences = tuple(itertools.accumulate(differences[:-1], operator.sub, initial=force * dl))
+            q = tuple(part + difference for part, difference in zip(q, differences))
         else:  # c0 keeps no memory
             q = (force,)
         yield LayerRecord(lags[0] if direct else q[0], force, q if state else None)

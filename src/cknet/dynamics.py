@@ -116,9 +116,9 @@ class BlockMatrix:
     """A k-by-k grid of integer multiples of the identity, of any width.
 
     The grid of integers *is* the object of interest: it is never expanded
-    to the dense (k*d, k*d) matrix. ``unroll``'s dense state step reads the
-    nonzero entries of a forcing matrix's rows, and the verification
-    battery checks each matrix's exact determinant.
+    to the dense (k*d, k*d) matrix. The verification battery checks the
+    steps of recorded dense state trajectories against the rows of the
+    forcing matrix, and each matrix's exact determinant.
     """
 
     k: int

@@ -219,10 +219,9 @@ def train(network, dataset, config: TrainConfig):
 
 
 def metrics_to_csv(metrics) -> str:
-    """CSV rendering with columns epoch, train_loss, train_acc, val_loss, val_acc;
-    the two validation columns are written empty."""
+    """CSV rendering with columns epoch, train_loss, train_acc."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["epoch", "train_loss", "train_acc", "val_loss", "val_acc"])
-    writer.writerows([m.epoch, repr(m.train_loss), repr(m.train_acc), "", ""] for m in metrics)
+    writer.writerow(["epoch", "train_loss", "train_acc"])
+    writer.writerows([m.epoch, repr(m.train_loss), repr(m.train_acc)] for m in metrics)
     return buf.getvalue()

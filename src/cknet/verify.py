@@ -2,8 +2,9 @@
 
 Runs the cross-form equivalence checks (direct recurrence vs first-order
 state space, for both the smooth order-k and additive dense families), the
-order-1 collapse, the dense difference identity, the binomial-inversion
-roundtrip, and the exact integer identities.
+dense state-space form q' = q + B·u, the order-1 collapse, the dense
+difference identity, the binomial-inversion roundtrip, and the exact
+integer identities.
 
 It runs in one process. The cases of a grid point that share an activation
 and mesh step form one ensemble: their forcing maps are stacked on axis 1
@@ -71,6 +72,7 @@ def _new_checks(tolerance: float) -> dict[str, CheckResult]:
             ("ck state extraction", tolerance),
             ("dense equivalence", tolerance),
             ("dense state extraction", tolerance),
+            ("dense state-space form", tolerance),
             ("k=1 collapse", 0.0),
             ("dense difference identity", _IDENTITY_TOLERANCE),
             ("binomial inversion roundtrip", 1e-12),
@@ -84,13 +86,11 @@ def sign_flipped_dense_forcing(k: int) -> BlockMatrix:
     """Dense forcing matrix with one corrupted sign; fault-injection hook.
 
     The corrupted entry is the leading one, which couples the current
-    forcing output into q_1, so the activation trajectory itself departs
-    from the direct form.
+    forcing output into q_1: checked against it, every recorded q_1 step
+    dl·f_l is off by 2·dl·|f_l|.
     """
-    _, forcing = build_dense_matrices(k)
-    grid = [list(row) for row in forcing.block]
-    grid[0][0] = -grid[0][0]
-    return BlockMatrix(k, tuple(tuple(row) for row in grid))
+    first, *rest = build_dense_matrices(k)[1].block
+    return BlockMatrix(k, ((-first[0], *first[1:]), *rest))
 
 
 # A stacked trajectory is (L+1, E, ...) and a stacked state (L+1, k, E, ...);
@@ -121,6 +121,17 @@ def _extraction_deviation(xs: np.ndarray, states: np.ndarray, k: int) -> np.ndar
     return np.max(gaps, axis=0)
 
 
+def _state_space_deviation(trace: Trace, matrix: BlockMatrix, dl: float) -> np.ndarray:
+    """Each member's max gap between its state steps q_{l+1} - q_l and B·u_l, u_l = dl·f_l, dl·f_{l-1},
+    ... (zero before the input); row n of B runs once, on slices of the padded outputs shifted by lag j."""
+    k, depth = matrix.k, len(trace.forcing)
+    padded = np.concatenate([np.zeros((k - 1, *trace.forcing.shape[1:])), trace.forcing]) * dl
+    steps = trace.states[1:] - trace.states[:-1]
+    gaps = [_max_gap(steps[:, n], sum(c * padded[k - 1 - j : k - 1 - j + depth] for j, c in enumerate(row) if c))
+            for n, row in enumerate(matrix.block)]
+    return np.max(gaps, axis=0)
+
+
 def _case_rng(base_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([base_seed, *key]))
 
@@ -128,7 +139,7 @@ def _case_rng(base_seed: int, *key: int) -> np.random.Generator:
 def _check_group(k: int, d: int, depth: int, seeds, forcing_matrix) -> list[list[tuple[str, float, str]]]:
     """The (check, deviation, detail) outcomes of each case (k, d, depth, i)
     for i in ``seeds``, which share an activation and dl, from one ensemble.
-    ``forcing_matrix`` replaces the dense state step's B unless it is ``None``."""
+    "dense state-space form" checks the dense states against ``forcing_matrix``."""
     activation = _ACTIVATION_CYCLE[seeds[0] % len(_ACTIVATION_CYCLE)]
     dl = _DL_CYCLE[seeds[0] % len(_DL_CYCLE)]
     # member e draws from its case's generator in the per-case order: every
@@ -149,12 +160,13 @@ def _check_group(k: int, d: int, depth: int, seeds, forcing_matrix) -> list[list
     xs = Trace.from_layers(unroll(*stack, "ck", k, dl, "direct")).activations
     ck_state = Trace.from_layers(unroll(*stack, "ck", k, dl, "state"))
     dense = Trace.from_layers(unroll(*stack, "dense", k, dl, "direct"))
-    dense_state = Trace.from_layers(unroll(*stack, "dense", k, dl, "state", forcing_matrix))
+    dense_state = Trace.from_layers(unroll(*stack, "dense", k, dl, "state"))
     rows = [  # (check, deviation of each member, detail suffix)
         ("ck equivalence", _max_gap(xs, ck_state.activations), ""),
         ("ck state extraction", _extraction_deviation(xs, ck_state.states, k), ""),
         ("dense equivalence", _max_gap(dense.activations, dense_state.activations), ""),
         ("dense state extraction", _extraction_deviation(dense.activations, dense_state.states, k), ""),
+        ("dense state-space form", _state_space_deviation(dense_state, forcing_matrix, dl), ""),
     ]
     # an order-n identity needs at least one admissible layer
     for n in range(min(k, depth)):
@@ -216,9 +228,10 @@ def run_battery(
     """Run every check over the given grid; returns one result per check.
 
     ``dense_forcing_matrix`` is a fault-injection hook: when given a
-    callable k -> BlockMatrix, the dense state evaluation uses that
-    forcing matrix instead of the correct one, which a healthy battery must
-    flag. It is called once per order.
+    callable k -> BlockMatrix, "dense state-space form" checks the dense
+    state trajectories against that order-k forcing matrix instead of
+    ``build_dense_matrices``' B (another order is a ``ValueError``), and a
+    healthy battery must flag a wrong one. It is called once per order.
 
     The (k, d, depth, seed) cases are independent. At each (k, d, depth)
     the seeds with the same ``i mod 6`` (one activation, one dl) run as one
@@ -243,7 +256,9 @@ def run_battery(
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     checks = _new_checks(tolerance)
     for k in orders:
-        forcing_matrix = dense_forcing_matrix(k) if dense_forcing_matrix else None
+        forcing_matrix = dense_forcing_matrix(k) if dense_forcing_matrix else build_dense_matrices(k)[1]
+        if forcing_matrix.k != k:
+            raise ValueError(f"the fault hook gave a forcing matrix of order {forcing_matrix.k} for k={k}")
         for d in widths:
             for depth in depths:
                 cases = [None] * seeds

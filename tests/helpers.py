@@ -304,20 +304,20 @@ def dense_direct_step(fs, history, dl):
     return out, history.advanced(out, outs[0])
 
 
-def dense_state_step(f, q, outputs, dl):
-    """The dense state step ``q' = q + B·u``, B from ``build_dense_matrices``
-    written out: row n adds (-1)^j C(n, j)·u_j for j = 0..n. u is the window
-    dl·f(q_1), then ``outputs``' first k-1 entries: ``outputs`` holds the k
-    scaled outputs of the layers before, newest first, ``None`` before the
-    input. Returns the next state and u, the next layer's ``outputs``."""
-    if len(outputs) != q.order:
-        raise ValueError(f"got {len(outputs)} outputs for order {q.order}")
-    window = (f(q.parts[0]) * dl, *outputs[:-1])
-    parts = [
-        _linear_combination([(1, part)] + [(c, u) for c, u in zip(alternating_binomial_row(n), window) if u is not None])
-        for n, part in enumerate(q.parts)
-    ]
-    return StateVector(parts), window
+def dense_state_step(f, q, differences, dl):
+    """The dense state step ``q' = q + B·u`` as running differences: row n of
+    B·u is the n-fold backward difference D_n of dl·f, so D_0 = dl·f(q_1),
+    D_m = D_{m-1} - the layer before's D_{m-1}, and q_n' = q_n + D_{n-1}, each
+    a ``_linear_combination``. ``differences`` holds the layer before's
+    D_0..D_{k-1}, ``None`` before the input (read as zero). Returns the next
+    state and its differences, the next layer's ``differences``."""
+    if len(differences) != q.order:
+        raise ValueError(f"got {len(differences)} differences for order {q.order}")
+    current = [f(q.parts[0]) * dl]
+    for before in differences[:-1]:
+        current.append(current[-1] if before is None else _linear_combination([(1, current[-1]), (-1, before)]))
+    parts = [_linear_combination([(1, part), (1, difference)]) for part, difference in zip(q.parts, current)]
+    return StateVector(parts), tuple(current)
 
 
 # The state steps as the whole product ``q' = A·q + s·B·u`` by the general
@@ -421,6 +421,19 @@ def case_extraction_deviation(xs, states, k):
     return float(np.max(gaps))
 
 
+def case_state_space_deviation(trace, matrix, dl):
+    """One case's max gap, layer by layer, between the step q_{l+1} - q_l of
+    its recorded states and ``block_apply`` of ``matrix`` on the window
+    dl·f_l, dl·f_{l-1}, ..., zero before the input; NaN propagates."""
+    states, forcing = trace.states, trace.forcing
+    gaps = []
+    for l in range(len(forcing)):
+        window = [forcing[l - j] * dl if l >= j else np.zeros(forcing.shape[1:]) for j in range(matrix.k)]
+        for step, row in zip(states[l + 1] - states[l], block_apply(matrix, window)):
+            gaps.append(np.max(np.abs(step - row)))
+    return float(np.max(gaps))
+
+
 def check_case(key, dense_forcing_matrix):
     """The (check, deviation, detail) outcomes of one grid case, rebuilt from its key."""
     k, d, depth, i = key
@@ -431,8 +444,8 @@ def check_case(key, dense_forcing_matrix):
     fs = [random_forcing(d, activation, rng) for _ in range(depth)]
     x0 = rng.standard_normal(d)
 
-    def trace(family, mode, forcing_matrix=None):
-        return Trace.from_layers(unroll(*stacked(fs), x0, family, k, dl, mode, forcing_matrix))
+    def trace(family, mode):
+        return Trace.from_layers(unroll(*stacked(fs), x0, family, k, dl, mode))
 
     def gap(xs, ys):
         return float(np.max(np.abs(xs - ys)))
@@ -445,12 +458,14 @@ def check_case(key, dense_forcing_matrix):
         ("ck state extraction", case_extraction_deviation(xs_direct, ck_state.states, k), case),
     ]
     dense_direct = trace("dense", "direct")
-    dense_state = trace("dense", "state", dense_forcing_matrix(k) if dense_forcing_matrix else None)
+    dense_state = trace("dense", "state")
     xs_dd, forcing_values = dense_direct.activations, dense_direct.forcing
     xs_ds = dense_state.activations
+    matrix = dense_forcing_matrix(k) if dense_forcing_matrix else build_dense_matrices(k)[1]
     outcomes += [
         ("dense equivalence", gap(xs_dd, xs_ds), case),
         ("dense state extraction", case_extraction_deviation(xs_dd, dense_state.states, k), case),
+        ("dense state-space form", case_state_space_deviation(dense_state, matrix, dl), case),
     ]
     for n in range(min(k, len(xs_dd) - 1)):
         ok = identity_holds(xs_dd, forcing_values, n, dl, tol=verify._IDENTITY_TOLERANCE)

@@ -274,7 +274,7 @@ class TestVerify:
         assert "[PASS] ck equivalence" in out
         assert "[FAIL]" not in out
 
-    def test_injected_sign_flip_names_dense_equivalence(self, capsys):
+    def test_injected_sign_flip_names_the_state_space_form(self, capsys):
         code = run_cli(
             [
                 "verify",
@@ -287,7 +287,8 @@ class TestVerify:
         )
         out = capsys.readouterr().out
         assert code == 1
-        assert "[FAIL] dense equivalence" in out
+        assert "[FAIL] dense state-space form" in out
+        assert "[PASS] dense equivalence" in out
 
     def test_zero_tolerance_fails(self, capsys):
         code = run_cli(

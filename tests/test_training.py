@@ -428,6 +428,6 @@ class TestEvaluate:
 
 
 class TestMetricsCsv:
-    def test_schema_and_empty_validation_columns(self):
+    def test_schema_is_the_training_columns(self):
         rows = [EpochMetrics(0, 1.5, 0.5), EpochMetrics(1, 1.0, 0.75)]
-        assert metrics_to_csv(rows) == "epoch,train_loss,train_acc,val_loss,val_acc\n0,1.5,0.5,,\n1,1.0,0.75,,\n"
+        assert metrics_to_csv(rows) == "epoch,train_loss,train_acc\n0,1.5,0.5\n1,1.0,0.75\n"

@@ -19,9 +19,9 @@ from helpers import extraction_gap, random_forcing, reference_battery, stacked
 MEMBERS = 3
 
 
-def trace(layers, x0, family, k, dl, mode, forcing_matrix=None):
+def trace(layers, x0, family, k, dl, mode):
     """The trace of ``unroll`` over ``layers``, the (weights, biases, activation) of a stack."""
-    return Trace.from_layers(unroll(*layers, x0, family, k, dl, mode, forcing_matrix))
+    return Trace.from_layers(unroll(*layers, x0, family, k, dl, mode))
 
 
 def case(k, d, batch, seed):
@@ -64,19 +64,19 @@ def test_stacked_unroll_is_bitwise_each_member(family, k, mode, batch):
 @pytest.mark.parametrize("faulty", [False, True])
 def test_extraction_deviation_is_bitwise_the_loop(k, d, batch, faulty):
     cases, fs, x0 = ensemble(k, d, batch, seed=k + d)
+    sign = -1 if faulty else 1  # a faulty run records every state with its sign flipped
     for family, dl in (("ck", 0.5), ("dense", 1.0)):
-        forcing_matrix = sign_flipped_dense_forcing(k) if faulty and family == "dense" else None
         xs = trace(fs, x0, family, k, dl, "direct").activations
-        states = trace(fs, x0, family, k, dl, "state", forcing_matrix).states
+        states = sign * trace(fs, x0, family, k, dl, "state").states
         vectorised = _extraction_deviation(xs, states, k)
         assert vectorised.shape == (MEMBERS,)
         for e, (member_fs, member_x0) in enumerate(cases):
             xs_e = trace(member_fs, member_x0, family, k, dl, "direct").activations
-            states_e = trace(member_fs, member_x0, family, k, dl, "state", forcing_matrix).states
+            states_e = sign * trace(member_fs, member_x0, family, k, dl, "state").states
             loop = extraction_gap(list(xs_e), [list(parts) for parts in states_e], k)
             assert vectorised[e].hex() == loop.hex()
-            if faulty and family == "dense":
-                assert loop > 1e-6  # the corrupted matrix is visible to both
+            if faulty:
+                assert loop > 1e-6  # the corrupted states are visible to both
 
 
 def test_max_gap_is_each_members_largest_layer_gap():
@@ -122,32 +122,31 @@ def fields(results):
     return [(r.name, r.tolerance, r.max_deviation.hex(), r.passed, r.detail) for r in results]
 
 
-def with_nan(k, row, column):
+def with_entry(k, row, column, value):
+    """The dense forcing matrix of order k with entry (row, column) c replaced by ``value(c)``."""
     grid = [list(row) for row in build_dense_matrices(k)[1].block]
-    grid[row][column] = float("nan")
+    grid[row][column] = value(grid[row][column])
     return BlockMatrix(k, tuple(tuple(row) for row in grid))
 
 
 def nan_at_order_one(k):
-    return with_nan(k, 0, 0) if k == 1 else build_dense_matrices(k)[1]
+    return with_entry(k, 0, 0, lambda c: float("nan")) if k == 1 else build_dense_matrices(k)[1]
 
 
 def nan_in_second_state(k):
-    """NaN in q_2 only: no later q_1 reads it, so the activations stay finite."""
-    return with_nan(k, 1, 1) if k > 1 else build_dense_matrices(k)[1]
+    """NaN in the row of q_2 only."""
+    return with_entry(k, 1, 1, lambda c: float("nan")) if k > 1 else build_dense_matrices(k)[1]
 
 
+# every hook reaches the battery only through the B that "dense state-space
+# form" checks the dense state trajectories against
 CASES = {
     "healthy": (None, {}, set()),
-    "sign-flip": (sign_flipped_dense_forcing, {}, {"dense equivalence", "dense state extraction", "k=1 collapse"}),
+    "sign-flip": (sign_flipped_dense_forcing, {}, {"dense state-space form"}),
     # k=2 runs first, so the first NaN is k=1 d=1 seed#0, after healthy
     # ensembles, and NaN cases follow in later ensembles
-    "nan-at-order-1": (
-        nan_at_order_one,
-        {"orders": (2, 1, 3, 4), "depths": (3,)},
-        {"dense equivalence", "dense state extraction", "k=1 collapse"},
-    ),
-    "nan-in-second-state": (nan_in_second_state, {"widths": (2,)}, {"dense state extraction"}),
+    "nan-at-order-1": (nan_at_order_one, {"orders": (2, 1, 3, 4), "depths": (3,)}, {"dense state-space form"}),
+    "nan-in-second-state": (nan_in_second_state, {"widths": (2,)}, {"dense state-space form"}),
 }
 
 
@@ -158,14 +157,27 @@ def test_stacked_battery_equals_the_per_case_reference(hook, grid, failing):
     assert {name for name, _, _, passed, _ in stacked if not passed} == failing
 
 
-@pytest.mark.parametrize("k", range(2, 9))
-def test_the_sign_flip_fails_dense_equivalence_at_every_order(k):
-    # it reaches the dense state step only through its input coupling B
+@pytest.mark.parametrize("k", range(1, 9))
+def test_the_sign_flip_fails_the_state_space_form_at_every_order(k):
     results = run_battery(orders=(k,), widths=(1, 2), depths=(3,), seeds=2,
                           dense_forcing_matrix=sign_flipped_dense_forcing)
     checks = {r.name: r for r in results}
-    assert not checks["dense equivalence"].passed and checks["dense equivalence"].max_deviation > 1e-3
-    assert checks["ck equivalence"].passed
+    form = checks["dense state-space form"]
+    assert not form.passed and form.max_deviation > 1e-3
+    assert checks["dense equivalence"].passed and checks["ck equivalence"].passed
+
+
+NONZERO_ENTRIES = [(k, row, column) for k in range(1, 5) for row in range(k) for column in range(row + 1)]
+
+
+@pytest.mark.parametrize("k,row,column", NONZERO_ENTRIES)
+def test_flipping_the_sign_of_any_nonzero_entry_of_b_fails_the_state_space_form(k, row, column):
+    # depth 5 > k, so every lag j < k reaches an output of the run
+    def hook(order):
+        return with_entry(order, row, column, lambda c: -c)
+
+    results = run_battery(orders=(k,), widths=(1, 2), depths=(5,), seeds=2, dense_forcing_matrix=hook)
+    assert {r.name for r in results if not r.passed} == {"dense state-space form"}
 
 
 class NaNStart:
@@ -219,6 +231,12 @@ def test_the_fault_hook_is_asked_once_per_order():
 
     run_battery(orders=(2, 1, 3), widths=(1, 2), depths=(3, 4), seeds=8, dense_forcing_matrix=hook)
     assert calls == [2, 1, 3]
+
+
+def test_a_hook_matrix_of_another_order_is_refused():
+    with pytest.raises(ValueError, match=r"^the fault hook gave a forcing matrix of order 2 for k=3$"):
+        run_battery(orders=(3,), widths=(1,), depths=(3,), seeds=1,
+                    dense_forcing_matrix=lambda k: build_dense_matrices(2)[1])
 
 
 BAD_GRIDS = {
