@@ -1,3 +1,5 @@
+import hashlib
+import pathlib
 import tracemalloc
 import warnings
 
@@ -406,3 +408,75 @@ class TestCsvWriters:
         lines = a.read_text().strip().split("\n")
         assert lines[1] == "layer,sample_id,q1,q2,label"
         assert lines[2] == "0,0,0.25,0.0,1"
+
+
+class TestEmittedBytes:
+    """Every file the three emitters write, from hand-built results, pinned
+    by sha256; the returned paths are the files in the order they were written."""
+
+    TOY = {
+        "toy.csv": "754f0af9f46cf5c46c1eaef512d90715be43fbca96107c902d1a6bf92ff4fde1",
+        "trajectory_k1.csv": "fd2069c2df5f6348c8e3a8d3482aac4d95d8e565aaf5697572ddb132c5486a9c",
+        "metrics_k1.csv": "d00882f4712a6946ef0fb2c85c4229bd057be703a37438a35c3973a3027e8b85",
+        "phase_k1.svg": "f78a0802499469f97da11437b8f6a218ce7fdbc64198fa47544617e980975ff4",
+        "trajectory_k2.csv": "3bbe46e112f0fb72da73501ef886d919017ad9176d195132b0fb66817007bd6a",
+        "metrics_k2.csv": "86a4eb2a75aa9e5075872ee5b17a5a563a6ca966879839ebca696f29959834d1",
+        "phase_k2.svg": "6feb975697e47601f6620e99cb1439d92dbd114f6e473e6c0175bee19debe359",
+    }
+    SWEEP = {
+        "depth_sweep.csv": "ec77ec2140e402b62e32b130da782986e05dd69fb0bbeaa39c2d86f0ab7380c1",
+        "rho_vs_depth.svg": "af7e7cafb85fd44cf65cfc9c540921f3078be08812554be7ed7fa0d57d74f3cb",
+        "inv_rho_vs_depth.svg": "5c8722ea0362e765f78ad599510a0c898e11694079db1623c1fa4213aeb77ede",
+    }
+    COMPARE = {"compare.csv": "c2058cb5a9614160964365b8715eb27cd3682c3e568e11fba0e8b19ee2b7ebdd"}
+
+    @pytest.fixture
+    def written(self, monkeypatch):
+        order, real = [], pathlib.Path.write_text
+
+        def recording(path, *args, **kwargs):
+            order.append(path)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "write_text", recording)
+        return order
+
+    @staticmethod
+    def toy_results():
+        from cknet.experiments import ToyResult
+        from cknet.training import EpochMetrics
+
+        q1 = np.array([[-2.0, 0.5, 1.75], [-1.9, 0.7, 1.6], [-1.7, 1.1, 1.3]])
+        return [
+            ToyResult(1, {0: 0.75, 3: 0.7}, 0, 0.75,
+                      TrajectoryDump(q1, np.zeros_like(q1), np.array([0, 1, 0])),
+                      [EpochMetrics(0, 0.6931471805599453, 0.5), EpochMetrics(1, 0.6, 0.75)]),
+            ToyResult(2, {0: 0.9, 3: 1.0}, 3, 1.0,
+                      TrajectoryDump(q1 * 1.1, np.array([[0.0, 0.0, 0.0], [0.1, 0.2, -0.15],
+                                                         [0.2, 0.4, -0.3]]), np.array([0, 1, 0])),
+                      [EpochMetrics(0, 0.7, 0.5), EpochMetrics(1, 0.1 + 0.2, 1.0)]),
+        ]
+
+    def check(self, out_dir, paths, written, pinned):
+        assert paths == [out_dir / name for name in pinned]
+        assert written == paths
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+        assert digests == pinned
+
+    def test_toy(self, tmp_path, written):
+        out = tmp_path / "toy"
+        self.check(out, experiments.emit_toy_report(out, self.toy_results(), seed=3), written, self.TOY)
+
+    def test_sweep(self, tmp_path, written):
+        from cknet.experiments import RegressionFit, SweepResult
+
+        result = SweepResult([(2, 0.5), (4, 0.3), (8, 0.2)], RegressionFit(0.3, 1.3, 0.97, 1.0 / 0.3), seed=7)
+        out = tmp_path / "sweep"
+        self.check(out, experiments.emit_sweep_report(out, result), written, self.SWEEP)
+
+    def test_compare(self, tmp_path, written):
+        from cknet.experiments import CompareRow
+
+        rows = [CompareRow("ck", 2, 0.9, 0.15), CompareRow("dense", 3, 0.875, 0.1 + 0.2)]
+        out = tmp_path / "compare"
+        self.check(out, experiments.emit_compare_report(out, rows, seed=5), written, self.COMPARE)
