@@ -34,7 +34,6 @@ from .dynamics import MAX_BINOMIAL_N, alternating_binomial_row
 from .tensor import ACTIVATIONS, Parameter, ShapeError, Tensor
 
 __all__ = [
-    "ACTIVATIONS",
     "NetworkConfig",
     "check_mesh_step",
     "LayerRecord",

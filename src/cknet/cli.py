@@ -14,7 +14,7 @@ import numpy as np
 
 from . import experiments
 from .architectures import check_mesh_step, parameter_count, weight_matrix_ratio
-from .data import Dataset, IdxFormatError, fetch_mnist, load_mnist_dir, synthetic_digits
+from .data import Dataset, IdxFormatError, fetch_mnist, load_mnist_dir, split, synthetic_digits
 from .dynamics import MAX_BINOMIAL_N
 from .training import TrainingError
 from .verify import run_battery, sign_flipped_dense_forcing
@@ -216,8 +216,6 @@ def cmd_depth_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     dataset, source = _load_subset(args)
-    from .data import split
-
     trainset, heldout = split(dataset, 0.8, seed=args.seed)
     print(f"seed={args.seed} data={source}")
     rows = experiments.compare_orders(

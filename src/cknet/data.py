@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import math
+import numbers
 import struct
 import zlib
 from dataclasses import dataclass
@@ -62,6 +63,10 @@ class Dataset:
             raise ValueError(
                 f"labels shape {self.labels.shape} does not match {len(self.inputs)} inputs"
             )
+        if self.labels.dtype.kind not in "iu":
+            raise TypeError(f"labels must be integers, got dtype {self.labels.dtype}")
+        if not isinstance(self.num_classes, numbers.Integral):
+            raise TypeError(f"num_classes must be an integer, got {self.num_classes!r}")
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise ValueError(
                 f"labels out of range [0, {self.num_classes}): "

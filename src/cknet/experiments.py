@@ -16,7 +16,7 @@ import numpy as np
 from .architectures import Network, NetworkConfig
 from .data import Dataset, generate_toy_1d
 from .svgplot import Series, plot
-from .training import TrainConfig, evaluate, metrics_to_csv, train
+from .training import TrainConfig, evaluate, train
 
 __all__ = [
     "PerturbationRecord",
@@ -31,10 +31,6 @@ __all__ = [
     "run_toy_experiment",
     "run_depth_sweep",
     "compare_orders",
-    "write_depth_sweep_csv",
-    "write_toy_csv",
-    "write_trajectory_csv",
-    "write_compare_csv",
     "emit_toy_report",
     "emit_sweep_report",
     "emit_compare_report",
@@ -331,42 +327,26 @@ def compare_orders(
 # -- artifact emission -------------------------------------------------------------
 
 
-def _write_csv(path, header, rows, seed=None) -> None:
+def _csv(header, rows, seed=None) -> str:
+    """CSV text of a header and rows, after a ``# seed=`` line when a seed is given."""
     buf = io.StringIO()
     if seed is not None:
         buf.write(f"# seed={seed}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    Path(path).write_text(buf.getvalue())
+    return buf.getvalue()
 
 
-def write_depth_sweep_csv(path, result: SweepResult) -> None:
-    rows = [[L, repr(rho), repr(1.0 / rho)] for L, rho in result.points]
-    _write_csv(path, ["L", "mean_rho", "inv_rho"], rows, seed=result.seed)
-
-
-def write_toy_csv(path, results, seed=None) -> None:
-    rows = [
-        [s, res.k, repr(res.accuracies[s])]
-        for res in results
-        for s in sorted(res.accuracies)
-    ]
-    _write_csv(path, ["seed", "k", "accuracy"], rows, seed=seed)
-
-
-def write_trajectory_csv(path, dump: TrajectoryDump, seed=None) -> None:
-    rows = [
-        [layer, sample, repr(float(dump.q1[layer, sample])), repr(float(dump.q2[layer, sample])), int(dump.labels[sample])]
-        for layer in range(dump.layers)
-        for sample in range(dump.q1.shape[1])
-    ]
-    _write_csv(path, ["layer", "sample_id", "q1", "q2", "label"], rows, seed=seed)
-
-
-def write_compare_csv(path, rows, seed=None) -> None:
-    body = [[r.arch, r.k, repr(r.test_error)] for r in rows]
-    _write_csv(path, ["arch", "k", "test_error"], body, seed=seed)
+def _emit(out_dir, files) -> list[Path]:
+    """Write each (file name, text) pair into ``out_dir``, made if missing, in
+    order; the paths in that order. Every artifact is written here."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / name for name, _ in files]
+    for path, (_, text) in zip(paths, files):
+        path.write_text(text)
+    return paths
 
 
 def phase_plot_svg(dump: TrajectoryDump, title: str, seed=None) -> str:
@@ -381,68 +361,48 @@ def phase_plot_svg(dump: TrajectoryDump, title: str, seed=None) -> str:
 
 
 def emit_toy_report(out_dir, results, seed=None) -> list[Path]:
-    """toy.csv, per-order trajectory CSVs, best-run metrics, phase SVGs."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = [out_dir / "toy.csv"]
-    write_toy_csv(written[0], results, seed=seed)
+    """toy.csv, then per order its trajectory CSV, best-run metrics and phase SVG."""
+    accuracies = [[s, res.k, repr(res.accuracies[s])] for res in results for s in sorted(res.accuracies)]
+    files = [("toy.csv", _csv(["seed", "k", "accuracy"], accuracies, seed=seed))]
     for res in results:
-        traj = out_dir / f"trajectory_k{res.k}.csv"
-        write_trajectory_csv(traj, res.dump, seed=seed)
-        metrics = out_dir / f"metrics_k{res.k}.csv"
-        metrics.write_text(metrics_to_csv(res.best_metrics))
-        svg = out_dir / f"phase_k{res.k}.svg"
+        q1, q2, labels = res.dump.q1, res.dump.q2, res.dump.labels
+        trajectory = [
+            [layer, sample, repr(float(q1[layer, sample])), repr(float(q2[layer, sample])), int(labels[sample])]
+            for layer in range(res.dump.layers)
+            for sample in range(q1.shape[1])
+        ]
+        metrics = [[m.epoch, repr(m.train_loss), repr(m.train_acc)] for m in res.best_metrics]
         title = f"order {res.k}: best accuracy {res.best_accuracy:.3f}"
-        svg.write_text(phase_plot_svg(res.dump, title, seed=seed))
-        written.extend([traj, metrics, svg])
-    return written
+        files += [
+            (f"trajectory_k{res.k}.csv", _csv(["layer", "sample_id", "q1", "q2", "label"], trajectory, seed=seed)),
+            (f"metrics_k{res.k}.csv", _csv(["epoch", "train_loss", "train_acc"], metrics)),
+            (f"phase_k{res.k}.svg", phase_plot_svg(res.dump, title, seed=seed)),
+        ]
+    return _emit(out_dir, files)
 
 
 def emit_sweep_report(out_dir, result: SweepResult) -> list[Path]:
-    """depth_sweep.csv plus measured-vs-fit plots of the mesh-size law."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "depth_sweep.csv"
-    write_depth_sweep_csv(csv_path, result)
-    measured = Series([(L, rho) for L, rho in result.points], markers=True, line=False)
-    fit_curve = Series(
-        [
-            (L, 1.0 / (result.fit.slope * L + result.fit.intercept))
-            for L, _ in result.points
-        ],
-        color="#d62728",
-    )
-    svg_path = out_dir / "rho_vs_depth.svg"
-    svg_path.write_text(
-        plot(
-            [measured, fit_curve],
-            title=f"mean perturbation ratio vs depth (d~{result.fit.d_estimate:.2f}, r2={result.fit.r_squared:.3f})",
-            xlabel="blocks L",
-            ylabel="mean rho",
-            comment=f"seed={result.seed}",
-        )
-    )
-    inv = Series([(L, 1.0 / rho) for L, rho in result.points], markers=True, line=False)
-    inv_fit = Series(
-        [(L, result.fit.slope * L + result.fit.intercept) for L, _ in result.points],
-        color="#d62728",
-    )
-    inv_path = out_dir / "inv_rho_vs_depth.svg"
-    inv_path.write_text(
-        plot(
-            [inv, inv_fit],
-            title="inverse ratio vs depth with least-squares fit",
-            xlabel="blocks L",
-            ylabel="1 / mean rho",
-            comment=f"seed={result.seed}",
-        )
-    )
-    return [csv_path, svg_path, inv_path]
+    """depth_sweep.csv plus measured-vs-fit plots of the mesh-size law, of the
+    mean ratio and of its inverse."""
+    fit = result.fit
+    rows = [[L, repr(rho), repr(1.0 / rho)] for L, rho in result.points]
+    files = [("depth_sweep.csv", _csv(["L", "mean_rho", "inv_rho"], rows, seed=result.seed))]
+    line = [(L, fit.slope * L + fit.intercept) for L, _ in result.points]
+    for name, title, ylabel, inverse in (
+        ("rho_vs_depth.svg",
+         f"mean perturbation ratio vs depth (d~{fit.d_estimate:.2f}, r2={fit.r_squared:.3f})",
+         "mean rho", False),
+        ("inv_rho_vs_depth.svg", "inverse ratio vs depth with least-squares fit", "1 / mean rho", True),
+    ):
+        measured = [(L, 1.0 / rho if inverse else rho) for L, rho in result.points]
+        fitted = [(L, y if inverse else 1.0 / y) for L, y in line]
+        series = [Series(measured, markers=True, line=False), Series(fitted, color="#d62728")]
+        files.append((name, plot(series, title=title, xlabel="blocks L", ylabel=ylabel,
+                                 comment=f"seed={result.seed}")))
+    return _emit(out_dir, files)
 
 
 def emit_compare_report(out_dir, rows, seed=None) -> list[Path]:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "compare.csv"
-    write_compare_csv(path, rows, seed=seed)
-    return [path]
+    """compare.csv: each architecture's held-out error."""
+    body = [[r.arch, r.k, repr(r.test_error)] for r in rows]
+    return _emit(out_dir, [("compare.csv", _csv(["arch", "k", "test_error"], body, seed=seed))])

@@ -1,9 +1,7 @@
 """Loss, optimizer, and the training loop shared by all experiments."""
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import operator
 from dataclasses import dataclass
 
@@ -19,7 +17,6 @@ __all__ = [
     "Adam",
     "train",
     "evaluate",
-    "metrics_to_csv",
 ]
 
 # A loss beyond this is treated as divergence rather than a value to keep
@@ -70,6 +67,8 @@ def _log_softmax_loss(z: np.ndarray, labels) -> tuple[np.float64, np.ndarray]:
     labels = np.asarray(labels)
     if labels.shape != (z.shape[0],):
         raise ValueError(f"labels shape {labels.shape} does not match batch {z.shape[0]}")
+    if labels.dtype.kind not in "iu":
+        raise TypeError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.min() < 0 or labels.max() >= z.shape[1]:
         raise ValueError(
             f"labels must lie in [0, {z.shape[1]}), got range "
@@ -217,11 +216,3 @@ def train(network, dataset, config: TrainConfig):
         metrics.append(EpochMetrics(epoch, total_loss / n, total_correct / n))
     return metrics
 
-
-def metrics_to_csv(metrics) -> str:
-    """CSV rendering with columns epoch, train_loss, train_acc."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["epoch", "train_loss", "train_acc"])
-    writer.writerows([m.epoch, repr(m.train_loss), repr(m.train_acc)] for m in metrics)
-    return buf.getvalue()

@@ -308,3 +308,10 @@ class TestDatasetInvariants:
     def test_labels_must_be_in_range(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 3)), np.array([0, 5]), num_classes=3)
+
+    @pytest.mark.parametrize("labels,num_classes", [
+        (np.array([0.0, 1.0]), 2), (np.array([False, True]), 2), (np.array([0, 1]), 2.0),
+    ])
+    def test_labels_and_class_count_must_be_integers(self, labels, num_classes):
+        with pytest.raises(TypeError, match="must be (an )?integer"):
+            Dataset(np.zeros((2, 3)), labels, num_classes)

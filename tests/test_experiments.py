@@ -19,8 +19,6 @@ from cknet.experiments import (
     phase_plot_svg,
     run_depth_sweep,
     run_toy_experiment,
-    write_depth_sweep_csv,
-    write_trajectory_csv,
 )
 from cknet.svgplot import Series, plot
 from cknet.training import TrainConfig
@@ -388,22 +386,23 @@ class TestCsvWriters:
         from cknet.experiments import RegressionFit, SweepResult
 
         result = SweepResult([(2, 0.5), (4, 0.25)], RegressionFit(0.5, 0.0, 1.0, 2.0), seed=7)
-        path = tmp_path / "depth_sweep.csv"
-        write_depth_sweep_csv(path, result)
-        lines = path.read_text().strip().split("\n")
+        experiments.emit_sweep_report(tmp_path, result)
+        lines = (tmp_path / "depth_sweep.csv").read_text().strip().split("\n")
         assert lines[0] == "# seed=7"
         assert lines[1] == "L,mean_rho,inv_rho"
         assert lines[2] == "2,0.5,2.0"
 
     def test_trajectory_schema_and_determinism(self, tmp_path):
+        from cknet.experiments import ToyResult
+
         dump = TrajectoryDump(
             q1=np.array([[0.25, 1.0]]),
             q2=np.array([[0.0, -1.5]]),
             labels=np.array([1, 0]),
         )
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_trajectory_csv(a, dump, seed=1)
-        write_trajectory_csv(b, dump, seed=1)
+        result = ToyResult(2, {1: 0.5}, 1, 0.5, dump, [])
+        a, b = (experiments.emit_toy_report(tmp_path / name, [result], seed=1)[1] for name in "ab")
+        assert a.name == b.name == "trajectory_k2.csv"
         assert a.read_bytes() == b.read_bytes()
         lines = a.read_text().strip().split("\n")
         assert lines[1] == "layer,sample_id,q1,q2,label"

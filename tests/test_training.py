@@ -6,6 +6,7 @@ import pytest
 
 from cknet.architectures import Network, NetworkConfig
 from cknet.data import Dataset
+from cknet.experiments import ToyResult, TrajectoryDump, emit_toy_report
 from cknet.tensor import Parameter, Tensor
 from cknet.training import (
     Adam,
@@ -14,7 +15,6 @@ from cknet.training import (
     TrainingError,
     _log_softmax_loss,
     evaluate,
-    metrics_to_csv,
     softmax_cross_entropy,
     train,
 )
@@ -60,6 +60,11 @@ class TestSoftmaxCrossEntropy:
             softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
         with pytest.raises(ValueError, match="labels"):
             softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.array([-1, 0]))
+
+    @pytest.mark.parametrize("labels", [np.array([0.0, 1.0]), np.array([False, True]), [0.0, 2.0]])
+    def test_labels_that_are_not_integers_rejected(self, labels):
+        with pytest.raises(TypeError, match="labels must be integers"):
+            softmax_cross_entropy(Tensor(np.zeros((2, 3))), labels)
 
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(14)
@@ -426,8 +431,16 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="logits must be"):
             evaluate(net, np.zeros(2), np.zeros(1, dtype=np.int64))
 
+    @pytest.mark.parametrize("dtype", [float, bool])
+    def test_labels_that_are_not_integers_rejected(self, dtype):
+        data = _blobs()
+        with pytest.raises(TypeError, match=f"labels must be integers, got dtype {np.dtype(dtype)}"):
+            evaluate(_linear_model(), data.inputs, data.labels.astype(dtype))
+
 
 class TestMetricsCsv:
-    def test_schema_is_the_training_columns(self):
+    def test_schema_is_the_training_columns(self, tmp_path):
         rows = [EpochMetrics(0, 1.5, 0.5), EpochMetrics(1, 1.0, 0.75)]
-        assert metrics_to_csv(rows) == "epoch,train_loss,train_acc\n0,1.5,0.5\n1,1.0,0.75\n"
+        dump = TrajectoryDump(np.zeros((1, 2)), np.zeros((1, 2)), np.array([0, 1]))
+        emit_toy_report(tmp_path, [ToyResult(1, {0: 0.5}, 0, 0.5, dump, rows)], seed=4)
+        assert (tmp_path / "metrics_k1.csv").read_text() == "epoch,train_loss,train_acc\n0,1.5,0.5\n1,1.0,0.75\n"
