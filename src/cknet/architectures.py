@@ -41,7 +41,6 @@ __all__ = [
     "unroll",
     "Network",
     "c1_step",
-    "dense_difference_identity_residual",
     "parameter_count",
     "weight_matrix_ratio",
 ]
@@ -118,34 +117,6 @@ def c1_step(weight, bias, activation: str, x, dl: float):
     if not dl > 0:
         raise ValueError(f"dl must be positive, got {dl}")
     return x + T.affine(x, weight, bias, activation) * dl
-
-
-def dense_difference_identity_residual(trajectory, forcing_values, n: int, dl: float) -> np.ndarray:
-    """|lhs - rhs| of the order-n dense difference identity, layers l = n..L-1 on axis 0.
-
-    On an additive dense trajectory the (n+1)-order mixed difference of the
-    activations (lhs) equals the n-fold backward difference of the forcing
-    outputs scaled by dl (rhs) at every admissible layer l.
-
-    ``trajectory`` holds arrays x_0..x_L, ``forcing_values`` the raw
-    forcing outputs f_l(x_l) for l = 0..L-1 (lists of arrays, or the
-    stacked arrays of a ``Trace``). Both stencils run once over all
-    admissible layers, on shifted slices.
-    """
-    if n < 0:
-        raise ValueError(f"difference order must be >= 0, got {n}")
-    last = len(trajectory) - 2
-    if last < n:
-        raise IndexError(
-            f"trajectory of {len(trajectory)} layers is too short for order {n}"
-        )
-    if len(forcing_values) != len(trajectory) - 1:
-        raise ShapeError("need one forcing value per transition")
-    xs, fs = np.asarray(trajectory), np.asarray(forcing_values)
-    # term j of layer l = n..last reads x_{l+1-j} and f_{l-j}
-    lhs = sum(c * xs[n + 1 - j : last + 2 - j] for j, c in enumerate(alternating_binomial_row(n + 1)))
-    rhs = sum(c * fs[n - j : last + 1 - j] for j, c in enumerate(alternating_binomial_row(n))) * dl
-    return np.abs(lhs - rhs)
 
 
 # -- parameter accounting --------------------------------------------------------

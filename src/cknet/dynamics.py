@@ -13,8 +13,11 @@ operators are generic: entries may be numpy arrays, or anything supporting
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
+
+import numpy as np
 
 from .tensor import ShapeError
 
@@ -23,6 +26,7 @@ __all__ = [
     "binomial",
     "alternating_binomial_row",
     "alternating_binomial_sum",
+    "lagged_sum",
     "backward_diff_power",
     "binomial_invert",
     "BlockMatrix",
@@ -56,8 +60,17 @@ def alternating_binomial_sum(n: int) -> int:
     return sum(alternating_binomial_row(n))
 
 
+def lagged_sum(row, lags):
+    """row[0]·lags[0] + row[1]·lags[1] + ..., summed left to right; the one
+    place outside the network kernels that applies a coefficient row. A unit
+    coefficient adds its entry without a multiply and a zero one adds nothing,
+    so a lone unit term comes back unchanged and an all-zero row gives 0."""
+    terms = [lag if c == 1 else c * lag for c, lag in zip(row, lags, strict=True) if c]
+    return reduce(operator.add, terms) if terms else 0
+
+
 def _check_same_shape(entries, what: str) -> None:
-    shapes = {tuple(e.shape) for e in entries}
+    shapes = {np.shape(e) for e in entries}
     if len(shapes) > 1:
         raise ShapeError(f"{what}: entries have mixed shapes {sorted(shapes)}")
 
@@ -77,13 +90,9 @@ def backward_diff_power(seq, l: int, n: int):
         )
     if l >= len(seq):
         raise IndexError(f"position l={l} out of range for sequence of length {len(seq)}")
-    _check_same_shape([seq[l - j] for j in range(n)], "backward_diff_power")
-    row = alternating_binomial_row(n - 1)
-    out = seq[l]
-    for j in range(1, n):
-        c = row[j]
-        out = out + c * seq[l - j]
-    return out
+    window = [seq[l - j] for j in range(n)]
+    _check_same_shape(window, "backward_diff_power")
+    return lagged_sum(alternating_binomial_row(n - 1), window)
 
 
 def binomial_invert(states):
@@ -100,15 +109,7 @@ def binomial_invert(states):
     if n < 1:
         raise ValueError("binomial_invert requires at least one state")
     _check_same_shape(states, "binomial_invert")
-    lags = []
-    for m in range(n):
-        row = alternating_binomial_row(m)
-        value = states[0]
-        for j in range(1, m + 1):
-            c = row[j]
-            value = value + c * states[j]
-        lags.append(value)
-    return lags
+    return [lagged_sum(alternating_binomial_row(m), states[: m + 1]) for m in range(n)]
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,8 @@ def _log_softmax_loss(z: np.ndarray, labels) -> tuple[np.float64, np.ndarray]:
         raise ValueError(f"labels shape {labels.shape} does not match batch {z.shape[0]}")
     if labels.dtype.kind not in "iu":
         raise TypeError(f"labels must be integers, got dtype {labels.dtype}")
+    if not len(labels):
+        raise ValueError("cannot take the loss of an empty batch")
     if labels.min() < 0 or labels.max() >= z.shape[1]:
         raise ValueError(
             f"labels must lie in [0, {z.shape[1]}), got range "

@@ -22,15 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .architectures import Trace, c1_step, dense_difference_identity_residual, unroll
+from .architectures import Trace, c1_step, unroll
 from .dynamics import (
     MAX_BINOMIAL_N,
     BlockMatrix,
+    alternating_binomial_row,
     alternating_binomial_sum,
     backward_diff_power,
     binomial_invert,
     build_ck_matrices,
     build_dense_matrices,
+    lagged_sum,
 )
 
 __all__ = ["CheckResult", "run_battery", "sign_flipped_dense_forcing"]
@@ -106,30 +108,37 @@ def _max_gap(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return _member_max(np.abs(xs - ys))
 
 
-def _extraction_deviation(xs: np.ndarray, states: np.ndarray, k: int) -> np.ndarray:
-    """Each member's max gap between recorded states and differences of its
-    trajectory.
+def _lags(a: np.ndarray, before, count: int) -> list[np.ndarray]:
+    """Views of a trace whose entry j = 0..count-1 holds a_{l-j} at layer l,
+    with ``before`` (a layer, or a number) standing in before the input."""
+    padded = np.concatenate([np.broadcast_to(before, (count - 1, *a.shape[1:])), a])
+    return [padded[count - 1 - j : len(padded) - j] for j in range(count)]
 
-    q_n at layer l must be the (n-1)-fold backward difference of x at l,
-    with x_0 standing in for the layers before the input. Each order runs
-    ``backward_diff_power`` once over the whole trajectory: entry i of
-    ``lagged`` is the padded trajectory shifted by k-1-i layers.
-    """
-    padded = np.concatenate([np.repeat(xs[:1], k - 1, axis=0), xs])
-    lagged = [padded[i : i + len(xs)] for i in range(k)]
-    gaps = [_max_gap(states[:, n - 1], backward_diff_power(lagged, k - 1, n)) for n in range(1, k + 1)]
+
+def _extraction_deviation(lags: list[np.ndarray], states: np.ndarray) -> np.ndarray:
+    """Each member's max gap between recorded states and differences of its
+    trajectory: q_n at layer l must be the (n-1)-fold backward difference of
+    x at l, over the ``_lags`` of x padded with x_0."""
+    gaps = [_max_gap(states[:, n - 1], lagged_sum(alternating_binomial_row(n - 1), lags[:n]))
+            for n in range(1, states.shape[1] + 1)]
     return np.max(gaps, axis=0)
 
 
 def _state_space_deviation(trace: Trace, matrix: BlockMatrix, dl: float) -> np.ndarray:
-    """Each member's max gap between its state steps q_{l+1} - q_l and B·u_l, u_l = dl·f_l, dl·f_{l-1},
-    ... (zero before the input); row n of B runs once, on slices of the padded outputs shifted by lag j."""
-    k, depth = matrix.k, len(trace.forcing)
-    padded = np.concatenate([np.zeros((k - 1, *trace.forcing.shape[1:])), trace.forcing]) * dl
+    """Each member's max gap between its state steps q_{l+1} - q_l and B·u_l,
+    u_l = dl·f_l, dl·f_{l-1}, ... (zero before the input)."""
+    lags = _lags(trace.forcing * dl, 0.0, matrix.k)
     steps = trace.states[1:] - trace.states[:-1]
-    gaps = [_max_gap(steps[:, n], sum(c * padded[k - 1 - j : k - 1 - j + depth] for j, c in enumerate(row) if c))
-            for n, row in enumerate(matrix.block)]
-    return np.max(gaps, axis=0)
+    return np.max([_max_gap(steps[:, n], lagged_sum(row, lags)) for n, row in enumerate(matrix.block)], axis=0)
+
+
+def _identity_deviation(x_lags: list[np.ndarray], f_lags: list[np.ndarray], n: int, dl: float) -> np.ndarray:
+    """Each member's max residual of the order-n dense difference identity
+    over the layers l = n..L-1 that need no padding: the (n+1)-fold backward
+    difference of x at l+1 against dl times the n-fold one of f at l."""
+    lhs = lagged_sum(alternating_binomial_row(n + 1), [x[n + 1 :] for x in x_lags[: n + 2]])
+    rhs = lagged_sum(alternating_binomial_row(n), [f[n:] for f in f_lags[: n + 1]]) * dl
+    return _max_gap(lhs, rhs)
 
 
 def _case_rng(base_seed: int, *key: int) -> np.random.Generator:
@@ -161,16 +170,18 @@ def _check_group(k: int, d: int, depth: int, seeds, forcing_matrix) -> list[list
     ck_state = Trace.from_layers(unroll(*stack, "ck", k, dl, "state"))
     dense = Trace.from_layers(unroll(*stack, "dense", k, dl, "direct"))
     dense_state = Trace.from_layers(unroll(*stack, "dense", k, dl, "state"))
+    dense_lags = _lags(dense.activations, dense.activations[0], k + 1)
+    forcing_lags = _lags(dense.forcing, 0.0, k)
     rows = [  # (check, deviation of each member, detail suffix)
         ("ck equivalence", _max_gap(xs, ck_state.activations), ""),
-        ("ck state extraction", _extraction_deviation(xs, ck_state.states, k), ""),
+        ("ck state extraction", _extraction_deviation(_lags(xs, xs[0], k), ck_state.states), ""),
         ("dense equivalence", _max_gap(dense.activations, dense_state.activations), ""),
-        ("dense state extraction", _extraction_deviation(dense.activations, dense_state.states, k), ""),
+        ("dense state extraction", _extraction_deviation(dense_lags, dense_state.states), ""),
         ("dense state-space form", _state_space_deviation(dense_state, forcing_matrix, dl), ""),
     ]
-    # an order-n identity needs at least one admissible layer
+    # an order-n identity needs at least one layer l >= n
     for n in range(min(k, depth)):
-        gap = _member_max(dense_difference_identity_residual(dense.activations, dense.forcing, n, dl))
+        gap = _identity_deviation(dense_lags, forcing_lags, n, dl)
         rows.append(("dense difference identity", np.where(gap <= _IDENTITY_TOLERANCE, 0.0, np.inf), f" order n={n}"))
     if k == 1:
         # every residual step x + f(x)·dl from the same x_0, so the whole

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cknet import architectures, tensor
+from cknet import architectures, tensor, verify
 from cknet.architectures import (
     Network,
     NetworkConfig,
@@ -283,23 +283,27 @@ class TestDenseDifferenceIdentity:
                 break
         assert found_counterexample
 
-    def test_insufficient_trajectory_rejected(self):
-        with pytest.raises(IndexError):
-            identity_holds([np.zeros(1)] * 2, [np.zeros(1)], 3, 1.0)
+    def test_a_nan_residual_fails_the_identity(self):
+        fs = [random_forcing(2, seed=40 + i) for i in range(5)]
+        xs, forcing, _ = unrolled(fs, np.array([0.3, -0.6]), "dense", 1, 0.8, "direct")
+        xs[-1] = np.full(2, np.nan)
+        assert np.isnan(identity_gap(xs, forcing, 0, 0.8))
+        assert not identity_holds(xs, forcing, 0, dl=0.8)
 
     @pytest.mark.parametrize("family", ["dense", "ck"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("shape", [(3,), (4, 3)])
     def test_verdict_matches_per_layer_loop_at_the_tolerance(self, family, k, shape):
+        # the battery's identity row, on the lags it reads, against the per-layer loop
         fs = [random_forcing(3, seed=300 + 10 * k + i, activation="sigmoid") for i in range(7)]
         x0 = np.random.default_rng(k).standard_normal(shape)
         xs, forcing, _ = unrolled(fs, x0, family, k, 0.5, "direct")
+        x_lags = verify._lags(np.stack(xs), xs[0], k + 1)
+        f_lags = verify._lags(np.stack(forcing), 0.0, k)
         for n in range(k):
             worst = identity_gap(xs, forcing, n, 0.5)
-            below = np.nextafter(worst, -np.inf)
-            for trajectory, values in ((xs, forcing), (np.stack(xs), np.stack(forcing))):
-                assert identity_holds(trajectory, values, n, 0.5, tol=worst)
-                assert not identity_holds(trajectory, values, n, 0.5, tol=below)
+            gap = np.max(verify._identity_deviation(x_lags, f_lags, n, 0.5))
+            assert gap <= worst and not gap <= np.nextafter(worst, -np.inf)
 
 
 class TestParameterAccounting:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from cknet.dynamics import (
     binomial_invert,
     build_ck_matrices,
     build_dense_matrices,
+    lagged_sum,
 )
 from cknet.tensor import ShapeError
 from helpers import block_apply, expand, pascal_triangle_row
@@ -119,6 +122,67 @@ class TestDifferenceOperators:
             iterated = [iterated[i] - iterated[i - 1] for i in range(1, len(iterated))]
         l = len(seq) - 1
         assert backward_diff_power(seq, l, n)[0] == iterated[-1][0]
+
+
+class TestLaggedSum:
+    @staticmethod
+    def chained(row, lags):
+        """The nonzero terms c·x of the row added one after another, left to right."""
+        total = None
+        for c, x in zip(row, lags):
+            if c:
+                total = c * x if total is None else total + c * x
+        return total
+
+    def test_bitwise_the_chained_sum_on_floats(self):
+        rng = np.random.default_rng(3)
+        lags = [rng.standard_normal(6) * 10.0**e for e in (-8, 0, 8, 3)]
+        lags[1][:3] = (np.nan, 0.0, -0.0)
+        lags[2][:3] = (1.0, -0.0, -0.0)
+        for row in ([1, -3, 3, -1], [2, 0, -1, 5], [-1, 1, 0, 0], [0, 0, 7, -2], [1, 1, 1, 1]):
+            assert lagged_sum(row, lags).tobytes() == self.chained(row, lags).tobytes()
+
+    def test_keeps_the_sign_of_a_zero_sum(self):
+        zero = np.array([-0.0])
+        assert np.signbit(lagged_sum([1, 0, 1], [zero, np.ones(1), zero]))
+
+    def test_exact_on_integers_and_fractions(self):
+        ints = [np.array([2**62 + 1, -7]), np.array([2**61, 3]), np.array([1, 1])]
+        assert lagged_sum([1, -2, 1], ints).tolist() == [2, -12]
+        fractions = [Fraction(1, 3), Fraction(-5, 7), Fraction(2, 9)]
+        assert lagged_sum([1, -2, 1], fractions) == Fraction(1, 3) + Fraction(10, 7) + Fraction(2, 9)
+
+    def test_a_lone_unit_term_comes_back_unchanged(self):
+        lags = [np.ones(2), np.arange(2.0), np.zeros(2)]
+        assert lagged_sum([0, 1, 0], lags) is lags[1]
+
+    def test_a_zero_coefficient_hides_a_nan_lag(self):
+        total = lagged_sum([1, 0, -1], [np.ones(2), np.full(2, np.nan), np.arange(2.0)])
+        assert total.tolist() == [1.0, 0.0]
+
+    def test_an_all_zero_row_sums_to_zero(self):
+        assert lagged_sum([0, 0], [np.ones(2), np.ones(2)]) == 0
+
+    def test_a_row_and_lags_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            lagged_sum([1, -1], [np.ones(2)])
+
+
+class TestPlainNumbers:
+    """The sequence operators take plain ints and ``Fraction``s, exactly."""
+
+    def test_backward_difference_of_ints(self):
+        assert backward_diff_power([1, 2, 4], 2, 3) == 1
+
+    def test_invert_fractions(self):
+        states = [Fraction(1), Fraction(2), Fraction(-3, 2)]
+        assert binomial_invert(states) == [1, -1, Fraction(-9, 2)]
+        seq = list(reversed(binomial_invert(states)))
+        assert [backward_diff_power(seq, 2, m) for m in (1, 2, 3)] == states
+
+    def test_a_number_among_arrays_is_a_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            binomial_invert([1.0, np.zeros(2)])
 
 
 class TestMixedDiffCoefficients:

@@ -66,6 +66,10 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(TypeError, match="labels must be integers"):
             softmax_cross_entropy(Tensor(np.zeros((2, 3))), labels)
 
+    def test_empty_batch_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^cannot take the loss of an empty batch$"):
+            softmax_cross_entropy(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=np.int64))
+
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(14)
         z = rng.standard_normal((3, 4))
@@ -436,6 +440,10 @@ class TestEvaluate:
         data = _blobs()
         with pytest.raises(TypeError, match=f"labels must be integers, got dtype {np.dtype(dtype)}"):
             evaluate(_linear_model(), data.inputs, data.labels.astype(dtype))
+
+    def test_empty_batch_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^cannot take the loss of an empty batch$"):
+            evaluate(_linear_model(), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
 
 
 class TestMetricsCsv:

@@ -68,7 +68,7 @@ def test_extraction_deviation_is_bitwise_the_loop(k, d, batch, faulty):
     for family, dl in (("ck", 0.5), ("dense", 1.0)):
         xs = trace(fs, x0, family, k, dl, "direct").activations
         states = sign * trace(fs, x0, family, k, dl, "state").states
-        vectorised = _extraction_deviation(xs, states, k)
+        vectorised = _extraction_deviation(verify._lags(xs, xs[0], k), states)
         assert vectorised.shape == (MEMBERS,)
         for e, (member_fs, member_x0) in enumerate(cases):
             xs_e = trace(member_fs, member_x0, family, k, dl, "direct").activations
@@ -155,6 +155,12 @@ def test_stacked_battery_equals_the_per_case_reference(hook, grid, failing):
     stacked = fields(run_battery(**{**GRID, **grid}, dense_forcing_matrix=hook))
     assert stacked == fields(reference_battery(**{**GRID, **grid}, dense_forcing_matrix=hook))
     assert {name for name, _, _, passed, _ in stacked if not passed} == failing
+
+
+def test_order_five_passes_on_the_default_grid():
+    # the highest order the direct ck form keeps within 1e-9 of the state form
+    # on the default widths, depths and seeds; order 6 fails two checks
+    assert [r.name for r in run_battery(orders=(5,)) if not r.passed] == []
 
 
 @pytest.mark.parametrize("k", range(1, 9))
