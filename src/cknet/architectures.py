@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,6 +100,8 @@ class NetworkConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if min(self.width, self.input_dim) < 1 or self.num_classes < 2:
             raise ValueError("width and input_dim must be >= 1, num_classes >= 2")
+        if not isinstance(self.dl, numbers.Real):
+            raise TypeError(f"dl must be a real number, got {self.dl!r}")
         if not self.dl > 0:
             raise ValueError(f"dl must be positive, got {self.dl}")
         if self.k > MAX_BINOMIAL_N:

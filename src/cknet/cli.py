@@ -73,44 +73,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-fault", choices=["dense-sign-flip"], help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("train-toy", help="single-node separability experiment on the 1-D toy set")
+    # the options two or more experiment commands share, each declared once
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--seed", type=int_at_least(0), default=0)
+    run.add_argument("--out", default="out")
+    digits = argparse.ArgumentParser(add_help=False)
+    digits.add_argument("--samples", type=int_at_least(10), default=10000, help="at least one per digit class")
+    digits.add_argument("-d", "--width", type=positive_int, default=64)
+    digits.add_argument("--dl", type=positive_float, default=0.5)
+    digits.add_argument("--batch-size", type=positive_int, default=128)
+    digits.add_argument("--learning-rate", type=positive_float, default=1e-3)
+    digits.add_argument("--data-dir", default=None,
+                        help="IDX directory (or env CK_DATA_DIR); synthetic data when absent")
+
+    p = sub.add_parser("train-toy", parents=[run], help="single-node separability experiment on the 1-D toy set")
     p.add_argument("-k", "--order", type=order, default=2)
     p.add_argument("-L", "--depth", type=int_at_least(0), default=16)
     p.add_argument("--dl", type=positive_float, default=0.2)
-    p.add_argument("--seed", type=int_at_least(0), default=0, help="base seed; runs use seed..seed+seeds-1")
-    p.add_argument("--seeds", type=positive_int, default=5, help="number of independent runs")
+    p.add_argument("--seeds", type=positive_int, default=5,
+                   help="number of independent runs; they use seeds seed..seed+seeds-1")
     p.add_argument("--epochs", type=int_at_least(0), default=2000)
     p.add_argument("--learning-rate", type=positive_float, default=0.002)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_train_toy)
 
-    p = sub.add_parser("depth-sweep", help="perturbation magnitude vs depth for residual networks")
+    p = sub.add_parser("depth-sweep", parents=[run, digits],
+                       help="perturbation magnitude vs depth for residual networks")
     p.add_argument("--depths", type=positive_int, nargs="+", default=list(range(2, 21, 2)))
-    p.add_argument("--samples", type=int_at_least(10), default=10000, help="at least one per digit class")
-    p.add_argument("-d", "--width", type=positive_int, default=64)
-    p.add_argument("--dl", type=positive_float, default=0.5)
     p.add_argument("--repetitions", type=positive_int, default=2)
     p.add_argument("--epochs", type=int_at_least(0), default=8)
-    p.add_argument("--batch-size", type=positive_int, default=128)
-    p.add_argument("--learning-rate", type=positive_float, default=1e-3)
-    p.add_argument("--seed", type=int_at_least(0), default=0)
-    p.add_argument("--data-dir", default=None, help="IDX directory (or env CK_DATA_DIR); synthetic data when absent")
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_depth_sweep)
 
-    p = sub.add_parser("compare", help="train every architecture family/order under one configuration")
+    p = sub.add_parser("compare", parents=[run, digits],
+                       help="train every architecture family/order under one configuration")
     p.add_argument("--orders", type=order, nargs="+", default=[1, 2, 3, 4])
     p.add_argument("--dense-orders", type=order, nargs="+", default=[2, 3, 4])
     p.add_argument("-L", "--depth", type=int_at_least(0), default=6)
-    p.add_argument("-d", "--width", type=positive_int, default=64)
-    p.add_argument("--dl", type=positive_float, default=0.5)
-    p.add_argument("--samples", type=int_at_least(10), default=10000, help="at least one per digit class")
     p.add_argument("--epochs", type=positive_int, default=8)
-    p.add_argument("--batch-size", type=positive_int, default=128)
-    p.add_argument("--learning-rate", type=positive_float, default=1e-3)
-    p.add_argument("--seed", type=int_at_least(0), default=0)
-    p.add_argument("--data-dir", default=None)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("param-count", help="parameter accounting of order-k blocks vs explicit first-order")
@@ -147,18 +145,15 @@ def _load_subset(args) -> tuple[Dataset, str]:
     )
 
 
+def _training(args) -> dict:
+    """The training settings depth-sweep and compare hand to their runners."""
+    return {name: getattr(args, name) for name in ("width", "dl", "epochs", "batch_size", "learning_rate", "seed")}
+
+
 def cmd_verify(args) -> int:
-    hook = None
-    if args.inject_fault == "dense-sign-flip":
-        hook = sign_flipped_dense_forcing
-    results = run_battery(
-        orders=args.orders,
-        widths=args.widths,
-        depths=args.depths,
-        seeds=args.seeds,
-        tolerance=args.tolerance,
-        dense_forcing_matrix=hook,
-    )
+    hook = sign_flipped_dense_forcing if args.inject_fault == "dense-sign-flip" else None
+    results = run_battery(orders=args.orders, widths=args.widths, depths=args.depths, seeds=args.seeds,
+                          tolerance=args.tolerance, dense_forcing_matrix=hook)
     failed = False
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -191,17 +186,7 @@ def cmd_train_toy(args) -> int:
 def cmd_depth_sweep(args) -> int:
     dataset, source = _load_subset(args)
     print(f"seed={args.seed} data={source}")
-    result = experiments.run_depth_sweep(
-        args.depths,
-        dataset,
-        repetitions=args.repetitions,
-        width=args.width,
-        dl=args.dl,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-    )
+    result = experiments.run_depth_sweep(args.depths, dataset, repetitions=args.repetitions, **_training(args))
     for depth, rho in result.points:
         print(f"  L={depth:>3}  mean rho={rho:.5f}  1/rho={1.0 / rho:.3f}")
     fit = result.fit
@@ -218,19 +203,8 @@ def cmd_compare(args) -> int:
     dataset, source = _load_subset(args)
     trainset, heldout = split(dataset, 0.8, seed=args.seed)
     print(f"seed={args.seed} data={source}")
-    rows = experiments.compare_orders(
-        args.orders,
-        args.dense_orders,
-        trainset,
-        heldout,
-        depth=args.depth,
-        width=args.width,
-        dl=args.dl,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-    )
+    rows = experiments.compare_orders(args.orders, args.dense_orders, trainset, heldout, depth=args.depth,
+                                      **_training(args))
     print(f"{'arch':<8} {'k':>2} {'train_acc':>10} {'test_error':>11}")
     for row in rows:
         print(f"{row.arch:<8} {row.k:>2} {row.train_acc:>10.4f} {row.test_error:>11.4f}")

@@ -262,6 +262,8 @@ def synthetic_digits(n: int, seed: int = 0) -> Dataset:
 
 def split(dataset: Dataset, fraction: float, seed: int = 0) -> tuple[Dataset, Dataset]:
     """Disjoint, exhaustive, seeded split; first part gets ``fraction``."""
+    if not isinstance(fraction, numbers.Real):
+        raise TypeError(f"fraction must be a real number, got {fraction!r}")
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie strictly between 0 and 1, got {fraction}")
     n = len(dataset)

@@ -54,8 +54,8 @@ class PerturbationRecord:
     skipped: int  # samples excluded for a zero-norm activation or a non-finite norm
 
     def __post_init__(self):
-        if self.ratio < 0:
-            raise ValueError("perturbation ratio cannot be negative")
+        if not self.ratio >= 0:  # NaN too
+            raise ValueError(f"perturbation ratio must be >= 0, got {self.ratio!r}")
 
 
 def measure_perturbation(network: Network, inputs: np.ndarray) -> list[PerturbationRecord]:
@@ -122,6 +122,8 @@ def fit_computational_distance(pairs) -> RegressionFit:
     pairs = list(pairs)
     depths = np.array([float(p[0]) for p in pairs])
     rhos = np.array([float(p[1]) for p in pairs])
+    if not np.isfinite([depths, rhos]).all():
+        raise ValueError(f"depths and mean perturbation ratios must be finite, got {pairs}")
     if len(set(depths.tolist())) < 3:
         raise ValueError(f"need at least 3 distinct depths, got {sorted(set(depths.tolist()))}")
     if np.any(rhos <= 0):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -48,6 +49,8 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not isinstance(self.learning_rate, numbers.Real):
+            raise TypeError(f"learning_rate must be a real number, got {self.learning_rate!r}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 

@@ -17,6 +17,7 @@ independently, against the per-case reference in ``tests/helpers.py``.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -263,6 +264,8 @@ def run_battery(
         high = MAX_BINOMIAL_N if name == "orders" else math.inf
         if not all(1 <= value <= high for value in values):
             raise ValueError(f"{name} must be in [1, {high}], got {list(values)}")
+    if not isinstance(tolerance, numbers.Real):
+        raise TypeError(f"tolerance must be a real number, got {tolerance!r}")
     if not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     checks = _new_checks(tolerance)

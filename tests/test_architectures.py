@@ -636,15 +636,13 @@ class TestStateStepAccuracy:
             assert states.tobytes() == expected.tobytes()
         assert np.max(np.abs(states - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("k", [4, 16, 32, 64])
-    def test_ck_state_is_accurate_at_every_order(self, k):
-        # the recurrence in Fractions, each layer's forcing evaluated in float
-        # on the exact q_1 rounded. The gap is at most 5.1e-16 of the largest
-        # state for these k; the direct form's x_l, summed over the binomial
-        # stencil, is off by 1.8e-12 of it at k=16, 1.4e-7 at 32 and 2.6e2 at 64
+    @staticmethod
+    def exact_ck_case(k):
+        """Six width-1 forcings, x_0, and the ck state recurrence over them in
+        Fractions, each layer's forcing evaluated in float on the exact q_1
+        rounded."""
         fs = [random_forcing(1, seed=10 * k + i) for i in range(6)]
         x0 = np.random.default_rng(k).standard_normal(1)
-        states = [r.state for r in unroll(*stacked(fs), x0, "ck", k, 1.0, "state")]
         q = [Fraction(x0[0])] + [Fraction(0)] * (k - 1)
         exact = [q]
         for f in fs:
@@ -653,8 +651,26 @@ class TestStateStepAccuracy:
                 suffix.append(part + suffix[-1])
             q = suffix[::-1]
             exact.append(q)
+        return fs, x0, exact
+
+    @pytest.mark.parametrize("k", [4, 16, 32, 64])
+    def test_ck_state_is_accurate_at_every_order(self, k):
+        # the gap is at most 5.1e-16 of the largest state for these k
+        fs, x0, exact = self.exact_ck_case(k)
+        states = [r.state for r in unroll(*stacked(fs), x0, "ck", k, 1.0, "state")]
         gap = max(abs(Fraction(p[0]) - e) for parts, row in zip(states, exact) for p, e in zip(parts, row))
         assert gap <= Fraction(1e-15) * max(abs(e) for row in exact for e in row)
+
+    @pytest.mark.parametrize("k", [4, 16, 32, 64])
+    def test_ck_direct_form_error_grows_at_most_like_2_to_the_k(self, k):
+        # the direct form sums k lags with coefficients up to C(k, k/2), so its
+        # x_l is off by up to about 2^k·ε of the largest state. On these cases
+        # it is 1.8e-12 of it at k=16, 1.4e-7 at 32 and 2.6e2 at 64 (at most
+        # 0.15·2^k·ε); over four draws at every k in 1..64, at most 1.54·2^k·ε
+        fs, x0, exact = self.exact_ck_case(k)
+        xs = [r.x for r in unroll(*stacked(fs), x0, "ck", k, 1.0, "direct")]
+        gap = max(abs(Fraction(x[0]) - row[0]) for x, row in zip(xs, exact, strict=True))
+        assert gap <= 4 * 2**k * Fraction(np.finfo(float).eps) * max(abs(e) for row in exact for e in row)
 
     @pytest.mark.parametrize("k", [4, 16, 32, 64])
     def test_dense_state_is_accurate_at_every_order(self, k):
@@ -1138,6 +1154,10 @@ class TestConfigValidation:
     def test_bad_dl(self):
         with pytest.raises(ValueError):
             NetworkConfig("ck", 1, 1, 1, 1, 2, dl=0.0)
+
+    def test_non_numeric_dl_is_a_type_error(self):
+        with pytest.raises(TypeError, match=r"^dl must be a real number, got '1'$"):
+            NetworkConfig("ck", 2, 3, 2, 2, 2, dl="1")
 
     @pytest.mark.parametrize("name", ["k", "depth", "width", "input_dim", "num_classes"])
     @pytest.mark.parametrize("value", [2.5, 2.0, "2", None], ids=["fraction", "whole-float", "str", "none"])

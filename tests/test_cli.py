@@ -253,6 +253,44 @@ class TestUsage:
         assert exc.value.code == 2
 
 
+# every subcommand's option strings and the namespace it parses from
+# ``[command, *required]``, without ``func`` and ``parser``
+OPTIONS = {
+    "verify": ([], {"--orders", "--widths", "--depths", "--seeds", "--tolerance", "--inject-fault"},
+               {"orders": [1, 2, 3, 4], "widths": [1, 2, 8], "depths": [3, 10], "seeds": 50, "tolerance": 1e-9,
+                "inject_fault": None}),
+    "train-toy": ([], {"-k", "--order", "-L", "--depth", "--dl", "--seed", "--seeds", "--epochs",
+                       "--learning-rate", "--out"},
+                  {"order": 2, "depth": 16, "dl": 0.2, "seed": 0, "seeds": 5, "epochs": 2000,
+                   "learning_rate": 0.002, "out": "out"}),
+    "depth-sweep": ([], {"--depths", "--samples", "-d", "--width", "--dl", "--repetitions", "--epochs",
+                         "--batch-size", "--learning-rate", "--seed", "--data-dir", "--out"},
+                    {"depths": [2, 4, 6, 8, 10, 12, 14, 16, 18, 20], "samples": 10000, "width": 64, "dl": 0.5,
+                     "repetitions": 2, "epochs": 8, "batch_size": 128, "learning_rate": 1e-3, "seed": 0,
+                     "data_dir": None, "out": "out"}),
+    "compare": ([], {"--orders", "--dense-orders", "-L", "--depth", "-d", "--width", "--dl", "--samples",
+                     "--epochs", "--batch-size", "--learning-rate", "--seed", "--data-dir", "--out"},
+                {"orders": [1, 2, 3, 4], "dense_orders": [2, 3, 4], "depth": 6, "width": 64, "dl": 0.5,
+                 "samples": 10000, "epochs": 8, "batch_size": 128, "learning_rate": 1e-3, "seed": 0,
+                 "data_dir": None, "out": "out"}),
+    "param-count": (["-k", "3", "-d", "2"], {"-k", "--order", "-d", "--width", "-L", "--depth"},
+                    {"order": 3, "width": 2, "depth": None}),
+    "fetch-mnist": ([], {"--data-dir"}, {"data_dir": None}),
+}
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_every_subcommand_keeps_its_options_and_defaults(command):
+    required, flags, defaults = OPTIONS[command]
+    args = vars(cli.build_parser().parse_args([command, *required]))
+    parser = args.pop("parser")
+    del args["func"]
+    assert {flag for action in parser._actions for flag in action.option_strings} == {"-h", "--help", *flags}
+    expected = {"command": command, **defaults}
+    assert args == expected
+    assert {name: type(value) for name, value in args.items()} == {name: type(v) for name, v in expected.items()}
+
+
 class TestParamCount:
     def test_reference_case(self, capsys):
         assert run_cli(["param-count", "-k", "2", "-d", "3"]) == 0

@@ -251,6 +251,10 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(ds, 1.5, seed=0)
 
+    def test_non_numeric_fraction_is_a_type_error(self):
+        with pytest.raises(TypeError, match=r"^fraction must be a real number, got '0.5'$"):
+            split(synthetic_digits(10, seed=3), "0.5")
+
 
 def per_sample_synthetic_digits(n, seed):
     """``synthetic_digits`` one sample at a time: the reference for its gather."""

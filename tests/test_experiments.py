@@ -1,4 +1,5 @@
 import hashlib
+import math
 import pathlib
 import tracemalloc
 import warnings
@@ -150,6 +151,10 @@ class TestMeasurePerturbation:
         with pytest.raises(ValueError):
             PerturbationRecord(0, -0.1, 0)
 
+    def test_nan_ratio_rejected_by_record(self):
+        with pytest.raises(ValueError, match=r"^perturbation ratio must be >= 0, got nan$"):
+            PerturbationRecord(0, math.nan, 0)
+
     def test_trained_network_perturbations_stay_below_one(self):
         from cknet.training import TrainConfig, train
 
@@ -181,6 +186,15 @@ class TestRegressionFit:
     def test_rejects_non_positive_ratios(self):
         with pytest.raises(ValueError, match="positive"):
             fit_computational_distance([(2, 1.0), (4, 0.0), (6, 0.5)])
+
+    @pytest.mark.parametrize("pairs", [
+        [(2, math.nan), (4, 0.5), (6, 0.3)],
+        [(math.nan, 1.0), (4, 0.5), (6, 0.3)],
+        [(2, math.inf), (4, 0.5), (6, 0.3)],
+    ], ids=["nan-ratio", "nan-depth", "infinite-ratio"])
+    def test_rejects_non_finite_depths_and_ratios(self, pairs):
+        with pytest.raises(ValueError, match="^depths and mean perturbation ratios must be finite"):
+            fit_computational_distance(pairs)
 
     def test_noisy_inverse_law_still_close(self):
         rng = np.random.default_rng(4)

@@ -357,6 +357,10 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(epochs=1, learning_rate=learning_rate)
 
+    def test_non_numeric_learning_rate_is_a_type_error(self):
+        with pytest.raises(TypeError, match=r"^learning_rate must be a real number, got '0.1'$"):
+            TrainConfig(1, learning_rate="0.1")
+
     @pytest.mark.parametrize("name,value", [("epochs", 2.5), ("batch_size", 16.0), ("seed", 1.5), ("seed", "3")])
     def test_non_integer_count_or_seed_is_a_type_error(self, name, value):
         with pytest.raises(TypeError, match=f"^{name} must be an integer"):

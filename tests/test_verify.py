@@ -258,6 +258,7 @@ BAD_GRIDS = {
     "nan-tolerance": ({"tolerance": float("nan")}, ValueError, r"^tolerance must be a finite number >= 0, got nan"),
     "inf-tolerance": ({"tolerance": float("inf")}, ValueError, r"^tolerance must be a finite number >= 0"),
     "negative-tolerance": ({"tolerance": -1e-9}, ValueError, r"^tolerance must be a finite number >= 0"),
+    "string-tolerance": ({"tolerance": "1e-9"}, TypeError, r"^tolerance must be a real number, got '1e-9'$"),
 }
 
 
