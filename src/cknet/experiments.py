@@ -64,7 +64,8 @@ def measure_perturbation(network: Network, inputs: np.ndarray) -> list[Perturbat
     A sample whose activation has zero norm, or whose activation or
     perturbation f(x)·dl has a non-finite norm (a NaN, or a forward pass
     that overflowed), is skipped at that layer and counted. A layer where
-    every sample is skipped raises ``ValueError`` naming it.
+    every sample is skipped raises ``ValueError`` naming it; so does an empty
+    probe batch.
 
     Each layer is reduced to its norms as ``Network.layers`` streams it:
     x_l is kept until the next record brings f_l(x_l), and no other layer
@@ -74,6 +75,8 @@ def measure_perturbation(network: Network, inputs: np.ndarray) -> list[Perturbat
         raise ValueError(
             f"perturbation ratios are defined for residual (k=1) networks, got k={network.config.k}"
         )
+    if np.ndim(inputs) == 2 and not len(inputs):
+        raise ValueError("cannot measure perturbation ratios on an empty probe batch")
     dl = network.config.dl
     records = []
     # an overflow is reported once, by layer, not as numpy warnings

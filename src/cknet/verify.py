@@ -146,10 +146,11 @@ def _case_rng(base_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([base_seed, *key]))
 
 
-def _check_group(k: int, d: int, depth: int, seeds, forcing_matrix) -> list[list[tuple[str, float, str]]]:
-    """The (check, deviation, detail) outcomes of each case (k, d, depth, i)
-    for i in ``seeds``, which share an activation and dl, from one ensemble.
-    "dense state-space form" checks the dense states against ``forcing_matrix``."""
+def _check_group(k: int, d: int, depth: int, seeds, forcing_matrix) -> tuple[str, list[tuple[str, list[float], str]]]:
+    """The outcomes of the cases (k, d, depth, i) for i in ``seeds``, which
+    share an activation and dl, from one ensemble: the cases' shared label,
+    and (check, deviation of each case, detail suffix) rows. "dense
+    state-space form" checks the dense states against ``forcing_matrix``."""
     activation = _ACTIVATION_CYCLE[seeds[0] % len(_ACTIVATION_CYCLE)]
     dl = _DL_CYCLE[seeds[0] % len(_DL_CYCLE)]
     # member e draws from its case's generator in the per-case order: every
@@ -191,11 +192,8 @@ def _check_group(k: int, d: int, depth: int, seeds, forcing_matrix) -> list[list
         trajectories = (residual, ck_state.activations, dense.activations, dense_state.activations)
         differ = np.any([_member_max(ys.view(np.int64) != xs.view(np.int64)) for ys in trajectories], axis=0)
         rows.append(("k=1 collapse", np.where(differ, np.inf, 0.0), ""))
-    return [
-        [(name, float(deviation[e]), f"k={k} d={d} L={depth} dl={dl} act={activation} seed#{i}{suffix}")
-         for name, deviation, suffix in rows]
-        for e, i in enumerate(seeds)
-    ]
+    label = f"k={k} d={d} L={depth} dl={dl} act={activation}"
+    return label, [(name, deviation.tolist(), suffix) for name, deviation, suffix in rows]
 
 
 def _absorb_exact_checks(checks: dict[str, CheckResult]) -> None:
@@ -275,13 +273,14 @@ def run_battery(
             raise ValueError(f"the fault hook gave a forcing matrix of order {forcing_matrix.k} for k={k}")
         for d in widths:
             for depth in depths:
-                cases = [None] * seeds
-                for first in range(min(_GROUP_STRIDE, seeds)):
-                    group = range(first, seeds, _GROUP_STRIDE)
-                    for i, outcomes in zip(group, _check_group(k, d, depth, group, forcing_matrix)):
-                        cases[i] = outcomes
-                for outcomes in cases:
-                    for name, deviation, detail in outcomes:
-                        checks[name].absorb(deviation, detail)
+                groups = [_check_group(k, d, depth, range(first, seeds, _GROUP_STRIDE), forcing_matrix)
+                          for first in range(min(_GROUP_STRIDE, seeds))]
+                for i in range(seeds):
+                    label, rows = groups[i % _GROUP_STRIDE]
+                    for name, deviations, suffix in rows:
+                        check, deviation = checks[name], deviations[i // _GROUP_STRIDE]
+                        # only a deviation above the tolerance, or NaN, can keep its detail
+                        detail = "" if deviation <= check.tolerance else f"{label} seed#{i}{suffix}"
+                        check.absorb(deviation, detail)
     _absorb_exact_checks(checks)
     return list(checks.values())

@@ -81,8 +81,9 @@ def gradient_close(analytic, numeric, rtol=1e-5, atol=1e-8) -> bool:
 
 
 def log_softmax_loss(z, labels):
-    """``training._log_softmax_loss`` on checked operands, with the row maximum
-    taken by numpy's reduction ``z.max(axis=1, keepdims=True)``."""
+    """The loss and log probabilities of checked [batch, classes] logits by
+    numpy's per-row reductions (row maximum, class sum) and a 2-D pick of the
+    labels: the expressions ``training._read_logits`` replaced, and its oracle."""
     shifted = z - z.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return -log_probs[np.arange(z.shape[0]), labels].mean(), log_probs

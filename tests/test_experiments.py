@@ -79,6 +79,11 @@ class TestStreamedProbe:
             reference_perturbation(net, batch)
         assert str(streamed.value) == str(expected.value)
 
+    def test_empty_probe_batch_rejected_by_name(self):
+        net = _residual_net(depth=3, width=2, seed=14)
+        with pytest.raises(ValueError, match="^cannot measure perturbation ratios on an empty probe batch$"):
+            measure_perturbation(net, np.zeros((0, 2)))
+
     def test_peak_memory_stays_within_a_few_layers(self):
         # depth 20, width 64, 1024 rows: one layer is 512 KiB, the trajectory 10.5 MiB
         net = _residual_net(depth=20, width=64, input_dim=16, dl=0.5, seed=15)

@@ -13,7 +13,9 @@ from cknet.training import (
     EpochMetrics,
     TrainConfig,
     TrainingError,
-    _log_softmax_loss,
+    _class_sum,
+    _pairwise_sum,
+    _read_logits,
     evaluate,
     softmax_cross_entropy,
     train,
@@ -93,8 +95,14 @@ class TestSoftmaxCrossEntropy:
             assert gradient_close(logits.grad, fd), seed
 
 
+def read_loss(z, labels):
+    """The loss and the log probabilities ``_read_logits`` reads off ``z``."""
+    loss, shifted, log_sum, _, _ = _read_logits(z, labels)
+    return loss, shifted - log_sum[:, None]
+
+
 class TestRowMaximum:
-    """``_log_softmax_loss`` takes each row's maximum as a fold of ``np.maximum``
+    """``_read_logits`` takes each row's maximum as a fold of ``np.maximum``
     over the class columns. Its loss and log probabilities are bitwise those of
     numpy's max reduction, which can differ from the fold in the sign of a zero
     maximum reached by a ±0 tie."""
@@ -112,10 +120,76 @@ class TestRowMaximum:
             z = rng.choice(self.TIES if entries == "ties" else self.SPECIALS, size=(64, classes))
             labels = rng.integers(0, classes, size=64)
             with np.errstate(all="ignore"):
-                loss, log_probs = _log_softmax_loss(z, labels)
+                loss, log_probs = read_loss(z, labels)
                 want_loss, want_log_probs = log_softmax_loss(z, labels)
             assert loss.tobytes() == want_loss.tobytes(), seed
             assert log_probs.tobytes() == want_log_probs.tobytes(), seed
+
+
+class TestLogitsReader:
+    """``_read_logits`` adds each row's exponentials as columns in numpy's
+    pairwise order and picks the labels through one flat index; its loss and
+    log probabilities are bitwise the reduction expressions of
+    ``helpers.log_softmax_loss``, which it replaced."""
+
+    CLASSES = range(2, 301)  # across 8, 128 and 256, where the pairwise order changes
+    SPECIALS = np.array([0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, np.nan, 1e300, -1e300])
+
+    @staticmethod
+    def assert_bitwise(z, labels):
+        with np.errstate(all="ignore"):
+            loss, log_probs = read_loss(z, labels)
+            want_loss, want_log_probs = log_softmax_loss(z, labels)
+        assert loss.tobytes() == want_loss.tobytes()
+        assert log_probs.tobytes() == want_log_probs.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 3, 128, 4096])
+    def test_bitwise_the_reductions(self, batch):
+        rng = np.random.default_rng(batch)
+        for classes in self.CLASSES:
+            z = rng.standard_normal((batch, classes)) * 4.0
+            self.assert_bitwise(z, rng.integers(0, classes, size=batch))
+
+    @pytest.mark.parametrize("batch", [1, 3, 128, 4096])
+    def test_bitwise_the_reductions_on_ties_and_non_finite_logits(self, batch):
+        rng = np.random.default_rng(batch + 1)
+        for classes in (*range(2, 18), 63, 64, 65, 127, 128, 129, 136, 255, 256, 257, 300):
+            z = rng.choice(self.SPECIALS, size=(batch, classes))
+            self.assert_bitwise(z, rng.integers(0, classes, size=batch))
+
+    @pytest.mark.parametrize("classes", [*range(1, 18), 63, 64, 65, 127, 128, 129, 136, 255, 256, 257, 300, 513])
+    def test_column_sum_is_the_row_reduction(self, classes):
+        e = np.exp(np.random.default_rng(classes).standard_normal((5, classes)) * 4.0)
+        assert _pairwise_sum(list(e.T)).tobytes() == e.sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("classes", [1, 2, 10, 130])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_class_sum_is_the_row_reduction_on_either_side_of_its_switch(self, classes, order):
+        rng = np.random.default_rng(classes)
+        for batch in (64 * classes - 1, 64 * classes):
+            e = np.exp(rng.standard_normal((batch, classes)) * 4.0)
+            e = np.asarray(e, order=order)
+            assert _class_sum(e).tobytes() == e.sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                       np.uint8, np.uint16, np.uint32, np.uint64])
+    @pytest.mark.parametrize("classes", [2, 10, 127])
+    def test_labels_of_every_integer_dtype(self, dtype, classes):
+        rng = np.random.default_rng(classes)
+        z = rng.standard_normal((256, classes))
+        labels = rng.integers(0, classes, size=256)
+        self.assert_bitwise(z, labels.astype(dtype))
+        assert read_loss(z, labels.astype(dtype))[0].tobytes() == read_loss(z, labels)[0].tobytes()
+
+    @pytest.mark.parametrize("batch,classes", [(3, 4), (128, 2), (160, 10)])
+    def test_gradient_is_bitwise_the_reductions_softmax_minus_onehot(self, batch, classes):
+        rng = np.random.default_rng(batch)
+        z, labels = rng.standard_normal((batch, classes)) * 4.0, rng.integers(0, classes, size=batch)
+        logits = Tensor(z)
+        softmax_cross_entropy(logits, labels).backward()
+        soft = np.exp(log_softmax_loss(z, labels)[1])
+        soft[np.arange(batch), labels] -= 1.0
+        assert logits.grad.tobytes() == (soft / batch).tobytes()
 
 
 class TestAdam:
@@ -162,6 +236,11 @@ class TestAdam:
         p.grad = np.array([np.nan])
         with pytest.raises(TrainingError, match="blocks.3.weight"):
             opt.step()
+
+    @pytest.mark.parametrize("params", [[], ()])
+    def test_empty_parameter_list_refused_when_built(self, params):
+        with pytest.raises(ValueError, match="^Adam needs at least one parameter, got an empty parameter list$"):
+            Adam(params)
 
     def test_step_counter_increments_once_per_step(self):
         p = Parameter(np.zeros(1), "p")
@@ -448,6 +527,67 @@ class TestEvaluate:
     def test_empty_batch_rejected_by_name(self):
         with pytest.raises(ValueError, match="^cannot take the loss of an empty batch$"):
             evaluate(_linear_model(), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+
+
+class FixedLogits:
+    """A network stand-in whose ``infer`` gives the same logits in every mode."""
+
+    def __init__(self, logits):
+        self.logits = logits
+
+    def infer(self, inputs, mode):
+        return self.logits
+
+
+class TestEvaluateAccuracy:
+    """``evaluate`` reads a tie-free batch's accuracy off the labels' picks and
+    a batch with a tied row maximum off ``argmax``; both give argmax's
+    first-maximum accuracy."""
+
+    @staticmethod
+    def assert_argmax_accuracy(z, labels):
+        loss, acc = evaluate(FixedLogits(z), None, labels)
+        want_acc = float((z.argmax(axis=1) == labels).mean())
+        want_loss = softmax_cross_entropy(Tensor(z), labels).item()
+        assert (loss.hex(), acc.hex()) == (want_loss.hex(), want_acc.hex())
+
+    def test_a_tied_row_is_read_by_argmax(self):
+        # the second row's label reaches its maximum, but after the first class that does
+        z = np.array([[0.0, 2.0], [1.0, 1.0], [3.0, -1.0]])
+        assert evaluate(FixedLogits(z), None, np.array([1, 1, 0]))[1] == 2 / 3
+
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    @pytest.mark.parametrize("tie", ["none", "all equal", "signed zeros", "after the label", "-inf columns"])
+    def test_is_argmax_accuracy(self, classes, tie):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            z = rng.standard_normal((64, classes))
+            labels = rng.integers(0, classes, size=64)
+            rows = rng.random(64) < 0.25
+            if tie == "all equal":
+                z[rows] = rng.standard_normal((rows.sum(), 1))
+            elif tie == "signed zeros":
+                z[rows] = -np.abs(z[rows]) - 1.0
+                z[rows, 0], z[rows, -1] = (0.0, -0.0) if seed % 2 else (-0.0, 0.0)
+            elif tie == "after the label":
+                for i in np.flatnonzero(rows):
+                    after = rng.integers(labels[i], classes)
+                    z[i, labels[i]] = z[i, after] = z[i].max() + 1.0
+            elif tie == "-inf columns":
+                column = rng.integers(0, classes)
+                z[:, column] = -np.inf
+                labels[labels == column] = (column + 1) % classes  # a label at -inf is an infinite loss
+                z[rows, -1] = z[rows, 0] = 9.0
+            self.assert_argmax_accuracy(z, labels)
+
+    @pytest.mark.parametrize("entry,loss", [(np.nan, "nan"), (np.inf, "nan"), (-np.inf, "inf")])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    def test_non_finite_logits_raise(self, entry, loss, mode):
+        z = np.random.default_rng(0).standard_normal((8, 3))
+        labels = np.zeros(8, dtype=np.int64)
+        z[5, 0] = entry
+        with pytest.raises(TrainingError, match=rf"^{mode} evaluation diverged \(loss={loss}\)$"):
+            evaluate(FixedLogits(z), None, labels, mode=mode)
 
 
 class TestMetricsCsv:
