@@ -369,11 +369,21 @@ class Network:
         """``forward``'s logits as an ``np.ndarray``, bitwise, keeping no record.
 
         For evaluation, where nothing is differentiated. It reads out the
-        last record of ``layers``.
+        last record of ``layers``. A batch at width 1 has its head formed
+        class-major, ``x.T * W + (b + 0.0)[:, None]`` with one row per class:
+        each entry is the product and sum of ``affine``'s one-row broadcast
+        (of two NaNs, either keeps the payload numpy's loop picks), but
+        numpy's inner loop runs over the batch, not the classes. The
+        [batch, classes] result is that array's transpose (F-contiguous).
         """
         for last in self.layers(inputs, mode):
             pass
-        return T.affine(last.x, self.head_weight.data, self.head_bias.data)
+        x, weight, bias = last.x, self.head_weight.data, self.head_bias.data
+        if x.ndim == 2 and weight.shape[1] == 1:
+            logits = x.T * weight
+            logits += (bias + 0.0)[:, None]  # at least two classes, so never one element
+            return logits.T
+        return T.affine(x, weight, bias)
 
     def layers(self, inputs: np.ndarray, mode: str = "direct"):
         """The ``unroll`` of this network on the parameters' current arrays:

@@ -1087,6 +1087,82 @@ class TestWidthOne:
                 assert trace.forcing[layer].tobytes() == expected.tobytes(), (seed, layer)
 
 
+class TestClassMajorHead:
+    """At width 1, ``infer`` forms a batch's head class-major, one row per class:
+    bitwise ``forward``'s logits, returned as an F-contiguous [batch, classes]
+    array. An unbatched input keeps ``affine``'s [classes] vector."""
+
+    @staticmethod
+    def network(classes):
+        net = Network(NetworkConfig("ck", 2, depth=6, width=1, input_dim=1, num_classes=classes, dl=0.2,
+                                    seed=classes))
+        # weights of both signs against -0.0 biases: a zero activation gives
+        # products of either sign, and (±0 product) + (-0.0 + 0.0) is +0
+        net.head_weight.data = np.linspace(-1.0, 1.0, classes)[:, None]
+        net.head_bias.data = np.where(np.arange(classes) % 2, 0.25, -0.0)
+        return net
+
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    def test_logits_are_forward_bitwise_and_class_major(self, classes, mode):
+        net = self.network(classes)
+        x = np.random.default_rng(classes).standard_normal((64, 1))
+        x[::5] = 0.0  # at zero biases a zero input keeps a zero trajectory
+        logits = net.infer(x, mode=mode)
+        assert logits.shape == (64, classes) and logits.flags.f_contiguous
+        assert logits.tobytes() == net.forward(x, mode=mode).data.tobytes()
+        assert np.signbit(logits[::5, 0]).sum() == 0
+
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    def test_unbatched_input_gives_a_class_vector(self, classes, mode):
+        net = self.network(classes)
+        for x in (np.zeros(1), np.array([0.7])):
+            logits = net.infer(x, mode=mode)
+            assert logits.shape == (classes,)
+            assert logits.tobytes() == net.forward(x, mode=mode).data.tobytes()
+
+    # NaNs of both signs and two payloads
+    NANS = np.frombuffer(np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000001234],
+                                  dtype=np.uint64).tobytes(), dtype=np.float64)
+    FINITE = np.array([0.0, -0.0, 1.5, -1.5, 5e-324, 1e308, -1e308])
+    ENTRIES = np.concatenate([FINITE, [np.inf, -np.inf]])
+
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    @pytest.mark.parametrize("nan_in", ["activation", "weight", "bias"])
+    def test_head_on_special_activations(self, classes, nan_in):
+        # NaNs on one side of each product and sum, whose bits do not depend
+        # on which operand numpy's loop puts first
+        net = self.network(classes)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            # a NaN bias only on finite products: 0·inf would make a NaN there
+            entries = self.FINITE if nan_in == "bias" else self.ENTRIES
+            x, weight = rng.choice(entries, size=(33, 1)), rng.choice(entries, size=(classes, 1))
+            bias = rng.choice(np.array([0.0, -0.0, 0.5]), size=classes)
+            target = {"activation": x, "weight": weight, "bias": bias}[nan_in]
+            mask = rng.random(target.shape) < 0.3
+            target[mask] = rng.choice(self.NANS, size=int(mask.sum()))
+            net.head_weight.data, net.head_bias.data = weight, bias
+            net.layers = lambda inputs, mode="direct": iter([architectures.LayerRecord(x, None, None)])
+            with np.errstate(all="ignore"):
+                logits = net.infer(np.zeros((33, 1)))
+                assert logits.tobytes() == net.forward(np.zeros((33, 1))).data.tobytes(), seed
+
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    def test_head_is_its_expression_on_nans_on_both_sides(self, classes):
+        # which NaN a product or sum of two NaNs keeps depends on numpy's
+        # loop, so there the head is pinned to its stated operand order
+        net = self.network(classes)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x, weight, bias = (rng.choice(self.NANS, size=shape) for shape in ((33, 1), (classes, 1), (classes,)))
+            net.head_weight.data, net.head_bias.data = weight, bias
+            net.layers = lambda inputs, mode="direct": iter([architectures.LayerRecord(x, None, None)])
+            with np.errstate(all="ignore"):
+                assert net.infer(np.zeros((33, 1))).tobytes() == (x.T * weight + (bias + 0.0)[:, None]).T.tobytes()
+
+
 class TestStackedForcing:
     def test_maps_each_member_of_a_stack(self):
         weights, biases = np.zeros((2, 4, 3, 3)), np.zeros((2, 4, 3))

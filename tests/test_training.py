@@ -97,9 +97,9 @@ class TestSoftmaxCrossEntropy:
 
 def read_loss(z, labels):
     """The loss ``softmax_cross_entropy`` takes of ``z`` and the log
-    probabilities ``_read_logits`` leaves for it."""
-    _, shifted, log_sum = _read_logits(z, labels)
-    return softmax_cross_entropy(Tensor(z), labels).data, shifted - log_sum[:, None]
+    probabilities ``_read_logits`` leaves for it, read class-major as ``z.T``."""
+    _, shifted, log_sum = _read_logits(z.T, labels)
+    return softmax_cross_entropy(Tensor(z), labels).data, (shifted - log_sum).T
 
 
 class FixedLogits:
@@ -113,36 +113,43 @@ class FixedLogits:
 
 
 class TestRowMaximum:
-    """``_read_logits`` takes each row's maximum as a fold of ``np.maximum``
-    over the class columns. Its loss and log probabilities are bitwise those of
-    numpy's max reduction, which can differ from the fold in the sign of a zero
-    maximum reached by a ±0 tie."""
+    """``_read_logits`` takes each sample's maximum as a fold of ``np.maximum``
+    over the class rows (one ``np.maximum.reduce`` on C-contiguous class rows)
+    or, on row-major logits with few samples a class or from 32 classes on, as
+    numpy's per-sample reduction. Its loss and log probabilities are bitwise
+    those of numpy's max reduction, which can differ from the fold in the
+    sign of a zero maximum reached by a ±0 tie."""
 
     # a row's maximum is often a tie of ±0; from 9 classes on, numpy's reduction
     # gives some of those a sign other than the fold's
     TIES = np.array([0.0, -0.0, -1.5, -np.inf])
     SPECIALS = np.array([0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, np.nan])
 
-    @pytest.mark.parametrize("classes", [2, 3, 9, 10])
+    @pytest.mark.parametrize("classes", [2, 3, 9, 10, 31, 32, 100, 300])
     @pytest.mark.parametrize("entries", ["ties", "specials"])
-    def test_bitwise_the_max_reduction(self, classes, entries):
-        for seed in range(50):
-            rng = np.random.default_rng(seed)
-            z = rng.choice(self.TIES if entries == "ties" else self.SPECIALS, size=(64, classes))
-            labels = rng.integers(0, classes, size=64)
-            with np.errstate(all="ignore"):
-                loss, log_probs = read_loss(z, labels)
-                want_loss, want_log_probs = log_softmax_loss(z, labels)
-            assert loss.tobytes() == want_loss.tobytes(), seed
-            assert log_probs.tobytes() == want_log_probs.tobytes(), seed
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_bitwise_the_max_reduction(self, classes, entries, layout):
+        # on either side of the fold's switch for row-major logits
+        for batch in (2 * classes, 16 * classes):
+            for seed in range(50 if classes < 100 else 5):
+                rng = np.random.default_rng(seed)
+                z = rng.choice(self.TIES if entries == "ties" else self.SPECIALS, size=(batch, classes))
+                z = z if layout == "C" else np.asfortranarray(z)
+                labels = rng.integers(0, classes, size=batch)
+                with np.errstate(all="ignore"):
+                    loss, log_probs = read_loss(z, labels)
+                    want_loss, want_log_probs = log_softmax_loss(np.ascontiguousarray(z), labels)
+                assert loss.tobytes() == want_loss.tobytes(), (batch, seed)
+                assert log_probs.tobytes() == want_log_probs.tobytes(), (batch, seed)
 
 
 class TestLogitsReader:
-    """``_read_logits`` adds each row's exponentials as class columns below 8
-    classes; ``softmax_cross_entropy`` picks the labels from the log
-    probabilities and ``evaluate`` from ``shifted`` through one flat index.
-    Both losses and the log probabilities are bitwise the reduction
-    expressions of ``helpers.log_softmax_loss``, which they replaced."""
+    """``_read_logits`` reads class-major logits and adds each sample's
+    exponentials as class rows below 8 classes; ``softmax_cross_entropy``
+    picks the labels from the log probabilities and ``evaluate`` from
+    ``shifted``. Both losses and the log probabilities are bitwise the
+    reduction expressions of ``helpers.log_softmax_loss`` on the C-ordered
+    logits, which they replaced, in any memory layout."""
 
     CLASSES = range(2, 301)  # across 8, 128 and 256, where numpy's pairwise order changes
     SPECIALS = np.array([0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, np.nan, 1e300, -1e300])
@@ -175,14 +182,40 @@ class TestLogitsReader:
             z = rng.choice(self.SPECIALS, size=(batch, classes))
             self.assert_bitwise(z, rng.integers(0, classes, size=batch))
 
-    @pytest.mark.parametrize("classes", [1, 2, 7, 8])
+    @pytest.mark.parametrize("batch", [1, 3, 128, 4096])
+    @pytest.mark.parametrize("entries", ["normal", "specials"])
+    def test_loss_and_accuracy_do_not_depend_on_the_layout(self, batch, entries):
+        rng = np.random.default_rng(batch + 2)
+        for classes in (*range(2, 18), 63, 64, 65, 127, 128, 129, 255, 256, 257, 300):
+            if entries == "normal":
+                z = rng.standard_normal((batch, classes)) * 4.0
+            else:  # ties, ±inf, NaN and ±1e300
+                z = rng.choice(self.SPECIALS, size=(batch, classes))
+            labels = rng.integers(0, classes, size=batch)
+            with np.errstate(all="ignore"):
+                want_loss = log_softmax_loss(z, labels)[0]
+            want_acc = float((z.argmax(axis=1) == labels).mean())
+            wide = np.zeros((batch, 2 * classes))
+            wide[:, ::2] = z
+            for layout in (z.copy(), np.asfortranarray(z), wide[:, ::2]):
+                with np.errstate(all="ignore"):
+                    assert softmax_cross_entropy(Tensor(layout), labels).data.tobytes() == want_loss.tobytes()
+                if np.isfinite(want_loss):
+                    loss, acc = evaluate(FixedLogits(layout), None, labels)
+                    assert (loss.hex(), acc.hex()) == (float(want_loss).hex(), want_acc.hex()), classes
+                else:
+                    with pytest.raises(TrainingError, match="^direct evaluation diverged"):
+                        evaluate(FixedLogits(layout), None, labels)
+
+    @pytest.mark.parametrize("classes", [1, 2, 7, 8, 9, 300])
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_class_sum_is_the_row_reduction_on_either_side_of_its_switch(self, classes, layout):
+        # the reduction of each sample's C-ordered row, whatever the layout
         rng = np.random.default_rng(classes)
-        for batch in (64 * classes - 1, 64 * classes, 4096):
+        for batch in (1, 64 * classes - 1, 64 * classes, 4096):
             e = np.exp(rng.standard_normal((batch, 2 * classes)) * 4.0)
             e = {"C": e[:, :classes].copy(), "F": np.asfortranarray(e[:, :classes]), "strided": e[:, ::2]}[layout]
-            assert _class_sum(e).tobytes() == e.sum(axis=1).tobytes()
+            assert _class_sum(e.T).tobytes() == np.ascontiguousarray(e).sum(axis=1).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
                                        np.uint8, np.uint16, np.uint32, np.uint64])
