@@ -68,17 +68,20 @@ def _row_maximum(zt: np.ndarray) -> np.ndarray:
     On C-contiguous class rows ``np.maximum.reduce`` over the classes folds
     ``np.maximum`` over the rows in order, in one vectorised call. On other
     layouts (row-major logits read through ``.T``) that call is numpy's
-    per-sample reduction, about 45 ns a sample, while a fold over the
-    strided class rows costs about 1 µs a class, more once its rows are far
-    apart. So the fold is taken below 32 classes from 16 samples a class on
-    (numpy 2.4.6, fold against reduction: [4096, 2] 4 against 186 µs,
-    [1024, 16] 27 against 84, [32, 10] 9.7 against 2.9, [128, 100] 90
-    against 14). The fold and the reduction differ only in the sign of a
-    zero maximum reached by a tie of ±0; such a sample has two classes at
-    exp(0) = 1, so log Σ >= log 2 and the log probabilities, the loss and
-    the gradient are the same bits either way."""
+    per-sample reduction, while a fold over the strided class rows costs
+    about half a µs a class, more once its rows are far apart. So the fold
+    is taken below 32 classes from 10 samples a class on, where it was the
+    faster of the two at every class count measured (numpy 2.4.6, median
+    fold/reduction time over paired timings: 0.61-0.92 at 10 samples a
+    class for 2-31 classes, 1.21 at 32 classes; [128, 10] 5.5 against
+    6.9 µs, [64, 10] 5.2 against 4.1, [2000, 10] 19 against 94,
+    [128, 100] 90 against 14). The fold and the reduction differ only in
+    the sign of a zero maximum reached by a tie of ±0; such a sample has
+    two classes at exp(0) = 1, so log Σ >= log 2 and the log
+    probabilities, the loss and the gradient are the same bits either
+    way."""
     classes, batch = zt.shape
-    if zt.flags.c_contiguous or classes >= 32 or batch < 16 * classes:
+    if zt.flags.c_contiguous or classes >= 32 or batch < 10 * classes:
         return np.maximum.reduce(zt, axis=0)
     return functools.reduce(np.maximum, zt)
 
@@ -219,12 +222,15 @@ def evaluate(network, inputs: np.ndarray, labels: np.ndarray, mode: str = "direc
     with np.errstate(all="ignore"):
         zt = network.infer(inputs, mode=mode).T
         labels, shifted, log_sum = _read_logits(zt, labels)
-        rows = np.arange(len(labels))
-        if shifted.flags.c_contiguous:  # one flat pick: half the time of the 2-D index on 4,096 samples
-            # intp first, as uint64 labels times intp offsets promote to float
-            picked = shifted.take(labels.astype(np.intp, copy=False) * len(rows) + rows)
-        else:
-            picked = shifted[labels, rows]
+        # one pick of the labels through a flat index in shifted's own order,
+        # about half the time of the 2-D pick shifted[labels, rows] on 2,000
+        # samples; intp first, as uint64 labels times intp offsets promote to float
+        classes, batch = shifted.shape
+        rows, index = np.arange(batch), labels.astype(np.intp, copy=False)
+        if shifted.flags.c_contiguous:  # class rows, as a width-1 head forms them
+            picked = shifted.take(index * batch + rows)
+        else:  # row-major logits read through .T
+            picked = shifted.T.take(rows * classes + index)
         loss = -(picked - log_sum).mean()
     if not np.isfinite(loss):
         raise TrainingError(f"{mode} evaluation diverged (loss={float(loss)!r})")

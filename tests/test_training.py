@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import warnings
@@ -16,6 +17,7 @@ from cknet.training import (
     TrainingError,
     _class_sum,
     _read_logits,
+    _row_maximum,
     evaluate,
     softmax_cross_entropy,
     train,
@@ -141,6 +143,31 @@ class TestRowMaximum:
                     want_loss, want_log_probs = log_softmax_loss(np.ascontiguousarray(z), labels)
                 assert loss.tobytes() == want_loss.tobytes(), (batch, seed)
                 assert log_probs.tobytes() == want_log_probs.tobytes(), (batch, seed)
+
+    @pytest.mark.parametrize(
+        "batch, classes, fold",
+        [
+            (128, 10, True),  # a training step of the 10-class workloads
+            (2000, 10, True),  # their held-out evaluation
+            (100, 10, True),
+            (99, 10, False),
+            (64, 10, False),
+            (310, 31, True),
+            (4096, 32, False),
+            (128, 100, False),
+        ],
+    )
+    def test_row_major_logits_take_the_measured_side_of_the_switch(self, batch, classes, fold):
+        # the fold and numpy's reduction give some ±0 ties different zero
+        # signs, so the maximum's bits tell which of the two was taken
+        z = np.random.default_rng(0).choice(self.TIES, size=(batch, classes))
+        by_fold = functools.reduce(np.maximum, z.T)
+        by_reduction = z.max(axis=1)
+        assert by_fold.tobytes() != by_reduction.tobytes()
+        want = by_fold if fold else by_reduction
+        assert _row_maximum(z.T).tobytes() == want.tobytes()
+        # class rows always take the one reduction over the rows, bitwise the fold
+        assert _row_maximum(np.ascontiguousarray(z.T)).tobytes() == by_fold.tobytes()
 
 
 class TestLogitsReader:
