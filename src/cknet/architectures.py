@@ -315,7 +315,8 @@ class Network:
         evaluation. The logits' pullback is the layer adjoint over the
         ``LayerRecord``s of ``layers``, which it keeps: a ``backward`` that
         reaches a [batch, classes] gradient at the logits sets the ``grad``
-        of every parameter. ``infer`` gives the same values and keeps nothing.
+        of every parameter. The logits are those of ``_head``, which ``infer``
+        shares: it gives the same values and keeps nothing.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
         weights, head = self.block_weight.data, self.head_weight.data
@@ -323,8 +324,24 @@ class Network:
         for record in self.layers(inputs, mode):
             xs.append(record.x)
             forces.append(record.force)
-        logits = T.affine(xs[-1], head, self.head_bias.data)
-        return Tensor(logits, lambda g: self._adjoint(g, inputs, xs, forces[1:], weights, head))
+        return Tensor(self._head(xs[-1]), lambda g: self._adjoint(g, inputs, xs, forces[1:], weights, head))
+
+    def _head(self, x: np.ndarray) -> np.ndarray:
+        """The logits ``affine(x, W, b)`` of last-layer activations ``x``.
+
+        A batch at width 1 has them formed class-major, ``x.T * W + (b +
+        0.0)[:, None]`` with one row per class: each entry is the product and
+        sum of ``affine``'s one-row broadcast (of two NaNs, either keeps the
+        payload numpy's loop picks), but numpy's inner loop runs over the
+        batch, not the classes. The [batch, classes] logits are that array's
+        transpose (F-contiguous).
+        """
+        weight, bias = self.head_weight.data, self.head_bias.data
+        if x.ndim == 2 and weight.shape[1] == 1:
+            logits = x.T * weight
+            logits += (bias + 0.0)[:, None]  # at least two classes, so never one element
+            return logits.T
+        return T.affine(x, weight, bias)
 
     def _adjoint(self, g: np.ndarray, inputs: np.ndarray, xs: list, forces: list, weights, head) -> None:
         """The reverse pass: the layer recurrence run from layer L down to 0.
@@ -369,21 +386,11 @@ class Network:
         """``forward``'s logits as an ``np.ndarray``, bitwise, keeping no record.
 
         For evaluation, where nothing is differentiated. It reads out the
-        last record of ``layers``. A batch at width 1 has its head formed
-        class-major, ``x.T * W + (b + 0.0)[:, None]`` with one row per class:
-        each entry is the product and sum of ``affine``'s one-row broadcast
-        (of two NaNs, either keeps the payload numpy's loop picks), but
-        numpy's inner loop runs over the batch, not the classes. The
-        [batch, classes] result is that array's transpose (F-contiguous).
+        last record of ``layers`` through ``forward``'s ``_head``.
         """
         for last in self.layers(inputs, mode):
             pass
-        x, weight, bias = last.x, self.head_weight.data, self.head_bias.data
-        if x.ndim == 2 and weight.shape[1] == 1:
-            logits = x.T * weight
-            logits += (bias + 0.0)[:, None]  # at least two classes, so never one element
-            return logits.T
-        return T.affine(x, weight, bias)
+        return self._head(last.x)
 
     def layers(self, inputs: np.ndarray, mode: str = "direct"):
         """The ``unroll`` of this network on the parameters' current arrays:

@@ -197,10 +197,12 @@ def _affine(x: np.ndarray, weight_t: np.ndarray, bias: np.ndarray, act) -> np.nd
     A 2-D ``weight_t`` with one row (inputs of width 1) is multiplied as the
     broadcast ``x * weight_t[0]``, not by numpy's unblocked matmul loop, which
     takes about seven times as long on 4,096 rows. That loop sums 0 + p, and
-    (0 + p) + b is bitwise p + (b + 0.0), NaN payloads included, so the
-    caller passes such a bias as ``bias + 0.0``: that turns a -0.0 into 0.0
-    and changes nothing else. ``np.dot`` would not do: OpenBLAS gives 0 for a
-    NaN input against a zero weight."""
+    (0 + p) + b is bitwise p + (b + 0.0), so the caller passes such a bias as
+    ``bias + 0.0``: that turns a -0.0 into 0.0 and changes nothing else. The
+    value is then bitwise the matmul's wherever at most one operand of a
+    product or sum is NaN; of two NaNs, numpy's loop picks which payload
+    survives. ``np.dot`` would not do: OpenBLAS gives 0 for a NaN input
+    against a zero weight."""
     if weight_t.ndim == 2:
         y = x * weight_t[0] if weight_t.shape[0] == 1 else x @ weight_t
     else:  # [E, rows, n] @ [E, n, m], an unbatched member being one row

@@ -62,41 +62,13 @@ class EpochMetrics:
     train_acc: float
 
 
-def _row_maximum(zt: np.ndarray) -> np.ndarray:
-    """Each sample's maximum of class-major logits ``zt`` [classes, batch].
-
-    On C-contiguous class rows ``np.maximum.reduce`` over the classes folds
-    ``np.maximum`` over the rows in order, in one vectorised call. On other
-    layouts (row-major logits read through ``.T``) that call is numpy's
-    per-sample reduction, while a fold over the strided class rows costs
-    about half a µs a class, more once its rows are far apart. So the fold
-    is taken below 32 classes from 10 samples a class on, where it was the
-    faster of the two at every class count measured (numpy 2.4.6, median
-    fold/reduction time over paired timings: 0.61-0.92 at 10 samples a
-    class for 2-31 classes, 1.21 at 32 classes; [128, 10] 5.5 against
-    6.9 µs, [64, 10] 5.2 against 4.1, [2000, 10] 19 against 94,
-    [128, 100] 90 against 14). The fold and the reduction differ only in
-    the sign of a zero maximum reached by a tie of ±0; such a sample has
-    two classes at exp(0) = 1, so log Σ >= log 2 and the log
-    probabilities, the loss and the gradient are the same bits either
-    way."""
-    classes, batch = zt.shape
-    if zt.flags.c_contiguous or classes >= 32 or batch < 10 * classes:
-        return np.maximum.reduce(zt, axis=0)
-    return functools.reduce(np.maximum, zt)
-
-
 def _class_sum(e: np.ndarray) -> np.ndarray:
     """Each sample's sum of class-major ``e`` [classes, batch], in any memory
     layout, bitwise numpy's sum of the sample's C-ordered row,
-    ``np.ascontiguousarray(e.T).sum(axis=1)``: pairwise from 8 classes on,
-    whatever the layout. Below 8 classes numpy adds a row's entries in
-    order, so the sum is the class rows added in order: one vectorised add
-    a class on C-contiguous rows, and on other layouts cheaper than the
-    per-sample reduction from 16-32 samples a class on (about half at 64;
-    numpy 2.4.6)."""
-    classes, batch = e.shape
-    if classes < 8 and (e.flags.c_contiguous or batch >= 64 * classes):
+    ``np.ascontiguousarray(e.T).sum(axis=1)``. Below 8 classes numpy adds a
+    row's entries in order, so that sum is the class rows added in order;
+    from 8 on it is pairwise, and taken on the C-ordered rows themselves."""
+    if len(e) < 8:
         return functools.reduce(np.add, e)
     return np.ascontiguousarray(e.T).sum(axis=1)
 
@@ -110,6 +82,11 @@ def _read_logits(zt: np.ndarray, labels):
     exp(shifted) of each sample. ``shifted - log_sum`` is bitwise the log
     probabilities ``z - max - log(exp(z - max).sum(axis=1))`` of the
     C-ordered row-major logits ``z``, whatever zt's layout.
+
+    The maximum is a fold of ``np.maximum`` over the class rows. It differs
+    from numpy's max reduction only in the sign of a zero maximum reached by
+    a tie of ±0; such a sample has two classes at exp(0) = 1, so log Σ >=
+    log 2 and the log probabilities are the same bits either way.
     """
     if zt.ndim != 2:
         raise ValueError(f"logits must be [batch, classes], got shape {zt.T.shape}")
@@ -126,7 +103,7 @@ def _read_logits(zt: np.ndarray, labels):
             f"labels must lie in [0, {classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    shifted = zt - _row_maximum(zt)
+    shifted = zt - functools.reduce(np.maximum, zt)
     return labels, shifted, np.log(_class_sum(np.exp(shifted)))
 
 
@@ -137,10 +114,11 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     Stabilized by row-max subtraction before exponentiation. ``backward`` on
     the loss passes (softmax - onehot) / batch on to ``logits``.
     """
-    # the log probabilities, so the gradient, stay row-major: the layer
-    # adjoint's g.sum(axis=0) and g.T @ x change bits with g's layout
+    # the log probabilities, so the gradient, are C-ordered rows whatever
+    # the logits' layout: the layer adjoint's g.sum(axis=0) and g.T @ x
+    # change bits with g's layout
     labels, shifted, log_sum = _read_logits(logits.data.T, labels)
-    log_probs = (shifted - log_sum).T
+    log_probs = np.ascontiguousarray((shifted - log_sum).T)
     batch = len(labels)
     rows = np.arange(batch)
 
@@ -216,21 +194,13 @@ class Adam:
 def evaluate(network, inputs: np.ndarray, labels: np.ndarray, mode: str = "direct"):
     """Loss and accuracy of a frozen network on one batch, through
     ``Network.infer``: bitwise the values ``forward`` gives. The logits are
-    read class-major, one row per class, in which layout ``infer`` forms a
-    width-1 network's head. A loss that is not finite, read from logits
-    that overflowed, raises ``TrainingError``."""
+    read class-major, one row per class, in whichever layout ``infer`` forms
+    them. A loss that is not finite, read from logits that overflowed, raises
+    ``TrainingError``."""
     with np.errstate(all="ignore"):
         zt = network.infer(inputs, mode=mode).T
         labels, shifted, log_sum = _read_logits(zt, labels)
-        # one pick of the labels through a flat index in shifted's own order,
-        # about half the time of the 2-D pick shifted[labels, rows] on 2,000
-        # samples; intp first, as uint64 labels times intp offsets promote to float
-        classes, batch = shifted.shape
-        rows, index = np.arange(batch), labels.astype(np.intp, copy=False)
-        if shifted.flags.c_contiguous:  # class rows, as a width-1 head forms them
-            picked = shifted.take(index * batch + rows)
-        else:  # row-major logits read through .T
-            picked = shifted.T.take(rows * classes + index)
+        picked = shifted[labels, np.arange(len(labels))]
         loss = -(picked - log_sum).mean()
     if not np.isfinite(loss):
         raise TrainingError(f"{mode} evaluation diverged (loss={float(loss)!r})")

@@ -1088,9 +1088,10 @@ class TestWidthOne:
 
 
 class TestClassMajorHead:
-    """At width 1, ``infer`` forms a batch's head class-major, one row per class:
-    bitwise ``forward``'s logits, returned as an F-contiguous [batch, classes]
-    array. An unbatched input keeps ``affine``'s [classes] vector."""
+    """At width 1, ``forward`` and ``infer`` form a batch's head class-major, one
+    row per class, through one ``_head``: bitwise ``affine``'s values, returned
+    as an F-contiguous [batch, classes] array. An unbatched input keeps
+    ``affine``'s [classes] vector."""
 
     @staticmethod
     def network(classes):
@@ -1108,9 +1109,11 @@ class TestClassMajorHead:
         net = self.network(classes)
         x = np.random.default_rng(classes).standard_normal((64, 1))
         x[::5] = 0.0  # at zero biases a zero input keeps a zero trajectory
-        logits = net.infer(x, mode=mode)
-        assert logits.shape == (64, classes) and logits.flags.f_contiguous
-        assert logits.tobytes() == net.forward(x, mode=mode).data.tobytes()
+        logits, trained = net.infer(x, mode=mode), net.forward(x, mode=mode).data
+        assert logits.shape == (64, classes) and logits.flags.f_contiguous and trained.flags.f_contiguous
+        assert logits.tobytes() == trained.tobytes()
+        last = list(net.layers(x, mode))[-1].x
+        assert logits.tobytes() == affine(last, net.head_weight.data, net.head_bias.data).tobytes()
         assert np.signbit(logits[::5, 0]).sum() == 0
 
     @pytest.mark.parametrize("classes", [2, 3, 10])
@@ -1160,7 +1163,9 @@ class TestClassMajorHead:
             net.head_weight.data, net.head_bias.data = weight, bias
             net.layers = lambda inputs, mode="direct": iter([architectures.LayerRecord(x, None, None)])
             with np.errstate(all="ignore"):
-                assert net.infer(np.zeros((33, 1))).tobytes() == (x.T * weight + (bias + 0.0)[:, None]).T.tobytes()
+                want = (x.T * weight + (bias + 0.0)[:, None]).T.tobytes()
+                assert net.infer(np.zeros((33, 1))).tobytes() == want, seed
+                assert net.forward(np.zeros((33, 1))).data.tobytes() == want, seed
 
 
 class TestStackedForcing:

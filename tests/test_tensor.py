@@ -284,7 +284,9 @@ class TestOwnBuffers:
 
 class TestOneRowProduct:
     """``affine`` with a one-column weight (inputs of width 1) forms its product
-    as a broadcast, bitwise ``x @ w.T + b``, NaN payloads included."""
+    as a broadcast, bitwise ``x @ w.T + b`` wherever at most one operand of a
+    product or sum is NaN. Of two NaNs, numpy's loop picks which payload
+    survives."""
 
     ENTRIES = np.array([0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308])
 
@@ -298,6 +300,34 @@ class TestOneRowProduct:
                 want = x @ w.T + b
                 got = affine(x, w, b)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
+
+    @classmethod
+    def with_nans(cls, rng, shape, payload):
+        """Entries of ``ENTRIES`` but NaN, about half of them NaNs of either
+        sign carrying ``payload``."""
+        a = rng.choice(cls.ENTRIES[~np.isnan(cls.ENTRIES)], size=shape)
+        mask = rng.random(shape) < 0.5
+        nans = np.array([0x7FF8000000000000 | payload, 0xFFF8000000000000 | payload], dtype=np.uint64)
+        a[mask] = rng.choice(nans.view(np.float64), size=int(mask.sum()))
+        return a
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 10])
+    @pytest.mark.parametrize("rows", [3, 7, 17, 128, 4096])
+    def test_nans_on_both_sides(self, rows, m):
+        # distinct payloads on the input, the weight and the bias
+        paired = unpaired = 0
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            x, w, b = (self.with_nans(rng, shape, payload) for shape, payload in
+                       (((rows, 1), 0x11), ((m, 1), 0x22), ((m,), 0x33)))
+            with np.errstate(all="ignore"):
+                want = x @ w.T + b
+                got = affine(x, w, b)
+                two_nans = (np.isnan(x) & np.isnan(w.T)) | (np.isnan(x * w.T) & np.isnan(b))
+            assert (np.isnan(got) == np.isnan(want)).all(), seed
+            assert got[~two_nans].tobytes() == want[~two_nans].tobytes(), seed
+            paired, unpaired = paired + two_nans.sum(), unpaired + (~two_nans).sum()
+        assert paired and unpaired
 
     @pytest.mark.parametrize("x_shape", [(1,), (3, 1)], ids=["vector", "batch"])
     def test_negative_zero_bias(self, x_shape):

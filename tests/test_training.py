@@ -1,4 +1,3 @@
-import functools
 import math
 import re
 import warnings
@@ -17,7 +16,6 @@ from cknet.training import (
     TrainingError,
     _class_sum,
     _read_logits,
-    _row_maximum,
     evaluate,
     softmax_cross_entropy,
     train,
@@ -116,11 +114,9 @@ class FixedLogits:
 
 class TestRowMaximum:
     """``_read_logits`` takes each sample's maximum as a fold of ``np.maximum``
-    over the class rows (one ``np.maximum.reduce`` on C-contiguous class rows)
-    or, on row-major logits with few samples a class or from 32 classes on, as
-    numpy's per-sample reduction. Its loss and log probabilities are bitwise
-    those of numpy's max reduction, which can differ from the fold in the
-    sign of a zero maximum reached by a ±0 tie."""
+    over the class rows. Its loss and log probabilities are bitwise those of
+    numpy's max reduction, which can differ from the fold in the sign of a
+    zero maximum reached by a ±0 tie."""
 
     # a row's maximum is often a tie of ±0; from 9 classes on, numpy's reduction
     # gives some of those a sign other than the fold's
@@ -131,7 +127,6 @@ class TestRowMaximum:
     @pytest.mark.parametrize("entries", ["ties", "specials"])
     @pytest.mark.parametrize("layout", ["C", "F"])
     def test_bitwise_the_max_reduction(self, classes, entries, layout):
-        # on either side of the fold's switch for row-major logits
         for batch in (2 * classes, 16 * classes):
             for seed in range(50 if classes < 100 else 5):
                 rng = np.random.default_rng(seed)
@@ -143,31 +138,6 @@ class TestRowMaximum:
                     want_loss, want_log_probs = log_softmax_loss(np.ascontiguousarray(z), labels)
                 assert loss.tobytes() == want_loss.tobytes(), (batch, seed)
                 assert log_probs.tobytes() == want_log_probs.tobytes(), (batch, seed)
-
-    @pytest.mark.parametrize(
-        "batch, classes, fold",
-        [
-            (128, 10, True),  # a training step of the 10-class workloads
-            (2000, 10, True),  # their held-out evaluation
-            (100, 10, True),
-            (99, 10, False),
-            (64, 10, False),
-            (310, 31, True),
-            (4096, 32, False),
-            (128, 100, False),
-        ],
-    )
-    def test_row_major_logits_take_the_measured_side_of_the_switch(self, batch, classes, fold):
-        # the fold and numpy's reduction give some ±0 ties different zero
-        # signs, so the maximum's bits tell which of the two was taken
-        z = np.random.default_rng(0).choice(self.TIES, size=(batch, classes))
-        by_fold = functools.reduce(np.maximum, z.T)
-        by_reduction = z.max(axis=1)
-        assert by_fold.tobytes() != by_reduction.tobytes()
-        want = by_fold if fold else by_reduction
-        assert _row_maximum(z.T).tobytes() == want.tobytes()
-        # class rows always take the one reduction over the rows, bitwise the fold
-        assert _row_maximum(np.ascontiguousarray(z.T)).tobytes() == by_fold.tobytes()
 
 
 class TestLogitsReader:
@@ -222,11 +192,19 @@ class TestLogitsReader:
             with np.errstate(all="ignore"):
                 want_loss = log_softmax_loss(z, labels)[0]
             want_acc = float((z.argmax(axis=1) == labels).mean())
+            want_grad = None
             wide = np.zeros((batch, 2 * classes))
             wide[:, ::2] = z
             for layout in (z.copy(), np.asfortranarray(z), wide[:, ::2]):
+                logits = Tensor(layout)
                 with np.errstate(all="ignore"):
-                    assert softmax_cross_entropy(Tensor(layout), labels).data.tobytes() == want_loss.tobytes()
+                    loss = softmax_cross_entropy(logits, labels)
+                    assert loss.data.tobytes() == want_loss.tobytes()
+                    loss.backward()
+                # the layer adjoint's reductions over the gradient read C-ordered rows
+                assert logits.grad.flags.c_contiguous, classes
+                want_grad = logits.grad if want_grad is None else want_grad
+                assert logits.grad.tobytes() == want_grad.tobytes(), classes
                 if np.isfinite(want_loss):
                     loss, acc = evaluate(FixedLogits(layout), None, labels)
                     assert (loss.hex(), acc.hex()) == (float(want_loss).hex(), want_acc.hex()), classes
