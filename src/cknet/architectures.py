@@ -329,19 +329,25 @@ class Network:
     def _head(self, x: np.ndarray) -> np.ndarray:
         """The logits ``affine(x, W, b)`` of last-layer activations ``x``.
 
-        A batch at width 1 has them formed class-major, ``x.T * W + (b +
-        0.0)[:, None]`` with one row per class: each entry is the product and
-        sum of ``affine``'s one-row broadcast (of two NaNs, either keeps the
-        payload numpy's loop picks), but numpy's inner loop runs over the
-        batch, not the classes. The [batch, classes] logits are that array's
-        transpose (F-contiguous).
+        A batch has them formed class-major, one row per class, and returned
+        as that array's transpose (F-contiguous [batch, classes]): ``W @ x.T
+        + b[:, None]`` through BLAS, ``affine``'s ``x @ W.T + b`` (bitwise at
+        every shape checked below 12 classes; from 12 on, OpenBLAS's
+        two-thread split makes some shapes differ in the last bits). At
+        width 1 the product is the broadcast ``x.T * W`` and the bias ``(b +
+        0.0)[:, None]``, the products and sums of ``affine``'s one-row
+        broadcast (of two NaNs, either keeps the payload numpy's loop picks)
+        with numpy's inner loop over the batch, not the classes.
         """
         weight, bias = self.head_weight.data, self.head_bias.data
-        if x.ndim == 2 and weight.shape[1] == 1:
-            logits = x.T * weight
-            logits += (bias + 0.0)[:, None]  # at least two classes, so never one element
-            return logits.T
-        return T.affine(x, weight, bias)
+        if x.ndim == 1:
+            return T.affine(x, weight, bias)
+        if weight.shape[1] == 1:
+            logits, bias = x.T * weight, bias + 0.0
+        else:
+            logits = weight @ x.T
+        logits += bias[:, None]  # at least two classes, so never one element
+        return logits.T
 
     def _adjoint(self, g: np.ndarray, inputs: np.ndarray, xs: list, forces: list, weights, head) -> None:
         """The reverse pass: the layer recurrence run from layer L down to 0.

@@ -311,9 +311,11 @@ def compare_orders(
     learning_rate: float = 1e-3,
     seed: int = 0,
 ) -> list[CompareRow]:
-    """Train every requested architecture under one shared configuration;
-    an order that is not an integer is a ``TypeError`` before any training."""
-    entries = [("ck", operator.index(k)) for k in ck_orders] + [("dense", operator.index(k)) for k in dense_orders]
+    """Train every requested architecture once, in the order first requested,
+    under one shared configuration; an order that is not an integer is a
+    ``TypeError`` before any training. The rows are in (arch, k) order."""
+    entries = list(dict.fromkeys([("ck", operator.index(k)) for k in ck_orders]
+                                 + [("dense", operator.index(k)) for k in dense_orders]))
     if not entries:
         raise ValueError("nothing to compare")
     if epochs < 1:

@@ -1,7 +1,6 @@
 """Loss, optimizer, and the training loop shared by all experiments."""
 from __future__ import annotations
 
-import functools
 import numbers
 import operator
 from dataclasses import dataclass
@@ -62,31 +61,16 @@ class EpochMetrics:
     train_acc: float
 
 
-def _class_sum(e: np.ndarray) -> np.ndarray:
-    """Each sample's sum of class-major ``e`` [classes, batch], in any memory
-    layout, bitwise numpy's sum of the sample's C-ordered row,
-    ``np.ascontiguousarray(e.T).sum(axis=1)``. Below 8 classes numpy adds a
-    row's entries in order, so that sum is the class rows added in order;
-    from 8 on it is pairwise, and taken on the C-ordered rows themselves."""
-    if len(e) < 8:
-        return functools.reduce(np.add, e)
-    return np.ascontiguousarray(e.T).sum(axis=1)
-
-
 def _read_logits(zt: np.ndarray, labels):
-    """Check class-major logits ``zt`` [classes, batch], in any memory layout,
-    against their integer labels and shift them for the log softmax.
+    """Check class-major logits ``zt`` [classes, batch] against their integer
+    labels and shift them for the log softmax.
 
     Returns the labels as an array, ``shifted`` = zt minus each sample's
-    maximum (class-major, in zt's layout), and ``log_sum`` = log Σ
-    exp(shifted) of each sample. ``shifted - log_sum`` is bitwise the log
-    probabilities ``z - max - log(exp(z - max).sum(axis=1))`` of the
-    C-ordered row-major logits ``z``, whatever zt's layout.
-
-    The maximum is a fold of ``np.maximum`` over the class rows. It differs
-    from numpy's max reduction only in the sign of a zero maximum reached by
-    a tie of ±0; such a sample has two classes at exp(0) = 1, so log Σ >=
-    log 2 and the log probabilities are the same bits either way.
+    maximum, as C-contiguous class rows, and ``log_sum`` = log Σ
+    exp(shifted) of each sample. The maximum and the sum are numpy's
+    reductions over the class rows, ``np.maximum.reduce(zt, axis=0)`` and
+    ``sum(axis=0)``, which take the rows in class order. The copy to class
+    rows is a no-op on the logits ``Network`` forms.
     """
     if zt.ndim != 2:
         raise ValueError(f"logits must be [batch, classes], got shape {zt.T.shape}")
@@ -103,8 +87,9 @@ def _read_logits(zt: np.ndarray, labels):
             f"labels must lie in [0, {classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    shifted = zt - functools.reduce(np.maximum, zt)
-    return labels, shifted, np.log(_class_sum(np.exp(shifted)))
+    zt = np.ascontiguousarray(zt)
+    shifted = zt - np.maximum.reduce(zt, axis=0)
+    return labels, shifted, np.log(np.exp(shifted).sum(axis=0))
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -112,22 +97,20 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
     ``logits`` is [batch, classes]; ``labels`` an int array of length batch.
     Stabilized by row-max subtraction before exponentiation. ``backward`` on
-    the loss passes (softmax - onehot) / batch on to ``logits``.
+    the loss passes (softmax - onehot) / batch on to ``logits``, as the
+    transpose of C-contiguous class rows.
     """
-    # the log probabilities, so the gradient, are C-ordered rows whatever
-    # the logits' layout: the layer adjoint's g.sum(axis=0) and g.T @ x
-    # change bits with g's layout
     labels, shifted, log_sum = _read_logits(logits.data.T, labels)
-    log_probs = np.ascontiguousarray((shifted - log_sum).T)
+    log_probs = shifted - log_sum
     batch = len(labels)
     rows = np.arange(batch)
 
     def pull(g):
         soft = np.exp(log_probs)
-        soft[rows, labels] -= 1.0
-        logits._pull(g * soft / batch)
+        soft[labels, rows] -= 1.0
+        logits._pull((g * soft / batch).T)
 
-    return Tensor(-log_probs[rows, labels].mean(), pull)
+    return Tensor(-log_probs[labels, rows].mean(), pull)
 
 
 # Adam's moment decay rates and the denominator's guard
@@ -144,13 +127,17 @@ class Adam:
     from before the step is never written to. The result is bitwise that
     of updating each parameter on its own. A parameter without a ``grad``
     or with a non-finite one raises before anything moves, and an empty
-    parameter list is refused when the optimizer is built.
+    parameter list or a parameter listed twice is refused when the optimizer
+    is built.
     """
 
     def __init__(self, params, learning_rate=1e-3):
         self.params: list[Parameter] = list(params)
         if not self.params:
             raise ValueError("Adam needs at least one parameter, got an empty parameter list")
+        twice = next((p for i, p in enumerate(self.params) if any(p is q for q in self.params[:i])), None)
+        if twice is not None:  # it would be stepped once a listing
+            raise ValueError(f"Adam got parameter {twice.name!r} twice")
         self.learning_rate = learning_rate
         self.t = 0
         size = sum(p.data.size for p in self.params)
@@ -194,8 +181,8 @@ class Adam:
 def evaluate(network, inputs: np.ndarray, labels: np.ndarray, mode: str = "direct"):
     """Loss and accuracy of a frozen network on one batch, through
     ``Network.infer``: bitwise the values ``forward`` gives. The logits are
-    read class-major, one row per class, in whichever layout ``infer`` forms
-    them. A loss that is not finite, read from logits that overflowed, raises
+    read class-major, one row per class, as ``infer`` forms them. A loss that
+    is not finite, read from logits that overflowed, raises
     ``TrainingError``."""
     with np.errstate(all="ignore"):
         zt = network.infer(inputs, mode=mode).T

@@ -81,12 +81,14 @@ def gradient_close(analytic, numeric, rtol=1e-5, atol=1e-8) -> bool:
 
 
 def log_softmax_loss(z, labels):
-    """The loss and log probabilities of checked [batch, classes] logits by
-    numpy's per-row reductions (row maximum, class sum) and a 2-D pick of the
-    labels: the expressions ``training._read_logits`` replaced, and its oracle."""
-    shifted = z - z.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return -log_probs[np.arange(z.shape[0]), labels].mean(), log_probs
+    """The loss and [batch, classes] log probabilities of checked [batch,
+    classes] logits by numpy's reductions over their C-contiguous class rows
+    (``max(axis=0)``, ``sum(axis=0)`` of the exponentials) and a 2-D pick of
+    the labels: the oracle of ``training._read_logits``."""
+    zt = np.ascontiguousarray(z.T)
+    shifted = zt - zt.max(axis=0)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=0))
+    return -log_probs[labels, np.arange(z.shape[0])].mean(), log_probs.T
 
 
 def expand(matrix, d):

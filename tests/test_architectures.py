@@ -1088,10 +1088,10 @@ class TestWidthOne:
 
 
 class TestClassMajorHead:
-    """At width 1, ``forward`` and ``infer`` form a batch's head class-major, one
-    row per class, through one ``_head``: bitwise ``affine``'s values, returned
-    as an F-contiguous [batch, classes] array. An unbatched input keeps
-    ``affine``'s [classes] vector."""
+    """At every width, ``forward`` and ``infer`` form a batch's head
+    class-major, one row per class, through one ``_head``: bitwise
+    ``affine``'s values, returned as an F-contiguous [batch, classes] array.
+    An unbatched input keeps ``affine``'s [classes] vector."""
 
     @staticmethod
     def network(classes):
@@ -1115,6 +1115,21 @@ class TestClassMajorHead:
         last = list(net.layers(x, mode))[-1].x
         assert logits.tobytes() == affine(last, net.head_weight.data, net.head_bias.data).tobytes()
         assert np.signbit(logits[::5, 0]).sum() == 0
+
+    @pytest.mark.parametrize("width", [2, 5, 64])
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    def test_wider_logits_are_forward_bitwise_and_class_major(self, width, classes, mode):
+        net = Network(NetworkConfig("ck", 2, depth=3, width=width, input_dim=3, num_classes=classes, dl=0.2,
+                                    seed=width))
+        net.head_bias.data = np.random.default_rng(classes).standard_normal(classes)
+        for batch in (1, 64, 500):
+            x = np.random.default_rng(batch).standard_normal((batch, 3))
+            logits, trained = net.infer(x, mode=mode), net.forward(x, mode=mode).data
+            assert logits.shape == (batch, classes) and logits.flags.f_contiguous and trained.flags.f_contiguous
+            assert logits.tobytes() == trained.tobytes()
+            last = list(net.layers(x, mode))[-1].x
+            assert logits.tobytes() == affine(last, net.head_weight.data, net.head_bias.data).tobytes(), batch
 
     @pytest.mark.parametrize("classes", [2, 3, 10])
     @pytest.mark.parametrize("mode", ["direct", "state"])

@@ -493,6 +493,14 @@ class TestCompareCommand:
         assert lines[1] == "arch,k,test_error"
         assert len(lines) == 4
 
+    def test_repeated_orders_write_one_row_each(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("CK_DATA_DIR", raising=False)
+        code = run_cli(["compare", "--orders", "2", "2", "--dense-orders", "3", "3", "--samples", "100",
+                        "--epochs", "1", "-L", "1", "-d", "2", "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "compare.csv").read_text().strip().split("\n")[2:]
+        assert [row.split(",")[:2] for row in rows] == [["ck", "2"], ["dense", "3"]]
+
     def test_rerun_compare_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.delenv("CK_DATA_DIR", raising=False)
         args = ["compare", "--orders", "1", "--dense-orders", "2", "--samples", "150",

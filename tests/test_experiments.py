@@ -286,6 +286,19 @@ class TestCompare:
         b = compare_orders([2], [], trainset, heldout, depth=2, width=8, epochs=1, seed=3)
         assert a == b
 
+    def test_repeated_orders_train_each_architecture_once(self, monkeypatch):
+        ds = synthetic_digits(200, seed=7)
+        trained, train_network = [], experiments._train_network
+
+        def counting(dataset, family, k, *args):
+            trained.append((family, k))
+            return train_network(dataset, family, k, *args)
+
+        monkeypatch.setattr(experiments, "_train_network", counting)
+        rows = compare_orders([2, 2, 1], [3, 3], ds, ds, depth=1, width=2, epochs=1)
+        assert trained == [("ck", 2), ("ck", 1), ("dense", 3)]
+        assert rows == compare_orders([1, 2], [3], ds, ds, depth=1, width=2, epochs=1)
+
     def test_nothing_to_compare_rejected(self):
         ds = synthetic_digits(100, seed=6)
         with pytest.raises(ValueError):
