@@ -24,6 +24,7 @@ import itertools
 import math
 import numbers
 import operator
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -184,23 +185,29 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
     ``weights`` is [L, d, d] and ``biases`` [L, d], or [L, E, d, d] and
     [L, E, d] for E maps stacked on a member axis (see ``affine``). The
     activation, the stack and x_0 (against its width and member axis) are
-    checked when the loop starts, before any record; the layers then run on
-    the kernels ``_affine`` and ``_linear_combination``, looked up then. The
-    first record is the input x_0, then one per layer. Every layer evaluates
-    its own forcing map once, on x_l (direct) or q_1 (state), and never
-    another layer's. In direct mode every family sums its ``_direct_terms``
-    over two tuples of the table's n lags: ``lags`` holds x_l, ..., x_{l-n+1},
-    the ghost start repeating x_0, and ``forced`` f_l(x_l), ...,
-    f_{l-n+1}(x_{l-n+1}), ``None`` before the input. In state mode the parts
+    checked when the loop starts, before any record. The pass is then planned
+    once: how every layer's forcing is formed (at width 1 the float64-scalar
+    broadcast ``x * w_l`` plus ``b_l + 0.0``, ``_affine``'s one-row product;
+    ``x @ W_lᵀ`` through BLAS at a wider flat stack; ``_affine`` for a stacked
+    ensemble) and by which steps each stencil is summed (``_stencil_plans``),
+    so that a layer runs as straight-line numpy calls. The first record is
+    the input x_0, then one per layer. Every layer evaluates its own forcing
+    map once, on x_l (direct) or q_1 (state), and never another layer's.
+
+    In direct mode every family sums its ``_direct_terms``, in table order,
+    over two windows of the table's n lags: x_l, ..., x_{l-n+1}, the ghost
+    start repeating x_0, and f_l(x_l), ..., f_{l-n+1}(x_{l-n+1}), of which
+    those before the input add no term, each sum bitwise the chained ``+`` and
+    ``*`` in that order (see ``_stencil_plans``). In state mode the parts
     ``q`` are a tuple q_1..q_k, q_1 = x_0 and the rest zero at the input, and
     a layer runs its family's first-order step: c0 is q' = (f,); ck, whose
     transition is the upper all-ones matrix, is the suffix sum q_k' = q_k +
-    dl^k·f, then q_n' = q_n + q_{n+1}' for n = k-1..1; dense, whose
-    transition is the identity, is ``q' = q + B·u``, u the outputs dl·f_l,
-    dl·f_{l-1}, ... (zero before the input), and row n of B·u is their n-fold
-    backward difference D_n: from the layer before's D_0..D_{k-1} (zero
-    before the input), D_0 = dl·f_l, D_m = D_{m-1} - D_{m-1}(before), then
-    q_n' = q_n + D_{n-1}.
+    dl^k·f, then q_n' = q_n + q_{n+1}' for n = k-1..1; dense, whose transition
+    is the identity, is ``q' = q + B·u``, u the outputs dl·f_l, dl·f_{l-1},
+    ... (zero before the input), and row n of B·u is their n-fold backward
+    difference D_n: from the layer before's D_0..D_{k-1} (zero before the
+    input), D_0 = f_l·dl, D_m = D_{m-1} - D_{m-1}(before), then q_n' = q_n +
+    D_{n-1}.
     """
     if mode not in ("direct", "state"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -216,41 +223,104 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
     members = weights.shape[1:-2]  # (E,) when stacked, else ()
     if x0.ndim - len(members) not in (1, 2) or (*x0.shape[: len(members)], x0.shape[-1]) != weights.shape[1:-1]:
         raise ShapeError(f"x_0 of shape {x0.shape} does not match layer weights {weights.shape}")
-    affine, combine, act = T._affine, T._linear_combination, ACTIVATIONS[activation].value
-    weights_t = np.swapaxes(weights, -1, -2)
-    if weights.shape[1:] == (1, 1):
-        biases = biases + 0.0  # once per pass, for ``_affine``'s one-row product
-
-    def forcing(layer, x):
-        return affine(x, weights_t[layer], biases[layer], act)
-
+    act, stacked, one = ACTIVATIONS[activation].value, bool(members), weights.shape[1:] == (1, 1)
+    inplace = x0.size > 1  # numpy adds into a one-element array by its reduction loop: see ``_affine``
+    if one:  # ``_affine``'s one-row product on float64 scalars, its bias + 0.0 taken once
+        maps = zip(weights.reshape(-1), (biases + 0.0).reshape(-1))
+    else:
+        maps = zip(np.swapaxes(weights, -1, -2), biases)
     direct, state = mode == "direct", mode == "state"
     if direct:
         terms = _direct_terms(family, k, dl)
         window = 1 + max(j for _, j, _ in terms)
-        lags, forced = (x0,) * window, (None,) * window
+        lags, forced = deque([x0] * window, maxlen=window), deque([None] * window, maxlen=window)
+        windows, plans = (lags, forced), _stencil_plans(terms, inplace)
     else:
         scale, q, differences = dl**k, (x0,) + (np.zeros(x0.shape),) * (k - 1), (np.zeros(x0.shape),) * k
+        scale, dl = None if scale == 1 else np.float64(scale), np.float64(dl)
     yield LayerRecord(x0, None, q if state else None)
     del x0  # the lag window or state holds it as long as a layer needs it
-    for layer in range(len(weights)):
-        force = forcing(layer, lags[0] if direct else q[0])
+    for layer, (w, b) in enumerate(maps):
+        x = lags[0] if direct else q[0]
+        if stacked:
+            force = T._affine(x, w, b, act)
+        else:
+            force = x * w if one else x @ w
+            if inplace:
+                force += b
+            else:
+                force = force + b
+            force = act(force)
         if direct:
-            forced = (force,) + forced[:-1]
-            x = combine([(c, u) for c, j, is_forcing in terms
-                         if (u := (forced if is_forcing else lags)[j]) is not None])
-            lags = (x,) + lags[:-1]
+            forced.appendleft(force)
+            (c, is_forcing, j), rest = plans[min(layer, len(plans) - 1)]
+            x = windows[is_forcing][j]
+            if c is not None:
+                x = c * x
+            for c, is_forcing, j, into in rest:
+                term = windows[is_forcing][j]
+                if c is not None:
+                    term = c * term
+                if into is _INTO_SUM:
+                    x += term
+                elif into is _INTO_TERM:
+                    x = np.add(x, term, out=term)
+                else:
+                    x = x + term
+            lags.appendleft(x)
         elif family == "ck":  # one product dl^k·f, then k unit-coefficient adds from q_k up
-            suffix = [combine([(1, q[-1]), (scale, force)])]
+            if scale is None:
+                top = q[-1] + force
+            else:
+                top = scale * force
+                top = np.add(q[-1], top, out=top) if inplace else q[-1] + top
+            suffix = [top]
             for part in reversed(q[:-1]):
                 suffix.append(part + suffix[-1])
             q = tuple(reversed(suffix))
-        elif family == "dense":  # one product dl·f, then k-1 unit-coefficient subtracts and k adds
+        elif family == "dense":  # one product f·dl, then k-1 unit-coefficient subtracts and k adds
             differences = tuple(itertools.accumulate(differences[:-1], operator.sub, initial=force * dl))
-            q = tuple(part + difference for part, difference in zip(q, differences))
+            q = tuple(map(operator.add, q, differences))
         else:  # c0 keeps no memory
             q = (force,)
-        yield LayerRecord(lags[0] if direct else q[0], force, q if state else None)
+        yield LayerRecord(x if direct else q[0], force, q if state else None)
+
+
+# how a stencil term after the first is added: into the sum, into its own
+# fresh product, or out of place
+_INTO_SUM, _INTO_TERM, _OUT_OF_PLACE = "sum", "term", "new"
+
+
+@functools.cache  # read by every direct ``unroll``; a pass then does no planning of its own
+def _stencil_plans(terms: tuple, inplace: bool) -> tuple:
+    """``unroll``'s steps for summing a ``_direct_terms`` table in layers 0, 1,
+    ... left to right, the last plan serving every later layer: a layer sums
+    the terms it has (a forcing before the input has none).
+
+    A plan is its first term as (scale, is_forcing, lag) and the rest as
+    (scale, is_forcing, lag, into). A scale is the coefficient as a float64
+    scalar, or ``None`` for a unit coefficient, whose term is added without a
+    multiply. ``into`` says where a sum goes: into the sum once that is an
+    array the loop allocated, else into the term's own product, else out of
+    place, so the value is bitwise the chained ``+`` and ``*`` and no operand
+    is written. ``inplace`` is false for one-element arrays, whose sums all
+    stay out of place (see ``_affine``); a single unit term is the array itself.
+    """
+    plans = []
+    for layer in range(1 + max(j for _, j, is_forcing in terms if is_forcing)):
+        first, *rest = [(None if c == 1 else np.float64(c), is_forcing, j) for c, j, is_forcing in terms
+                        if not (is_forcing and j > layer)]
+        owned, steps = inplace and first[0] is not None, []  # owned: the sum so far is an array the loop allocated
+        for c, is_forcing, j in rest:
+            if owned:
+                into = _INTO_SUM
+            elif inplace and c is not None:
+                into, owned = _INTO_TERM, True
+            else:
+                into, owned = _OUT_OF_PLACE, inplace
+            steps.append((c, is_forcing, j, into))
+        plans.append((first, tuple(steps)))
+    return tuple(plans)
 
 
 @dataclass
@@ -320,11 +390,12 @@ class Network:
         """
         inputs = np.asarray(inputs, dtype=np.float64)
         weights, head = self.block_weight.data, self.head_weight.data
-        xs, forces = [], []
-        for record in self.layers(inputs, mode):
+        records = self.layers(inputs, mode)
+        xs, forces = [next(records).x], []
+        for record in records:
             xs.append(record.x)
             forces.append(record.force)
-        return Tensor(self._head(xs[-1]), lambda g: self._adjoint(g, inputs, xs, forces[1:], weights, head))
+        return Tensor(self._head(xs[-1]), lambda g: self._adjoint(g, inputs, xs, forces, weights, head))
 
     def _head(self, x: np.ndarray) -> np.ndarray:
         """The logits ``affine(x, W, b)`` of last-layer activations ``x``.
@@ -360,7 +431,8 @@ class Network:
         weight and bias gradients. Contributions to one x̄ or f̄ are summed in
         the order the layers above make them, and a unit coefficient passes a
         gradient on without a multiply. State-mode records hold x_l = q_1 and
-        f_l(q_1), on which the state form is this same recurrence.
+        f_l(q_1), on which the state form is this same recurrence. Each entry
+        of ``xs`` and ``forces`` is set to ``None`` after its last read.
         """
         cfg, depth = self.config, len(weights)
         self.head_weight._pull(g.T @ xs[depth])
@@ -383,6 +455,8 @@ class Network:
             xbar[l] = term if xbar[l] is None else xbar[l] + term
             np.matmul(local.T, xs[l], out=wbar[l])
             np.add.reduce(local, axis=0, out=bbar[l])
+            # no layer below reads these: freed now, the gradients do not pile up beside the trajectory
+            xbar[l + 1] = fbar[l] = xs[l] = forces[l] = None
         self.block_weight._pull(wbar)
         self.block_bias._pull(bbar)
         self.embed_weight._pull(xbar[0].T @ inputs)

@@ -9,16 +9,14 @@ output y = act(z), which is all a reverse pass keeps of a layer.
 ``affine`` also takes E maps stacked on a leading member axis, so E
 independent networks of one shape step as a single ensemble. It checks its
 operands, then runs a private kernel, ``_affine``. ``unroll`` checks a
-layer stack once per pass and runs every layer on the kernels: ``_affine``
-for the forcing maps, bitwise the values ``affine`` gives, and
-``_linear_combination`` for each block's stencil.
+layer stack once per pass and forms every layer's forcing by ``_affine``'s
+operations, bitwise the values ``affine`` gives.
 
 An op computes its value in its own output buffer: ``affine`` adds the
-bias and applies the activation in place on its product, and
-``_linear_combination`` sums into an array it allocated itself. Only
-buffers an op allocated are ever written, so operands are never mutated,
-and each value is bitwise that of the out-of-place expression with the same
-operand order.
+bias and applies the activation in place on its product. Only buffers an
+op allocated are ever written, so operands are never mutated, and each
+value is bitwise that of the out-of-place expression with the same operand
+order.
 
 A ``Tensor`` is a value, its gradient and at most one pullback: a function
 that takes the gradient at the tensor and sets the gradients upstream of
@@ -213,30 +211,3 @@ def _affine(x: np.ndarray, weight_t: np.ndarray, bias: np.ndarray, act) -> np.nd
     if weight_t.ndim == 3:
         y = y.reshape(*x.shape[:-1], weight_t.shape[-1])
     return y if act is None else act(y)
-
-
-def _linear_combination(terms: list) -> np.ndarray:
-    """``c_0*t_0 + c_1*t_1 + ...`` over a non-empty list of (coefficient,
-    float64 array) pairs of one shape, unchecked.
-
-    The terms are summed left to right, and a term whose coefficient is 1
-    is added without a multiply, so the value is bitwise that of chaining
-    ``+`` and ``*`` in the same order. The sum goes into an array allocated
-    here (a scaled term, or the first sum of two unscaled ones), never into
-    an operand; a single term with coefficient 1 is returned unchanged.
-    """
-    value, owned = None, False  # owned: value is an array allocated here, free to write
-    for c, data in terms:
-        term = data if c == 1 else c * data
-        if value is None:
-            # one-element sums stay out of place: numpy gives a 0-d result as
-            # a scalar, and see ``_affine`` for adding into a one-element array
-            inplace = data.size > 1
-            value, owned = term, inplace and c != 1
-        elif owned:
-            np.add(value, term, value)  # into value
-        elif inplace and c != 1:
-            value, owned = np.add(value, term, term), True  # into the fresh product
-        else:
-            value, owned = value + term, inplace
-    return value

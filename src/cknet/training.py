@@ -187,26 +187,31 @@ def evaluate(network, inputs: np.ndarray, labels: np.ndarray, mode: str = "direc
     with np.errstate(all="ignore"):
         zt = network.infer(inputs, mode=mode).T
         labels, shifted, log_sum = _read_logits(zt, labels)
-        picked = shifted[labels, np.arange(len(labels))]
-        loss = -(picked - log_sum).mean()
+        n = len(labels)
+        picked = shifted[labels, np.arange(n)]
+        loss = -(np.add.reduce(picked - log_sum) / n)  # bitwise ``mean()``, at less cost
     if not np.isfinite(loss):
         raise TrainingError(f"{mode} evaluation diverged (loss={float(loss)!r})")
     # a finite loss leaves every sample's maximum finite, so ``shifted`` is 0
     # at each class that reaches it. With one such class a sample, a sample
     # is right exactly when its label's entry is that 0, argmax's first
     # maximum; a batch with a tied sample is read by argmax itself
-    if np.count_nonzero(shifted == 0) == len(labels):
+    if np.count_nonzero(shifted == 0) == n:
         correct = picked == 0
     else:
         correct = zt.argmax(axis=0) == labels
-    return float(loss), float(correct.mean())
+    return float(loss), float(np.count_nonzero(correct) / n)
 
 
 def train(network, dataset, config: TrainConfig):
     """Train in place; returns per-epoch metrics.
 
-    Deterministic for a fixed (network seed, config seed, dataset): batch
-    order, parameter updates, and metrics are all reproducible bitwise.
+    Deterministic for a fixed (network seed, config seed, dataset) at a
+    fixed BLAS thread count: batch order, parameter updates, and metrics are
+    all reproducible bitwise. Another thread count may split a BLAS product
+    differently and change its last bits (the 784-input embedding ``[2000,
+    784] @ [784, 64]`` differs at one and two OpenBLAS threads), and with
+    them the trained parameters.
     A diverging run raises ``TrainingError`` (a non-finite or huge loss, a
     non-finite gradient, or a parameter not finite after the last epoch)
     and lets no numpy floating-point warning through.

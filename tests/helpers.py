@@ -18,7 +18,50 @@ from cknet.dynamics import (
     build_ck_matrices,
     build_dense_matrices,
 )
-from cknet.tensor import _linear_combination
+
+
+# the entries ``affine``'s one-row product is checked on: signed zeros and
+# infinities, a NaN, subnormals and extremes
+ONE_ROW_ENTRIES = np.array([0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308])
+
+
+def with_nans(rng, shape, payload):
+    """Entries of ``ONE_ROW_ENTRIES`` but NaN, about half of them NaNs of
+    either sign carrying ``payload``."""
+    a = rng.choice(ONE_ROW_ENTRIES[~np.isnan(ONE_ROW_ENTRIES)], size=shape)
+    mask = rng.random(shape) < 0.5
+    nans = np.array([0x7FF8000000000000 | payload, 0xFFF8000000000000 | payload], dtype=np.uint64)
+    a[mask] = rng.choice(nans.view(np.float64), size=int(mask.sum()))
+    return a
+
+
+def linear_combination(terms: list) -> np.ndarray:
+    """``c_0*t_0 + c_1*t_1 + ...`` over a non-empty list of (coefficient,
+    float64 array) pairs of one shape: the reference sum of the single-layer
+    steps below.
+
+    The terms are summed left to right, and a term whose coefficient is 1
+    is added without a multiply, so the value is bitwise that of chaining
+    ``+`` and ``*`` in the same order. The sum goes into an array allocated
+    here (a scaled term, or the first sum of two unscaled ones), never into
+    an operand; a single term with coefficient 1 is returned unchanged.
+    """
+    value, owned = None, False  # owned: value is an array allocated here, free to write
+    for c, data in terms:
+        term = data if c == 1 else c * data
+        if value is None:
+            # one-element sums stay out of place: numpy gives a 0-d result as
+            # a scalar, and adds into a one-element array by its reduction
+            # loop, which may keep the other operand's NaN payload
+            inplace = data.size > 1
+            value, owned = term, inplace and c != 1
+        elif owned:
+            np.add(value, term, value)  # into value
+        elif inplace and c != 1:
+            value, owned = np.add(value, term, term), True  # into the fresh product
+        else:
+            value, owned = value + term, inplace
+    return value
 
 
 def central_difference(fn, arrays, step=1e-6):
@@ -256,13 +299,13 @@ def initialize_state(x0, k):
 
 def ck_direct_step(f, history, k, dl):
     """x_next = f(x)·dl^k minus the remaining stencil terms over the k
-    previous activations, as one ``_linear_combination``."""
+    previous activations, as one ``linear_combination``."""
     if len(history) < k:
         raise ValueError(f"order-{k} step needs {k} activations, history has {len(history)}")
     coeffs = alternating_binomial_row(k)
     terms = [(dl**k, f(history[0]))]
     terms.extend((-coeffs[j], history[j - 1]) for j in range(1, k + 1))
-    return _linear_combination(terms)
+    return linear_combination(terms)
 
 
 def ck_state_step(f, q, k, dl):
@@ -270,7 +313,7 @@ def ck_state_step(f, q, k, dl):
     q_n' = q_n + q_{n+1}' for n = k-1..1."""
     if q.order != k:
         raise ValueError(f"state vector has {q.order} parts, expected {k}")
-    suffix = [_linear_combination([(1, q.parts[-1]), (dl**k, f(q.parts[0]))])]
+    suffix = [linear_combination([(1, q.parts[-1]), (dl**k, f(q.parts[0]))])]
     for part in reversed(q.parts[:-1]):
         suffix.append(part + suffix[-1])
     return StateVector(reversed(suffix))
@@ -298,7 +341,7 @@ def dense_direct_step(fs, history, dl):
             outs.append(f(history[j]))
     terms = [(1, history[k - 1])]
     terms.extend((dl, outs[j]) for j in reversed(range(k)) if outs[j] is not None)
-    out = _linear_combination(terms)
+    out = linear_combination(terms)
     return out, history.advanced(out, outs[0])
 
 
@@ -306,15 +349,15 @@ def dense_state_step(f, q, differences, dl):
     """The dense state step ``q' = q + B·u`` as running differences: row n of
     B·u is the n-fold backward difference D_n of dl·f, so D_0 = dl·f(q_1),
     D_m = D_{m-1} - the layer before's D_{m-1}, and q_n' = q_n + D_{n-1}, each
-    a ``_linear_combination``. ``differences`` holds the layer before's
+    a ``linear_combination``. ``differences`` holds the layer before's
     D_0..D_{k-1}, ``None`` before the input (read as zero). Returns the next
     state and its differences, the next layer's ``differences``."""
     if len(differences) != q.order:
         raise ValueError(f"got {len(differences)} differences for order {q.order}")
     current = [f(q.parts[0]) * dl]
     for before in differences[:-1]:
-        current.append(current[-1] if before is None else _linear_combination([(1, current[-1]), (-1, before)]))
-    parts = [_linear_combination([(1, part), (1, difference)]) for part, difference in zip(q.parts, current)]
+        current.append(current[-1] if before is None else linear_combination([(1, current[-1]), (-1, before)]))
+    parts = [linear_combination([(1, part), (1, difference)]) for part, difference in zip(q.parts, current)]
     return StateVector(parts), tuple(current)
 
 
@@ -327,7 +370,7 @@ def dense_state_step(f, q, differences, dl):
 def block_apply(matrix, parts, input_matrix=None, inputs=(), scale=1):
     """Rows of ``matrix·parts + scale·input_matrix·inputs`` on equal-shape arrays.
 
-    Each row is one ``_linear_combination`` over the parts, then the inputs,
+    Each row is one ``linear_combination`` over the parts, then the inputs,
     summed left to right. A zero coefficient or a ``None`` input adds no
     term, so a row with a single unit term is that array itself.
     """
@@ -338,7 +381,7 @@ def block_apply(matrix, parts, input_matrix=None, inputs=(), scale=1):
     for row, input_row in zip(matrix.block, input_rows):
         terms = [(c, part) for c, part in zip(row, parts) if c]
         terms += [(scale * c, u) for c, u in zip(input_row, inputs) if c and u is not None]
-        out.append(_linear_combination(terms or [(0, parts[0])]))
+        out.append(linear_combination(terms or [(0, parts[0])]))
     return out
 
 

@@ -23,6 +23,7 @@ from cknet.training import evaluate, softmax_cross_entropy
 from helpers import (
     LayerHistory,
     Layer,
+    ONE_ROW_ENTRIES,
     StateVector,
     central_difference,
     ck_direct_step,
@@ -37,6 +38,7 @@ from helpers import (
     matrix_states,
     stacked,
     unrolled,
+    with_nans,
 )
 
 
@@ -1012,66 +1014,140 @@ class TestDenseIsResidual:
             assert np.allclose(a, b, rtol=1e-10, atol=1e-14), p.name
 
 
-def layer_calls(calls, weights):
-    """How often each of ``weights``' layers was mapped, from ``calls``."""
-    return [calls.get(w.ctypes.data, 0) for w in weights]
-
-
 class TestForcingEvaluatedOnce:
+    """A forcing map is one activation call on its own product, however it
+    is formed (the width-1 broadcast, a BLAS product, ``_affine``). So a pass
+    that calls tanh once per layer, in layer order, each call giving that
+    layer's forcing, evaluates every layer's map exactly once."""
+
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Calls of the kernel ``tensor._affine``, which ``unroll`` looks up
-        when it starts and ``affine`` runs, by the address of their weight: a
-        layer of a block stack, transposed or not, is a view of its own part
-        of the stack's buffer."""
-        counts = {}
-        original = tensor._affine
+        """The arrays tanh returned, in call order. ``unroll`` and ``affine``
+        look the activation up in ``tensor.ACTIVATIONS`` when they start."""
+        returned = []
+        value, chain = tensor.ACTIVATIONS["tanh"]
 
-        def counting(x, weight_t, bias, act):
-            counts[weight_t.ctypes.data] = counts.get(weight_t.ctypes.data, 0) + 1
-            return original(x, weight_t, bias, act)
+        def counting(z):
+            returned.append(value(z))
+            return returned[-1]
 
-        monkeypatch.setattr(tensor, "_affine", counting)
-        return counts
+        monkeypatch.setitem(tensor.ACTIVATIONS, "tanh", tensor.Activation(counting, chain))
+        return returned
+
+    @staticmethod
+    def one_call_a_layer(calls, records):
+        """Each record's forcing is the one call made for its layer, and there
+        were no other calls."""
+        assert len(calls) == len(records) - 1
+        assert all(r.force is call for r, call in zip(records[1:], calls))
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("record", [False, True])
-    def test_dense_direct_calls_each_block_once(self, calls, k, record):
-        net = Network(NetworkConfig("dense", k=k, depth=6, width=3, input_dim=2, num_classes=2, seed=k))
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_dense_direct_calls_each_block_once(self, calls, k, record, width):
+        net = Network(NetworkConfig("dense", k=k, depth=6, width=width, input_dim=2, num_classes=2, seed=k))
         x = np.random.default_rng(k).standard_normal((4, 2))
         if record:
-            trace = Trace.from_layers(net.layers(x))
+            records = list(net.layers(x))
+            self.one_call_a_layer(calls, records)
+            for layer, (weight, bias) in enumerate(zip(net.block_weight.data, net.block_bias.data)):
+                expected = np.tanh(records[layer].x @ weight.T + bias)
+                assert records[layer + 1].force.tobytes() == expected.tobytes()
         else:
             net.forward(x)
-        assert layer_calls(calls, net.block_weight.data) == [1] * 6
-        if record:
-            for layer, (weight, bias) in enumerate(zip(net.block_weight.data, net.block_bias.data)):
-                expected = np.tanh(trace.activations[layer] @ weight.T + bias)
-                assert trace.forcing[layer].tobytes() == expected.tobytes()
+            forward_calls = list(calls)
+            calls.clear()
+            records = list(net.layers(x))
+            self.one_call_a_layer(calls, records)
+            assert [c.tobytes() for c in forward_calls] == [r.force.tobytes() for r in records[1:]]
 
     @pytest.mark.parametrize("family,k", [("c0", 1), ("ck", 3), ("dense", 3)])
     @pytest.mark.parametrize("mode", ["direct", "state"])
-    def test_record_mode_adds_no_forcing_calls(self, calls, family, k, mode):
-        net = Network(NetworkConfig(family, k=k, depth=5, width=3, input_dim=2, num_classes=2, seed=2))
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_record_mode_adds_no_forcing_calls(self, calls, family, k, mode, width):
+        net = Network(NetworkConfig(family, k=k, depth=5, width=width, input_dim=2, num_classes=2, seed=2))
         x = np.random.default_rng(2).standard_normal((4, 2))
         net.forward(x, mode=mode)
-        plain_calls = layer_calls(calls, net.block_weight.data)
-        assert plain_calls == [1] * 5
+        assert len(calls) == 5
         calls.clear()
-        trace = Trace.from_layers(net.layers(x, mode))
-        assert layer_calls(calls, net.block_weight.data) == plain_calls
-        assert len(trace.forcing) == 5
+        net.infer(x, mode=mode)
+        assert len(calls) == 5
+        calls.clear()
+        records = list(net.layers(x, mode))
+        self.one_call_a_layer(calls, records)
+        trace = Trace.from_layers(records)
+        assert len(calls) == 5 and len(trace.forcing) == 5
+
+    def test_stacked_ensemble_calls_each_block_once(self, calls):
+        rng = np.random.default_rng(4)
+        weights, biases = rng.standard_normal((4, 3, 2, 2)), rng.standard_normal((4, 3, 2))
+        x0 = rng.standard_normal((3, 5, 2))
+        for mode in ("direct", "state"):
+            calls.clear()
+            self.one_call_a_layer(calls, list(unroll(weights, biases, "tanh", x0, "ck", 2, 0.5, mode)))
 
     def test_window_built_from_activations_alone_evaluates_every_lag(self, calls):
         fs = [random_forcing(1, seed=s) for s in range(3)]
-        history = LayerHistory([np.array([float(v)]) for v in (1.0, 2.0, 3.0)])
-        dense_direct_step(fs, history, dl=0.5)
-        assert layer_calls(calls, [f.weight for f in fs]) == [1, 1, 1]
+        lags = [np.array([v]) for v in (1.0, 2.0, 3.0)]
+        dense_direct_step(fs, LayerHistory(lags), dl=0.5)
+        assert [c.tobytes() for c in calls] == [np.tanh(x @ f.weight.T + f.bias).tobytes() for f, x in zip(fs, lags)]
 
 
 class TestWidthOne:
-    """A width-1 ``unroll`` normalizes its biases once per pass for ``_affine``'s
-    one-row product: every layer's forcing is bitwise act(x @ w.T + b)."""
+    """A width-1 ``unroll`` forms every forcing as the float64-scalar broadcast
+    x·w_l + (b_l + 0.0), ``affine``'s one-row product: bitwise act(x @ w.T + b)
+    and ``affine``'s values, and each stencil sum bitwise the chained
+    expression."""
+
+    FAMILIES = [("c0", 1), ("ck", 1), ("ck", 2), ("ck", 3), ("dense", 1), ("dense", 2), ("dense", 3)]
+
+    @pytest.mark.parametrize("family,k", FAMILIES)
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    @pytest.mark.parametrize("x_shape", [(1,), (1, 1), (7, 1), (128, 1), (3,), (5, 3)],
+                             ids=["vector", "one-row", "rows-7", "rows-128", "width-3", "width-3-rows"])
+    def test_records_are_their_affine_references(self, family, k, mode, x_shape):
+        """Each layer against ``affine`` and the chained step on the layer
+        before's record, on ``ONE_ROW_ENTRIES``: odd seeds draw distinct NaN
+        payloads on x_0, the weights and the biases. Where a width-1 product or
+        bias sum has NaNs on both sides, only NaN-ness is compared (README,
+        "Numerical contracts"); a NaN carried into a stencil keeps its bits."""
+        d, depth = x_shape[-1], 5
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            draws = [((depth, d, d), 0x22), ((depth, d), 0x33), (x_shape, 0x11)]
+            if seed % 2:
+                weights, biases, x0 = (with_nans(rng, shape, payload) for shape, payload in draws)
+            else:
+                weights, biases, x0 = (rng.choice(ONE_ROW_ENTRIES, size=shape) for shape, _ in draws)
+            dl = (1.0, 0.5, 0.3)[seed % 3]
+            with np.errstate(all="ignore"):
+                records = list(unroll(weights, biases, "tanh", x0, family, k, dl, mode))
+                differences = [np.zeros(x_shape)] * k
+                for layer, (weight, bias) in enumerate(zip(weights, biases)):
+                    x, got = records[layer].x, records[layer + 1]
+                    want = affine(x, weight, bias, "tanh")
+                    two_nans = np.zeros(x_shape, bool)
+                    if d == 1:
+                        two_nans = (np.isnan(x) & np.isnan(weight[0, 0])) | (np.isnan(x * weight[0, 0]) & np.isnan(bias[0]))
+                    assert (np.isnan(got.force) == np.isnan(want)).all(), (seed, layer)
+                    assert got.force[~two_nans].tobytes() == want[~two_nans].tobytes(), (seed, layer)
+                    forced = [lambda _, y=r.force: y for r in records[1 : layer + 2]]  # f_0..f_l, as recorded
+                    if family == "c0":
+                        parts = [got.force]
+                    elif mode == "direct":
+                        history = [records[max(layer - j, 0)].x for j in range(k)]
+                        if family == "ck":
+                            parts = [chained_ck_direct(forced[-1], history, k, dl)]
+                        else:
+                            window = [forced[layer - j] if layer >= j else None for j in range(k)]
+                            parts = [chained_dense_direct(window, history, dl)]
+                    elif family == "ck":
+                        parts = chained_ck_state(forced[-1], records[layer].state, k, dl)
+                    else:
+                        parts, differences = chained_dense_state(forced[-1], records[layer].state, differences, dl)
+                    assert got.x.tobytes() == parts[0].tobytes(), (seed, layer)
+                    if mode == "state":
+                        assert [p.tobytes() for p in got.state] == [p.tobytes() for p in parts], (seed, layer)
 
     @pytest.mark.parametrize("family,k", [("c0", 1), ("ck", 2), ("dense", 2)])
     @pytest.mark.parametrize("mode", ["direct", "state"])

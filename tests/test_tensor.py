@@ -11,9 +11,9 @@ from cknet.tensor import (
     ShapeError,
     Tensor,
     _affine,
-    _linear_combination,
     affine,
 )
+from helpers import ONE_ROW_ENTRIES, linear_combination, with_nans
 
 
 class TestMatmul:
@@ -132,7 +132,8 @@ def chained(terms):
 
 
 class TestLinearCombination:
-    """``_linear_combination``, the kernel each block's stencil is summed by."""
+    """``linear_combination``, the sum of the single-layer step references in
+    ``helpers``: bitwise the chained stencil, as ``unroll``'s own sums are."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_forward_bitwise_equals_chained_stencil(self, k):
@@ -142,11 +143,11 @@ class TestLinearCombination:
             force = rng.standard_normal((4, 3))
             history = [rng.standard_normal((4, 3)) for _ in range(k)]
             terms = [(dl**k, force)] + [(-coeffs[j], history[j - 1]) for j in range(1, k + 1)]
-            assert _linear_combination(terms).tobytes() == chained(terms).tobytes()
+            assert linear_combination(terms).tobytes() == chained(terms).tobytes()
 
     def test_single_unit_term_is_the_array_itself(self):
         a = np.array([1.0])
-        assert _linear_combination([(1, a)]) is a
+        assert linear_combination([(1, a)]) is a
 
 
 class TestStackedAffine:
@@ -277,7 +278,7 @@ class TestOwnBuffers:
             rng = np.random.default_rng(seed)
             terms = [self.values(rng, shape) for _ in coefficients]
             with np.errstate(all="ignore"):
-                got = self.checked(terms, lambda *t: _linear_combination(list(zip(coefficients, t))))
+                got = self.checked(terms, lambda *t: linear_combination(list(zip(coefficients, t))))
                 want = chained(list(zip(coefficients, terms)))
             assert got.shape == shape and got.tobytes() == want.tobytes(), seed
 
@@ -288,7 +289,7 @@ class TestOneRowProduct:
     product or sum is NaN. Of two NaNs, numpy's loop picks which payload
     survives."""
 
-    ENTRIES = np.array([0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308])
+    ENTRIES = ONE_ROW_ENTRIES
 
     @pytest.mark.parametrize("m", [1, 2, 10])
     @pytest.mark.parametrize("x_shape", [(1,), (7, 1)], ids=["vector", "batch"])
@@ -301,16 +302,6 @@ class TestOneRowProduct:
                 got = affine(x, w, b)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
 
-    @classmethod
-    def with_nans(cls, rng, shape, payload):
-        """Entries of ``ENTRIES`` but NaN, about half of them NaNs of either
-        sign carrying ``payload``."""
-        a = rng.choice(cls.ENTRIES[~np.isnan(cls.ENTRIES)], size=shape)
-        mask = rng.random(shape) < 0.5
-        nans = np.array([0x7FF8000000000000 | payload, 0xFFF8000000000000 | payload], dtype=np.uint64)
-        a[mask] = rng.choice(nans.view(np.float64), size=int(mask.sum()))
-        return a
-
     @pytest.mark.parametrize("m", [1, 2, 3, 10])
     @pytest.mark.parametrize("rows", [3, 7, 17, 128, 4096])
     def test_nans_on_both_sides(self, rows, m):
@@ -318,7 +309,7 @@ class TestOneRowProduct:
         paired = unpaired = 0
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            x, w, b = (self.with_nans(rng, shape, payload) for shape, payload in
+            x, w, b = (with_nans(rng, shape, payload) for shape, payload in
                        (((rows, 1), 0x11), ((m, 1), 0x22), ((m,), 0x33)))
             with np.errstate(all="ignore"):
                 want = x @ w.T + b
@@ -346,9 +337,10 @@ class TestOneRowProduct:
 
 
 class TestKernels:
-    """``_affine`` and ``_linear_combination``, the unchecked bodies that
-    ``unroll`` runs on operands it checked once per pass, give the bits of
-    the public ``affine`` and of the chained expression."""
+    """``_affine``, the unchecked body that ``unroll`` runs for a stacked
+    ensemble on operands it checked once per pass, gives the bits of the
+    public ``affine``; the reference sum ``linear_combination`` those of the
+    chained expression."""
 
     def test_one_element_nan_payloads(self):
         # a -NaN matmul plus a NaN bias: the sum must keep the matmul's NaN
@@ -357,8 +349,8 @@ class TestKernels:
             want = (x @ w.T + b).tobytes()
             assert _affine(x, np.swapaxes(w, -1, -2), b, None).tobytes() == affine(x, w, b).tobytes() == want
             for terms in ([(1, x @ w.T), (1, b)], [(1, x @ w.T), (0.5, b)], [(2, x @ w.T), (1, b)]):
-                assert _linear_combination(terms).tobytes() == chained(terms).tobytes()
-            assert _linear_combination([(1, x @ w.T), (1, b)]).tobytes() == want
+                assert linear_combination(terms).tobytes() == chained(terms).tobytes()
+            assert linear_combination([(1, x @ w.T), (1, b)]).tobytes() == want
 
     @pytest.mark.parametrize("activation", [None, "tanh", "sigmoid", "leaky_relu"])
     @pytest.mark.parametrize("members,d", [(9, 1), (8, 3)])
@@ -379,5 +371,5 @@ class TestKernels:
                     assert got.tobytes() == want.tobytes(), (seed, layer)
                 for coefficients in ([0.25, 2, -1], [1, 0.5, 0.5, 0.5], [1, 1], [3, -3, 1, 1]):
                     terms = [(c, values(rng, shape)) for c in coefficients]
-                    got = _linear_combination(terms)
+                    got = linear_combination(terms)
                     assert got.tobytes() == chained(terms).tobytes(), (seed, coefficients)

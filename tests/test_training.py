@@ -553,6 +553,8 @@ class TestEvaluate:
         expected_acc = float((logits.data.argmax(axis=1) == data.labels).mean())
         loss, acc = evaluate(net, data.inputs, data.labels, mode=mode)
         assert (loss.hex(), acc.hex()) == (expected_loss.hex(), expected_acc.hex())
+        # plain floats, not np.float64: the artifacts write their repr
+        assert (type(loss), type(acc)) == (float, float)
 
     def test_bad_labels_rejected(self):
         net = _linear_model()
