@@ -103,6 +103,10 @@ class NetworkConfig:
             raise ValueError("width and input_dim must be >= 1, num_classes >= 2")
         if not isinstance(self.dl, numbers.Real):
             raise TypeError(f"dl must be a real number, got {self.dl!r}")
+        try:  # the layers step in float64: a Fraction or a numpy scalar is kept as its nearest float
+            object.__setattr__(self, "dl", float(self.dl))
+        except OverflowError:  # an int or a Fraction past the float range
+            object.__setattr__(self, "dl", math.inf)
         if not self.dl > 0:
             raise ValueError(f"dl must be positive, got {self.dl}")
         if self.k > MAX_BINOMIAL_N:
@@ -164,10 +168,10 @@ class LayerRecord(NamedTuple):
     state: tuple | None
 
 
-@functools.cache  # read by every ``unroll`` and every layer adjoint
+@functools.cache  # read by every direct ``unroll`` and every ``_table_adjoint``
 def _direct_terms(family: str, k: int, dl: float) -> tuple[tuple[float, int, bool], ...]:
     """The family's direct recurrence as (coefficient, lag j, is_forcing) terms, which
-    ``unroll``'s direct mode and the layer adjoint both read: x_{l+1} is the sum, in
+    ``unroll``'s direct mode and the c0 and dense layer adjoint read: x_{l+1} is the sum, in
     table order, of c·x_{l-j} or c·f_{l-j}(x_{l-j}). A lag before the input is x_0
     (the ghost start), and a forcing before the input adds no term."""
     if family == "c0":  # x_{l+1} = f_l
@@ -323,6 +327,100 @@ def _stencil_plans(terms: tuple, inplace: bool) -> tuple:
     return tuple(plans)
 
 
+# -- the layer adjoint ------------------------------------------------------------
+#
+# A walk runs one pass's reverse loop over the stacked [L, d, d] ``weights``:
+# from x̄_L, the gradient at the last activation, and the pass's records, ``xs``
+# x_0..x_L and ``forces`` f_0(x_0)..f_{L-1}(x_{L-1}) (state records hold x_l =
+# q_1 and f_l(q_1)), it returns x̄_0 and the stacked weight and bias gradients.
+# Each entry of ``xs`` and ``forces`` is set to ``None`` after its last read, so
+# the gradients do not pile up beside the trajectory.
+
+
+def _pull_forcing(fbar, force, x, w, xbar, chain, wbar, bbar):
+    """Pull f̄_l through f_l = act(x_l·W_lᵀ + b_l): W̄_l and b̄_l into ``wbar`` and
+    ``bbar``, and return x̄_l, which is ``xbar`` (``None`` for no term yet) plus
+    local·W_l, local = f̄_l·act'.
+
+    At width 1 (``w`` the float64 scalar w_l, not a [1, 1] matrix) the product is the
+    broadcast ``local * w`` plus 0.0: numpy's matmul loop over an inner
+    dimension of 1 sums 0 + p, which turns a -0.0 into 0.0 and changes nothing
+    else. Sums into a one-element array stay out of place (see ``_affine``)."""
+    local = chain(fbar, force)
+    np.matmul(local.T, x, out=wbar)
+    np.add.reduce(local, axis=0, out=bbar)
+    inplace = local.size > 1
+    if w.ndim:
+        term = local @ w
+    elif inplace:
+        term = local * w
+        term += 0.0
+    else:
+        term = local * w + 0.0
+    if xbar is None:
+        return term
+    return np.add(xbar, term, out=term) if inplace else xbar + term
+
+
+def _walk_setup(weights, activation: str):
+    """A walk's gradient stacks, its activation's chain, and each layer's
+    weight as ``_pull_forcing`` multiplies by it."""
+    return (np.empty(weights.shape), np.empty(weights.shape[:-1]), ACTIVATIONS[activation].chain,
+            weights.reshape(-1) if weights.shape[1:] == (1, 1) else weights)
+
+
+def _table_adjoint(xbar_top, xs: list, forces: list, weights, activation: str, family: str, k: int, dl: float):
+    """The reverse pass of the direct recurrence: layer l pushes x̄_{l+1} back
+    through the terms of ``_direct_terms``, in table order, then pulls f̄_l
+    through f_l. Contributions to one x̄ or f̄ are summed in the order the
+    layers above make them, a lag before the input is x_0 (the ghost start),
+    and a unit coefficient passes a gradient on without a multiply. c0 and
+    dense run this walk: their coefficients are 1 and dl."""
+    depth = len(weights)
+    wbar, bbar, chain, maps = _walk_setup(weights, activation)
+    xbar, fbar = [None] * depth + [xbar_top], [None] * depth
+    terms = [(c, j, fbar if forcing else xbar) for c, j, forcing in _direct_terms(family, k, dl)]
+    for l in reversed(range(depth)):
+        grad, last = xbar[l + 1], None
+        for c, j, bars in terms:
+            if l < j and bars is fbar:  # a forcing before the input
+                continue
+            i = l - j if l >= j else 0  # a ghost lag is x_0
+            if c != last:  # equal neighbours share one product: a dense layer's dl·x̄
+                term, last = grad if c == 1 else c * grad, c
+            bars[i] = term if bars[i] is None else bars[i] + term
+        xbar[l] = _pull_forcing(fbar[l], forces[l], xs[l], maps[l], xbar[l], chain, wbar[l], bbar[l])
+        xbar[l + 1] = fbar[l] = xs[l] = forces[l] = None
+    return xbar[0], wbar, bbar
+
+
+def _prefix_adjoint(xbar_top, xs: list, forces: list, weights, activation: str, k: int, dl: float):
+    """ck's reverse pass as the adjoint of its state step, which ``unroll``
+    runs as a suffix sum: q_n' = q_n + ... + q_k + dl^k·f_l(q_1).
+
+    The adjoints λ_1..λ_k of the parts start at (x̄_L, 0, ..., 0). A layer
+    replaces them by their prefix sums, acc = λ_1 and then λ_n = acc = λ_n +
+    acc for n = 2..k (k-1 unit-coefficient adds, skipped while λ_n is still
+    zero above the top layer), sets f̄_l = dl^k·acc (no multiply when dl^k =
+    1), and adds f_l's pullback into λ_1. So the walk multiplies by no
+    binomial coefficient; at k=1 it runs the operations of ``_table_adjoint``
+    in the same order."""
+    wbar, bbar, chain, maps = _walk_setup(weights, activation)
+    scale = dl**k
+    scale = None if scale == 1 else np.float64(scale)
+    lam = [xbar_top] + [None] * (k - 1)
+    for l in reversed(range(len(weights))):
+        acc = lam[0]
+        for n in range(1, k):
+            if lam[n] is not None:
+                acc = lam[n] + acc
+            lam[n] = acc
+        fbar = acc if scale is None else scale * acc
+        lam[0] = _pull_forcing(fbar, forces[l], xs[l], maps[l], lam[0], chain, wbar[l], bbar[l])
+        xs[l] = forces[l] = None
+    return lam[0], wbar, bbar
+
+
 @dataclass
 class Trace:
     """A run's trajectory as stacked arrays, ``Trace.from_layers(net.layers(x, mode))``.
@@ -421,46 +519,25 @@ class Network:
         return logits.T
 
     def _adjoint(self, g: np.ndarray, inputs: np.ndarray, xs: list, forces: list, weights, head) -> None:
-        """The reverse pass: the layer recurrence run from layer L down to 0.
+        """The reverse pass of one forward pass: the head, a walk over the
+        blocks from layer L down to 0, and the embedding.
 
-        ``xs`` are x_0..x_L and ``forces`` f_0(x_0)..f_{L-1}(x_{L-1}) of one
-        forward pass, ``weights`` and ``head`` the block stack and head
-        weights it ran on, and ``g`` the gradient at its logits. A layer
-        pushes x̄_{l+1} back through the terms of ``_direct_terms``, in table
-        order, then pulls f̄_l through f_l into its slices of the stacked
-        weight and bias gradients. Contributions to one x̄ or f̄ are summed in
-        the order the layers above make them, and a unit coefficient passes a
-        gradient on without a multiply. State-mode records hold x_l = q_1 and
-        f_l(q_1), on which the state form is this same recurrence. Each entry
-        of ``xs`` and ``forces`` is set to ``None`` after its last read.
+        ``xs`` and ``forces`` are that pass's records (see ``_table_adjoint``),
+        ``weights`` and ``head`` the block stack and head weights it ran on,
+        and ``g`` the gradient at its logits. ck runs ``_prefix_adjoint``, the
+        adjoint of its state step; c0 and dense walk their ``_direct_terms``.
         """
-        cfg, depth = self.config, len(weights)
-        self.head_weight._pull(g.T @ xs[depth])
+        cfg = self.config
+        self.head_weight._pull(g.T @ xs[-1])
         self.head_bias._pull(g.sum(axis=0))
-        xbar, fbar = [None] * depth + [g @ head], [None] * depth
-        wbar, bbar = np.empty(weights.shape), np.empty(weights.shape[:-1])
-        chain = ACTIVATIONS[cfg.activation].chain
-        terms = [(c, j, fbar if forcing else xbar) for c, j, forcing in _direct_terms(cfg.family, cfg.k, cfg.dl)]
-        for l in reversed(range(depth)):
-            grad, last = xbar[l + 1], None
-            for c, j, bars in terms:
-                if l < j and bars is fbar:  # a forcing before the input
-                    continue
-                i = l - j if l >= j else 0  # a ghost lag is x_0
-                if c != last:  # equal neighbours share one product: a dense layer's dl·x̄
-                    term, last = grad if c == 1 else c * grad, c
-                bars[i] = term if bars[i] is None else bars[i] + term
-            local = chain(fbar[l], forces[l])
-            term = local @ weights[l]
-            xbar[l] = term if xbar[l] is None else xbar[l] + term
-            np.matmul(local.T, xs[l], out=wbar[l])
-            np.add.reduce(local, axis=0, out=bbar[l])
-            # no layer below reads these: freed now, the gradients do not pile up beside the trajectory
-            xbar[l + 1] = fbar[l] = xs[l] = forces[l] = None
+        if cfg.family == "ck":
+            xbar, wbar, bbar = _prefix_adjoint(g @ head, xs, forces, weights, cfg.activation, cfg.k, cfg.dl)
+        else:
+            xbar, wbar, bbar = _table_adjoint(g @ head, xs, forces, weights, cfg.activation, cfg.family, cfg.k, cfg.dl)
         self.block_weight._pull(wbar)
         self.block_bias._pull(bbar)
-        self.embed_weight._pull(xbar[0].T @ inputs)
-        self.embed_bias._pull(xbar[0].sum(axis=0))
+        self.embed_weight._pull(xbar.T @ inputs)
+        self.embed_bias._pull(xbar.sum(axis=0))
 
     def infer(self, inputs: np.ndarray, mode: str = "direct") -> np.ndarray:
         """``forward``'s logits as an ``np.ndarray``, bitwise, keeping no record.

@@ -19,7 +19,8 @@ from cknet.architectures import (
 )
 from cknet.dynamics import alternating_binomial_row, backward_diff_power, build_ck_matrices
 from cknet.tensor import GraphError, ShapeError, affine
-from cknet.training import evaluate, softmax_cross_entropy
+from cknet.data import Dataset
+from cknet.training import TrainConfig, evaluate, softmax_cross_entropy, train
 from helpers import (
     LayerHistory,
     Layer,
@@ -872,6 +873,12 @@ class TestAdjoint:
         softmax_cross_entropy(net.forward(x, mode), y).backward()
         return [p.grad for p in net.parameters()]
 
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_order_eight_gradients_match_central_differences(self, mode, activation):
+        # below the top layer every one of the prefix adjoint's k-1 = 7 unit adds a layer runs
+        self.test_gradients_match_central_differences("ck", 8, mode, activation, 3)
+
     @pytest.mark.parametrize("family,k", FORMS, ids=[f"{f}{k}" for f, k in FORMS])
     @pytest.mark.parametrize("mode", ["direct", "state"])
     @pytest.mark.parametrize("dl", [1.0, 0.3, 1.5])
@@ -935,7 +942,7 @@ class TestAdjoint:
 
 class TestDirectTerms:
     """``_direct_terms`` states each family's direct recurrence once; ``unroll``
-    and the layer adjoint both read it."""
+    and the c0 and dense layer adjoint read it."""
 
     def test_c0_is_its_forcing(self):
         assert architectures._direct_terms("c0", 1, 0.5) == ((1, 0, True),)
@@ -959,7 +966,7 @@ class TestDirectTerms:
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     def test_forward_and_adjoint_read_one_table(self, monkeypatch, activation):
         monkeypatch.setattr(architectures, "_direct_terms", lambda family, k, dl: self.MADE_UP)
-        net = TestAdjoint.network("ck", 3, activation, depth=5, seed=3)
+        net = TestAdjoint.network("dense", 3, activation, depth=5, seed=3)
         x, y = np.random.default_rng(3).standard_normal((3, 2)), np.array([1, 0, 1])
         trace = Trace.from_layers(net.layers(x))
         xs, fs = trace.activations, trace.forcing
@@ -976,6 +983,72 @@ class TestDirectTerms:
         fds = central_difference(lambda: evaluate(net, x, y)[0], [p.data for p in params])
         for p, g, fd in zip(params, got, fds):
             assert gradient_close(g, fd), p.name
+
+
+class TestPrefixAdjoint:
+    """ck's layer adjoint, the prefix sum of its state step, against the walk
+    over ck's own ``_direct_terms`` on the records of one pass."""
+
+    @staticmethod
+    def walks(k, width, activation, depth, mode, dl=0.5, batch=3, seed=0):
+        rng = np.random.default_rng(seed)
+        weights = architectures._init_weight(rng, (depth, width, width))
+        biases = rng.uniform(-0.5, 0.5, size=(depth, width))
+        records = list(unroll(weights, biases, activation, rng.standard_normal((batch, width)), "ck", k, dl, mode))
+        xs, forces = [r.x for r in records], [r.force for r in records[1:]]
+        xbar = rng.standard_normal((batch, width))
+        table = architectures._table_adjoint(xbar, list(xs), list(forces), weights, activation, "ck", k, dl)
+        prefix = architectures._prefix_adjoint(xbar, list(xs), list(forces), weights, activation, k, dl)
+        return table, prefix
+
+    @pytest.mark.parametrize("width", [1, 2, 64])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("depth", [0, 1, 16])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    def test_order_one_is_the_table_walk_bitwise(self, width, activation, depth, mode):
+        for dl in (1.0, 0.5):
+            table, prefix = self.walks(1, width, activation, depth, mode, dl, seed=depth + width)
+            assert [a.tobytes() for a in prefix] == [a.tobytes() for a in table]
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    @pytest.mark.parametrize("width", [1, 2, 64])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("depth", [0, 1, 16])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    def test_higher_orders_agree_with_the_table_walk(self, k, width, activation, depth, mode):
+        # rtol 1e-9 and an atol of 2^k·1e-13 in units of the largest entry (at least 1):
+        # the table walk sums binomial multiples of gradients that reach 1e3 at depth
+        # 16, so its error grows like 2^k against them, not against a small entry
+        # they cancel to (the next test holds the prefix walk to a few ε)
+        table, prefix = self.walks(k, width, activation, depth, mode, seed=depth + width + k)
+        for name, a, b in zip(("x_0", "weights", "biases"), prefix, table):
+            assert np.allclose(a, b, rtol=1e-9, atol=2**k * 1e-13 * np.max(np.abs(b), initial=1.0)), name
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(np.float64).eps, reason="no extended long double")
+    @pytest.mark.parametrize("k", [2, 4, 6, 8])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    def test_prefix_walk_is_within_a_few_ulp_of_its_long_double_run(self, k, activation, mode):
+        rng = np.random.default_rng(k)
+        weights = architectures._init_weight(rng, (16, 64, 64))
+        biases = rng.uniform(-0.5, 0.5, size=(16, 64))
+        records = list(unroll(weights, biases, activation, rng.standard_normal((3, 64)), "ck", k, 0.5, mode))
+        xs, forces = [r.x for r in records], [r.force for r in records[1:]]
+        xbar = rng.standard_normal((3, 64))
+        got = architectures._prefix_adjoint(xbar, xs, forces, weights, activation, k, 0.5)
+        wide = [np.asarray(a, dtype=np.longdouble) for a in (xbar, weights)]
+        exact = architectures._prefix_adjoint(wide[0], [r.x.astype(np.longdouble) for r in records],
+                                              [r.force.astype(np.longdouble) for r in records[1:]],
+                                              wide[1], activation, k, 0.5)
+        for name, a, b in zip(("x_0", "weights", "biases"), got, exact):  # measured at most 2.1·ε
+            assert np.max(np.abs(a - b)) <= 8 * np.finfo(np.float64).eps * np.max(np.abs(b)), name
+
+    def test_walks_free_the_records_they_read(self):
+        xs, forces = [np.ones((2, 1))] * 4, [np.ones((2, 1))] * 3
+        for walk, args in ((architectures._prefix_adjoint, (3, 0.5)), (architectures._table_adjoint, ("ck", 3, 0.5))):
+            held = list(xs), list(forces)
+            walk(np.ones((2, 1)), *held, np.full((3, 1, 1), 0.5), "tanh", *args)
+            assert held == ([None] * 3 + [xs[-1]], [None] * 3)
 
 
 class TestDenseIsResidual:
@@ -1365,6 +1438,24 @@ class TestConfigValidation:
     def test_bad_activation(self):
         with pytest.raises(ValueError):
             NetworkConfig("ck", 1, 1, 1, 1, 2, activation="relu6")
+
+    @pytest.mark.parametrize("family,k", [("c0", 1), ("ck", 2), ("dense", 2)])
+    def test_fraction_dl_trains_as_its_float(self, family, k):
+        rng = np.random.default_rng(k)
+        x, y = rng.standard_normal((6, 2)), np.array([0, 1, 1, 0, 1, 0])
+        runs = []
+        for dl in (Fraction(1, 2), 0.5):
+            net = Network(NetworkConfig(family, k, depth=3, width=2, input_dim=2, num_classes=2, dl=dl, seed=5))
+            assert net.config.dl == 0.5 and type(net.config.dl) is float
+            run = [net.forward(x).data] + TestAdjoint.gradients(net, x, y)
+            metrics = train(net, Dataset(x, y, 2), TrainConfig(epochs=1, batch_size=4, learning_rate=0.01))
+            run += [np.array([metrics[0].train_loss, metrics[0].train_acc])] + [p.data for p in net.parameters()]
+            runs.append([a.tobytes() for a in run])
+        assert runs[0] == runs[1]
+
+    def test_dl_past_the_float_range_overflows(self):
+        with pytest.raises(ValueError, match=r"dl\*\*k overflows"):
+            NetworkConfig("ck", 1, 1, 1, 1, 2, dl=10**400)
 
     @pytest.mark.parametrize("depth", [0, 1, 5])
     def test_parameters_are_six_fixed_arrays(self, depth):
