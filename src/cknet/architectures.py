@@ -182,6 +182,14 @@ def _direct_terms(family: str, k: int, dl: float) -> tuple[tuple[float, int, boo
     return ((1, k - 1, False), *((dl, j, True) for j in reversed(range(k))))
 
 
+@functools.cache  # keyed by the table itself, so every direct ``unroll`` converts it once
+def _scaled_terms(terms: tuple) -> tuple[tuple[np.float64 | None, bool, int], ...]:
+    """A ``_direct_terms`` table as ``unroll`` sums it: (scale, is_forcing, lag)
+    terms, the scale the coefficient as a float64 scalar, or ``None`` for a unit
+    coefficient, whose term is added without a multiply."""
+    return tuple((None if c == 1 else np.float64(c), is_forcing, j) for c, j, is_forcing in terms)
+
+
 def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float, mode: str):
     """Step ``x0`` through the layers of a block stack; yield a ``LayerRecord`` per layer.
 
@@ -189,20 +197,23 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
     ``weights`` is [L, d, d] and ``biases`` [L, d], or [L, E, d, d] and
     [L, E, d] for E maps stacked on a member axis (see ``affine``). The
     activation, the stack and x_0 (against its width and member axis) are
-    checked when the loop starts, before any record. The pass is then planned
-    once: how every layer's forcing is formed (at width 1 the float64-scalar
-    broadcast ``x * w_l`` plus ``b_l + 0.0``, ``_affine``'s one-row product;
-    ``x @ W_lᵀ`` through BLAS at a wider flat stack; ``_affine`` for a stacked
-    ensemble) and by which steps each stencil is summed (``_stencil_plans``),
-    so that a layer runs as straight-line numpy calls. The first record is
-    the input x_0, then one per layer. Every layer evaluates its own forcing
-    map once, on x_l (direct) or q_1 (state), and never another layer's.
+    checked when the loop starts, before any record, and how every layer's
+    forcing is formed is chosen once: at width 1 the float64-scalar broadcast
+    ``x * w_l`` plus ``b_l + 0.0``, ``_affine``'s one-row product; ``x @ W_lᵀ``
+    through BLAS at a wider flat stack; ``_affine`` for a stacked ensemble.
+    The first record is the input x_0, then one per layer. Every layer
+    evaluates its own forcing map once, on x_l (direct) or q_1 (state), and
+    never another layer's. No yielded array is written afterwards.
 
-    In direct mode every family sums its ``_direct_terms``, in table order,
-    over two windows of the table's n lags: x_l, ..., x_{l-n+1}, the ghost
-    start repeating x_0, and f_l(x_l), ..., f_{l-n+1}(x_{l-n+1}), of which
-    those before the input add no term, each sum bitwise the chained ``+`` and
-    ``*`` in that order (see ``_stencil_plans``). In state mode the parts
+    In direct mode every family sums its ``_direct_terms``, converted once by
+    ``_scaled_terms``, in table order over two windows of the table's n lags:
+    x_l, ..., x_{l-n+1}, the ghost start repeating x_0, and f_l(x_l), ...,
+    f_{l-n+1}(x_{l-n+1}), of which those before the input add no term. A unit
+    coefficient adds its term without a multiply, and a sum goes into the
+    array the loop allocated for it, else into the term's fresh product, else
+    out of place (always out of place for one-element arrays, see
+    ``_affine``), so each sum is bitwise the chained ``+`` and ``*`` in table
+    order and no operand is written. In state mode the parts
     ``q`` are a tuple q_1..q_k, q_1 = x_0 and the rest zero at the input, and
     a layer runs its family's first-order step: c0 is q' = (f,); ck, whose
     transition is the upper all-ones matrix, is the suffix sum q_k' = q_k +
@@ -235,16 +246,16 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
         maps = zip(np.swapaxes(weights, -1, -2), biases)
     direct, state = mode == "direct", mode == "state"
     if direct:
-        terms = _direct_terms(family, k, dl)
-        window = 1 + max(j for _, j, _ in terms)
+        terms = _scaled_terms(_direct_terms(family, k, dl))
+        window = 1 + max(j for _, _, j in terms)
         lags, forced = deque([x0] * window, maxlen=window), deque([None] * window, maxlen=window)
-        windows, plans = (lags, forced), _stencil_plans(terms, inplace)
+        windows = (lags, forced)
     else:
         scale, q, differences = dl**k, (x0,) + (np.zeros(x0.shape),) * (k - 1), (np.zeros(x0.shape),) * k
         scale, dl = None if scale == 1 else np.float64(scale), np.float64(dl)
     yield LayerRecord(x0, None, q if state else None)
     del x0  # the lag window or state holds it as long as a layer needs it
-    for layer, (w, b) in enumerate(maps):
+    for w, b in maps:
         x = lags[0] if direct else q[0]
         if stacked:
             force = T._affine(x, w, b, act)
@@ -257,20 +268,21 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
             force = act(force)
         if direct:
             forced.appendleft(force)
-            (c, is_forcing, j), rest = plans[min(layer, len(plans) - 1)]
-            x = windows[is_forcing][j]
-            if c is not None:
-                x = c * x
-            for c, is_forcing, j, into in rest:
+            x = None  # the sum; owned: it is an array this loop allocated, free to write
+            for c, is_forcing, j in terms:
                 term = windows[is_forcing][j]
+                if term is None:  # a forcing before the input
+                    continue
                 if c is not None:
                     term = c * term
-                if into is _INTO_SUM:
+                if x is None:
+                    x, owned = term, inplace and c is not None
+                elif owned:
                     x += term
-                elif into is _INTO_TERM:
-                    x = np.add(x, term, out=term)
+                elif inplace and c is not None:
+                    x, owned = np.add(x, term, out=term), True
                 else:
-                    x = x + term
+                    x, owned = x + term, inplace
             lags.appendleft(x)
         elif family == "ck":  # one product dl^k·f, then k unit-coefficient adds from q_k up
             if scale is None:
@@ -288,43 +300,6 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
         else:  # c0 keeps no memory
             q = (force,)
         yield LayerRecord(x if direct else q[0], force, q if state else None)
-
-
-# how a stencil term after the first is added: into the sum, into its own
-# fresh product, or out of place
-_INTO_SUM, _INTO_TERM, _OUT_OF_PLACE = "sum", "term", "new"
-
-
-@functools.cache  # read by every direct ``unroll``; a pass then does no planning of its own
-def _stencil_plans(terms: tuple, inplace: bool) -> tuple:
-    """``unroll``'s steps for summing a ``_direct_terms`` table in layers 0, 1,
-    ... left to right, the last plan serving every later layer: a layer sums
-    the terms it has (a forcing before the input has none).
-
-    A plan is its first term as (scale, is_forcing, lag) and the rest as
-    (scale, is_forcing, lag, into). A scale is the coefficient as a float64
-    scalar, or ``None`` for a unit coefficient, whose term is added without a
-    multiply. ``into`` says where a sum goes: into the sum once that is an
-    array the loop allocated, else into the term's own product, else out of
-    place, so the value is bitwise the chained ``+`` and ``*`` and no operand
-    is written. ``inplace`` is false for one-element arrays, whose sums all
-    stay out of place (see ``_affine``); a single unit term is the array itself.
-    """
-    plans = []
-    for layer in range(1 + max(j for _, j, is_forcing in terms if is_forcing)):
-        first, *rest = [(None if c == 1 else np.float64(c), is_forcing, j) for c, j, is_forcing in terms
-                        if not (is_forcing and j > layer)]
-        owned, steps = inplace and first[0] is not None, []  # owned: the sum so far is an array the loop allocated
-        for c, is_forcing, j in rest:
-            if owned:
-                into = _INTO_SUM
-            elif inplace and c is not None:
-                into, owned = _INTO_TERM, True
-            else:
-                into, owned = _OUT_OF_PLACE, inplace
-            steps.append((c, is_forcing, j, into))
-        plans.append((first, tuple(steps)))
-    return tuple(plans)
 
 
 # -- the layer adjoint ------------------------------------------------------------

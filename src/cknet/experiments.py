@@ -59,7 +59,9 @@ class PerturbationRecord:
 
 
 def measure_perturbation(network: Network, inputs: np.ndarray) -> list[PerturbationRecord]:
-    """Layer-wise residual perturbation ratios of an order-1 network.
+    """Layer-wise residual perturbation ratios of an order-1 network: ck or
+    dense at k=1, not the skipless c0 family, which has no residual to
+    perturb and does not step by dl.
 
     A sample whose activation has zero norm, or whose activation or
     perturbation f(x)·dl has a non-finite norm (a NaN, or a forward pass
@@ -71,10 +73,9 @@ def measure_perturbation(network: Network, inputs: np.ndarray) -> list[Perturbat
     x_l is kept until the next record brings f_l(x_l), and no other layer
     of the trajectory is held.
     """
-    if network.config.k != 1:
-        raise ValueError(
-            f"perturbation ratios are defined for residual (k=1) networks, got k={network.config.k}"
-        )
+    family, k = network.config.family, network.config.k
+    if family == "c0" or k != 1:
+        raise ValueError(f"perturbation ratios are defined for residual (k=1) networks, got {family} with k={k}")
     if np.ndim(inputs) == 2 and not len(inputs):
         raise ValueError("cannot measure perturbation ratios on an empty probe batch")
     dl = network.config.dl

@@ -1,6 +1,7 @@
 """Loss, optimizer, and the training loop shared by all experiments."""
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -48,10 +49,22 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not isinstance(self.learning_rate, numbers.Real):
-            raise TypeError(f"learning_rate must be a real number, got {self.learning_rate!r}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        _check_learning_rate(self.learning_rate, zero=False)
+
+
+def _check_learning_rate(rate, zero: bool) -> float:
+    """``rate`` as the float the step multiplies by: ``TypeError`` unless it is
+    a real number, ``ValueError`` unless it is finite and > 0, or >= 0 where
+    ``zero`` allows a frozen step."""
+    if not isinstance(rate, numbers.Real):
+        raise TypeError(f"learning_rate must be a real number, got {rate!r}")
+    try:  # a Fraction or an int is stepped as its nearest float
+        value = float(rate)
+    except OverflowError:  # an int or a Fraction past the float range
+        value = math.inf
+    if not (math.isfinite(value) and (value >= 0 if zero else value > 0)):
+        raise ValueError(f"learning_rate must be finite and {'>=' if zero else '>'} 0, got {rate}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -127,8 +140,8 @@ class Adam:
     from before the step is never written to. The result is bitwise that
     of updating each parameter on its own. A parameter without a ``grad``
     or with a non-finite one raises before anything moves, and an empty
-    parameter list or a parameter listed twice is refused when the optimizer
-    is built.
+    parameter list, a parameter listed twice, or a learning rate that is not
+    a finite real >= 0 is refused when the optimizer is built.
     """
 
     def __init__(self, params, learning_rate=1e-3):
@@ -138,7 +151,7 @@ class Adam:
         twice = next((p for i, p in enumerate(self.params) if any(p is q for q in self.params[:i])), None)
         if twice is not None:  # it would be stepped once a listing
             raise ValueError(f"Adam got parameter {twice.name!r} twice")
-        self.learning_rate = learning_rate
+        self.learning_rate = _check_learning_rate(learning_rate, zero=True)
         self.t = 0
         size = sum(p.data.size for p in self.params)
         self.m = np.zeros(size)

@@ -828,6 +828,31 @@ class TestLayers:
             getattr(net, call)(inputs)
 
 
+class TestRecordsStayAsYielded:
+    """``unroll`` writes no array it has yielded: once the pass ends, every
+    record's ``x``, ``force`` and state parts hold the bytes they were yielded
+    with, at width 1 (one element or more), wider, and stacked on a member axis."""
+
+    STACKS = [((6, 1, 1), (1,)), ((6, 1, 1), (1, 1)), ((6, 1, 1), (7, 1)), ((6, 3, 3), (5, 3)),
+              ((6, 2, 3, 3), (2, 3)), ((6, 2, 3, 3), (2, 4, 3))]
+
+    @pytest.mark.parametrize("family,k", FORMS, ids=[f"{f}{k}" for f, k in FORMS])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    @pytest.mark.parametrize("dl", [1.0, 0.5])  # at 1.0, ck's leading coefficient is a unit one
+    @pytest.mark.parametrize("w_shape,x_shape", STACKS, ids=[f"{w}-{x}" for w, x in STACKS])
+    def test_yielded_arrays_are_never_written(self, family, k, mode, dl, w_shape, x_shape):
+        rng = np.random.default_rng(k)
+        weights = architectures._init_weight(rng, w_shape)
+        biases = rng.uniform(-0.5, 0.5, size=w_shape[:-1])
+        yielded, snapshots = [], []
+        for record in unroll(weights, biases, "tanh", rng.standard_normal(x_shape), family, k, dl, mode):
+            arrays = [record.x, *([] if record.force is None else [record.force]), *(record.state or ())]
+            yielded.append(arrays)
+            snapshots.append([a.tobytes() for a in arrays])
+        assert len(yielded) == 7
+        assert [[a.tobytes() for a in arrays] for arrays in yielded] == snapshots
+
+
 class TestAdjoint:
     """``forward``'s pullback, the layer adjoint, against central differences."""
 
@@ -960,19 +985,25 @@ class TestDirectTerms:
         expected = ((1, k - 1, False), *((dl, j, True) for j in range(k - 1, -1, -1)))
         assert architectures._direct_terms("dense", k, dl) == expected
 
-    # x_{l+1} = 0.6·x_l + 0.3·f_l + 1.2·f_{l-1} - 0.4·x_{l-2}: no family's recurrence
-    MADE_UP = ((0.6, 0, False), (0.3, 0, True), (1.2, 1, True), (-0.4, 2, False))
+    MADE_UP = [
+        # x_{l+1} = 0.6·x_l + 0.3·f_l + 1.2·f_{l-1} - 0.4·x_{l-2}: no family's recurrence
+        ((0.6, 0, False), (0.3, 0, True), (1.2, 1, True), (-0.4, 2, False)),
+        # x_{l+1} = f_{l-2} + 0.5·x_l + f_l - 0.25·x_{l-1}: the leading unit forcing is
+        # absent in layers 0 and 1, so their sums start at a later term
+        ((1, 2, True), (0.5, 0, False), (1, 0, True), (-0.25, 1, False)),
+    ]
 
+    @pytest.mark.parametrize("table", MADE_UP, ids=["made-up", "late-first-term"])
     @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_forward_and_adjoint_read_one_table(self, monkeypatch, activation):
-        monkeypatch.setattr(architectures, "_direct_terms", lambda family, k, dl: self.MADE_UP)
+    def test_forward_and_adjoint_read_one_table(self, monkeypatch, activation, table):
+        monkeypatch.setattr(architectures, "_direct_terms", lambda family, k, dl: table)
         net = TestAdjoint.network("dense", 3, activation, depth=5, seed=3)
         x, y = np.random.default_rng(3).standard_normal((3, 2)), np.array([1, 0, 1])
         trace = Trace.from_layers(net.layers(x))
         xs, fs = trace.activations, trace.forcing
         for l in range(5):  # the ghost start: a lag before the input is x_0, a forcing adds nothing
             value = None
-            for c, j, forcing in self.MADE_UP:
+            for c, j, forcing in table:
                 if forcing and l < j:
                     continue
                 term = c * (fs[l - j] if forcing else xs[max(l - j, 0)])

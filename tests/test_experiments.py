@@ -123,6 +123,17 @@ class TestMeasurePerturbation:
         with pytest.raises(ValueError, match="k=2"):
             measure_perturbation(net, np.ones((2, 2)))
 
+    def test_rejects_the_skipless_family(self):
+        net = Network(NetworkConfig("c0", 1, 2, 2, 2, 2))
+        with pytest.raises(ValueError, match=r"residual \(k=1\) networks, got c0 with k=1$"):
+            measure_perturbation(net, np.ones((2, 2)))
+
+    def test_measures_a_dense_order_one_network(self):
+        # dense at k=1 is x_{l+1} = x_l + dl·f_l, the residual step of ck at k=1
+        ck, dense = (Network(NetworkConfig(family, 1, 3, 2, 2, 2, dl=0.5, seed=1)) for family in ("ck", "dense"))
+        batch = np.random.default_rng(1).standard_normal((4, 2))
+        assert measure_perturbation(dense, batch) == measure_perturbation(ck, batch)
+
     @pytest.mark.parametrize("depth,dl,nan_layer", [(3, 1e308, None), (3, 1.0, 0), (3, 1.0, 2)])
     def test_non_finite_norms_name_their_layer_without_warnings(self, depth, dl, nan_layer, monkeypatch):
         net = _residual_net(depth=depth, width=3, dl=dl, seed=4)

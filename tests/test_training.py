@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -267,6 +268,34 @@ class TestAdam:
             p.grad = np.array([0.7])
             opt.step()
         assert p.data[0] == 2.0
+
+    @pytest.mark.parametrize("learning_rate", [-1e-3, -math.inf, math.inf, math.nan])
+    def test_negative_or_non_finite_learning_rate_refused_when_built(self, learning_rate):
+        p = Parameter(np.array([2.0]), "p")
+        with pytest.raises(ValueError, match=r"^learning_rate must be finite and >= 0, got "):
+            Adam([p], learning_rate=learning_rate)
+
+    def test_a_fraction_learning_rate_steps_as_its_float(self):
+        p, q = Parameter(np.array([2.0]), "p"), Parameter(np.array([2.0]), "q")
+        TrainConfig(1, learning_rate=Fraction(1, 10))
+        exact, rounded = Adam([p], learning_rate=Fraction(1, 10)), Adam([q], learning_rate=0.1)
+        p.grad, q.grad = np.array([0.7]), np.array([0.7])
+        exact.step()
+        rounded.step()
+        assert p.data.tobytes() == q.data.tobytes()
+
+    @pytest.mark.parametrize("learning_rate", [10**400, -(10**400)], ids=["huge", "-huge"])
+    def test_an_integer_past_the_float_range_is_not_finite(self, learning_rate):
+        with pytest.raises(ValueError, match=r"^learning_rate must be finite and >= 0, got -?1000"):
+            Adam([Parameter(np.array([2.0]), "p")], learning_rate=learning_rate)
+        with pytest.raises(ValueError, match=r"^learning_rate must be finite and > 0, got -?1000"):
+            TrainConfig(1, learning_rate=learning_rate)
+
+    @pytest.mark.parametrize("learning_rate", ["0.1", None, 1j])
+    def test_non_real_learning_rate_is_a_type_error_when_built(self, learning_rate):
+        p, message = Parameter(np.array([2.0]), "p"), f"learning_rate must be a real number, got {learning_rate!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            Adam([p], learning_rate=learning_rate)
 
     def test_nan_gradient_names_parameter(self):
         p = Parameter(np.array([0.0]), "blocks.3.weight")
