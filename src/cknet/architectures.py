@@ -57,8 +57,8 @@ def _init_weight(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 
 def check_mesh_step(dl: float, k: int) -> None:
     """``ValueError`` unless dl**k, the forcing scale of an order-k block, is finite."""
-    try:
-        finite = math.isfinite(dl**k)
+    try:  # a numpy k or dl would overflow with a warning: the power is taken on Python numbers
+        finite = math.isfinite(float(dl) ** operator.index(k))
     except OverflowError:  # a float power past the float range raises instead of giving inf
         finite = False
     if not finite:
@@ -84,36 +84,47 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in ("c0", "ck", "dense"):
-            raise ValueError(f"unknown family {self.family!r}")
-        for name in ("k", "depth", "width", "input_dim", "num_classes", "seed"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
-        if self.family == "c0" and self.k != 1:
-            raise ValueError("the skipless family has no order parameter; use k=1")
-        if self.k < 1:
-            raise ValueError(f"order k must be >= 1, got {self.k}")
-        if self.depth < 0:
-            raise ValueError(f"depth must be >= 0, got {self.depth}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if min(self.width, self.input_dim) < 1 or self.num_classes < 2:
-            raise ValueError("width and input_dim must be >= 1, num_classes >= 2")
-        if not isinstance(self.dl, numbers.Real):
-            raise TypeError(f"dl must be a real number, got {self.dl!r}")
-        try:  # the layers step in float64: a Fraction or a numpy scalar is kept as its nearest float
-            object.__setattr__(self, "dl", float(self.dl))
-        except OverflowError:  # an int or a Fraction past the float range
-            object.__setattr__(self, "dl", math.inf)
-        if not self.dl > 0:
-            raise ValueError(f"dl must be positive, got {self.dl}")
-        if self.k > MAX_BINOMIAL_N:
-            raise ValueError(f"order k must be <= {MAX_BINOMIAL_N}, got {self.k}")
-        check_mesh_step(self.dl, self.k)
+        object.__setattr__(self, "dl", _check_block(self.family, self.k, self.dl))
+        for name, least in (("depth", 0), ("width", 1), ("input_dim", 1), ("num_classes", 2), ("seed", 0)):
+            _check_count(name, getattr(self, name), least)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """``TypeError`` unless ``value`` is an integer (a Python or numpy int, not
+    a float), ``ValueError`` if it is below ``least``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _check_block(family: str, k, dl) -> float:
+    """dl as the float64 an order-k block of ``family`` steps by, refusing a
+    block no network has: ``ValueError`` for an unknown family, c0 with k
+    other than 1, k outside 1..``MAX_BINOMIAL_N``, dl not > 0 (NaN too) or
+    dl**k not finite; ``TypeError`` unless k is an integer and dl a real
+    number. ``NetworkConfig`` and ``unroll`` share it."""
+    if family not in ("c0", "ck", "dense"):
+        raise ValueError(f"unknown family {family!r}")
+    _check_count("k", k, 1)
+    if family == "c0" and k != 1:
+        raise ValueError("the skipless family has no order parameter; use k=1")
+    if k > MAX_BINOMIAL_N:
+        raise ValueError(f"order k must be <= {MAX_BINOMIAL_N}, got {k}")
+    if not isinstance(dl, numbers.Real):
+        raise TypeError(f"dl must be a real number, got {dl!r}")
+    try:  # the layers step in float64: a Fraction or a numpy scalar is kept as its nearest float
+        dl = float(dl)
+    except OverflowError:  # an int or a Fraction past the float range
+        dl = math.inf
+    if not dl > 0:
+        raise ValueError(f"dl must be positive, got {dl}")
+    check_mesh_step(dl, k)
+    return dl
 
 
 # -- single block steps --------------------------------------------------------
@@ -136,8 +147,11 @@ def parameter_count(kind: str, k: int, d: int, depth: int) -> int:
     ``kind="ck"``: each of the ``depth`` layers owns one width-d forcing
     map (d*d weights + d biases) regardless of order k. ``kind=
     "first_order_equiv"``: an explicit first-order network on the k*d
-    dimensional state with a full (k*d)^2 weight per layer.
+    dimensional state with a full (k*d)^2 weight per layer. The sizes are
+    integers, k and d at least 1 and depth at least 0.
     """
+    for name, value, least in (("k", k, 1), ("d", d, 1), ("depth", depth, 0)):
+        _check_count(name, value, least)
     if kind == "ck":
         return depth * (d * d + d)
     if kind == "first_order_equiv":
@@ -148,7 +162,9 @@ def parameter_count(kind: str, k: int, d: int, depth: int) -> int:
 
 def weight_matrix_ratio(k: int, d: int = 1) -> Fraction:
     """Exact per-layer weight-count ratio of order-k blocks vs the explicit
-    first-order equivalent: always 1/k^2."""
+    first-order equivalent: always 1/k^2. k and d are integers of at least 1."""
+    _check_count("k", k, 1)
+    _check_count("d", d, 1)
     return Fraction(d * d, (k * d) * (k * d))
 
 
@@ -168,12 +184,12 @@ class LayerRecord(NamedTuple):
     state: tuple | None
 
 
-@functools.cache  # read by every direct ``unroll`` and every ``_table_adjoint``
+@functools.cache
 def _direct_terms(family: str, k: int, dl: float) -> tuple[tuple[float, int, bool], ...]:
     """The family's direct recurrence as (coefficient, lag j, is_forcing) terms, which
-    ``unroll``'s direct mode and the c0 and dense layer adjoint read: x_{l+1} is the sum, in
-    table order, of c·x_{l-j} or c·f_{l-j}(x_{l-j}). A lag before the input is x_0
-    (the ghost start), and a forcing before the input adds no term."""
+    ``unroll``'s direct mode reads: x_{l+1} is the sum, in table order, of
+    c·x_{l-j} or c·f_{l-j}(x_{l-j}). A lag before the input is x_0 (the ghost
+    start), and a forcing before the input adds no term."""
     if family == "c0":  # x_{l+1} = f_l
         return ((1, 0, True),)
     if family == "ck":  # x_{l+1} = dl^k·f_l - Σ_j c_{j+1}·x_{l-j}, c the mixed difference stencil
@@ -196,11 +212,13 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
     Layer l's forcing map is ``affine(x, weights[l], biases[l], activation)``:
     ``weights`` is [L, d, d] and ``biases`` [L, d], or [L, E, d, d] and
     [L, E, d] for E maps stacked on a member axis (see ``affine``). The
-    activation, the stack and x_0 (against its width and member axis) are
-    checked when the loop starts, before any record, and how every layer's
-    forcing is formed is chosen once: at width 1 the float64-scalar broadcast
-    ``x * w_l`` plus ``b_l + 0.0``, ``_affine``'s one-row product; ``x @ W_lᵀ``
-    through BLAS at a wider flat stack; ``_affine`` for a stacked ensemble.
+    family, k and dl (by ``NetworkConfig``'s checks and messages; dl is
+    stepped as its float), the activation, the stack and x_0 (against its
+    width and member axis) are checked when the loop starts, before any
+    record, and how every layer's forcing is formed is chosen once: at width
+    1 the float64-scalar broadcast ``x * w_l`` plus ``b_l + 0.0``,
+    ``_affine``'s one-row product; ``x @ W_lᵀ`` through BLAS at a wider flat
+    stack; ``_affine`` for a stacked ensemble.
     The first record is the input x_0, then one per layer. Every layer
     evaluates its own forcing map once, on x_l (direct) or q_1 (state), and
     never another layer's. No yielded array is written afterwards.
@@ -226,8 +244,7 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
     """
     if mode not in ("direct", "state"):
         raise ValueError(f"unknown mode {mode!r}")
-    if family not in ("c0", "ck", "dense"):
-        raise ValueError(f"unknown family {family!r}")
+    dl = _check_block(family, k, dl)
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     weights, biases, x0 = T._as_array(weights), T._as_array(biases), T._as_array(x0)
@@ -304,7 +321,7 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
 
 # -- the layer adjoint ------------------------------------------------------------
 #
-# A walk runs one pass's reverse loop over the stacked [L, d, d] ``weights``:
+# The walk runs one pass's reverse loop over the stacked [L, d, d] ``weights``:
 # from x̄_L, the gradient at the last activation, and the pass's records, ``xs``
 # x_0..x_L and ``forces`` f_0(x_0)..f_{L-1}(x_{L-1}) (state records hold x_l =
 # q_1 and f_l(q_1)), it returns x̄_0 and the stacked weight and bias gradients.
@@ -337,61 +354,33 @@ def _pull_forcing(fbar, force, x, w, xbar, chain, wbar, bbar):
     return np.add(xbar, term, out=term) if inplace else xbar + term
 
 
-def _walk_setup(weights, activation: str):
-    """A walk's gradient stacks, its activation's chain, and each layer's
-    weight as ``_pull_forcing`` multiplies by it."""
-    return (np.empty(weights.shape), np.empty(weights.shape[:-1]), ACTIVATIONS[activation].chain,
-            weights.reshape(-1) if weights.shape[1:] == (1, 1) else weights)
+def _layer_adjoint(xbar_top, xs: list, forces: list, weights, activation: str, family: str, k: int, dl: float):
+    """The adjoint of the family's state step, which ``unroll`` runs, read out at q_1.
 
-
-def _table_adjoint(xbar_top, xs: list, forces: list, weights, activation: str, family: str, k: int, dl: float):
-    """The reverse pass of the direct recurrence: layer l pushes x̄_{l+1} back
-    through the terms of ``_direct_terms``, in table order, then pulls f̄_l
-    through f_l. Contributions to one x̄ or f̄ are summed in the order the
-    layers above make them, a lag before the input is x_0 (the ghost start),
-    and a unit coefficient passes a gradient on without a multiply. c0 and
-    dense run this walk: their coefficients are 1 and dl."""
-    depth = len(weights)
-    wbar, bbar, chain, maps = _walk_setup(weights, activation)
-    xbar, fbar = [None] * depth + [xbar_top], [None] * depth
-    terms = [(c, j, fbar if forcing else xbar) for c, j, forcing in _direct_terms(family, k, dl)]
-    for l in reversed(range(depth)):
-        grad, last = xbar[l + 1], None
-        for c, j, bars in terms:
-            if l < j and bars is fbar:  # a forcing before the input
-                continue
-            i = l - j if l >= j else 0  # a ghost lag is x_0
-            if c != last:  # equal neighbours share one product: a dense layer's dl·x̄
-                term, last = grad if c == 1 else c * grad, c
-            bars[i] = term if bars[i] is None else bars[i] + term
-        xbar[l] = _pull_forcing(fbar[l], forces[l], xs[l], maps[l], xbar[l], chain, wbar[l], bbar[l])
-        xbar[l + 1] = fbar[l] = xs[l] = forces[l] = None
-    return xbar[0], wbar, bbar
-
-
-def _prefix_adjoint(xbar_top, xs: list, forces: list, weights, activation: str, k: int, dl: float):
-    """ck's reverse pass as the adjoint of its state step, which ``unroll``
-    runs as a suffix sum: q_n' = q_n + ... + q_k + dl^k·f_l(q_1).
-
-    The adjoints λ_1..λ_k of the parts start at (x̄_L, 0, ..., 0). A layer
+    ck's step is the suffix sum q_n' = q_n + ... + q_k + dl^k·f_l(q_1). The
+    adjoints λ_1..λ_k of its parts start at (x̄_L, 0, ..., 0). A layer
     replaces them by their prefix sums, acc = λ_1 and then λ_n = acc = λ_n +
     acc for n = 2..k (k-1 unit-coefficient adds, skipped while λ_n is still
-    zero above the top layer), sets f̄_l = dl^k·acc (no multiply when dl^k =
-    1), and adds f_l's pullback into λ_1. So the walk multiplies by no
-    binomial coefficient; at k=1 it runs the operations of ``_table_adjoint``
-    in the same order."""
-    wbar, bbar, chain, maps = _walk_setup(weights, activation)
-    scale = dl**k
+    zero above the top layer), sets f̄_l = dl^k·acc (no multiply when the
+    scale is 1), and adds f_l's pullback into λ_1. So the walk multiplies by
+    no binomial coefficient. dense's step is q' = q + B·u with only q_1 read
+    out or fed to the forcing, so q_2..q_k never reach the loss: it walks
+    order 1 with scale dl, as ck k=1 does. c0's step is q' = (f,): order 1
+    with scale 1, and λ_1 is not carried across a layer."""
+    order, carry = k if family == "ck" else 1, family != "c0"
+    scale = dl**order if carry else 1
     scale = None if scale == 1 else np.float64(scale)
-    lam = [xbar_top] + [None] * (k - 1)
+    wbar, bbar, chain = np.empty(weights.shape), np.empty(weights.shape[:-1]), ACTIVATIONS[activation].chain
+    maps = weights.reshape(-1) if weights.shape[1:] == (1, 1) else weights  # as ``_pull_forcing`` multiplies
+    lam = [xbar_top] + [None] * (order - 1)
     for l in reversed(range(len(weights))):
         acc = lam[0]
-        for n in range(1, k):
+        for n in range(1, order):
             if lam[n] is not None:
                 acc = lam[n] + acc
             lam[n] = acc
         fbar = acc if scale is None else scale * acc
-        lam[0] = _pull_forcing(fbar, forces[l], xs[l], maps[l], lam[0], chain, wbar[l], bbar[l])
+        lam[0] = _pull_forcing(fbar, forces[l], xs[l], maps[l], lam[0] if carry else None, chain, wbar[l], bbar[l])
         xs[l] = forces[l] = None
     return lam[0], wbar, bbar
 
@@ -494,21 +483,18 @@ class Network:
         return logits.T
 
     def _adjoint(self, g: np.ndarray, inputs: np.ndarray, xs: list, forces: list, weights, head) -> None:
-        """The reverse pass of one forward pass: the head, a walk over the
-        blocks from layer L down to 0, and the embedding.
+        """The reverse pass of one forward pass: the head, ``_layer_adjoint``
+        over the blocks from layer L down to 0, and the embedding.
 
-        ``xs`` and ``forces`` are that pass's records (see ``_table_adjoint``),
-        ``weights`` and ``head`` the block stack and head weights it ran on,
-        and ``g`` the gradient at its logits. ck runs ``_prefix_adjoint``, the
-        adjoint of its state step; c0 and dense walk their ``_direct_terms``.
+        ``xs`` and ``forces`` are that pass's records, ``weights`` and
+        ``head`` the block stack and head weights it ran on, and ``g`` the
+        gradient at its logits. Every family, in either mode, is
+        differentiated through its state step.
         """
         cfg = self.config
         self.head_weight._pull(g.T @ xs[-1])
         self.head_bias._pull(g.sum(axis=0))
-        if cfg.family == "ck":
-            xbar, wbar, bbar = _prefix_adjoint(g @ head, xs, forces, weights, cfg.activation, cfg.k, cfg.dl)
-        else:
-            xbar, wbar, bbar = _table_adjoint(g @ head, xs, forces, weights, cfg.activation, cfg.family, cfg.k, cfg.dl)
+        xbar, wbar, bbar = _layer_adjoint(g @ head, xs, forces, weights, cfg.activation, cfg.family, cfg.k, cfg.dl)
         self.block_weight._pull(wbar)
         self.block_bias._pull(bbar)
         self.embed_weight._pull(xbar.T @ inputs)

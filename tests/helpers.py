@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cknet import tensor, verify
+from cknet import architectures, tensor, verify
 from cknet.architectures import Trace, c1_step, unroll
 from cknet.data import IMAGE_MAGIC, LABEL_MAGIC
 from cknet.dynamics import (
@@ -62,6 +62,33 @@ def linear_combination(terms: list) -> np.ndarray:
         else:
             value, owned = value + term, inplace
     return value
+
+
+def table_adjoint(xbar_top, xs: list, forces: list, weights, activation: str, family: str, k: int, dl: float):
+    """The reverse pass of the direct recurrence, the reference the layer
+    adjoint is checked against, with its arguments and returns: layer l
+    pushes x̄_{l+1} back through the terms of ``_direct_terms``, in table
+    order, then pulls f̄_l through f_l. Contributions to one x̄ or f̄ are
+    summed in the order the layers above make them, a lag before the input
+    is x_0 (the ghost start), and a unit coefficient passes a gradient on
+    without a multiply."""
+    depth = len(weights)
+    wbar, bbar, chain = np.empty(weights.shape), np.empty(weights.shape[:-1]), tensor.ACTIVATIONS[activation].chain
+    maps = weights.reshape(-1) if weights.shape[1:] == (1, 1) else weights
+    xbar, fbar = [None] * depth + [xbar_top], [None] * depth
+    terms = [(c, j, fbar if forcing else xbar) for c, j, forcing in architectures._direct_terms(family, k, dl)]
+    for l in reversed(range(depth)):
+        grad, last = xbar[l + 1], None
+        for c, j, bars in terms:
+            if l < j and bars is fbar:  # a forcing before the input
+                continue
+            i = l - j if l >= j else 0  # a ghost lag is x_0
+            if c != last:  # equal neighbours share one product: a dense layer's dl·x̄
+                term, last = grad if c == 1 else c * grad, c
+            bars[i] = term if bars[i] is None else bars[i] + term
+        xbar[l] = architectures._pull_forcing(fbar[l], forces[l], xs[l], maps[l], xbar[l], chain, wbar[l], bbar[l])
+        xbar[l + 1] = fbar[l] = xs[l] = forces[l] = None
+    return xbar[0], wbar, bbar
 
 
 def central_difference(fn, arrays, step=1e-6):

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 import weakref
 from fractions import Fraction
 
@@ -38,6 +40,7 @@ from helpers import (
     initialize_state,
     matrix_states,
     stacked,
+    table_adjoint,
     unrolled,
     with_nans,
 )
@@ -332,6 +335,35 @@ class TestParameterAccounting:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             parameter_count("resnet", 1, 1, 1)
+
+    @pytest.mark.parametrize("k,d,depth,message", [
+        (0, 3, 1, "k must be >= 1, got 0"),
+        (-1, 2, 1, "k must be >= 1, got -1"),
+        (2, 0, 1, "d must be >= 1, got 0"),
+        (2, -3, 4, "d must be >= 1, got -3"),
+        (2, 3, -1, "depth must be >= 0, got -1"),
+    ])
+    def test_sizes_out_of_range_are_value_errors(self, k, d, depth, message):
+        for kind in ("ck", "first_order_equiv"):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                parameter_count(kind, k, d, depth)
+        if depth >= 0:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                weight_matrix_ratio(k, d)
+
+    @pytest.mark.parametrize("name", ["k", "d", "depth"])
+    @pytest.mark.parametrize("value", [2.0, "2", None], ids=["whole-float", "str", "none"])
+    def test_non_integer_sizes_are_type_errors(self, name, value):
+        sizes = {"k": 2, "d": 3, "depth": 1, name: value}
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$"):
+            parameter_count("ck", sizes["k"], sizes["d"], sizes["depth"])
+        if name != "depth":
+            with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$"):
+                weight_matrix_ratio(sizes["k"], sizes["d"])
+
+    def test_zero_depth_and_numpy_integer_sizes_are_accepted(self):
+        assert parameter_count("ck", 2, 3, 0) == parameter_count("first_order_equiv", 2, 3, 0) == 0
+        assert weight_matrix_ratio(np.int64(2), np.int32(3)) == Fraction(1, 4)
 
 
 class TestNetworkForward:
@@ -967,7 +999,7 @@ class TestAdjoint:
 
 class TestDirectTerms:
     """``_direct_terms`` states each family's direct recurrence once; ``unroll``
-    and the c0 and dense layer adjoint read it."""
+    and the tests' reference adjoint, ``table_adjoint``, read it."""
 
     def test_c0_is_its_forcing(self):
         assert architectures._direct_terms("c0", 1, 0.5) == ((1, 0, True),)
@@ -1009,6 +1041,8 @@ class TestDirectTerms:
                 term = c * (fs[l - j] if forcing else xs[max(l - j, 0)])
                 value = term if value is None else value + term
             assert xs[l + 1].tobytes() == value.tobytes()
+        # the gradient half: the reference walk over the made-up table, on this pass's records
+        monkeypatch.setattr(architectures, "_layer_adjoint", table_adjoint)
         got = TestAdjoint.gradients(net, x, y)
         params = net.parameters()
         fds = central_difference(lambda: evaluate(net, x, y)[0], [p.data for p in params])
@@ -1017,8 +1051,9 @@ class TestDirectTerms:
 
 
 class TestPrefixAdjoint:
-    """ck's layer adjoint, the prefix sum of its state step, against the walk
-    over ck's own ``_direct_terms`` on the records of one pass."""
+    """ck's layer adjoint, the prefix sum of its state step, against the
+    reference walk over ck's own ``_direct_terms``, ``table_adjoint``, on the
+    records of one pass."""
 
     @staticmethod
     def walks(k, width, activation, depth, mode, dl=0.5, batch=3, seed=0):
@@ -1028,8 +1063,8 @@ class TestPrefixAdjoint:
         records = list(unroll(weights, biases, activation, rng.standard_normal((batch, width)), "ck", k, dl, mode))
         xs, forces = [r.x for r in records], [r.force for r in records[1:]]
         xbar = rng.standard_normal((batch, width))
-        table = architectures._table_adjoint(xbar, list(xs), list(forces), weights, activation, "ck", k, dl)
-        prefix = architectures._prefix_adjoint(xbar, list(xs), list(forces), weights, activation, k, dl)
+        table = table_adjoint(xbar, list(xs), list(forces), weights, activation, "ck", k, dl)
+        prefix = architectures._layer_adjoint(xbar, list(xs), list(forces), weights, activation, "ck", k, dl)
         return table, prefix
 
     @pytest.mark.parametrize("width", [1, 2, 64])
@@ -1066,20 +1101,20 @@ class TestPrefixAdjoint:
         records = list(unroll(weights, biases, activation, rng.standard_normal((3, 64)), "ck", k, 0.5, mode))
         xs, forces = [r.x for r in records], [r.force for r in records[1:]]
         xbar = rng.standard_normal((3, 64))
-        got = architectures._prefix_adjoint(xbar, xs, forces, weights, activation, k, 0.5)
+        got = architectures._layer_adjoint(xbar, xs, forces, weights, activation, "ck", k, 0.5)
         wide = [np.asarray(a, dtype=np.longdouble) for a in (xbar, weights)]
-        exact = architectures._prefix_adjoint(wide[0], [r.x.astype(np.longdouble) for r in records],
-                                              [r.force.astype(np.longdouble) for r in records[1:]],
-                                              wide[1], activation, k, 0.5)
+        exact = architectures._layer_adjoint(wide[0], [r.x.astype(np.longdouble) for r in records],
+                                             [r.force.astype(np.longdouble) for r in records[1:]],
+                                             wide[1], activation, "ck", k, 0.5)
         for name, a, b in zip(("x_0", "weights", "biases"), got, exact):  # measured at most 2.1·ε
             assert np.max(np.abs(a - b)) <= 8 * np.finfo(np.float64).eps * np.max(np.abs(b)), name
 
-    def test_walks_free_the_records_they_read(self):
+    @pytest.mark.parametrize("family,k", [("c0", 1), ("ck", 3), ("dense", 3)])
+    def test_walks_free_the_records_they_read(self, family, k):
         xs, forces = [np.ones((2, 1))] * 4, [np.ones((2, 1))] * 3
-        for walk, args in ((architectures._prefix_adjoint, (3, 0.5)), (architectures._table_adjoint, ("ck", 3, 0.5))):
-            held = list(xs), list(forces)
-            walk(np.ones((2, 1)), *held, np.full((3, 1, 1), 0.5), "tanh", *args)
-            assert held == ([None] * 3 + [xs[-1]], [None] * 3)
+        held = list(xs), list(forces)
+        architectures._layer_adjoint(np.ones((2, 1)), *held, np.full((3, 1, 1), 0.5), "tanh", family, k, 0.5)
+        assert held == ([None] * 3 + [xs[-1]], [None] * 3)
 
 
 class TestDenseIsResidual:
@@ -1104,18 +1139,34 @@ class TestDenseIsResidual:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     @pytest.mark.parametrize("mode", ["state", "direct"])
-    def test_dense_gradients_are_ck1_gradients(self, k, activation, mode):
-        # the two networks are one function of the parameters, so their
-        # gradients agree; the adjoints sum different terms to get them
+    @pytest.mark.parametrize("width", [1, 3, 64])
+    def test_dense_gradients_are_ck1_gradients(self, k, activation, mode, width):
+        # the two networks are one function of the parameters, and dense's
+        # adjoint is ck k=1's order-1 walk with scale dl, so the gradients are
+        # the same bits
         x, y = np.random.default_rng(k).standard_normal((5, 4)), np.array([0, 2, 1, 1, 0])
         dense, residual = (
-            Network(NetworkConfig(family, order, depth=6, width=3, input_dim=4, num_classes=3, dl=0.5,
+            Network(NetworkConfig(family, order, depth=6, width=width, input_dim=4, num_classes=3, dl=0.5,
                                   activation=activation, seed=12))
             for family, order in (("dense", k), ("ck", 1))
         )
         for p, a, b in zip(dense.parameters(), TestAdjoint.gradients(dense, x, y, mode),
                            TestAdjoint.gradients(residual, x, y, mode)):
-            assert np.allclose(a, b, rtol=1e-10, atol=1e-14), p.name
+            assert a.tobytes() == b.tobytes(), p.name
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("width", [1, 3, 64])
+    def test_dense_trains_as_ck1_bitwise(self, k, width):
+        rng = np.random.default_rng(k)
+        data = Dataset(rng.standard_normal((12, 4)), rng.integers(0, 3, size=12), 3)
+        runs = []
+        for family, order in (("dense", k), ("ck", 1)):
+            net = Network(NetworkConfig(family, order, depth=5, width=width, input_dim=4, num_classes=3, dl=0.5,
+                                        seed=13))
+            metrics = train(net, data, TrainConfig(epochs=3, batch_size=5, learning_rate=0.05, seed=2))
+            runs.append(([(m.epoch, m.train_loss.hex(), m.train_acc.hex()) for m in metrics],
+                         [p.data.tobytes() for p in net.parameters()]))
+        assert runs[0] == runs[1]
 
 
 class TestForcingEvaluatedOnce:
@@ -1411,6 +1462,30 @@ class TestStackedForcing:
         with pytest.raises(ValueError, match="relu6"):
             list(unroll(np.zeros((1, 3, 3)), np.zeros((1, 3)), "relu6", np.ones(3), "ck", 1, 1.0, "direct"))
 
+    BAD_BLOCKS = [
+        ("conv", 1, 1.0), ("ck", 0, 1.0), ("dense", 0, 1.0), ("c0", 3, 1.0), ("ck", 65, 1.0),
+        ("ck", 2, -0.5), ("dense", 2, 0.0), ("c0", 1, math.nan), ("ck", 2, 1e308),
+        ("ck", 2.0, 1.0), ("dense", "2", 1.0), ("ck", 2, "1"),
+    ]
+
+    @pytest.mark.parametrize("family,k,dl", BAD_BLOCKS, ids=[f"{f}-{k!r}-{dl!r}" for f, k, dl in BAD_BLOCKS])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    def test_unroll_refuses_the_blocks_a_config_refuses(self, family, k, dl, mode):
+        with pytest.raises((ValueError, TypeError)) as refused:
+            NetworkConfig(family, k, depth=4, width=3, input_dim=3, num_classes=2, dl=dl)
+        layers = unroll(np.full((4, 3, 3), 0.1), np.zeros((4, 3)), "tanh", np.ones(3), family, k, dl, mode)
+        with pytest.raises(type(refused.value), match=f"^{re.escape(str(refused.value))}$"):
+            next(layers)  # before the record of x_0
+
+    @pytest.mark.parametrize("family,k", [("ck", 2), ("ck", 3), ("dense", 2)])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    def test_unroll_steps_a_fraction_dl_as_its_float(self, family, k, mode):
+        rng = np.random.default_rng(k)
+        weights, biases, x0 = rng.standard_normal((4, 3, 3)), rng.standard_normal((4, 3)), rng.standard_normal(3)
+        runs = [[r.x.tobytes() for r in unroll(weights, biases, "tanh", x0, family, k, dl, mode)]
+                for dl in (Fraction(1, 3), 1 / 3)]
+        assert runs[0] == runs[1]
+
 
 class TestConfigValidation:
     def test_bad_family(self):
@@ -1483,6 +1558,13 @@ class TestConfigValidation:
             run += [np.array([metrics[0].train_loss, metrics[0].train_acc])] + [p.data for p in net.parameters()]
             runs.append([a.tobytes() for a in run])
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("k,dl", [(np.int64(2), 1e200), (np.int32(3), np.float64(1e103))])
+    def test_numpy_numbers_overflow_without_a_warning(self, k, dl):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"dl\*\*k overflows"):
+                NetworkConfig("ck", k, 1, 1, 1, 2, dl=dl)
 
     def test_dl_past_the_float_range_overflows(self):
         with pytest.raises(ValueError, match=r"dl\*\*k overflows"):
