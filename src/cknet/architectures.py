@@ -199,11 +199,12 @@ def _direct_terms(family: str, k: int, dl: float) -> tuple[tuple[float, int, boo
 
 
 @functools.cache  # keyed by the table itself, so every direct ``unroll`` converts it once
-def _scaled_terms(terms: tuple) -> tuple[tuple[np.float64 | None, bool, int], ...]:
+def _scaled_terms(terms: tuple) -> tuple[tuple[np.ndarray | None, bool, int], ...]:
     """A ``_direct_terms`` table as ``unroll`` sums it: (scale, is_forcing, lag)
-    terms, the scale the coefficient as a float64 scalar, or ``None`` for a unit
-    coefficient, whose term is added without a multiply."""
-    return tuple((None if c == 1 else np.float64(c), is_forcing, j) for c, j, is_forcing in terms)
+    terms, the scale the coefficient as a read-only 0-d float64 array
+    (``tensor._scalar``), or ``None`` for a unit coefficient, whose term is
+    added without a multiply."""
+    return tuple((None if c == 1 else T._scalar(c), is_forcing, j) for c, j, is_forcing in terms)
 
 
 def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float, mode: str):
@@ -216,9 +217,9 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
     stepped as its float), the activation, the stack and x_0 (against its
     width and member axis) are checked when the loop starts, before any
     record, and how every layer's forcing is formed is chosen once: at width
-    1 the float64-scalar broadcast ``x * w_l`` plus ``b_l + 0.0``,
-    ``_affine``'s one-row product; ``x @ W_lᵀ`` through BLAS at a wider flat
-    stack; ``_affine`` for a stacked ensemble.
+    1 the broadcast ``x * w_l`` plus ``b_l + 0.0`` on 0-d views of the
+    stacks, ``_affine``'s one-row product; ``x @ W_lᵀ`` through BLAS at a
+    wider flat stack; ``_affine`` for a stacked ensemble.
     The first record is the input x_0, then one per layer. Every layer
     evaluates its own forcing map once, on x_l (direct) or q_1 (state), and
     never another layer's. No yielded array is written afterwards.
@@ -257,8 +258,9 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
         raise ShapeError(f"x_0 of shape {x0.shape} does not match layer weights {weights.shape}")
     act, stacked, one = ACTIVATIONS[activation].value, bool(members), weights.shape[1:] == (1, 1)
     inplace = x0.size > 1  # numpy adds into a one-element array by its reduction loop: see ``_affine``
-    if one:  # ``_affine``'s one-row product on float64 scalars, its bias + 0.0 taken once
-        maps = zip(weights.reshape(-1), (biases + 0.0).reshape(-1))
+    if one:  # ``_affine``'s one-row product on 0-d views, its bias + 0.0 taken once
+        ws, bs = weights.reshape(-1), (biases + 0.0).reshape(-1)
+        maps = [(ws[l, ...], bs[l, ...]) for l in range(len(ws))]
     else:
         maps = zip(np.swapaxes(weights, -1, -2), biases)
     direct, state = mode == "direct", mode == "state"
@@ -269,7 +271,7 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
         windows = (lags, forced)
     else:
         scale, q, differences = dl**k, (x0,) + (np.zeros(x0.shape),) * (k - 1), (np.zeros(x0.shape),) * k
-        scale, dl = None if scale == 1 else np.float64(scale), np.float64(dl)
+        scale, dl = None if scale == 1 else T._scalar(scale), T._scalar(dl)
     yield LayerRecord(x0, None, q if state else None)
     del x0  # the lag window or state holds it as long as a layer needs it
     for w, b in maps:
@@ -328,30 +330,7 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
 # Each entry of ``xs`` and ``forces`` is set to ``None`` after its last read, so
 # the gradients do not pile up beside the trajectory.
 
-
-def _pull_forcing(fbar, force, x, w, xbar, chain, wbar, bbar):
-    """Pull f̄_l through f_l = act(x_l·W_lᵀ + b_l): W̄_l and b̄_l into ``wbar`` and
-    ``bbar``, and return x̄_l, which is ``xbar`` (``None`` for no term yet) plus
-    local·W_l, local = f̄_l·act'.
-
-    At width 1 (``w`` the float64 scalar w_l, not a [1, 1] matrix) the product is the
-    broadcast ``local * w`` plus 0.0: numpy's matmul loop over an inner
-    dimension of 1 sums 0 + p, which turns a -0.0 into 0.0 and changes nothing
-    else. Sums into a one-element array stay out of place (see ``_affine``)."""
-    local = chain(fbar, force)
-    np.matmul(local.T, x, out=wbar)
-    np.add.reduce(local, axis=0, out=bbar)
-    inplace = local.size > 1
-    if w.ndim:
-        term = local @ w
-    elif inplace:
-        term = local * w
-        term += 0.0
-    else:
-        term = local * w + 0.0
-    if xbar is None:
-        return term
-    return np.add(xbar, term, out=term) if inplace else xbar + term
+_ZERO = T._scalar(0.0)
 
 
 def _layer_adjoint(xbar_top, xs: list, forces: list, weights, activation: str, family: str, k: int, dl: float):
@@ -366,22 +345,53 @@ def _layer_adjoint(xbar_top, xs: list, forces: list, weights, activation: str, f
     no binomial coefficient. dense's step is q' = q + B·u with only q_1 read
     out or fed to the forcing, so q_2..q_k never reach the loss: it walks
     order 1 with scale dl, as ck k=1 does. c0's step is q' = (f,): order 1
-    with scale 1, and λ_1 is not carried across a layer."""
+    with scale 1, and λ_1 is not carried across a layer.
+
+    The pullback of f_l = act(x_l·W_lᵀ + b_l) is local = f̄_l·act', W̄_l =
+    localᵀ·x_l, b̄_l the batch sum of local, and x̄_l's term local·W_l. At a
+    wider stack each layer forms its W̄_l and b̄_l. At width 1 every layer's
+    ``local`` is held until the walk ends, and W̄ and b̄ of all L layers are
+    one stacked ``np.matmul`` and one ``np.add.reduce``, bitwise the per-layer
+    ones; local·W_l is the broadcast ``local * w_l`` on the 0-d view w_l plus
+    0.0: numpy's matmul loop over an inner dimension of 1 sums 0 + p, which
+    turns a -0.0 into 0.0 and changes nothing else. Sums into a one-element
+    array stay out of place (see ``_affine``)."""
     order, carry = k if family == "ck" else 1, family != "c0"
     scale = dl**order if carry else 1
-    scale = None if scale == 1 else np.float64(scale)
-    wbar, bbar, chain = np.empty(weights.shape), np.empty(weights.shape[:-1]), ACTIVATIONS[activation].chain
-    maps = weights.reshape(-1) if weights.shape[1:] == (1, 1) else weights  # as ``_pull_forcing`` multiplies
+    scale = None if scale == 1 else T._scalar(scale)
+    depth, chain, inplace = len(weights), ACTIVATIONS[activation].chain, xbar_top.size > 1
+    wbar, bbar, one = np.empty(weights.shape), np.empty(weights.shape[:-1]), weights.shape[1:] == (1, 1)
+    if one:
+        ws, held = weights.reshape(-1), [None] * depth
     lam = [xbar_top] + [None] * (order - 1)
-    for l in reversed(range(len(weights))):
+    for l in reversed(range(depth)):
         acc = lam[0]
         for n in range(1, order):
             if lam[n] is not None:
                 acc = lam[n] + acc
             lam[n] = acc
-        fbar = acc if scale is None else scale * acc
-        lam[0] = _pull_forcing(fbar, forces[l], xs[l], maps[l], lam[0] if carry else None, chain, wbar[l], bbar[l])
-        xs[l] = forces[l] = None
+        local = chain(acc if scale is None else scale * acc, forces[l])
+        forces[l] = None
+        if one:
+            held[l] = local
+            term = local * ws[l, ...]
+            if inplace:
+                term += _ZERO
+            else:
+                term = term + _ZERO
+        else:
+            np.matmul(local.T, xs[l], out=wbar[l])
+            np.add.reduce(local, axis=0, out=bbar[l])
+            xs[l] = None
+            term = local @ weights[l]
+        if carry:
+            term = np.add(lam[0], term, out=term) if inplace else lam[0] + term
+        lam[0] = term
+    if one and depth:
+        held = np.array(held)
+        np.matmul(np.swapaxes(held, 1, 2), xs[:depth], out=wbar)
+        np.add.reduce(held, axis=1, out=bbar)
+        xs[:depth] = [None] * depth
     return lam[0], wbar, bbar
 
 

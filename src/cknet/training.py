@@ -194,9 +194,11 @@ class Adam:
 def evaluate(network, inputs: np.ndarray, labels: np.ndarray, mode: str = "direct"):
     """Loss and accuracy of a frozen network on one batch, through
     ``Network.infer``: bitwise the values ``forward`` gives. The logits are
-    read class-major, one row per class, as ``infer`` forms them. A loss that
-    is not finite, read from logits that overflowed, raises
-    ``TrainingError``."""
+    read class-major, one row per class, as ``infer`` forms them. Inputs
+    that are not a [batch, input_dim] array raise ``ValueError``, and a loss
+    that is not finite, read from logits that overflowed, ``TrainingError``."""
+    if np.ndim(inputs) != 2:  # ``infer`` takes one [input_dim] sample too, giving a class vector
+        raise ValueError(f"inputs must be [batch, input_dim], got shape {np.shape(inputs)}")
     with np.errstate(all="ignore"):
         zt = network.infer(inputs, mode=mode).T
         labels, shifted, log_sum = _read_logits(zt, labels)

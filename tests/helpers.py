@@ -64,6 +64,56 @@ def linear_combination(terms: list) -> np.ndarray:
     return value
 
 
+def pull_forcing(fbar, force, x, w, xbar, chain, wbar, bbar):
+    """Pull f̄_l through f_l = act(x_l·W_lᵀ + b_l), one layer at a time: W̄_l and
+    b̄_l into ``wbar`` and ``bbar``, and return x̄_l, which is ``xbar`` (``None``
+    for no term yet) plus local·W_l, local = f̄_l·act'. The references'
+    per-layer pull, sharing no code with the layer adjoint under test.
+
+    At width 1 (``w`` the float64 scalar w_l, not a [1, 1] matrix) the product
+    is the broadcast ``local * w`` plus 0.0, the sum numpy's matmul loop over an
+    inner dimension of 1 makes. Sums into a one-element array stay out of
+    place."""
+    local = chain(fbar, force)
+    np.matmul(local.T, x, out=wbar)
+    np.add.reduce(local, axis=0, out=bbar)
+    inplace = local.size > 1
+    if w.ndim:
+        term = local @ w
+    elif inplace:
+        term = local * w
+        term += 0.0
+    else:
+        term = local * w + 0.0
+    if xbar is None:
+        return term
+    return np.add(xbar, term, out=term) if inplace else xbar + term
+
+
+def state_adjoint(xbar_top, xs: list, forces: list, weights, activation: str, family: str, k: int, dl: float):
+    """``architectures._layer_adjoint`` with its arguments and returns, layer by
+    layer on float64 scalars: the prefix-sum walk of the family's state step
+    (order k and scale dl^k for ck, order 1 and scale dl for dense, order 1,
+    scale 1 and no carry for c0), each layer's W̄_l and b̄_l formed by
+    ``pull_forcing`` as the layer is reached."""
+    order, carry = k if family == "ck" else 1, family != "c0"
+    scale = dl**order if carry else 1
+    scale = None if scale == 1 else np.float64(scale)
+    wbar, bbar, chain = np.empty(weights.shape), np.empty(weights.shape[:-1]), tensor.ACTIVATIONS[activation].chain
+    maps = weights.reshape(-1) if weights.shape[1:] == (1, 1) else weights
+    lam = [xbar_top] + [None] * (order - 1)
+    for l in reversed(range(len(weights))):
+        acc = lam[0]
+        for n in range(1, order):
+            if lam[n] is not None:
+                acc = lam[n] + acc
+            lam[n] = acc
+        fbar = acc if scale is None else scale * acc
+        lam[0] = pull_forcing(fbar, forces[l], xs[l], maps[l], lam[0] if carry else None, chain, wbar[l], bbar[l])
+        xs[l] = forces[l] = None
+    return lam[0], wbar, bbar
+
+
 def table_adjoint(xbar_top, xs: list, forces: list, weights, activation: str, family: str, k: int, dl: float):
     """The reverse pass of the direct recurrence, the reference the layer
     adjoint is checked against, with its arguments and returns: layer l
@@ -86,7 +136,7 @@ def table_adjoint(xbar_top, xs: list, forces: list, weights, activation: str, fa
             if c != last:  # equal neighbours share one product: a dense layer's dl·x̄
                 term, last = grad if c == 1 else c * grad, c
             bars[i] = term if bars[i] is None else bars[i] + term
-        xbar[l] = architectures._pull_forcing(fbar[l], forces[l], xs[l], maps[l], xbar[l], chain, wbar[l], bbar[l])
+        xbar[l] = pull_forcing(fbar[l], forces[l], xs[l], maps[l], xbar[l], chain, wbar[l], bbar[l])
         xbar[l + 1] = fbar[l] = xs[l] = forces[l] = None
     return xbar[0], wbar, bbar
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -40,6 +41,7 @@ from helpers import (
     initialize_state,
     matrix_states,
     stacked,
+    state_adjoint,
     table_adjoint,
     unrolled,
     with_nans,
@@ -1117,6 +1119,49 @@ class TestPrefixAdjoint:
         assert held == ([None] * 3 + [xs[-1]], [None] * 3)
 
 
+class TestGradientsAfterTheWalk:
+    """``_layer_adjoint``, which at width 1 forms W̄ and b̄ of all layers in one
+    stacked product and reduction after the walk, against the tests' per-layer
+    walk ``state_adjoint`` on float64 scalars: bitwise."""
+
+    GRID = [("c0", 1), *(("ck", k) for k in (1, 2, 3, 4)), ("dense", 2), ("dense", 3)]
+
+    @pytest.mark.parametrize("family,k", GRID, ids=[f"{f}{k}" for f, k in GRID])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_is_the_per_layer_walk_bitwise(self, family, k, activation):
+        for width, batch, depth, mode, dl in itertools.product((1, 2, 64), (1, 7, 160), (0, 1, 16),
+                                                               ("direct", "state"), (1.0, 0.5)):
+            rng = np.random.default_rng([width, batch, depth])
+            weights = architectures._init_weight(rng, (depth, width, width))
+            biases = rng.uniform(-0.5, 0.5, size=(depth, width))
+            records = list(unroll(weights, biases, activation, rng.standard_normal((batch, width)), family, k, dl, mode))
+            xs, forces = [r.x for r in records], [r.force for r in records[1:]]
+            xbar = rng.standard_normal((batch, width))
+            got = architectures._layer_adjoint(xbar, list(xs), list(forces), weights, activation, family, k, dl)
+            want = state_adjoint(xbar, list(xs), list(forces), weights, activation, family, k, dl)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (width, batch, depth, mode, dl)
+
+    @pytest.mark.parametrize("family,k", [("c0", 1), ("ck", 1), ("ck", 3), ("dense", 2)])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("batch", [1, 160])
+    def test_width_one_on_special_values(self, family, k, activation, batch):
+        """Records, weights and x̄_L on ``ONE_ROW_ENTRIES``, odd seeds with NaNs
+        of distinct payloads in each: -0.0 products, NaNs on both sides of a
+        sum, and a one-element batch, whose sums stay out of place."""
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            shapes = [((batch, 1), 0x11)] * 6 + [((batch, 1), 0x22)] * 5 + [((5, 1, 1), 0x33), ((batch, 1), 0x44)]
+            if seed % 2:
+                arrays = [with_nans(rng, shape, payload) for shape, payload in shapes]
+            else:
+                arrays = [rng.choice(ONE_ROW_ENTRIES, size=shape) for shape, _ in shapes]
+            xs, forces, (weights, xbar) = arrays[:6], arrays[6:11], arrays[11:]
+            with np.errstate(all="ignore"):
+                got = architectures._layer_adjoint(xbar, list(xs), list(forces), weights, activation, family, k, 0.5)
+                want = state_adjoint(xbar, list(xs), list(forces), weights, activation, family, k, 0.5)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], seed
+
+
 class TestDenseIsResidual:
     """Under the ghost start the additive dense family is the residual network:
     y_l = x_{l+1} - x_l - dl·f_l has period k and starts at zero."""
@@ -1249,8 +1294,8 @@ class TestForcingEvaluatedOnce:
 
 
 class TestWidthOne:
-    """A width-1 ``unroll`` forms every forcing as the float64-scalar broadcast
-    x·w_l + (b_l + 0.0), ``affine``'s one-row product: bitwise act(x @ w.T + b)
+    """A width-1 ``unroll`` forms every forcing as the broadcast x·w_l + (b_l +
+    0.0) on 0-d operands, ``affine``'s one-row product: bitwise act(x @ w.T + b)
     and ``affine``'s values, and each stencil sum bitwise the chained
     expression."""
 
@@ -1316,6 +1361,107 @@ class TestWidthOne:
             for layer, (weight, bias) in enumerate(zip(weights, biases)):
                 expected = np.tanh(trace.activations[layer] @ weight.T + bias)
                 assert trace.forcing[layer].tobytes() == expected.tobytes(), (seed, layer)
+
+    @staticmethod
+    def float64_scalar_records(weights, biases, x0, family, k, dl, mode):
+        """(x, force, state) of each layer of a tanh ``unroll`` at width 1, as
+        chained out-of-place expressions on float64 scalars: the forcing
+        tanh(x * w_l + (b_l + 0.0)), then the family's ``_direct_terms`` sum in
+        table order (a unit coefficient adds its term without a multiply) or
+        its state step, ck's suffix sum from q_k + dl^k·f up and dense's
+        running differences from f·dl."""
+        f64 = np.float64
+        xs, forces, records = [x0], [], [(x0, None, None)]
+        parts, differences = (x0,) + (np.zeros(x0.shape),) * (k - 1), (np.zeros(x0.shape),) * k
+        for layer, (w, b) in enumerate(zip(weights.reshape(-1), biases.reshape(-1))):
+            force = np.tanh((parts[0] if mode == "state" else xs[-1]) * f64(w) + (f64(b) + 0.0))
+            forces.append(force)
+            if mode == "direct":
+                x = None
+                for c, j, forcing in architectures._direct_terms(family, k, dl):
+                    if forcing and j > layer:
+                        continue
+                    term = forces[layer - j] if forcing else xs[max(layer - j, 0)]
+                    term = term if c == 1 else f64(c) * term
+                    x = term if x is None else x + term
+                xs.append(x)
+                records.append((x, force, None))
+                continue
+            if family == "ck":
+                suffix = [parts[-1] + force if dl**k == 1 else parts[-1] + f64(dl**k) * force]
+                for part in reversed(parts[:-1]):
+                    suffix.append(part + suffix[-1])
+                parts = tuple(reversed(suffix))
+            elif family == "dense":
+                current = [force * f64(dl)]
+                for before in differences[:-1]:
+                    current.append(current[-1] - before)
+                differences = tuple(current)
+                parts = tuple(part + d for part, d in zip(parts, differences))
+            else:
+                parts = (force,)
+            records.append((parts[0], force, parts))
+        return records
+
+    @pytest.mark.parametrize("family,k", [("c0", 1), *(("ck", k) for k in (1, 2, 3, 4)), ("dense", 2), ("dense", 3)])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    @pytest.mark.parametrize("x_shape", [(1,), (1, 1), (160, 1)], ids=["vector", "one-row", "rows-160"])
+    def test_records_are_the_float64_scalar_expressions(self, family, k, mode, x_shape):
+        """``unroll``'s 0-d operands give the bits of float64 scalars, on
+        ``ONE_ROW_ENTRIES`` and on NaNs of distinct payloads on both sides of a
+        product or sum, where numpy's loop picks which payload survives. A
+        one-element x_0 keeps every sum out of place."""
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            draws = [((6, 1, 1), 0x22), ((6, 1), 0x33), (x_shape, 0x11)]
+            if seed % 2:
+                weights, biases, x0 = (with_nans(rng, shape, payload) for shape, payload in draws)
+            else:
+                weights, biases, x0 = (rng.choice(ONE_ROW_ENTRIES, size=shape) for shape, _ in draws)
+            dl = (1.0, 0.5, 0.3, 1.5)[seed % 4]
+            with np.errstate(all="ignore"):
+                got = list(unroll(weights, biases, "tanh", x0, family, k, dl, mode))
+                want = self.float64_scalar_records(weights, biases, x0, family, k, dl, mode)
+            assert len(got) == len(want) == 7
+            for layer, (record, (x, force, state)) in enumerate(zip(got, want)):
+                assert record.x.tobytes() == x.tobytes(), (seed, layer)
+                assert (record.force is None) == (force is None), (seed, layer)
+                if force is not None:
+                    assert record.force.tobytes() == force.tobytes(), (seed, layer)
+                if mode == "state" and layer:
+                    assert [p.tobytes() for p in record.state] == [p.tobytes() for p in state], (seed, layer)
+
+    @pytest.mark.parametrize("family,k", [("c0", 1), ("ck", 2), ("ck", 3), ("dense", 2)])
+    @pytest.mark.parametrize("mode", ["direct", "state"])
+    @pytest.mark.parametrize("batch", [1, 160])
+    def test_logits_are_the_float64_scalar_expressions(self, family, k, mode, batch):
+        """``infer`` on special blocks and a head of two NaN payloads: the head
+        ``x.T * W + (b + 0.0)`` on the last of the float64-scalar records."""
+        net = Network(NetworkConfig(family, k, depth=6, width=1, input_dim=1, num_classes=3, dl=0.5, seed=k))
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            if seed % 2:
+                net.block_weight.data, net.block_bias.data = with_nans(rng, (6, 1, 1), 0x22), with_nans(rng, (6, 1), 0x33)
+            else:
+                net.block_weight.data = rng.choice(ONE_ROW_ENTRIES, size=(6, 1, 1))
+                net.block_bias.data = rng.choice(ONE_ROW_ENTRIES, size=(6, 1))
+            net.head_weight.data, net.head_bias.data = with_nans(rng, (3, 1), 0x44), with_nans(rng, 3, 0x55)
+            inputs = rng.choice(ONE_ROW_ENTRIES, size=(batch, 1))
+            with np.errstate(all="ignore"):
+                x0 = affine(inputs, net.embed_weight.data, net.embed_bias.data)
+                last = self.float64_scalar_records(net.block_weight.data, net.block_bias.data, x0, family, k, 0.5,
+                                                   mode)[-1][0]
+                want = (last.T * net.head_weight.data + (net.head_bias.data + 0.0)[:, None]).T
+                assert net.infer(inputs, mode).tobytes() == want.tobytes(), seed
+
+    def test_a_cached_coefficient_cannot_be_written(self):
+        terms = architectures._scaled_terms(architectures._direct_terms("ck", 2, 0.5))
+        scales = [c for c, _, _ in terms if c is not None]
+        assert [c.shape for c in scales] == [(), (), ()]
+        for c in scales:
+            with pytest.raises(ValueError, match="read-only"):
+                c[...] = 1.0
+        assert [float(c) for c in scales] == [0.25, 2.0, -1.0]
 
 
 class TestClassMajorHead:

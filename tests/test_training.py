@@ -102,8 +102,13 @@ def read_loss(z, labels):
     return softmax_cross_entropy(Tensor(z), labels).data, (shifted - log_sum).T
 
 
+# a [batch, input_dim] array for ``evaluate`` to check, which ``FixedLogits`` ignores
+NO_INPUTS = np.zeros((1, 0))
+
+
 class FixedLogits:
-    """A network stand-in whose ``infer`` gives the same logits in every mode."""
+    """A network stand-in whose ``infer`` gives the same logits in every mode,
+    whatever the inputs, such as ``NO_INPUTS``."""
 
     def __init__(self, logits):
         self.logits = logits
@@ -157,11 +162,11 @@ class TestLogitsReader:
         assert loss.tobytes() == want_loss.tobytes()
         assert log_probs.tobytes() == want_log_probs.tobytes()
         if np.isfinite(want_loss):
-            assert evaluate(FixedLogits(z), None, labels)[0].hex() == float(want_loss).hex()
+            assert evaluate(FixedLogits(z), NO_INPUTS, labels)[0].hex() == float(want_loss).hex()
         else:
             message = re.escape(f"direct evaluation diverged (loss={float(want_loss)!r})")
             with pytest.raises(TrainingError, match=f"^{message}$"):
-                evaluate(FixedLogits(z), None, labels)
+                evaluate(FixedLogits(z), NO_INPUTS, labels)
 
     @pytest.mark.parametrize("batch", [1, 3, 128, 4096])
     def test_bitwise_the_reductions(self, batch):
@@ -204,11 +209,11 @@ class TestLogitsReader:
                 want_grad = logits.grad if want_grad is None else want_grad
                 assert logits.grad.tobytes() == want_grad.tobytes(), classes
                 if np.isfinite(want_loss):
-                    loss, acc = evaluate(FixedLogits(layout), None, labels)
+                    loss, acc = evaluate(FixedLogits(layout), NO_INPUTS, labels)
                     assert (loss.hex(), acc.hex()) == (float(want_loss).hex(), want_acc.hex()), classes
                 else:
                     with pytest.raises(TrainingError, match="^direct evaluation diverged"):
-                        evaluate(FixedLogits(layout), None, labels)
+                        evaluate(FixedLogits(layout), NO_INPUTS, labels)
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
                                        np.uint8, np.uint16, np.uint32, np.uint64])
@@ -590,7 +595,15 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="labels must lie in"):
             evaluate(net, _blobs().inputs, np.full(60, 2))
         with pytest.raises(ValueError, match="logits must be"):
-            evaluate(net, np.zeros(2), np.zeros(1, dtype=np.int64))
+            evaluate(FixedLogits(np.zeros(2)), NO_INPUTS, np.zeros(1, dtype=np.int64))
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 1, 2), ()])
+    def test_inputs_that_are_not_a_batch_are_refused_by_their_shape(self, shape):
+        # one [input_dim] sample, which ``infer`` accepts, used to fail on the
+        # logits' shape: an array the caller never passed
+        message = re.escape(f"inputs must be [batch, input_dim], got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate(_linear_model(), np.zeros(shape), np.zeros(1, dtype=np.int64))
 
     @pytest.mark.parametrize("dtype", [float, bool])
     def test_labels_that_are_not_integers_rejected(self, dtype):
@@ -610,7 +623,7 @@ class TestEvaluateAccuracy:
 
     @staticmethod
     def assert_argmax_accuracy(z, labels):
-        loss, acc = evaluate(FixedLogits(z), None, labels)
+        loss, acc = evaluate(FixedLogits(z), NO_INPUTS, labels)
         want_acc = float((z.argmax(axis=1) == labels).mean())
         want_loss = softmax_cross_entropy(Tensor(z), labels).item()
         assert (loss.hex(), acc.hex()) == (want_loss.hex(), want_acc.hex())
@@ -618,7 +631,7 @@ class TestEvaluateAccuracy:
     def test_a_tied_row_is_read_by_argmax(self):
         # the second row's label reaches its maximum, but after the first class that does
         z = np.array([[0.0, 2.0], [1.0, 1.0], [3.0, -1.0]])
-        assert evaluate(FixedLogits(z), None, np.array([1, 1, 0]))[1] == 2 / 3
+        assert evaluate(FixedLogits(z), NO_INPUTS, np.array([1, 1, 0]))[1] == 2 / 3
 
     @pytest.mark.parametrize("classes", [2, 3, 10])
     @pytest.mark.parametrize("tie", ["none", "all equal", "signed zeros", "after the label", "-inf columns"])
@@ -651,7 +664,7 @@ class TestEvaluateAccuracy:
         labels = np.zeros(8, dtype=np.int64)
         z[5, 0] = entry
         with pytest.raises(TrainingError, match=rf"^{mode} evaluation diverged \(loss={loss}\)$"):
-            evaluate(FixedLogits(z), None, labels, mode=mode)
+            evaluate(FixedLogits(z), NO_INPUTS, labels, mode=mode)
 
 
 class TestMetricsCsv:
