@@ -91,13 +91,21 @@ class NetworkConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """``TypeError`` unless ``value`` is an integer (a Python or numpy int, not
-    a float), ``ValueError`` if it is below ``least``."""
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy int: not a float, and not a bool,
+    which ``operator.index`` takes as a Python bool but not as a numpy one."""
     try:
         operator.index(value)
     except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        return False
+    return not isinstance(value, bool)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """``TypeError`` unless ``value`` is an integer (``_is_integer``),
+    ``ValueError`` if it is below ``least``. ``TrainConfig`` shares it."""
+    if not _is_integer(value):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
@@ -211,15 +219,16 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
     """Step ``x0`` through the layers of a block stack; yield a ``LayerRecord`` per layer.
 
     Layer l's forcing map is ``affine(x, weights[l], biases[l], activation)``:
-    ``weights`` is [L, d, d] and ``biases`` [L, d], or [L, E, d, d] and
-    [L, E, d] for E maps stacked on a member axis (see ``affine``). The
-    family, k and dl (by ``NetworkConfig``'s checks and messages; dl is
-    stepped as its float), the activation, the stack and x_0 (against its
-    width and member axis) are checked when the loop starts, before any
-    record, and how every layer's forcing is formed is chosen once: at width
-    1 the broadcast ``x * w_l`` plus ``b_l + 0.0`` on 0-d views of the
-    stacks, ``_affine``'s one-row product; ``x @ W_lᵀ`` through BLAS at a
-    wider flat stack; ``_affine`` for a stacked ensemble.
+    ``weights`` is [L, d, d], ``biases`` [L, d] and x_0 [d] or [batch, d];
+    or, for E maps stacked on a member axis (see ``affine``), [L, E, d, d],
+    [L, E, d] and [E, batch, d]. The family, k and dl (by
+    ``NetworkConfig``'s checks and messages; dl is stepped as its float),
+    the activation, the stack and x_0 (against its width and member axis)
+    are checked when the loop starts, before any record. Every layer's
+    forcing is ``affine``'s product plus the bias, then the activation: at
+    width 1 the broadcast ``x * w_l`` plus ``b_l + 0.0`` on 0-d views of the
+    stacks, else ``x @ W_lᵀ`` (one ``np.matmul`` over a stack, whose biases
+    are taken once per pass as ``biases[..., None, :]``).
     The first record is the input x_0, then one per layer. Every layer
     evaluates its own forcing map once, on x_l (direct) or q_1 (state), and
     never another layer's. No yielded array is written afterwards.
@@ -231,7 +240,7 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
     coefficient adds its term without a multiply, and a sum goes into the
     array the loop allocated for it, else into the term's fresh product, else
     out of place (always out of place for one-element arrays, see
-    ``_affine``), so each sum is bitwise the chained ``+`` and ``*`` in table
+    ``affine``), so each sum is bitwise the chained ``+`` and ``*`` in table
     order and no operand is written. In state mode the parts
     ``q`` are a tuple q_1..q_k, q_1 = x_0 and the rest zero at the input, and
     a layer runs its family's first-order step: c0 is q' = (f,); ck, whose
@@ -254,15 +263,16 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
     if biases.shape != weights.shape[:-1]:
         raise ShapeError(f"layer biases of shape {biases.shape} do not match weights {weights.shape}")
     members = weights.shape[1:-2]  # (E,) when stacked, else ()
-    if x0.ndim - len(members) not in (1, 2) or (*x0.shape[: len(members)], x0.shape[-1]) != weights.shape[1:-1]:
-        raise ShapeError(f"x_0 of shape {x0.shape} does not match layer weights {weights.shape}")
-    act, stacked, one = ACTIVATIONS[activation].value, bool(members), weights.shape[1:] == (1, 1)
-    inplace = x0.size > 1  # numpy adds into a one-element array by its reduction loop: see ``_affine``
-    if one:  # ``_affine``'s one-row product on 0-d views, its bias + 0.0 taken once
+    if x0.ndim not in ((3,) if members else (1, 2)) or (*x0.shape[: len(members)], x0.shape[-1]) != weights.shape[1:-1]:
+        raise ShapeError(f"x_0 of shape {x0.shape} does not match layer weights {weights.shape}: "
+                         f"x_0 is [d] or [batch, d], or [E, batch, d] when stacked")
+    act, one = ACTIVATIONS[activation].value, weights.shape[1:] == (1, 1)
+    inplace = x0.size > 1  # numpy adds into a one-element array by its reduction loop: see ``affine``
+    if one:  # ``affine``'s one-row product on 0-d views, its bias + 0.0 taken once
         ws, bs = weights.reshape(-1), (biases + 0.0).reshape(-1)
         maps = [(ws[l, ...], bs[l, ...]) for l in range(len(ws))]
     else:
-        maps = zip(np.swapaxes(weights, -1, -2), biases)
+        maps = zip(np.swapaxes(weights, -1, -2), biases[..., None, :] if members else biases)
     direct, state = mode == "direct", mode == "state"
     if direct:
         terms = _scaled_terms(_direct_terms(family, k, dl))
@@ -276,15 +286,12 @@ def unroll(weights, biases, activation: str, x0, family: str, k: int, dl: float,
     del x0  # the lag window or state holds it as long as a layer needs it
     for w, b in maps:
         x = lags[0] if direct else q[0]
-        if stacked:
-            force = T._affine(x, w, b, act)
+        force = x * w if one else x @ w
+        if inplace:
+            force += b
         else:
-            force = x * w if one else x @ w
-            if inplace:
-                force += b
-            else:
-                force = force + b
-            force = act(force)
+            force = force + b
+        force = act(force)
         if direct:
             forced.appendleft(force)
             x = None  # the sum; owned: it is an array this loop allocated, free to write
@@ -355,7 +362,7 @@ def _layer_adjoint(xbar_top, xs: list, forces: list, weights, activation: str, f
     ones; local·W_l is the broadcast ``local * w_l`` on the 0-d view w_l plus
     0.0: numpy's matmul loop over an inner dimension of 1 sums 0 + p, which
     turns a -0.0 into 0.0 and changes nothing else. Sums into a one-element
-    array stay out of place (see ``_affine``)."""
+    array stay out of place (see ``affine``)."""
     order, carry = k if family == "ck" else 1, family != "c0"
     scale = dl**order if carry else 1
     scale = None if scale == 1 else T._scalar(scale)
@@ -399,9 +406,10 @@ def _layer_adjoint(xbar_top, xs: list, forces: list, weights, activation: str, f
 class Trace:
     """A run's trajectory as stacked arrays, ``Trace.from_layers(net.layers(x, mode))``.
 
-    With x the shape of one activation (``[width]`` or ``[batch, width]``),
-    ``activations`` is ``(L+1, *x)``, ``forcing`` ``(L, *x)`` (empty at depth
-    0) and, in state mode, ``states`` is ``(L+1, k, *x)``.
+    With x the shape of one activation (``[width]`` or ``[batch, width]``,
+    or ``[E, batch, width]`` for a stack), ``activations`` is ``(L+1, *x)``,
+    ``forcing`` ``(L, *x)`` (empty at depth 0) and, in state mode,
+    ``states`` is ``(L+1, k, *x)``.
     """
 
     activations: np.ndarray  # x_0..x_L

@@ -6,11 +6,10 @@ one ``affine`` call: it takes the activation's name and applies it in place
 on its own product. The activation formulas live once, in ``ACTIVATIONS``:
 each entry gives the value and the chain factor g·act'(z), read from the
 output y = act(z), which is all a reverse pass keeps of a layer.
-``affine`` also takes E maps stacked on a leading member axis, so E
-independent networks of one shape step as a single ensemble. It checks its
-operands, then runs a private kernel, ``_affine``. ``unroll`` checks a
-layer stack once per pass and forms every layer's forcing by ``_affine``'s
-operations, bitwise the values ``affine`` gives.
+``affine`` also takes E maps stacked on a leading member axis, each member
+a batch, so E independent networks of one shape step as a single ensemble.
+``unroll`` checks a layer stack once per pass and forms every layer's
+forcing by ``affine``'s operations, bitwise the values ``affine`` gives.
 
 An op computes its value in its own output buffer: ``affine`` adds the
 bias and applies the activation in place on its product. Only buffers an
@@ -177,9 +176,18 @@ def affine(x, weight, bias, activation: str | None = None) -> np.ndarray:
     bare affine map.
 
     A stack of E maps has a leading member axis: weight [E, m, n], bias
-    [E, m] and x [E, n] or [E, batch, n]. Member e is
-    ``x[e] @ weight[e].T + bias[e]``, computed as one ``np.matmul`` over
-    [E, rows, n]: an unbatched member is a batch of one row.
+    [E, m] and x [E, batch, n]. Member e is ``x[e] @ weight[e].T + bias[e]``,
+    computed as one ``np.matmul`` over the stack.
+
+    A weight with one column (inputs of width 1) is multiplied as the
+    broadcast ``x * weight[:, 0]``, not by numpy's unblocked matmul loop,
+    which takes about seven times as long on 4,096 rows. That loop sums 0 +
+    p, and (0 + p) + b is bitwise p + (b + 0.0), so such a bias is added as
+    ``bias + 0.0``: that turns a -0.0 into 0.0 and changes nothing else. The
+    value is then bitwise the matmul's wherever at most one operand of a
+    product or sum is NaN; of two NaNs, numpy's loop picks which payload
+    survives. ``np.dot`` would not do: OpenBLAS gives 0 for a NaN input
+    against a zero weight.
     """
     x, weight, bias = _as_array(x), _as_array(weight), _as_array(bias)
     if weight.ndim == 2:
@@ -189,38 +197,19 @@ def affine(x, weight, bias, activation: str | None = None) -> np.ndarray:
             raise ShapeError(f"affine input shape {x.shape} does not match weight {weight.shape}")
     elif weight.ndim == 3:
         members, m, n = weight.shape
-        if bias.shape != (members, m) or x.ndim not in (2, 3) or (x.shape[0], x.shape[-1]) != (members, n):
-            raise ShapeError(f"affine input {x.shape} or bias {bias.shape} does not match stacked weight {weight.shape}")
+        if bias.shape != (members, m) or x.ndim != 3 or (x.shape[0], x.shape[-1]) != (members, n):
+            raise ShapeError(f"affine input {x.shape} or bias {bias.shape} does not match stacked weight "
+                             f"{weight.shape}: a stacked input is [E, batch, n]")
+        bias = bias[:, None, :]
     else:
         raise ShapeError(f"affine weight must be 2-D, or 3-D when stacked, got {weight.shape}")
     if activation is not None and activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     if weight.ndim == 2 and weight.shape[1] == 1:
-        bias = bias + 0.0  # see ``_affine``
-    return _affine(x, np.swapaxes(weight, -1, -2), bias, None if activation is None else ACTIVATIONS[activation].value)
-
-
-def _affine(x: np.ndarray, weight_t: np.ndarray, bias: np.ndarray, act) -> np.ndarray:
-    """``affine`` on checked operands, ``act`` an ``Activation.value`` or ``None``
-    and the weight transposed by ``np.swapaxes(w, -1, -2)``, the view ``affine``
-    multiplies by (of one layer, or of a whole stack indexed per layer).
-
-    A 2-D ``weight_t`` with one row (inputs of width 1) is multiplied as the
-    broadcast ``x * weight_t[0]``, not by numpy's unblocked matmul loop, which
-    takes about seven times as long on 4,096 rows. That loop sums 0 + p, and
-    (0 + p) + b is bitwise p + (b + 0.0), so the caller passes such a bias as
-    ``bias + 0.0``: that turns a -0.0 into 0.0 and changes nothing else. The
-    value is then bitwise the matmul's wherever at most one operand of a
-    product or sum is NaN; of two NaNs, numpy's loop picks which payload
-    survives. ``np.dot`` would not do: OpenBLAS gives 0 for a NaN input
-    against a zero weight."""
-    if weight_t.ndim == 2:
-        y = x * weight_t[0] if weight_t.shape[0] == 1 else x @ weight_t
-    else:  # [E, rows, n] @ [E, n, m], an unbatched member being one row
-        y, bias = np.matmul(x.reshape(weight_t.shape[0], -1, weight_t.shape[1]), weight_t), bias[:, None, :]
+        y, bias = x * weight[:, 0], bias + 0.0
+    else:
+        y = x @ np.swapaxes(weight, -1, -2)
     # numpy adds into a one-element first operand by its reduction loop, which
     # may keep the other operand's NaN payload, so that one sum is out of place
     y = np.add(y, bias, out=y) if y.size > 1 else y + bias
-    if weight_t.ndim == 3:
-        y = y.reshape(*x.shape[:-1], weight_t.shape[-1])
-    return y if act is None else act(y)
+    return y if activation is None else ACTIVATIONS[activation].value(y)

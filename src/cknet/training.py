@@ -3,11 +3,11 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .architectures import _check_count
 from .tensor import Parameter, Tensor
 
 __all__ = [
@@ -38,17 +38,8 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "seed"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, least in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
+            _check_count(name, getattr(self, name), least)
         _check_learning_rate(self.learning_rate, zero=False)
 
 
@@ -76,14 +67,17 @@ class EpochMetrics:
 
 def _read_logits(zt: np.ndarray, labels):
     """Check class-major logits ``zt`` [classes, batch] against their integer
-    labels and shift them for the log softmax.
+    labels and read their loss.
 
-    Returns the labels as an array, ``shifted`` = zt minus each sample's
-    maximum, as C-contiguous class rows, and ``log_sum`` = log Σ
-    exp(shifted) of each sample. The maximum and the sum are numpy's
-    reductions over the class rows, ``np.maximum.reduce(zt, axis=0)`` and
-    ``sum(axis=0)``, which take the rows in class order. The copy to class
-    rows is a no-op on the logits ``Network`` forms.
+    Returns the labels as an array; ``shifted`` = zt minus each sample's
+    maximum, as C-contiguous class rows; ``log_sum`` = log Σ exp(shifted) of
+    each sample; ``picked``, each sample's ``shifted`` at its label; and the
+    loss, the mean negative log softmax probability of the labels,
+    ``-(np.add.reduce(picked - log_sum) / batch)``: bitwise ``-mean()``, at
+    less cost. The maximum and the sum are numpy's reductions over the class
+    rows, ``np.maximum.reduce(zt, axis=0)`` and ``sum(axis=0)``, which take
+    the rows in class order. The copy to class rows is a no-op on the logits
+    ``Network`` forms.
     """
     if zt.ndim != 2:
         raise ValueError(f"logits must be [batch, classes], got shape {zt.T.shape}")
@@ -102,7 +96,9 @@ def _read_logits(zt: np.ndarray, labels):
         )
     zt = np.ascontiguousarray(zt)
     shifted = zt - np.maximum.reduce(zt, axis=0)
-    return labels, shifted, np.log(np.exp(shifted).sum(axis=0))
+    log_sum = np.log(np.exp(shifted).sum(axis=0))
+    picked = shifted[labels, np.arange(batch)]
+    return labels, shifted, log_sum, picked, -(np.add.reduce(picked - log_sum) / batch)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -113,17 +109,15 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     the loss passes (softmax - onehot) / batch on to ``logits``, as the
     transpose of C-contiguous class rows.
     """
-    labels, shifted, log_sum = _read_logits(logits.data.T, labels)
-    log_probs = shifted - log_sum
-    batch = len(labels)
-    rows = np.arange(batch)
+    labels, shifted, log_sum, _, loss = _read_logits(logits.data.T, labels)
 
     def pull(g):
-        soft = np.exp(log_probs)
-        soft[labels, rows] -= 1.0
+        batch = len(labels)
+        soft = np.exp(shifted - log_sum)
+        soft[labels, np.arange(batch)] -= 1.0
         logits._pull((g * soft / batch).T)
 
-    return Tensor(-log_probs[labels, rows].mean(), pull)
+    return Tensor(loss, pull)
 
 
 # Adam's moment decay rates and the denominator's guard
@@ -201,10 +195,8 @@ def evaluate(network, inputs: np.ndarray, labels: np.ndarray, mode: str = "direc
         raise ValueError(f"inputs must be [batch, input_dim], got shape {np.shape(inputs)}")
     with np.errstate(all="ignore"):
         zt = network.infer(inputs, mode=mode).T
-        labels, shifted, log_sum = _read_logits(zt, labels)
+        labels, shifted, _, picked, loss = _read_logits(zt, labels)
         n = len(labels)
-        picked = shifted[labels, np.arange(n)]
-        loss = -(np.add.reduce(picked - log_sum) / n)  # bitwise ``mean()``, at less cost
     if not np.isfinite(loss):
         raise TrainingError(f"{mode} evaluation diverged (loss={float(loss)!r})")
     # a finite loss leaves every sample's maximum finite, so ``shifted`` is 0

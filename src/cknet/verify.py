@@ -8,8 +8,9 @@ integer identities.
 
 It runs in one process. The cases of a grid point that share an activation
 and mesh step form one ensemble: their forcing maps are stacked on axis 1
-of the [depth, E, d, d] and [depth, E, d] block arrays, one ``unroll`` per
-form steps every member, and each check reduces over all axes but that one. Outcomes are absorbed in grid
+of the [depth, E, d, d] and [depth, E, d] block arrays, their inputs are
+one-row batches [E, 1, d], one ``unroll`` per form steps every member, and
+each check reduces over all axes but that one. Outcomes are absorbed in grid
 order, so every result is that of checking the cases one by one. The CLI
 exposes this battery; the test suite asserts the same properties
 independently, against the per-case reference in ``tests/helpers.py``.
@@ -18,12 +19,11 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .architectures import Trace, c1_step, unroll
+from .architectures import Trace, _is_integer, c1_step, unroll
 from .dynamics import (
     MAX_BINOMIAL_N,
     BlockMatrix,
@@ -160,13 +160,13 @@ def _check_group(k: int, d: int, depth: int, seeds, forcing_matrix) -> tuple[str
     # is bitwise the per-layer draws.
     bound = np.sqrt(6.0 / (2 * d))
     weights, biases = np.empty((depth, len(seeds), d, d)), np.empty((depth, len(seeds), d))
-    x0 = np.empty((len(seeds), d))
+    x0 = np.empty((len(seeds), 1, d))  # each member a batch of one row
     for e, i in enumerate(seeds):
         rng = _case_rng(0xC0FFEE, k, d, depth, i)
         u = rng.uniform(size=(depth, d * d + d))
         weights[:, e] = (-bound + (bound - -bound) * u[:, : d * d]).reshape(depth, d, d)
         biases[:, e] = -0.5 + (0.5 - -0.5) * u[:, d * d :]
-        x0[e] = rng.standard_normal(d)
+        x0[e, 0] = rng.standard_normal(d)
     stack = (weights, biases, activation, x0)
     xs = Trace.from_layers(unroll(*stack, "ck", k, dl, "direct")).activations
     ck_state = Trace.from_layers(unroll(*stack, "ck", k, dl, "state"))
@@ -247,18 +247,16 @@ def run_battery(
     the seeds with the same ``i mod 6`` (one activation, one dl) run as one
     stacked ensemble; the outcomes are absorbed in grid order, so every
     result, ``detail`` included, is the same as checking case by case.
-    Orders, widths, depths and seeds are integers >= 1, orders at most
-    ``MAX_BINOMIAL_N``, and the tolerance is finite and >= 0; the grid is
-    checked before any case runs.
+    Orders, widths, depths and seeds are integers >= 1 (not bools), orders
+    at most ``MAX_BINOMIAL_N``, and the tolerance is finite and >= 0; the
+    grid is checked before any case runs.
     """
     for name, values in (("orders", orders), ("widths", widths), ("depths", depths), ("seeds", [seeds])):
         if not len(values):
             raise ValueError("verification grid must be non-empty")
         for value in values:
-            try:
-                operator.index(value)
-            except TypeError:
-                raise TypeError(f"{name} must be integers, got {value!r}") from None
+            if not _is_integer(value):
+                raise TypeError(f"{name} must be integers, got {value!r}")
         high = MAX_BINOMIAL_N if name == "orders" else math.inf
         if not all(1 <= value <= high for value in values):
             raise ValueError(f"{name} must be in [1, {high}], got {list(values)}")

@@ -354,7 +354,7 @@ class TestParameterAccounting:
                 weight_matrix_ratio(k, d)
 
     @pytest.mark.parametrize("name", ["k", "d", "depth"])
-    @pytest.mark.parametrize("value", [2.0, "2", None], ids=["whole-float", "str", "none"])
+    @pytest.mark.parametrize("value", [2.0, "2", None, True, np.True_], ids=["whole-float", "str", "none", "bool", "numpy-bool"])
     def test_non_integer_sizes_are_type_errors(self, name, value):
         sizes = {"k": 2, "d": 3, "depth": 1, name: value}
         with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$"):
@@ -868,7 +868,7 @@ class TestRecordsStayAsYielded:
     with, at width 1 (one element or more), wider, and stacked on a member axis."""
 
     STACKS = [((6, 1, 1), (1,)), ((6, 1, 1), (1, 1)), ((6, 1, 1), (7, 1)), ((6, 3, 3), (5, 3)),
-              ((6, 2, 3, 3), (2, 3)), ((6, 2, 3, 3), (2, 4, 3))]
+              ((6, 2, 3, 3), (2, 1, 3)), ((6, 2, 3, 3), (2, 4, 3))]
 
     @pytest.mark.parametrize("family,k", FORMS, ids=[f"{f}{k}" for f, k in FORMS])
     @pytest.mark.parametrize("mode", ["direct", "state"])
@@ -1216,7 +1216,7 @@ class TestDenseIsResidual:
 
 class TestForcingEvaluatedOnce:
     """A forcing map is one activation call on its own product, however it
-    is formed (the width-1 broadcast, a BLAS product, ``_affine``). So a pass
+    is formed (the width-1 broadcast, a BLAS product, a stacked matmul). So a pass
     that calls tanh once per layer, in layer order, each call giving that
     layer's forcing, evaluates every layer's map exactly once."""
 
@@ -1563,7 +1563,7 @@ class TestClassMajorHead:
 class TestStackedForcing:
     def test_maps_each_member_of_a_stack(self):
         weights, biases = np.zeros((2, 4, 3, 3)), np.zeros((2, 4, 3))
-        for x0 in (np.ones((4, 3)), np.ones((4, 5, 3))):
+        for x0 in (np.ones((4, 1, 3)), np.ones((4, 5, 3))):
             records = list(unroll(weights, biases, "tanh", x0, "c0", 1, 1.0, "direct"))
             assert [r.force.shape for r in records[1:]] == [x0.shape] * 2
             assert records[-1].x.shape == x0.shape
@@ -1596,12 +1596,13 @@ class TestStackedForcing:
             ((2, 4, 3, 3), (5, 3)),
             ((2, 4, 3, 3), (4, 2)),
             ((2, 4, 3, 3), (1, 4, 3, 3)),
+            ((2, 4, 3, 3), (4, 3)),  # an unbatched member is a one-row batch, [E, 1, d]
         ],
     )
     @pytest.mark.parametrize("mode", ["direct", "state"])
     def test_rejects_an_input_that_does_not_match_the_stack(self, w_shape, x_shape, mode):
         layers = unroll(np.zeros(w_shape), np.zeros(w_shape[:-1]), "tanh", np.ones(x_shape), "ck", 2, 1.0, mode)
-        with pytest.raises(ShapeError, match=r"^x_0 of shape"):
+        with pytest.raises(ShapeError, match=r"^x_0 of shape .*, or \[E, batch, d\] when stacked$"):
             next(layers)  # before the record of x_0
 
     def test_unroll_rejects_an_unknown_activation(self):
@@ -1657,13 +1658,14 @@ class TestConfigValidation:
             NetworkConfig("ck", 2, 3, 2, 2, 2, dl="1")
 
     @pytest.mark.parametrize("name", ["k", "depth", "width", "input_dim", "num_classes"])
-    @pytest.mark.parametrize("value", [2.5, 2.0, "2", None], ids=["fraction", "whole-float", "str", "none"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", None, True, np.True_],
+                             ids=["fraction", "whole-float", "str", "none", "bool", "numpy-bool"])
     def test_non_integer_size_is_a_type_error(self, name, value):
         sizes = dict(k=2, depth=3, width=2, input_dim=2, num_classes=2)
         with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$"):
             NetworkConfig("ck", **{**sizes, name: value})
 
-    @pytest.mark.parametrize("seed", [2.5, 2.0, "2", None], ids=["fraction", "whole-float", "str", "none"])
+    @pytest.mark.parametrize("seed", [2.5, 2.0, "2", None, False], ids=["fraction", "whole-float", "str", "none", "bool"])
     def test_non_integer_seed_is_a_type_error_when_the_config_is_built(self, seed):
         with pytest.raises(TypeError, match=f"^seed must be an integer, got {seed!r}$"):
             NetworkConfig("ck", 2, 3, 2, 2, 2, seed=seed)

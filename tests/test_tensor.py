@@ -10,7 +10,6 @@ from cknet.tensor import (
     Parameter,
     ShapeError,
     Tensor,
-    _affine,
     affine,
 )
 from helpers import ONE_ROW_ENTRIES, linear_combination, with_nans
@@ -158,11 +157,11 @@ class TestStackedAffine:
     @staticmethod
     def operands(d, batch, members, seed):
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((members, d) if batch is None else (members, batch, d))
+        x = rng.standard_normal((members, batch, d))
         return x, rng.standard_normal((members, d, d)), rng.standard_normal((members, d))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
-    @pytest.mark.parametrize("batch", [None, 32])
+    @pytest.mark.parametrize("batch", [1, 32])
     @pytest.mark.parametrize("activation", [None, "tanh", "sigmoid", "leaky_relu"])
     def test_each_member_is_bitwise_its_own_affine(self, d, batch, activation):
         # results of the stacked battery rest on this; a BLAS that breaks it fails here
@@ -183,11 +182,12 @@ class TestStackedAffine:
         "input width differs": ((2, 3), (2, 2, 2), (2, 2)),
         "input unstacked": ((2,), (2, 2, 2), (2, 2)),
         "input 4-D": ((2, 1, 1, 2), (2, 2, 2), (2, 2)),
+        "input unbatched": ((2, 2), (2, 2, 2), (2, 2)),  # an unbatched member is a one-row batch, [E, 1, n]
     }
 
     @pytest.mark.parametrize("x_shape,w_shape,b_shape", BAD.values(), ids=BAD.keys())
     def test_mismatched_shapes_rejected(self, x_shape, w_shape, b_shape):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"a stacked input is \[E, batch, n\]$"):
             affine(np.zeros(x_shape), np.zeros(w_shape), np.zeros(b_shape))
 
 
@@ -243,16 +243,15 @@ class TestOwnBuffers:
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
 
     @pytest.mark.parametrize("activation", [None, "tanh", "sigmoid", "leaky_relu"])
-    @pytest.mark.parametrize("members,batch,d", [(3, None, 4), (2, 5, 3), (1, None, 1), (1, 1, 1), (2, 1, 1)])
+    @pytest.mark.parametrize("members,batch,d", [(3, 1, 4), (2, 5, 3), (1, 4, 1), (1, 1, 1), (2, 1, 1)])
     def test_stacked_affine(self, activation, members, batch, d):
-        x_shape = (members, d) if batch is None else (members, batch, d)
+        x_shape = (members, batch, d)
         for seed in range(40):
             rng = np.random.default_rng(seed)
             x, w, b = self.values(rng, x_shape), self.values(rng, (members, d, d)), self.values(rng, (members, d))
             with np.errstate(all="ignore"):
                 got = self.checked((x, w, b), lambda *a: affine(*a, activation))
-                z = np.matmul(x.reshape(members, -1, d), np.swapaxes(w, 1, 2)) + b[:, None, :]
-                want = self.out_of_place(z.reshape(x_shape), activation)
+                want = self.out_of_place(np.matmul(x, np.swapaxes(w, 1, 2)) + b[:, None, :], activation)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
 
     def test_one_element_bias_add_keeps_the_matmul_nan(self):
@@ -337,37 +336,36 @@ class TestOneRowProduct:
 
 
 class TestKernels:
-    """``_affine``, the unchecked body that ``unroll`` runs for a stacked
-    ensemble on operands it checked once per pass, gives the bits of the
-    public ``affine``; the reference sum ``linear_combination`` those of the
-    chained expression."""
+    """``affine`` over the stacked operands ``unroll`` steps an ensemble by,
+    and the one-element sums, give the bits of the out-of-place expression;
+    the reference sum ``linear_combination`` those of the chained
+    expression."""
 
     def test_one_element_nan_payloads(self):
         # a -NaN matmul plus a NaN bias: the sum must keep the matmul's NaN
         x, w, b = np.array([1.0]), np.array([[SPECIALS[1]]]), np.array([SPECIALS[0]])
         with np.errstate(invalid="ignore"):
             want = (x @ w.T + b).tobytes()
-            assert _affine(x, np.swapaxes(w, -1, -2), b, None).tobytes() == affine(x, w, b).tobytes() == want
+            assert affine(x, w, b).tobytes() == affine(x[None, None], w[None], b[None]).tobytes() == want
             for terms in ([(1, x @ w.T), (1, b)], [(1, x @ w.T), (0.5, b)], [(2, x @ w.T), (1, b)]):
                 assert linear_combination(terms).tobytes() == chained(terms).tobytes()
             assert linear_combination([(1, x @ w.T), (1, b)]).tobytes() == want
 
     @pytest.mark.parametrize("activation", [None, "tanh", "sigmoid", "leaky_relu"])
     @pytest.mark.parametrize("members,d", [(9, 1), (8, 3)])
-    @pytest.mark.parametrize("batch", [None, 4])
+    @pytest.mark.parametrize("batch", [1, 4])
     def test_stacked_battery_shapes(self, activation, members, d, batch):
-        act = None if activation is None else ACTIVATIONS[activation].value
-        shape = (members, d) if batch is None else (members, batch, d)
+        shape = (members, batch, d)
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            # two layers of a [L, E, d, d] stack, mapped through one swapped view as ``unroll`` does
+            # two layers of a [L, E, d, d] stack, each member a batch, as the battery runs them
             values = TestOwnBuffers.values
             weights, biases, x = values(rng, (2, members, d, d)), values(rng, (2, members, d)), values(rng, shape)
-            weights_t = np.swapaxes(weights, -1, -2)
             with np.errstate(all="ignore"):
                 for layer in range(2):
-                    got = _affine(x, weights_t[layer], biases[layer], act)
-                    want = affine(x, weights[layer], biases[layer], activation)
+                    got = affine(x, weights[layer], biases[layer], activation)
+                    z = np.matmul(x, np.swapaxes(weights[layer], -1, -2)) + biases[layer][:, None, :]
+                    want = TestOwnBuffers.out_of_place(z, activation)
                     assert got.tobytes() == want.tobytes(), (seed, layer)
                 for coefficients in ([0.25, 2, -1], [1, 0.5, 0.5, 0.5], [1, 1], [3, -3, 1, 1]):
                     terms = [(c, values(rng, shape)) for c in coefficients]

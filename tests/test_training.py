@@ -98,7 +98,7 @@ class TestSoftmaxCrossEntropy:
 def read_loss(z, labels):
     """The loss ``softmax_cross_entropy`` takes of ``z`` and the log
     probabilities ``_read_logits`` leaves for it, read class-major as ``z.T``."""
-    _, shifted, log_sum = _read_logits(z.T, labels)
+    _, shifted, log_sum, _, _ = _read_logits(z.T, labels)
     return softmax_cross_entropy(Tensor(z), labels).data, (shifted - log_sum).T
 
 
@@ -145,11 +145,12 @@ class TestRowMaximum:
 
 
 class TestLogitsReader:
-    """``_read_logits`` reads logits as C-contiguous class rows and adds each
-    sample's exponentials over them; ``softmax_cross_entropy`` picks the
-    labels from the log probabilities and ``evaluate`` from ``shifted``.
-    Both losses and the log probabilities are bitwise numpy's class-row
-    reductions, ``helpers.log_softmax_loss``, in any memory layout."""
+    """``_read_logits`` reads logits as C-contiguous class rows, adds each
+    sample's exponentials over them and picks the labels from ``shifted``:
+    ``softmax_cross_entropy`` and ``evaluate`` read its one loss. Both losses
+    and the log probabilities are bitwise numpy's class-row reductions and
+    the mean of a 2-D pick, ``helpers.log_softmax_loss``, in any memory
+    layout."""
 
     CLASSES = range(2, 301)
     SPECIALS = np.array([0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, np.nan, 1e300, -1e300])
@@ -517,7 +518,9 @@ class TestTrainLoop:
         with pytest.raises(TypeError, match=r"^learning_rate must be a real number, got '0.1'$"):
             TrainConfig(1, learning_rate="0.1")
 
-    @pytest.mark.parametrize("name,value", [("epochs", 2.5), ("batch_size", 16.0), ("seed", 1.5), ("seed", "3")])
+    @pytest.mark.parametrize("name,value", [("epochs", 2.5), ("batch_size", 16.0), ("seed", 1.5), ("seed", "3"),
+                                            ("epochs", True), ("batch_size", True), ("seed", False),
+                                            ("batch_size", np.True_)])
     def test_non_integer_count_or_seed_is_a_type_error(self, name, value):
         with pytest.raises(TypeError, match=f"^{name} must be an integer"):
             TrainConfig(**{"epochs": 1, name: value})

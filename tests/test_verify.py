@@ -34,11 +34,12 @@ def case(k, d, batch, seed):
 
 def ensemble(k, d, batch, seed):
     """``MEMBERS`` cases with one activation, each on its own and stacked on
-    axis 1 of the block arrays."""
+    axis 1 of the block arrays. A stacked member is a batch: an unbatched
+    case (``batch`` 0) is stacked as one row, [MEMBERS, 1, d]."""
     cases = [case(k, d, batch, seed + 3 * e) for e in range(MEMBERS)]
     weights, biases, activation = zip(*(layers for layers, _ in cases))
     members = (np.stack(weights, axis=1), np.stack(biases, axis=1), activation[0])
-    return cases, members, np.stack([x0 for _, x0 in cases])
+    return cases, members, np.stack([np.atleast_2d(x0) for _, x0 in cases])
 
 
 FORMS = [("c0", 1), *(("ck", k) for k in (1, 2, 3, 4)), *(("dense", k) for k in (1, 2, 3, 4))]
@@ -255,6 +256,9 @@ BAD_GRIDS = {
     "float-seeds": ({"seeds": 2.5}, TypeError, r"^seeds must be integers, got 2.5"),
     "float-order": ({"orders": (1.5,)}, TypeError, r"^orders must be integers, got 1.5"),
     "integral-float-depth": ({"depths": (3.0,)}, TypeError, r"^depths must be integers, got 3.0"),
+    "bool-seeds": ({"seeds": True}, TypeError, r"^seeds must be integers, got True$"),
+    "bool-width": ({"widths": (2, True)}, TypeError, r"^widths must be integers, got True$"),
+    "numpy-bool-order": ({"orders": (np.True_,)}, TypeError, r"^orders must be integers, got np.True_$"),
     "nan-tolerance": ({"tolerance": float("nan")}, ValueError, r"^tolerance must be a finite number >= 0, got nan"),
     "inf-tolerance": ({"tolerance": float("inf")}, ValueError, r"^tolerance must be a finite number >= 0"),
     "negative-tolerance": ({"tolerance": -1e-9}, ValueError, r"^tolerance must be a finite number >= 0"),
