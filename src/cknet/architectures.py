@@ -115,7 +115,7 @@ def _check_block(family: str, k, dl) -> float:
     block no network has: ``ValueError`` for an unknown family, c0 with k
     other than 1, k outside 1..``MAX_BINOMIAL_N``, dl not > 0 (NaN too) or
     dl**k not finite; ``TypeError`` unless k is an integer and dl a real
-    number. ``NetworkConfig`` and ``unroll`` share it."""
+    number other than a bool. ``NetworkConfig`` and ``unroll`` share it."""
     if family not in ("c0", "ck", "dense"):
         raise ValueError(f"unknown family {family!r}")
     _check_count("k", k, 1)
@@ -123,7 +123,7 @@ def _check_block(family: str, k, dl) -> float:
         raise ValueError("the skipless family has no order parameter; use k=1")
     if k > MAX_BINOMIAL_N:
         raise ValueError(f"order k must be <= {MAX_BINOMIAL_N}, got {k}")
-    if not isinstance(dl, numbers.Real):
+    if not isinstance(dl, numbers.Real) or isinstance(dl, bool):
         raise TypeError(f"dl must be a real number, got {dl!r}")
     try:  # the layers step in float64: a Fraction or a numpy scalar is kept as its nearest float
         dl = float(dl)

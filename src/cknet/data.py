@@ -65,7 +65,7 @@ class Dataset:
             )
         if self.labels.dtype.kind not in "iu":
             raise TypeError(f"labels must be integers, got dtype {self.labels.dtype}")
-        if not isinstance(self.num_classes, numbers.Integral):
+        if not isinstance(self.num_classes, numbers.Integral) or isinstance(self.num_classes, bool):
             raise TypeError(f"num_classes must be an integer, got {self.num_classes!r}")
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise ValueError(
@@ -262,7 +262,7 @@ def synthetic_digits(n: int, seed: int = 0) -> Dataset:
 
 def split(dataset: Dataset, fraction: float, seed: int = 0) -> tuple[Dataset, Dataset]:
     """Disjoint, exhaustive, seeded split; first part gets ``fraction``."""
-    if not isinstance(fraction, numbers.Real):
+    if not isinstance(fraction, numbers.Real) or isinstance(fraction, bool):
         raise TypeError(f"fraction must be a real number, got {fraction!r}")
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie strictly between 0 and 1, got {fraction}")

@@ -49,8 +49,13 @@ def binomial(n: int, r: int) -> int:
 
 
 def alternating_binomial_row(n: int) -> list[int]:
-    """[(-1)^j * C(n, j) for j = 0..n]."""
-    return [(-1) ** j * binomial(n, j) for j in range(n + 1)]
+    """[(-1)^j * C(n, j) for j = 0..n], a fresh list each call."""
+    return list(_alternating_row(n))
+
+
+@cache  # a raise is not cached, so n above the cap raises on every call
+def _alternating_row(n: int) -> tuple[int, ...]:
+    return tuple((-1) ** j * binomial(n, j) for j in range(n + 1))
 
 
 def alternating_binomial_sum(n: int) -> int:

@@ -45,9 +45,9 @@ class TrainConfig:
 
 def _check_learning_rate(rate, zero: bool) -> float:
     """``rate`` as the float the step multiplies by: ``TypeError`` unless it is
-    a real number, ``ValueError`` unless it is finite and > 0, or >= 0 where
-    ``zero`` allows a frozen step."""
-    if not isinstance(rate, numbers.Real):
+    a real number other than a bool, ``ValueError`` unless it is finite and
+    > 0, or >= 0 where ``zero`` allows a frozen step."""
+    if not isinstance(rate, numbers.Real) or isinstance(rate, bool):
         raise TypeError(f"learning_rate must be a real number, got {rate!r}")
     try:  # a Fraction or an int is stepped as its nearest float
         value = float(rate)

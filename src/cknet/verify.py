@@ -143,7 +143,9 @@ def _identity_deviation(x_lags: list[np.ndarray], f_lags: list[np.ndarray], n: i
 
 
 def _case_rng(base_seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([base_seed, *key]))
+    # every word of a battery key is below 2**32, so the uint32 array is the
+    # entropy the list of ints gives, without converting word by word
+    return np.random.default_rng(np.random.SeedSequence(np.array([base_seed, *key], dtype=np.uint32)))
 
 
 def _check_group(k: int, d: int, depth: int, seeds, forcing_matrix) -> tuple[str, list[tuple[str, list[float], str]]]:
@@ -156,17 +158,17 @@ def _check_group(k: int, d: int, depth: int, seeds, forcing_matrix) -> tuple[str
     # member e draws from its case's generator in the per-case order: every
     # layer's weight in [-bound, bound), then its bias in [-0.5, 0.5), then
     # x_0. ``uniform(low, high)`` is ``low + (high - low)·u`` for the next
-    # unit draw u, so one unit draw for all layers, scaled slice by slice,
-    # is bitwise the per-layer draws.
+    # unit draw u, so one unit draw for all layers and members, scaled once
+    # per range, is bitwise the per-layer draws.
     bound = np.sqrt(6.0 / (2 * d))
-    weights, biases = np.empty((depth, len(seeds), d, d)), np.empty((depth, len(seeds), d))
+    u = np.empty((depth, len(seeds), d * d + d))
     x0 = np.empty((len(seeds), 1, d))  # each member a batch of one row
     for e, i in enumerate(seeds):
         rng = _case_rng(0xC0FFEE, k, d, depth, i)
-        u = rng.uniform(size=(depth, d * d + d))
-        weights[:, e] = (-bound + (bound - -bound) * u[:, : d * d]).reshape(depth, d, d)
-        biases[:, e] = -0.5 + (0.5 - -0.5) * u[:, d * d :]
+        u[:, e] = rng.uniform(size=(depth, d * d + d))
         x0[e, 0] = rng.standard_normal(d)
+    weights = (-bound + (bound - -bound) * u[..., : d * d]).reshape(depth, len(seeds), d, d)
+    biases = -0.5 + (0.5 - -0.5) * u[..., d * d :]
     stack = (weights, biases, activation, x0)
     xs = Trace.from_layers(unroll(*stack, "ck", k, dl, "direct")).activations
     ck_state = Trace.from_layers(unroll(*stack, "ck", k, dl, "state"))
@@ -248,8 +250,8 @@ def run_battery(
     stacked ensemble; the outcomes are absorbed in grid order, so every
     result, ``detail`` included, is the same as checking case by case.
     Orders, widths, depths and seeds are integers >= 1 (not bools), orders
-    at most ``MAX_BINOMIAL_N``, and the tolerance is finite and >= 0; the
-    grid is checked before any case runs.
+    at most ``MAX_BINOMIAL_N``, and the tolerance is a real number (not a
+    bool), finite and >= 0; the grid is checked before any case runs.
     """
     for name, values in (("orders", orders), ("widths", widths), ("depths", depths), ("seeds", [seeds])):
         if not len(values):
@@ -260,7 +262,7 @@ def run_battery(
         high = MAX_BINOMIAL_N if name == "orders" else math.inf
         if not all(1 <= value <= high for value in values):
             raise ValueError(f"{name} must be in [1, {high}], got {list(values)}")
-    if not isinstance(tolerance, numbers.Real):
+    if not isinstance(tolerance, numbers.Real) or isinstance(tolerance, bool):
         raise TypeError(f"tolerance must be a real number, got {tolerance!r}")
     if not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")

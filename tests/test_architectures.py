@@ -1612,7 +1612,7 @@ class TestStackedForcing:
     BAD_BLOCKS = [
         ("conv", 1, 1.0), ("ck", 0, 1.0), ("dense", 0, 1.0), ("c0", 3, 1.0), ("ck", 65, 1.0),
         ("ck", 2, -0.5), ("dense", 2, 0.0), ("c0", 1, math.nan), ("ck", 2, 1e308),
-        ("ck", 2.0, 1.0), ("dense", "2", 1.0), ("ck", 2, "1"),
+        ("ck", 2.0, 1.0), ("dense", "2", 1.0), ("ck", 2, "1"), ("ck", 2, True), ("dense", 3, False),
     ]
 
     @pytest.mark.parametrize("family,k,dl", BAD_BLOCKS, ids=[f"{f}-{k!r}-{dl!r}" for f, k, dl in BAD_BLOCKS])
@@ -1653,9 +1653,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             NetworkConfig("ck", 1, 1, 1, 1, 2, dl=0.0)
 
-    def test_non_numeric_dl_is_a_type_error(self):
-        with pytest.raises(TypeError, match=r"^dl must be a real number, got '1'$"):
-            NetworkConfig("ck", 2, 3, 2, 2, 2, dl="1")
+    @pytest.mark.parametrize("dl", ["1", True, np.True_], ids=["str", "bool", "numpy-bool"])
+    def test_non_numeric_dl_is_a_type_error(self, dl):
+        with pytest.raises(TypeError, match=f"^dl must be a real number, got {re.escape(repr(dl))}$"):
+            NetworkConfig("ck", 2, 3, 2, 2, 2, dl=dl)
 
     @pytest.mark.parametrize("name", ["k", "depth", "width", "input_dim", "num_classes"])
     @pytest.mark.parametrize("value", [2.5, 2.0, "2", None, True, np.True_],

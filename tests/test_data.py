@@ -1,5 +1,6 @@
 import gzip
 import os
+import re
 import struct
 import urllib.request
 
@@ -251,9 +252,10 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(ds, 1.5, seed=0)
 
-    def test_non_numeric_fraction_is_a_type_error(self):
-        with pytest.raises(TypeError, match=r"^fraction must be a real number, got '0.5'$"):
-            split(synthetic_digits(10, seed=3), "0.5")
+    @pytest.mark.parametrize("fraction", ["0.5", True, False, np.True_], ids=["str", "true", "false", "numpy-bool"])
+    def test_non_numeric_fraction_is_a_type_error(self, fraction):
+        with pytest.raises(TypeError, match=f"^fraction must be a real number, got {re.escape(repr(fraction))}$"):
+            split(synthetic_digits(10, seed=3), fraction)
 
 
 def per_sample_synthetic_digits(n, seed):
@@ -315,6 +317,7 @@ class TestDatasetInvariants:
 
     @pytest.mark.parametrize("labels,num_classes", [
         (np.array([0.0, 1.0]), 2), (np.array([False, True]), 2), (np.array([0, 1]), 2.0),
+        (np.array([0, 0]), True), (np.array([0, 1]), np.True_),
     ])
     def test_labels_and_class_count_must_be_integers(self, labels, num_classes):
         with pytest.raises(TypeError, match="must be (an )?integer"):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -201,6 +202,26 @@ class TestMixedDiffCoefficients:
         for _ in range(5):
             stencil = np.convolve(stencil, [1, -1])
         assert alternating_binomial_row(5) == stencil.tolist()
+
+
+class TestCachedRows:
+    """``alternating_binomial_row`` reads a cached row and hands out a copy."""
+
+    def test_every_row_up_to_the_cap_is_the_signed_binomials(self):
+        for n in range(MAX_BINOMIAL_N + 1):
+            assert alternating_binomial_row(n) == [(-1) ** j * math.comb(n, j) for j in range(n + 1)]
+
+    def test_a_mutated_row_leaves_the_next_call_unchanged(self):
+        row = alternating_binomial_row(4)
+        row[1] = 99
+        row.append(7)
+        assert alternating_binomial_row(4) == [1, -4, 6, -4, 1]
+        assert alternating_binomial_row(4) is not alternating_binomial_row(4)
+
+    def test_a_row_above_the_cap_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"binomial capped at n <= 64, got n=65"):
+                alternating_binomial_row(MAX_BINOMIAL_N + 1)
 
 
 class TestAlternatingSum:

@@ -297,7 +297,7 @@ class TestAdam:
         with pytest.raises(ValueError, match=r"^learning_rate must be finite and > 0, got -?1000"):
             TrainConfig(1, learning_rate=learning_rate)
 
-    @pytest.mark.parametrize("learning_rate", ["0.1", None, 1j])
+    @pytest.mark.parametrize("learning_rate", ["0.1", None, 1j, True, False, np.True_])
     def test_non_real_learning_rate_is_a_type_error_when_built(self, learning_rate):
         p, message = Parameter(np.array([2.0]), "p"), f"learning_rate must be a real number, got {learning_rate!r}"
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
@@ -514,9 +514,10 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(epochs=1, learning_rate=learning_rate)
 
-    def test_non_numeric_learning_rate_is_a_type_error(self):
-        with pytest.raises(TypeError, match=r"^learning_rate must be a real number, got '0.1'$"):
-            TrainConfig(1, learning_rate="0.1")
+    @pytest.mark.parametrize("learning_rate", ["0.1", True], ids=["str", "bool"])
+    def test_non_numeric_learning_rate_is_a_type_error(self, learning_rate):
+        with pytest.raises(TypeError, match=f"^learning_rate must be a real number, got {learning_rate!r}$"):
+            TrainConfig(1, learning_rate=learning_rate)
 
     @pytest.mark.parametrize("name,value", [("epochs", 2.5), ("batch_size", 16.0), ("seed", 1.5), ("seed", "3"),
                                             ("epochs", True), ("batch_size", True), ("seed", False),

@@ -200,6 +200,19 @@ class NaNStart:
         return np.full(size, np.nan)
 
 
+@pytest.mark.parametrize("k", [1, 64])
+@pytest.mark.parametrize("d", [1, 8])
+@pytest.mark.parametrize("depth", [1, 8])
+@pytest.mark.parametrize("i", [0, 49, 2**32 - 1])
+def test_a_case_draws_from_the_seed_sequence_of_its_key(k, d, depth, i):
+    # the per-case reference draws through ``_case_rng`` too, so a changed key
+    # would move both sides of the battery's reference test together
+    key = (0xC0FFEE, k, d, depth, i)
+    ours, listed = verify._case_rng(*key), np.random.default_rng(np.random.SeedSequence(list(key)))
+    for draw in (lambda g: g.uniform(size=(depth, d * d + d)), lambda g: g.standard_normal(d)):
+        assert draw(ours).tobytes() == draw(listed).tobytes()
+
+
 def test_the_first_failing_case_in_grid_order_is_the_detail(monkeypatch):
     # seed#1 opens the second ensemble; seed#6, later in grid order, sits in
     # the first one, which runs first
@@ -263,6 +276,8 @@ BAD_GRIDS = {
     "inf-tolerance": ({"tolerance": float("inf")}, ValueError, r"^tolerance must be a finite number >= 0"),
     "negative-tolerance": ({"tolerance": -1e-9}, ValueError, r"^tolerance must be a finite number >= 0"),
     "string-tolerance": ({"tolerance": "1e-9"}, TypeError, r"^tolerance must be a real number, got '1e-9'$"),
+    "bool-tolerance": ({"tolerance": True}, TypeError, r"^tolerance must be a real number, got True$"),
+    "false-tolerance": ({"tolerance": False}, TypeError, r"^tolerance must be a real number, got False$"),
 }
 
 
